@@ -37,8 +37,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
         "--sizes",
-        default="1000x4,1000x16,1000x64,200x128",
-        help="comma list of replicasxN batch shapes",
+        default="160x4,500x4,500x8,1000x4,1000x16,1000x64,200x128",
+        help="comma list of replicasxN batch shapes; the first three are the "
+        "shapes the bench/ workloads run",
     )
     ap.add_argument("--repeat", type=int, default=5, help="timing repetitions, best kept")
     args = ap.parse_args()

@@ -4,11 +4,37 @@ The compiled backend in _core.pyx mirrors these routines operation for
 operation.  To keep the two backends bit-identical the interaction sums are
 accumulated coordinate-sequentially (a Python loop over the partner index j,
 vectorized over replicas and over i), so both backends perform the same
-floating-point additions in the same order.  Keep any edits synchronized
-with _core.pyx.
+floating-point additions in the same order.
+
+The j = i term is not skipped but evaluated as 0/1, which adds +0.0 at the
+same place in the sum where the compiled loop skips it; the divide is
+unmasked, because numpy's masked ufunc loop is several times slower.  The
+loop works on transposed (n, r) buffers so that each partner j is a
+contiguous row broadcast over the coordinates i; the arithmetic per element
+is unchanged.  Keep any edits synchronized with _core.pyx.
 """
 
 import numpy as np
+
+
+def _pair_sum(s):
+    """sum_{j != i} (s_i + s_j)/(s_i - s_j) for the rows of s.T, as (n, r).
+
+    s: (n, r) array, one column per replica.  The sum runs over j = 0..n-1
+    in order, starting from +0.0, with the j = i term evaluated as 0/1.
+    """
+    acc = np.zeros_like(s)
+    num = np.empty_like(s)
+    den = np.empty_like(s)
+    for j in range(s.shape[0]):
+        sj = s[j]
+        np.add(s, sj, out=num)
+        np.subtract(s, sj, out=den)
+        num[j] = 0.0
+        den[j] = 1.0
+        np.divide(num, den, out=num)
+        acc += num
+    return acc
 
 
 def dl_drift_batch(x, alpha, beta, out=None):
@@ -22,25 +48,13 @@ def dl_drift_batch(x, alpha, beta, out=None):
     r, n = x.shape
     if out is None:
         out = np.empty_like(x)
-    base = alpha - x
     if beta == 0.0 or n == 1:
-        out[...] = base
+        np.subtract(alpha, x, out=out)
         return out
-    half_beta = 0.5 * beta
-    acc = np.zeros_like(x)
-    mask = np.ones(n, dtype=bool)
-    ratio = np.empty_like(x)
-    for j in range(n):
-        xj = x[:, j : j + 1]
-        num = x + xj
-        den = x - xj
-        mask[:] = True
-        mask[j] = False
-        ratio.fill(0.0)
-        np.divide(num, den, out=ratio, where=mask[None, :])
-        acc += ratio
-    np.multiply(acc, half_beta, out=acc)
-    np.add(base, acc, out=out)
+    xt = x.T.copy()
+    acc = _pair_sum(xt)
+    np.multiply(acc, 0.5 * beta, out=acc)
+    np.add(alpha - xt, acc, out=out.T)
     return out
 
 
@@ -56,24 +70,12 @@ def edl_drift_batch(y, alpha, beta, out=None):
     if out is None:
         out = np.empty_like(y)
     two_am1 = 2.0 * alpha - 1.0
-    base = two_am1 / y - y * 0.5
     if beta == 0.0 or n == 1:
-        out[...] = base
+        np.subtract(two_am1 / y, y * 0.5, out=out)
         return out
-    s = y * y
-    acc = np.zeros_like(y)
-    mask = np.ones(n, dtype=bool)
-    ratio = np.empty_like(y)
-    for j in range(n):
-        sj = s[:, j : j + 1]
-        num = s + sj
-        den = s - sj
-        mask[:] = True
-        mask[j] = False
-        ratio.fill(0.0)
-        np.divide(num, den, out=ratio, where=mask[None, :])
-        acc += ratio
+    yt = y.T.copy()
+    acc = _pair_sum(yt * yt)
     np.multiply(acc, beta, out=acc)
-    np.divide(acc, y, out=acc)
-    np.add(base, acc, out=out)
+    np.divide(acc, yt, out=acc)
+    np.add(two_am1 / yt - yt * 0.5, acc, out=out.T)
     return out

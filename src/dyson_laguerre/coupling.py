@@ -239,9 +239,12 @@ def mirror_coupling_run(x0, y0, times, params, rng, dt=None):
 def synchronous_coupling_run(x0, y0, times, params, rng, dt=None):
     """Two copies driven by the same noise; diagnostic only.
 
-    No merge rule and no contraction guarantee: the square-root energy is
-    not convex, so the inter-copy distance need not contract under shared
-    noise.  Equal starts stay equal for all time.
+    No merge rule.  The square-root drift is -grad E_y for an energy E_y
+    that is 1/2-strongly convex on the chamber, so the continuous pair
+    contracts pathwise under shared noise, at rate 1/2.  The explicit Euler
+    step does not inherit that where the pair terms are stiff, so the
+    simulated inter-copy distance need not contract.  Equal starts stay
+    equal for all time.
     """
     return _single_run(x0, y0, times, params, rng, "synchronous", dt)
 

@@ -122,14 +122,18 @@ def _propose_batch(y, dt, params, gen, noise=None, drift=None):
         noise = gen.standard_normal(y.shape)
     prop = y + drift * dt + step_sd * noise
     tau = 6.0 * step_sd
-    ok = ~np.any(prop <= -tau, axis=1)
+    # The row checks reduce over axis 0 of transposed copies: numpy's
+    # reductions along rows of a few entries cost more than the arithmetic.
+    # fmin skips NaN, so a row breaches iff some non-NaN entry is <= -tau.
+    ok = ~(np.fmin.reduce(prop.T.copy(), axis=0) <= -tau)
     prop = np.abs(prop)
     prop.sort(axis=1)
     ok &= prop[:, 0] > 0.0
     if params.beta > 0 and y.shape[1] > 1:
-        x = 0.25 * prop**2
-        tol = 1e-12 * (1.0 + x[:, -1])
-        ok &= np.min(np.diff(x, axis=1), axis=1) > tol
+        x = 0.25 * prop.T.copy() ** 2
+        tol = 1e-12 * (1.0 + x[-1])
+        # np.min propagates NaN, so a row holding NaN is rejected
+        ok &= np.min(x[1:] - x[:-1], axis=0) > tol
     return prop, ok
 
 

@@ -319,6 +319,27 @@ def tv_threshold_witness(samples_p, samples_q):
     return DistanceEstimate("TV", value, dkw, "threshold-witness")
 
 
+def _knn_distances(srt, k):
+    """Distance from each entry of the sorted sample srt to its k-th nearest
+    other entry, for 1 <= k < srt.size.
+
+    The k nearest entries of srt[i] together with srt[i] fill a window
+    [i - l, i + k - l] of the sorted order, so the distance is the minimum
+    over l = 0..k of max(srt[i] - srt[i - l], srt[i + k - l] - srt[i]);
+    windows that leave the sample do not count.  Every candidate is one of
+    the differences a walk outward from i would take, so the result is the
+    same to the bit, ties included.
+    """
+    n = srt.size
+    out = np.full(n, np.inf)
+    lo, hi = srt[: n - k], srt[k:]
+    for l in range(k + 1):
+        mid = srt[l : n - k + l]
+        d = np.maximum(mid - lo, hi - mid)
+        np.minimum(out[l : n - k + l], d, out=out[l : n - k + l])
+    return out
+
+
 def kl_projected_estimate(samples, reference_log_density, reference_normalizer, k=3):
     """KL divergence of a one-dimensional sample law from a reference.
 
@@ -346,21 +367,7 @@ def kl_projected_estimate(samples, reference_log_density, reference_normalizer, 
         n = block.size
         srt = np.sort(block)
         kk = min(k, n - 1)
-        left = np.empty(n)
-        # k-th nearest neighbor distance on the line via the sorted order
-        for i in range(n):
-            lo, hi = i, i
-            d = 0.0
-            for _ in range(kk):
-                dl = srt[i] - srt[lo - 1] if lo > 0 else math.inf
-                dr = srt[hi + 1] - srt[i] if hi < n - 1 else math.inf
-                if dl <= dr:
-                    lo -= 1
-                    d = dl
-                else:
-                    hi += 1
-                    d = dr
-            left[i] = max(d, 1e-300)
+        left = np.maximum(_knn_distances(srt, kk), 1e-300)
         entropy = float(np.mean(np.log(2.0 * left))) + digamma(n) - digamma(kk)
         try:
             logq = np.asarray(reference_log_density(srt), dtype=float)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dyson_laguerre import _kernels
+from dyson_laguerre._kernels import _ref
 
 
 def _random_states(rng, rows, n):
@@ -81,3 +82,78 @@ def test_drift_batch_matches_single():
     batch = _kernels.dl_drift_batch(x, params.alpha, params.beta)
     for r in range(8):
         assert np.allclose(batch[r], dl_drift(ParticleState(x[r]), params), atol=1e-14)
+
+
+# Frozen references: the numpy kernels as they stood with a masked divide per
+# partner j.  The live kernels evaluate the j = i term as 0/1 instead, which
+# must leave every output bit as it was.
+def _masked_dl_drift_batch(x, alpha, beta):
+    r, n = x.shape
+    base = alpha - x
+    if beta == 0.0 or n == 1:
+        return base
+    acc = np.zeros_like(x)
+    mask = np.ones(n, dtype=bool)
+    ratio = np.empty_like(x)
+    for j in range(n):
+        xj = x[:, j : j + 1]
+        mask[:] = True
+        mask[j] = False
+        ratio.fill(0.0)
+        np.divide(x + xj, x - xj, out=ratio, where=mask[None, :])
+        acc += ratio
+    np.multiply(acc, 0.5 * beta, out=acc)
+    return base + acc
+
+
+def _masked_edl_drift_batch(y, alpha, beta):
+    r, n = y.shape
+    base = (2.0 * alpha - 1.0) / y - y * 0.5
+    if beta == 0.0 or n == 1:
+        return base
+    s = y * y
+    acc = np.zeros_like(y)
+    mask = np.ones(n, dtype=bool)
+    ratio = np.empty_like(y)
+    for j in range(n):
+        sj = s[:, j : j + 1]
+        mask[:] = True
+        mask[j] = False
+        ratio.fill(0.0)
+        np.divide(s + sj, s - sj, out=ratio, where=mask[None, :])
+        acc += ratio
+    np.multiply(acc, beta, out=acc)
+    np.divide(acc, y, out=acc)
+    return base + acc
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _kernel_inputs(rng, rows, n):
+    x = _random_states(rng, rows, n)
+    if rows > 1 and n > 1:
+        x[0, 1] = x[0, 0]  # a collision: the pair term is +-inf, the row NaN or inf
+        x[-1, -1] = x[-1, 0] * (1.0 + 1e-15)  # a near-collision
+    return x
+
+
+@pytest.mark.parametrize("rows", [1, 7, 500])
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+def test_drift_kernels_match_masked_reference_bitwise(rows, n, beta):
+    rng = np.random.default_rng(1000 * rows + 10 * n + int(beta))
+    x = _kernel_inputs(rng, rows, n)
+    y = 2.0 * np.sqrt(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert _same_bits(_ref.dl_drift_batch(x, 5.5, beta), _masked_dl_drift_batch(x, 5.5, beta))
+        assert _same_bits(
+            _ref.edl_drift_batch(y, 5.5, beta), _masked_edl_drift_batch(y, 5.5, beta)
+        )
+        out = np.empty_like(x)
+        assert _ref.dl_drift_batch(x, 5.5, beta, out=out) is out
+        assert _same_bits(out, _masked_dl_drift_batch(x, 5.5, beta))
+        out = np.empty_like(y)
+        assert _ref.edl_drift_batch(y, 5.5, beta, out=out) is out
+        assert _same_bits(out, _masked_edl_drift_batch(y, 5.5, beta))

@@ -21,6 +21,7 @@ from dyson_laguerre import (
     spectral_projection,
     step_dl_sqrt,
 )
+from dyson_laguerre import _kernels, coupling, simulate
 
 
 def test_rng_stream_reproducible():
@@ -213,3 +214,112 @@ def test_matrix_state_frozen_and_frobenius():
     assert s.frobenius_sq() == pytest.approx(30.0)
     with pytest.raises(ValueError):
         s.entries[0, 0] = 9.0
+
+
+# Frozen reference: the proposal checks as they stood, with row reductions
+# np.any(..., axis=1) and np.min(np.diff(...), axis=1).  The live checks
+# reduce column-wise and must accept and reject exactly the same rows.
+def _reference_propose_batch(y, dt, params, gen, noise=None, drift=None):
+    if drift is None:
+        drift = _kernels.edl_drift_batch(y, params.alpha, params.beta)
+    step_sd = math.sqrt(2.0 * dt)
+    if noise is None:
+        noise = gen.standard_normal(y.shape)
+    prop = y + drift * dt + step_sd * noise
+    tau = 6.0 * step_sd
+    ok = ~np.any(prop <= -tau, axis=1)
+    prop = np.abs(prop)
+    prop.sort(axis=1)
+    ok &= prop[:, 0] > 0.0
+    if params.beta > 0 and y.shape[1] > 1:
+        x = 0.25 * prop**2
+        tol = 1e-12 * (1.0 + x[:, -1])
+        ok &= np.min(np.diff(x, axis=1), axis=1) > tol
+    return prop, ok
+
+
+def _special_rows(n, tau):
+    """Proposal rows at the edges of every check, as (rows, n)."""
+    base = np.linspace(1.0, 2.0, n)
+    rows = []
+    for j in range(n):
+        for value in (-2.0 * tau, -tau, -0.5 * tau, 0.0, -0.0, np.nan, np.inf):
+            row = base.copy()
+            row[j] = value
+            rows.append(row)
+    if n > 1:
+        row = base.copy()
+        row[-1] = row[0]  # an exact collision
+        rows.append(row)
+        row = base.copy()
+        row[1] = row[0] * (1.0 + 1e-14)  # a gap at the collision tolerance
+        rows.append(row)
+        row = base.copy()
+        row[0], row[-1] = np.nan, -2.0 * tau  # NaN beside a breach
+        rows.append(row)
+    rows.append(np.full(n, np.nan))
+    rows.append(np.full(n, -2.0 * tau))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 500])
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+def test_propose_batch_matches_row_reduction_reference(rows, n, beta):
+    params = ModelParams(n, 20.0, beta)
+    dt = 1e-3
+    tau = 6.0 * math.sqrt(2.0 * dt)
+    rng = np.random.default_rng(100 * rows + n)
+    y = 2.0 * np.sqrt(np.sort(rng.gamma(3.0, 1.0, (rows, n)), axis=1))
+    noise = rng.standard_normal((rows, n)) * rng.choice([1.0, 10.0, 1e3], (rows, 1))
+    # zero drift and noise make the proposal the special row itself
+    special = _special_rows(n, tau)[:rows]
+    zero = np.zeros_like(special)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for yy, xi, drift in ((y, noise, None), (special, zero, zero)):
+            got = simulate._propose_batch(yy, dt, params, None, noise=xi, drift=drift)
+            want = _reference_propose_batch(yy, dt, params, None, noise=xi, drift=drift)
+            assert np.array_equal(got[0], want[0], equal_nan=True)
+            assert np.array_equal(got[1], want[1])
+    if rows > 1:
+        assert got[1].any() and not got[1].all()
+
+
+def test_paths_match_frozen_references(monkeypatch):
+    """Euler paths and mirror-coupled pairs are bit-identical when the frozen
+    masked kernel and row-reduction checks stand in for the live ones."""
+    from test_backend import _masked_edl_drift_batch
+
+    params = ModelParams(4, 4.0, 1.0)
+    x0 = ParticleState([0.5, 1.0, 1.5, 2.0])
+    other = ParticleState([1.0, 2.5, 4.0, 6.0])
+    times = [0.0, 0.1, 0.25]
+
+    def run():
+        rejected = []
+        live = simulate._propose_batch
+
+        def counting(*args, **kwargs):
+            prop, ok = live(*args, **kwargs)
+            rejected.append(int(ok.size - ok.sum()))
+            return prop, ok
+
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_propose_batch", counting)
+            m.setattr(coupling, "_propose_batch", counting)
+            paths = dl_paths_batch((x0, 40), times, params, RngStream(5, 0), dt=0.02)
+            pairs = coupling.run_coupled_batch(
+                x0, other, times, params, RngStream(6, 0), replicas=30, kind="mirror", dt=0.02
+            )
+        return paths, pairs, sum(rejected)
+
+    paths, pairs, rejected = run()
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "edl_drift_batch", _masked_edl_drift_batch)
+        m.setattr(simulate, "_propose_batch", _reference_propose_batch)
+        ref_paths, ref_pairs, ref_rejected = run()
+    assert rejected > 0  # the halving branch ran
+    assert rejected == ref_rejected
+    assert np.array_equal(paths, ref_paths)
+    for got, want in zip(pairs, ref_pairs):
+        assert np.array_equal(got, want)

@@ -19,7 +19,7 @@ from dyson_laguerre import (
     tv_threshold_witness,
     wasserstein_intrinsic,
 )
-from dyson_laguerre.transport import gaussian_tv, ou_entry_tv
+from dyson_laguerre.transport import _knn_distances, gaussian_tv, ou_entry_tv
 
 
 def _scalar_gaussians(p, t):
@@ -201,6 +201,48 @@ def test_kl_knn_detects_mismatch():
         + (a - b) * special.digamma(a)
     )
     assert abs(est.value - exact) < 0.05 + 3 * est.stderr
+
+
+def _knn_walk(srt, k):
+    """Reference: walk outward from each sorted sample, k steps, always
+    taking the nearer side (left on ties)."""
+    n = srt.size
+    out = np.empty(n)
+    for i in range(n):
+        lo, hi = i, i
+        d = 0.0
+        for _ in range(k):
+            dl = srt[i] - srt[lo - 1] if lo > 0 else math.inf
+            dr = srt[hi + 1] - srt[i] if hi < n - 1 else math.inf
+            if dl <= dr:
+                lo -= 1
+                d = dl
+            else:
+                hi += 1
+                d = dr
+        out[i] = d
+    return out
+
+
+def test_knn_distances_match_walk():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(2, 60))
+        k = int(rng.integers(1, n))
+        # rounded draws give ties, including runs longer than k
+        ties = np.sort(np.round(rng.normal(size=n) * rng.choice([1.0, 3.0, 100.0])))
+        spread = np.sort(rng.gamma(2.0, size=n) * 1e3)
+        for srt in (ties, spread):
+            assert np.array_equal(_knn_distances(srt, k), _knn_walk(srt, k))
+    # edge sizes: n = k + 2 (smallest sample the estimator takes) and k >= n - 1
+    for k in (1, 3, 5):
+        srt = np.sort(rng.normal(size=k + 2))
+        assert np.array_equal(_knn_distances(srt, k), _knn_walk(srt, k))
+    for n in (2, 3, 6):
+        srt = np.sort(rng.normal(size=n))
+        assert np.array_equal(_knn_distances(srt, n - 1), _knn_walk(srt, n - 1))
+        srt = np.zeros(n)
+        assert np.array_equal(_knn_distances(srt, n - 1), _knn_walk(srt, n - 1))
 
 
 def test_kl_reference_normalizer_guard():
