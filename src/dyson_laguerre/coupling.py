@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, transport
 from .errors import DomainError, NumericError, ValidationError
 from .model import ParticleState
 from .simulate import (
@@ -33,6 +33,7 @@ from .simulate import (
     RngStream,
     _coerce_generator,
     _propose_batch,
+    _validate_times,
     default_dt,
     dl_paths_batch,
 )
@@ -172,10 +173,9 @@ def run_coupled_batch(x0a, x0b, times, params, rng, replicas=1, kind="mirror", d
         raise DomainError(f"start states must have {params.n} coordinates")
     if np.any(a0 <= 0) or np.any(b0 <= 0):
         raise DomainError("coupled runs need strictly positive start coordinates")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or np.any(times < 0) or np.any(np.diff(times) <= 0):
-        if not (times.size == 1 and times[0] >= 0):
-            raise DomainError("times must be a nonempty strictly increasing nonnegative grid")
+    if np.ndim(times) != 1:
+        raise DomainError("times must be a one-dimensional grid")
+    times = _validate_times(times)
     gen = _coerce_generator(rng)
     if dt is None:
         dt = default_dt(a0)
@@ -300,18 +300,19 @@ def _draw_cloud(mu0_sampler, gen, replicas, n):
 
 
 def _w_with_bootstrap(cloud_a, cloud_b, gen, n_boot=8):
-    from .transport import wasserstein_intrinsic
-
-    est = wasserstein_intrinsic(cloud_a, cloud_b)
     if n_boot < 2:
-        return est.value, float("nan")
+        return transport.wasserstein_intrinsic(cloud_a, cloud_b).value, float("nan")
+    # A resample's cost matrix is a submatrix of the full one, entry for
+    # entry the number a fresh build on the resampled clouds would give.
+    cost_pow = transport._assignment_cost(cloud_a, cloud_b) ** 2
+    value = transport._assignment_value(cost_pow, 2)
     vals = np.empty(n_boot)
     r = cloud_a.shape[0]
     for i in range(n_boot):
         ia = gen.integers(0, r, size=r)
         ib = gen.integers(0, r, size=r)
-        vals[i] = wasserstein_intrinsic(cloud_a[ia], cloud_b[ib]).value
-    return est.value, float(np.std(vals, ddof=1))
+        vals[i] = transport._assignment_value(cost_pow[np.ix_(ia, ib)], 2)
+    return value, float(np.std(vals, ddof=1))
 
 
 def wg_decay_estimate(mu0_sampler, times, params, replicas, rng, dt=None, n_boot=8):

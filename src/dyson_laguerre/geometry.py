@@ -209,18 +209,20 @@ def random_test_function(n, rng, degree=2, coeff_range=1.0):
     """Random polynomial with uniform coefficients on all monomials of
     total degree <= degree (default quadratic)."""
     gen = _coerce_generator(rng)
-    monos = [()]
-    coeffs = {}
+    monos = []
 
     def extend(prefix, remaining, budget):
         if remaining == 0:
-            coeffs[tuple(prefix)] = float(gen.uniform(-coeff_range, coeff_range))
+            monos.append(tuple(prefix))
             return
         for e in range(budget + 1):
             extend(prefix + [e], remaining - 1, budget - e)
 
     extend([], n, degree)
-    return Polynomial(n, coeffs)
+    # one draw of len(monos) uniforms consumes the stream exactly as one
+    # scalar draw per monomial would, in the same order
+    draws = gen.uniform(-coeff_range, coeff_range, size=len(monos)).tolist()
+    return Polynomial._wrap(n, dict(zip(monos, draws)))
 
 
 @dataclass

@@ -206,6 +206,28 @@ class Polynomial:
         self.coeffs = {m: c for m, c in clean.items() if c != 0.0}
 
     @classmethod
+    def _wrap(cls, nvars, coeffs):
+        """Wrap a coefficient dict the package built itself, such as the
+        result of this class's algebra.
+
+        Its keys are distinct exponent tuples of length nvars with
+        nonnegative int entries and its values are Python floats, so of the
+        constructor's work only dropping the zero coefficients is left; the
+        result, key order included, is what the constructor would give.
+        Input from outside goes through the constructor.
+        """
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.coeffs = {m: c for m, c in coeffs.items() if c != 0.0}
+        return poly
+
+    def _same_space(self, other):
+        if other.nvars != self.nvars:
+            raise ValueError(
+                f"polynomials in {self.nvars} and {other.nvars} variables do not combine"
+            )
+
+    @classmethod
     def zero(cls, nvars):
         return cls(nvars, {})
 
@@ -227,15 +249,16 @@ class Polynomial:
     def __add__(self, other):
         if isinstance(other, (int, float)):
             other = Polynomial.constant(self.nvars, other)
+        self._same_space(other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out.get(m, 0.0) + c
-        return Polynomial(self.nvars, out)
+        return Polynomial._wrap(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {m: -c for m, c in self.coeffs.items()})
+        return Polynomial._wrap(self.nvars, {m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
@@ -244,47 +267,83 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Polynomial(self.nvars, {m: c * other for m, c in self.coeffs.items()})
+            other = float(other)  # a numpy scalar factor still gives Python floats
+            return Polynomial._wrap(self.nvars, {m: c * other for m, c in self.coeffs.items()})
+        self._same_space(other)
         out = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
                 out[m] = out.get(m, 0.0) + c1 * c2
-        return Polynomial(self.nvars, out)
+        return Polynomial._wrap(self.nvars, out)
 
     __rmul__ = __mul__
 
     def diff(self, i):
+        # distinct monomials stay distinct after lowering the same exponent
         out = {}
         for m, c in self.coeffs.items():
-            if m[i] == 0:
-                continue
-            mm = list(m)
-            mm[i] -= 1
-            out[tuple(mm)] = out.get(tuple(mm), 0.0) + c * m[i]
-        return Polynomial(self.nvars, out)
+            e = m[i]
+            if e:
+                mm = list(m)
+                mm[i] = e - 1
+                out[tuple(mm)] = c * e
+        return Polynomial._wrap(self.nvars, out)
 
-    def __call__(self, x):
+    def _evaluate(self, x, walk):
+        """walk(xs) for the coordinates x.
+
+        For 1-D x, xs holds Python floats rather than numpy scalars: both
+        powers call libm pow, so every value is the same to the bit.  Where
+        a power overflows Python raises and numpy returns inf, so that case,
+        like every other shape of x, walks x itself.
+        """
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            try:
+                return walk(x.tolist())
+            except OverflowError:
+                pass
+        return walk(x)
+
+    def _walk(self, xs, i=None):
+        """Sum of the terms at xs, of this polynomial or, for an index
+        0 <= i < nvars, of its partial derivative in x_i: the same products
+        in the same order as diff(i)(xs), without building diff(i)."""
         total = 0.0
         for m, c in self.coeffs.items():
+            if i is not None:
+                d = m[i]
+                if not d:
+                    continue
+                c = c * d
+                m = m[:i] + (d - 1,) + m[i + 1 :]
             term = c
-            for xi, e in zip(x, m):
+            for xk, e in zip(xs, m):
                 if e:
-                    term *= xi**e
+                    term *= xk**e
             total += term
         return total
 
+    def __call__(self, x):
+        return self._evaluate(x, self._walk)
+
     def gradient(self, x):
-        return np.array([self.diff(i)(x) for i in range(self.nvars)])
+        n = self.nvars
+        return np.array(self._evaluate(x, lambda xs: [self._walk(xs, i) for i in range(n)]))
 
     def hessian(self, x):
-        h = np.empty((self.nvars, self.nvars))
-        for i in range(self.nvars):
-            di = self.diff(i)
-            for j in range(i, self.nvars):
-                h[i, j] = h[j, i] = di.diff(j)(x)
-        return h
+        n = self.nvars
+
+        def entries(xs):
+            h = np.empty((n, n))
+            for i in range(n):
+                di = self.diff(i)
+                for j in range(i, n):
+                    h[i, j] = h[j, i] = di._walk(xs, j)
+            return h
+
+        return self._evaluate(x, entries)
 
     def __repr__(self):
         if not self.coeffs:

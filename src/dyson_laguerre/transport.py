@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.special import digamma, logsumexp
-from scipy.stats import norm
+from scipy.special import digamma, logsumexp, ndtr
 
 from .errors import (
     DomainError,
@@ -127,6 +126,31 @@ def _sinkhorn_log(cost_pow, wa, wb, eps, max_iter=5000, tol=1e-10):
 ASSIGNMENT_LIMIT = 4000
 
 
+def _assignment_cost(a, b):
+    """Intrinsic cost matrix of two clouds, after the checks exact assignment
+    needs: equal sizes, uniform weights and a size within ASSIGNMENT_LIMIT."""
+    a, b = _as_measure(a), _as_measure(b)
+    if a.size != b.size:
+        raise SizeMismatch(
+            f"exact assignment needs equal cloud sizes, got {a.size} and {b.size}"
+        )
+    if not (a.is_uniform() and b.is_uniform()):
+        raise NonUniformWeights("exact assignment needs uniform weights")
+    if a.size > ASSIGNMENT_LIMIT:
+        raise DomainError(
+            f"cloud size {a.size} above assignment limit {ASSIGNMENT_LIMIT}; "
+            "use method='entropic'"
+        )
+    return _intrinsic_cost(a, b)
+
+
+def _assignment_value(cost_pow, order):
+    """Wasserstein distance of the given order from the matrix of costs raised
+    to that order, by an exact optimal assignment."""
+    rows, cols = linear_sum_assignment(cost_pow)
+    return float(np.mean(cost_pow[rows, cols])) ** (1.0 / order)
+
+
 def wasserstein_intrinsic(a, b, order=2, method="exact-assignment"):
     """Wasserstein distance of the given order under the intrinsic metric.
 
@@ -142,20 +166,7 @@ def wasserstein_intrinsic(a, b, order=2, method="exact-assignment"):
         raise DomainError(f"order must be 1 or 2, got {order}")
     kind = f"Wg{order}"
     if method == "exact-assignment":
-        if a.size != b.size:
-            raise SizeMismatch(
-                f"exact assignment needs equal cloud sizes, got {a.size} and {b.size}"
-            )
-        if not (a.is_uniform() and b.is_uniform()):
-            raise NonUniformWeights("exact assignment needs uniform weights")
-        if a.size > ASSIGNMENT_LIMIT:
-            raise DomainError(
-                f"cloud size {a.size} above assignment limit {ASSIGNMENT_LIMIT}; "
-                "use method='entropic'"
-            )
-        cost = _intrinsic_cost(a, b)
-        rows, cols = linear_sum_assignment(cost**order)
-        value = float(np.mean(cost[rows, cols] ** order)) ** (1.0 / order)
+        value = _assignment_value(_assignment_cost(a, b) ** order, order)
         return DistanceEstimate(kind=kind, value=value, stderr=0.0, method="assignment")
     if method == "entropic":
         cost = _intrinsic_cost(a, b)
@@ -273,7 +284,7 @@ def gaussian_tv(mu1, v1, v2):
         roots = sorted([(-b - r) / (2.0 * a), (-b + r) / (2.0 * a)])
 
     def cdf_gap(x):
-        return norm.cdf((x - mu1) / math.sqrt(v1)) - norm.cdf(x / math.sqrt(v2))
+        return ndtr((x - mu1) / math.sqrt(v1)) - ndtr(x / math.sqrt(v2))
 
     pts = [cdf_gap(x) for x in roots]
     total = abs(pts[0])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.optimize import linear_sum_assignment
 
 from dyson_laguerre import (
     DomainError,
@@ -15,8 +16,14 @@ from dyson_laguerre import (
     synchronous_coupling_run,
     wg_decay_estimate,
 )
-from dyson_laguerre.coupling import CoupledPath, coupled_distance_curve, run_coupled_batch
+from dyson_laguerre.coupling import (
+    CoupledPath,
+    _w_with_bootstrap,
+    coupled_distance_curve,
+    run_coupled_batch,
+)
 from dyson_laguerre.equilibrium import sample_equilibrium_batch
+from dyson_laguerre.transport import EmpiricalMeasure, _intrinsic_cost
 
 
 def test_equal_starts_stay_equal():
@@ -47,6 +54,9 @@ def test_run_coupled_batch_guards():
         run_coupled_batch([0.0, 2.0], [1.0, 2.0], [0.1], params, RngStream(0, 0))
     with pytest.raises(DomainError):
         run_coupled_batch([1.0, 2.0], [1.0, 2.0], [0.3, 0.2], params, RngStream(0, 0))
+    for times in (0.5, [math.inf], [[0.5]], [0.0, math.nan]):
+        with pytest.raises(DomainError):
+            run_coupled_batch([1.0, 2.0], [1.5, 2.5], times, params, RngStream(0, 0))
 
 
 def test_mirror_marginals_match_solo_law():
@@ -146,3 +156,41 @@ def test_wg_decay_point_mass_decays():
     assert curve.values[0] > curve.values[-1]
     # long-horizon value sits near the resolution floor
     assert curve.values[-1] < curve.floor + 4 * (curve.stderrs[-1] + 0.05)
+
+
+def _w2_rebuilt(a, b):
+    """Reference: exact W2 with the cost matrix built afresh for the clouds."""
+    cost = _intrinsic_cost(EmpiricalMeasure(a), EmpiricalMeasure(b))
+    rows, cols = linear_sum_assignment(cost**2)
+    return float(np.mean(cost[rows, cols] ** 2)) ** 0.5
+
+
+def _w_with_bootstrap_rebuilt(cloud_a, cloud_b, gen, n_boot=8):
+    """Reference: _w_with_bootstrap as it stood, one cost build per resample."""
+    value = _w2_rebuilt(cloud_a, cloud_b)
+    if n_boot < 2:
+        return value, float("nan")
+    vals = np.empty(n_boot)
+    r = cloud_a.shape[0]
+    for i in range(n_boot):
+        ia = gen.integers(0, r, size=r)
+        ib = gen.integers(0, r, size=r)
+        vals[i] = _w2_rebuilt(cloud_a[ia], cloud_b[ib])
+    return value, float(np.std(vals, ddof=1))
+
+
+def test_bootstrap_submatrix_matches_rebuilt_costs():
+    for n, r, n_boot in ((2, 100, 8), (4, 160, 8), (4, 120, 0), (3, 100, 3)):
+        params = ModelParams(n, 2.0 + (n - 1), 2.0)
+        src = np.random.default_rng(n * r)
+        eq = sample_equilibrium_batch(params, src, r)
+        clouds = [
+            (sample_equilibrium_batch(params, src, r), eq),
+            (np.tile(np.arange(1.0, n + 1.0), (r, 1)), eq),  # point mass: tied costs
+        ]
+        for cloud_a, cloud_b in clouds:
+            gen, ref_gen = np.random.default_rng(r), np.random.default_rng(r)
+            got = _w_with_bootstrap(cloud_a, cloud_b, gen, n_boot=n_boot)
+            want = _w_with_bootstrap_rebuilt(cloud_a, cloud_b, ref_gen, n_boot=n_boot)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert gen.bit_generator.state == ref_gen.bit_generator.state

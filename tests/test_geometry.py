@@ -143,3 +143,207 @@ def test_random_ordered_state_respects_gap():
         s = random_ordered_state(params, rng, min_gap=1e-4)
         assert s.min_gap() >= 1e-4 * (1 - 1e-12)
         assert np.all(s.as_array() > 0)
+
+
+class _ValidatingPolynomial:
+    """Reference: Polynomial as it stood when every result of its algebra
+    went back through the validating constructor and evaluation walked
+    numpy scalars."""
+
+    def __init__(self, nvars, coeffs):
+        self.nvars = int(nvars)
+        clean = {}
+        for mono, c in coeffs.items():
+            mono = tuple(int(e) for e in mono)
+            if len(mono) != self.nvars:
+                raise ValueError(f"exponent tuple {mono} has length {len(mono)}")
+            if any(e < 0 for e in mono):
+                raise ValueError(f"negative exponent in {mono}")
+            c = float(c)
+            if c != 0.0:
+                clean[mono] = clean.get(mono, 0.0) + c
+        self.coeffs = {m: c for m, c in clean.items() if c != 0.0}
+
+    def __add__(self, other):
+        if isinstance(other, (int, float)):
+            other = _ValidatingPolynomial(self.nvars, {(0,) * self.nvars: other})
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            out[m] = out.get(m, 0.0) + c
+        return _ValidatingPolynomial(self.nvars, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _ValidatingPolynomial(self.nvars, {m: -c for m, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, (int, float)):
+            other = _ValidatingPolynomial(self.nvars, {(0,) * self.nvars: other})
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float)):
+            return _ValidatingPolynomial(
+                self.nvars, {m: c * other for m, c in self.coeffs.items()}
+            )
+        out = {}
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                m = tuple(a + b for a, b in zip(m1, m2))
+                out[m] = out.get(m, 0.0) + c1 * c2
+        return _ValidatingPolynomial(self.nvars, out)
+
+    __rmul__ = __mul__
+
+    def diff(self, i):
+        out = {}
+        for m, c in self.coeffs.items():
+            if m[i] == 0:
+                continue
+            mm = list(m)
+            mm[i] -= 1
+            out[tuple(mm)] = out.get(tuple(mm), 0.0) + c * m[i]
+        return _ValidatingPolynomial(self.nvars, out)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        total = 0.0
+        for m, c in self.coeffs.items():
+            term = c
+            for xi, e in zip(x, m):
+                if e:
+                    term *= xi**e
+            total += term
+        return total
+
+    def gradient(self, x):
+        return np.array([self.diff(i)(x) for i in range(self.nvars)])
+
+    def hessian(self, x):
+        h = np.empty((self.nvars, self.nvars))
+        for i in range(self.nvars):
+            di = self.diff(i)
+            for j in range(i, self.nvars):
+                h[i, j] = h[j, i] = di.diff(j)(x)
+        return h
+
+
+def _random_test_function_scalar(n, rng, degree=2, coeff_range=1.0):
+    """Reference: random_test_function as it stood, one scalar draw per
+    monomial during the recursion."""
+    coeffs = {}
+
+    def extend(prefix, remaining, budget):
+        if remaining == 0:
+            coeffs[tuple(prefix)] = float(rng.uniform(-coeff_range, coeff_range))
+            return
+        for e in range(budget + 1):
+            extend(prefix + [e], remaining - 1, budget - e)
+
+    extend([], n, degree)
+    return _ValidatingPolynomial(n, coeffs)
+
+
+def _assert_same_poly(got, want):
+    assert got.nvars == want.nvars
+    assert list(got.coeffs) == list(want.coeffs)  # keys and their order
+    assert all(type(c) is float for c in got.coeffs.values())
+    got_c = np.array(list(got.coeffs.values()), dtype=float)
+    want_c = np.array(list(want.coeffs.values()), dtype=float)
+    assert got_c.tobytes() == want_c.tobytes()
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def _random_coeffs(rng, nvars):
+    """Monomials of total degree <= 4 with coefficients that cancel in sums
+    and products (small integers) or underflow to zero in products (tiny)."""
+    coeffs = {}
+    for _ in range(int(rng.integers(0, 9))):
+        mono = [0] * nvars
+        for _ in range(int(rng.integers(0, 5))):
+            mono[int(rng.integers(nvars))] += 1
+        kind = rng.integers(3)
+        if kind == 0:
+            c = float(rng.integers(-2, 3))
+        elif kind == 1:
+            c = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-200, -170))
+        else:
+            c = float(rng.normal())
+        coeffs[tuple(mono)] = c
+    return coeffs
+
+
+def test_polynomial_algebra_matches_validating_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(400):
+        nvars = int(rng.integers(1, 7))
+        ca, cb = _random_coeffs(rng, nvars), _random_coeffs(rng, nvars)
+        if rng.uniform() < 0.3:
+            # share monomials with opposite signs so sums cancel
+            cb.update({m: -c for m, c in ca.items() if rng.uniform() < 0.5})
+        p, q = Polynomial(nvars, ca), Polynomial(nvars, cb)
+        rp, rq = _ValidatingPolynomial(nvars, ca), _ValidatingPolynomial(nvars, cb)
+        _assert_same_poly(p, rp)
+        scalar = float(rng.choice([0.0, 2.0, -1e-200, rng.normal()]))
+        pairs = [
+            (p + q, rp + rq),
+            (p - q, rp - rq),
+            (-p, -rp),
+            (p * q, rp * rq),
+            ((p - q) * (p + q), (rp - rq) * (rp + rq)),
+            (p * scalar, rp * scalar),
+            (3 * p, 3 * rp),
+            (p * np.float64(scalar), rp * np.float64(scalar)),
+            (p + scalar, rp + scalar),
+            (p - 1, rp - 1),
+        ]
+        pairs += [(p.diff(i), rp.diff(i)) for i in range(nvars)]
+        pairs += [((p * q).diff(i).diff(0), (rp * rq).diff(i).diff(0)) for i in range(nvars)]
+        for got, want in pairs:
+            _assert_same_poly(got, want)
+        prod, rprod = p * q + p, rp * rq + rp
+        for x in (rng.gamma(2.0, size=nvars), rng.normal(size=nvars) * 3.0, np.zeros(nvars)):
+            assert _same_bits(prod(x), rprod(x))
+            assert _same_bits(prod(list(x)), rprod(list(x)))
+            assert _same_bits(prod.gradient(x), rprod.gradient(x))
+            assert _same_bits(prod.hessian(x), rprod.hessian(x))
+
+
+def test_polynomial_power_overflow_is_inf_as_before():
+    # x0^4 and its first derivative overflow, the second does not
+    f = Polynomial(2, {(4, 0): 1.0, (0, 1): 2.0, (1, 1): -1.0})
+    ref = _ValidatingPolynomial(2, {(4, 0): 1.0, (0, 1): 2.0, (1, 1): -1.0})
+    x = np.array([1e150, 3.0])
+    with np.errstate(over="ignore"):
+        got, want = f(x), ref(x)
+        grad, ref_grad = f.gradient(x), ref.gradient(x)
+        assert _same_bits(f.hessian(x), ref.hessian(x))
+    assert got == want == np.inf
+    assert _same_bits(grad, ref_grad) and grad[0] == np.inf
+
+
+def test_random_test_function_matches_scalar_draws():
+    for n in range(1, 7):
+        for degree, coeff_range in ((0, 1.0), (1, 2.5), (2, 1.0), (3, 0.5), (2, 0.0)):
+            gen, ref_gen = np.random.default_rng(n), np.random.default_rng(n)
+            got = random_test_function(n, gen, degree=degree, coeff_range=coeff_range)
+            want = _random_test_function_scalar(n, ref_gen, degree, coeff_range)
+            _assert_same_poly(got, want)
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+def test_cd_certificate_report_matches_validating_reference(monkeypatch):
+    from dyson_laguerre import geometry
+
+    for n in (2, 4, 6):
+        for beta in (1.0, 2.0):
+            params = ModelParams(n, 2.0 + (n - 1) * beta / 2.0, beta)
+            got = cd_certificate(params, 0.5, 60, RngStream(n, int(beta))).to_json()
+            with monkeypatch.context() as m:
+                m.setattr(geometry, "random_test_function", _random_test_function_scalar)
+                want = cd_certificate(params, 0.5, 60, RngStream(n, int(beta))).to_json()
+            assert got == want

@@ -153,6 +153,21 @@ def test_polynomial_algebra():
     assert (f - f).degree() == 0
 
 
+def test_polynomial_rejects_malformed_input():
+    with pytest.raises(ValueError):
+        Polynomial(2, {(1,): 1.0})
+    with pytest.raises(ValueError):
+        Polynomial(2, {(1, -1): 1.0})
+    with pytest.raises(ValueError):
+        Polynomial(2, {(1, 0): "x"})
+    p2, p3 = Polynomial.coordinate(2, 0), Polynomial.coordinate(3, 0)
+    for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError):
+            combine(p2, p3)
+        with pytest.raises(ValueError):
+            combine(p3, p2)
+
+
 @given(
     st.lists(st.floats(min_value=0.05, max_value=50.0), min_size=2, max_size=6),
     st.floats(min_value=-3, max_value=3),

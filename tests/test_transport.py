@@ -1,11 +1,15 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+import dyson_laguerre
 from dyson_laguerre import (
     DomainError,
     EmptySample,
@@ -86,6 +90,72 @@ def test_gaussian_tv_vs_quadrature():
 
 def test_gaussian_tv_equal_laws_is_zero():
     assert gaussian_tv(0.0, 1.7, 1.7) == pytest.approx(0.0, abs=1e-12)
+
+
+def _gaussian_tv_stats(mu1, v1, v2):
+    """Reference: gaussian_tv as it stood with scipy.stats.norm.cdf."""
+    a = 0.5 / v2 - 0.5 / v1
+    b = mu1 / v1
+    c = -0.5 * mu1**2 / v1 - 0.5 * math.log(v1 / v2)
+    if abs(a) < 1e-300:
+        if b == 0.0:
+            return 0.0
+        roots = [-c / b]
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc <= 0:
+            return 0.0
+        r = math.sqrt(disc)
+        roots = sorted([(-b - r) / (2.0 * a), (-b + r) / (2.0 * a)])
+    pts = [
+        stats.norm.cdf((x - mu1) / math.sqrt(v1)) - stats.norm.cdf(x / math.sqrt(v2))
+        for x in roots
+    ]
+    total = abs(pts[0])
+    for u, v in zip(pts, pts[1:]):
+        total += abs(v - u)
+    total += abs(pts[-1])
+    return 0.5 * total
+
+
+def test_gaussian_tv_matches_norm_cdf_bit_for_bit():
+    rng = np.random.default_rng(41)
+    cases = [
+        (0.0, 1.7, 1.7),  # equal laws: linear branch with b == 0
+        (0.8, 2.0, 2.0),  # equal variances: one crossing
+        (0.0, 1.0, 3.0),  # centred, two crossings either side of 0
+        (0.0, 3.0, 1.0),
+        (1e10, 1.0, 1e20),  # disc rounds to <= 0: the no-crossing branch
+        (2.0, 1e-300, 1.0),  # extreme variances
+        (0.0, 1e300, 1e-300),
+        (-3.0, 1e299, 2e299),
+        (1e-8, 1e-12, 1e-12),
+        (40.0, 1.0, 1.0),  # both CDFs saturate
+    ]
+    for _ in range(2000):
+        mu = rng.choice([0.0, 1.0]) * rng.normal() * 10.0 ** rng.uniform(-3, 3)
+        v1 = 10.0 ** rng.uniform(-6, 6)
+        v2 = v1 if rng.uniform() < 0.1 else 10.0 ** rng.uniform(-6, 6)
+        cases.append((float(mu), float(v1), float(v2)))
+    for mu, v1, v2 in cases:
+        got, want = gaussian_tv(mu, v1, v2), _gaussian_tv_stats(mu, v1, v2)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (mu, v1, v2)
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is the slowest scipy submodule to import; the package has
+    # no use for it, and set-up time pays for every import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dyson_laguerre.__file__)))
+    code = "import sys, dyson_laguerre; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_ou_entry_tv_decays():
