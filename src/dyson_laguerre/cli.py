@@ -330,14 +330,13 @@ def _run_simulate(config, out_dir, fmt, fallbacks, written):
     if route == "matrix":
         m0 = np.zeros((mp.n, mp.m))
         np.fill_diagonal(m0, np.sqrt(mp.m * x0.as_array()))
-        for rep in range(replicas):
-            path = matrix_dl_path(m0, times, mp, RngStream(seed, rep), canonical=True)
-            arrs = [s.as_array() for s in path.states]
-            rows.extend(_path_csv_rows(times, arrs, rep))
+        sources = [RngStream(seed, rep) for rep in range(replicas)]
+        out = matrix_dl_path(np.broadcast_to(m0, (replicas, mp.n, mp.m)), times, mp, sources,
+                             canonical=True)
     else:
         out = dl_paths_batch((x0, replicas), times, params, RngStream(seed, 0))
-        for rep in range(replicas):
-            rows.extend(_path_csv_rows(times, out[:, rep, :], rep))
+    for rep in range(replicas):
+        rows.extend(_path_csv_rows(times, out[:, rep, :], rep))
     path = os.path.join(out_dir, "paths.csv")
     _atomic_write(path, _csv_text(("replica", "time", "coord_index", "value"), rows))
     written.append(path)

@@ -76,7 +76,7 @@ class CoupledPath:
         return out
 
 
-def _mirror_second_noise(ya, yb, dt, params, xi, uniforms, merged):
+def _mirror_second_noise(ya, yb, dt, xi, uniforms, merged, drift_a, drift_b):
     """Second-leg noise for the mirror coupling, with one-step coalescence.
 
     Writing m_a, m_b for the one-step proposal means, the first leg proposes
@@ -87,52 +87,50 @@ def _mirror_second_noise(ya, yb, dt, params, xi, uniforms, merged):
     exactly standard normal, and the sticking branch is what lets a
     discrete-time pair actually coalesce: a plain reflection essentially
     never brings the y-distance below a fixed tolerance on a fixed grid.
-    Returns (xi_b, drift_a, drift_b, stuck_rows).
+    Merged rows keep xi.  Returns (xi_b, stuck_rows).
     """
-    drift_a = _kernels.edl_drift_batch(ya, params.alpha, params.beta)
-    drift_b = _kernels.edl_drift_batch(yb, params.alpha, params.beta)
-    xi_b = xi.copy()
-    stuck = merged.copy()
-    rows = ~merged
-    if not np.any(rows):
-        return xi_b, drift_a, drift_b, stuck
+    if np.all(merged):
+        return xi.copy(), merged.copy()
     step_sd = math.sqrt(2.0 * dt)
-    gap = (ya[rows] + drift_a[rows] * dt) - (yb[rows] + drift_b[rows] * dt)
+    # Every row is computed, merged ones too: each step is row-wise, so a
+    # row gets the bits it would get alone, and merged rows (ya == yb, so
+    # gap == 0) are overwritten below.
+    gap = (ya + drift_a * dt) - (yb + drift_b * dt)
     nrm = np.linalg.norm(gap, axis=1, keepdims=True)
     # d = (m_a - m_b)/sd in noise units; accept p_a for leg b iff
     # log u <= (|xi|^2 - |xi + d|^2)/2 = -<d, xi> - |d|^2/2
     d = gap / step_sd
-    log_u = np.log(uniforms[rows])
-    accept = log_u <= -(np.sum(d * xi[rows], axis=1) + 0.5 * np.sum(d * d, axis=1))
+    accept = np.log(uniforms) <= -(np.sum(d * xi, axis=1) + 0.5 * np.sum(d * d, axis=1))
     accept |= nrm[:, 0] <= MERGE_TOL
-    sub = xi_b[rows]
-    sub[accept] = xi[rows][accept] + d[accept]
     e = gap / np.maximum(nrm, 1e-300)
-    proj = np.sum(e * xi[rows], axis=1, keepdims=True)
-    refl = xi[rows] - 2.0 * proj * e
-    sub[~accept] = refl[~accept]
-    xi_b[rows] = sub
-    stuck_rows = np.zeros(accept.size, dtype=bool)
-    stuck_rows[accept] = True
-    stuck[rows] = stuck_rows
-    return xi_b, drift_a, drift_b, stuck
+    proj = np.sum(e * xi, axis=1, keepdims=True)
+    xi_b = np.where(accept[:, None], xi + d, xi - 2.0 * proj * e)
+    xi_b[merged] = xi[merged]
+    return xi_b, accept | merged
 
 
 def _advance_pairs(ya, yb, dt, params, gen, depth, kind, merged):
-    """Advance both legs of every row by dt, halving rejected rows jointly."""
+    """Advance both legs of every row by dt, halving rejected rows jointly.
+
+    The legs share one drift evaluation and one proposal on the stacked
+    rows [ya; yb]; both are row-wise, so each leg gets the bits it would
+    get on its own.
+    """
+    r = ya.shape[0]
     xi = gen.standard_normal(ya.shape)
-    uniforms = gen.random(ya.shape[0])
+    uniforms = gen.random(r)
+    y = np.concatenate((ya, yb))
     if kind == "mirror":
-        xi_b, drift_a, drift_b, stuck = _mirror_second_noise(
-            ya, yb, dt, params, xi, uniforms, merged
+        drift = _kernels.edl_drift_batch(y, params.alpha, params.beta)
+        xi_b, new_merged = _mirror_second_noise(
+            ya, yb, dt, xi, uniforms, merged, drift[:r], drift[r:]
         )
     else:
-        xi_b, drift_a, drift_b, stuck = xi, None, None, merged
-    prop_a, ok_a = _propose_batch(ya, dt, params, gen, noise=xi, drift=drift_a)
-    prop_b, ok_b = _propose_batch(yb, dt, params, gen, noise=xi_b, drift=drift_b)
-    new_merged = stuck if kind == "mirror" else merged
+        drift, xi_b, new_merged = None, xi, merged
+    prop, ok = _propose_batch(y, dt, params, gen, noise=np.concatenate((xi, xi_b)), drift=drift)
+    prop_a, prop_b = prop[:r], prop[r:]
     prop_b[new_merged] = prop_a[new_merged]
-    ok = ok_a & (ok_b | new_merged)
+    ok = ok[:r] & (ok[r:] | new_merged)
     if not np.all(ok):
         if depth >= DT_HALVING_LIMIT:
             raise NumericError(
@@ -173,8 +171,6 @@ def run_coupled_batch(x0a, x0b, times, params, rng, replicas=1, kind="mirror", d
         raise DomainError(f"start states must have {params.n} coordinates")
     if np.any(a0 <= 0) or np.any(b0 <= 0):
         raise DomainError("coupled runs need strictly positive start coordinates")
-    if np.ndim(times) != 1:
-        raise DomainError("times must be a one-dimensional grid")
     times = _validate_times(times)
     gen = _coerce_generator(rng)
     if dt is None:

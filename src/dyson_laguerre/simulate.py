@@ -73,7 +73,9 @@ def default_dt(x0, scale=1e-3):
 
 
 def _validate_times(times, allow_zero_first=True):
-    t = np.asarray(times, dtype=float).reshape(-1)
+    if np.ndim(times) != 1:
+        raise DomainError("times must be a one-dimensional grid")
+    t = np.asarray(times, dtype=float)
     if t.size == 0:
         raise DomainError("empty time grid")
     if not np.all(np.isfinite(t)):
@@ -321,44 +323,98 @@ class MatrixState:
         return float(np.sum(self.entries**2))
 
 
+def _matrix_stack(M, params, rng):
+    """(stack, sources, single): M as a validated (r, n, m) float array, its
+    random sources as a list of r, and whether M was one matrix.
+
+    M is a MatrixState or an n x m array with one source, or an (r, n, m)
+    stack with a sequence of r sources.
+    """
+    if isinstance(M, MatrixState):
+        a, single = M.entries[None], True
+    else:
+        a = np.asarray(M, dtype=float)
+        single = a.ndim == 2
+        if single:
+            a = a[None]
+        elif a.ndim != 3:
+            raise DomainError("matrix state must be two-dimensional, or a stack of matrices")
+        if not np.all(np.isfinite(a)):
+            raise DomainError("matrix entries must be finite")
+    if a.shape[1:] != (params.n, params.m):
+        raise DomainError(
+            f"matrix shape {a.shape[1:]} does not match params ({params.n}, {params.m})"
+        )
+    if single:
+        return a, [rng], True
+    r = a.shape[0]
+    try:
+        sources = list(rng)
+    except TypeError:
+        raise DomainError(f"a stack of {r} matrices needs a sequence of {r} sources") from None
+    if len(sources) != r:
+        raise DomainError(f"a stack of {r} matrices needs {r} random sources, got {len(sources)}")
+    return a, sources, False
+
+
 def rect_ou_transition(M0, t, params, rng):
-    """Exact transition of the matrix flow over time t (matrix clock)."""
-    M = M0.entries if isinstance(M0, MatrixState) else MatrixState(M0).entries
-    if M.shape != (params.n, params.m):
-        raise DomainError(f"matrix shape {M.shape} does not match params ({params.n}, {params.m})")
+    """Exact transition of the matrix flow over time t (matrix clock).
+
+    M0 is one n x m matrix with one random source, returning a MatrixState,
+    or an (r, n, m) stack with a sequence of r sources, returning an
+    (r, n, m) array.  Matrix k draws its noise from source k alone, so each
+    matrix of a stack gets the bits a call on it by itself would give.
+    """
+    M, sources, single = _matrix_stack(M0, params, rng)
     if t < 0 or not math.isfinite(t):
         raise DomainError(f"t must be nonnegative, got {t}")
     if t == 0:
-        return MatrixState(M)
-    gen = _coerce_generator(rng)
-    decay = math.exp(-params.gamma * t)
-    var = params.kappa**2 * (-math.expm1(-2.0 * params.gamma * t)) / (2.0 * params.gamma)
-    return MatrixState(decay * M + math.sqrt(var) * gen.standard_normal(M.shape))
+        out = M.copy()
+    else:
+        decay = math.exp(-params.gamma * t)
+        var = params.kappa**2 * (-math.expm1(-2.0 * params.gamma * t)) / (2.0 * params.gamma)
+        noise = np.empty(M.shape)
+        for src, slab in zip(sources, noise):
+            _coerce_generator(src).standard_normal(out=slab)
+        noise *= math.sqrt(var)
+        out = decay * M
+        out += noise
+        if not np.all(np.isfinite(out)):
+            raise DomainError("matrix entries must be finite")
+    return MatrixState(out[0]) if single else out
 
 
 def spectral_projection(M):
-    """Ordered eigenvalues of M M^T as a ParticleState.
+    """Ordered eigenvalues of M M^T: a ParticleState for one matrix, an
+    (r, n) array for an (r, n, m) stack.
 
     Tiny negative eigenvalues from roundoff are clipped to zero; anything
-    materially negative or non-finite raises EigenFailure.
+    materially negative, on the scale of its own matrix, or non-finite
+    raises EigenFailure.
     """
     A = M.entries if isinstance(M, MatrixState) else np.asarray(M, dtype=float)
-    if A.ndim != 2:
-        raise DomainError("expected a matrix")
+    if A.ndim not in (2, 3):
+        raise DomainError("expected a matrix or a stack of matrices")
     try:
-        w = np.linalg.eigvalsh(A @ A.T)
+        w = np.linalg.eigvalsh(A @ A.swapaxes(-1, -2))
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc
     if not np.all(np.isfinite(w)):
         raise EigenFailure("eigensolver produced non-finite eigenvalues")
-    scale = max(1.0, float(np.max(np.abs(w))))
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1, keepdims=True))
     if np.any(w < -1e-8 * scale):
         raise EigenFailure(f"materially negative eigenvalue {np.min(w):.3e} from a Gram matrix")
-    return ParticleState(np.maximum(np.sort(w), 0.0))
+    w = np.maximum(np.sort(w, axis=-1), 0.0)
+    return ParticleState(w) if A.ndim == 2 else w
 
 
 def matrix_dl_path(M0, times, params, rng, canonical=False):
     """Exact matrix transitions chained along a grid, projected to spectra.
+
+    M0 is one n x m matrix with one random source, returning a Path, or an
+    (r, n, m) stack with a sequence of r sources, one per replica, returning
+    an array of shape (len(times), r, n) as dl_paths_batch does.  A replica
+    gets the same bits either way.
 
     With canonical=False states carry the raw eigenvalues of M M^T on the
     matrix clock (so sum of coordinates equals the squared Frobenius norm).
@@ -367,21 +423,20 @@ def matrix_dl_path(M0, times, params, rng, canonical=False):
     system with the induced parameters.
     """
     times = _validate_times(times)
-    gen = _coerce_generator(rng)
-    M = M0 if isinstance(M0, MatrixState) else MatrixState(M0)
-    if M.shape != (params.n, params.m):
-        raise DomainError(f"matrix shape {M.shape} does not match params ({params.n}, {params.m})")
+    M, sources, single = _matrix_stack(M0, params, rng)
+    gens = [_coerce_generator(src) for src in sources]
     wall = times / params.time_scale if canonical else times
-    states = []
+    out = np.empty((times.size, M.shape[0], params.n))
     t_prev = 0.0
-    for tw in wall:
+    for k, tw in enumerate(wall):
         if tw > t_prev:
-            M = rect_ou_transition(M, tw - t_prev, params, gen)
+            M = rect_ou_transition(M, tw - t_prev, params, gens)
         t_prev = tw
-        s = spectral_projection(M)
-        if canonical:
-            s = ParticleState(params.space_scale * s.as_array())
-        states.append(s)
-    return Path(times=times, states=states, scheme="matrix-exact",
+        out[k] = spectral_projection(M)
+    if canonical:
+        out *= params.space_scale
+    if not single:
+        return out
+    return Path(times=times, states=[ParticleState(x) for x in out[:, 0]], scheme="matrix-exact",
                 meta={"canonical": bool(canonical), "space_scale": params.space_scale,
                       "time_scale": params.time_scale})

@@ -278,10 +278,18 @@ def gaussian_tv(mu1, v1, v2):
         roots = [-c / b]
     else:
         disc = b * b - 4.0 * a * c
-        if disc <= 0:
-            return 0.0
-        r = math.sqrt(disc)
-        roots = sorted([(-b - r) / (2.0 * a), (-b + r) / (2.0 * a)])
+        if disc > 0:
+            r = math.sqrt(disc)
+            roots = sorted([(-b - r) / (2.0 * a), (-b + r) / (2.0 * a)])
+        else:
+            # b^2 - 4ac cancels once v2/v1 is large (v2/v1 ~ 1e18 loses it
+            # all).  Exactly, it is this sum of two nonnegative terms, which
+            # is 0 only for equal laws; the roots then avoid -b + r.
+            disc = (mu1**2 + (v1 - v2) * math.log(v1 / v2)) / (v1 * v2)
+            if disc <= 0:
+                return 0.0
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            roots = sorted([q / a, c / q])
 
     def cdf_gap(x):
         return ndtr((x - mu1) / math.sqrt(v1)) - ndtr(x / math.sqrt(v2))

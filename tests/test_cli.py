@@ -298,3 +298,33 @@ def test_no_tmp_files_left(tmp_path):
     run(config)
     stray = [p for p in os.listdir(tmp_path) if p.endswith(".tmp") or ".tmp." in p]
     assert stray == []
+
+
+def test_run_simulate_matrix_route_projects_once_per_grid_time(tmp_path, monkeypatch):
+    # the matrix route stacks every replica: one eigensolve call per grid
+    # time, whatever the replica count
+    from dyson_laguerre import simulate
+
+    calls = []
+    live = simulate.spectral_projection
+
+    def counting(M):
+        calls.append(np.shape(M))
+        return live(M)
+
+    monkeypatch.setattr(simulate, "spectral_projection", counting)
+    config = {
+        "mode": "simulate",
+        "n": 3,
+        "m": 5,
+        "times": [0.1, 0.2, 0.5],
+        "replicas": 6,
+        "seed": 4,
+        "out_dir": str(tmp_path),
+        "format": "csv",
+    }
+    manifest = run(config)
+    assert calls == [(6, 3, 5)] * 3
+    with open(manifest.outputs[0]["path"]) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6 * 3 * 3  # replicas x times x coordinates

@@ -7,6 +7,7 @@ from scipy.optimize import linear_sum_assignment
 
 from dyson_laguerre import (
     DomainError,
+    NumericError,
     ModelParams,
     ParticleState,
     RngStream,
@@ -16,6 +17,7 @@ from dyson_laguerre import (
     synchronous_coupling_run,
     wg_decay_estimate,
 )
+from dyson_laguerre import _kernels, coupling
 from dyson_laguerre.coupling import (
     CoupledPath,
     _w_with_bootstrap,
@@ -23,6 +25,7 @@ from dyson_laguerre.coupling import (
     run_coupled_batch,
 )
 from dyson_laguerre.equilibrium import sample_equilibrium_batch
+from dyson_laguerre.simulate import _propose_batch
 from dyson_laguerre.transport import EmpiricalMeasure, _intrinsic_cost
 
 
@@ -194,3 +197,118 @@ def test_bootstrap_submatrix_matches_rebuilt_costs():
             want = _w_with_bootstrap_rebuilt(cloud_a, cloud_b, ref_gen, n_boot=n_boot)
             assert np.array(got).tobytes() == np.array(want).tobytes()
             assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+# Frozen reference: the pair step as it stood, with one drift evaluation and
+# one proposal per leg and the mirror noise built on gathered non-merged
+# rows.  The live step stacks both legs and must give the same bits.
+def _reference_mirror_second_noise(ya, yb, dt, params, xi, uniforms, merged):
+    drift_a = _kernels.edl_drift_batch(ya, params.alpha, params.beta)
+    drift_b = _kernels.edl_drift_batch(yb, params.alpha, params.beta)
+    xi_b = xi.copy()
+    stuck = merged.copy()
+    rows = ~merged
+    if not np.any(rows):
+        return xi_b, drift_a, drift_b, stuck
+    step_sd = math.sqrt(2.0 * dt)
+    gap = (ya[rows] + drift_a[rows] * dt) - (yb[rows] + drift_b[rows] * dt)
+    nrm = np.linalg.norm(gap, axis=1, keepdims=True)
+    d = gap / step_sd
+    log_u = np.log(uniforms[rows])
+    accept = log_u <= -(np.sum(d * xi[rows], axis=1) + 0.5 * np.sum(d * d, axis=1))
+    accept |= nrm[:, 0] <= coupling.MERGE_TOL
+    sub = xi_b[rows]
+    sub[accept] = xi[rows][accept] + d[accept]
+    e = gap / np.maximum(nrm, 1e-300)
+    proj = np.sum(e * xi[rows], axis=1, keepdims=True)
+    refl = xi[rows] - 2.0 * proj * e
+    sub[~accept] = refl[~accept]
+    xi_b[rows] = sub
+    stuck_rows = np.zeros(accept.size, dtype=bool)
+    stuck_rows[accept] = True
+    stuck[rows] = stuck_rows
+    return xi_b, drift_a, drift_b, stuck
+
+
+def _reference_advance_pairs(ya, yb, dt, params, gen, depth, kind, merged):
+    xi = gen.standard_normal(ya.shape)
+    uniforms = gen.random(ya.shape[0])
+    if kind == "mirror":
+        xi_b, drift_a, drift_b, stuck = _reference_mirror_second_noise(
+            ya, yb, dt, params, xi, uniforms, merged
+        )
+    else:
+        xi_b, drift_a, drift_b, stuck = xi, None, None, merged
+    prop_a, ok_a = _propose_batch(ya, dt, params, gen, noise=xi, drift=drift_a)
+    prop_b, ok_b = _propose_batch(yb, dt, params, gen, noise=xi_b, drift=drift_b)
+    new_merged = stuck if kind == "mirror" else merged
+    prop_b[new_merged] = prop_a[new_merged]
+    ok = ok_a & (ok_b | new_merged)
+    if not np.all(ok):
+        if depth >= coupling.DT_HALVING_LIMIT:
+            raise NumericError("coupled step halving exhausted")
+        bad = ~ok
+        half = 0.5 * dt
+        sa, sb, sm = ya[bad], yb[bad], merged[bad]
+        sa, sb, sm = _reference_advance_pairs(sa, sb, half, params, gen, depth + 1, kind, sm)
+        sa, sb, sm = _reference_advance_pairs(sa, sb, half, params, gen, depth + 1, kind, sm)
+        prop_a[bad], prop_b[bad] = sa, sb
+        out_merged = new_merged.copy()
+        out_merged[bad] = sm
+        new_merged = out_merged
+    if kind == "mirror":
+        dist = np.linalg.norm(prop_a - prop_b, axis=1)
+        just = (~new_merged) & (dist <= coupling.MERGE_TOL)
+        if np.any(just):
+            new_merged = new_merged | just
+            prop_b[just] = prop_a[just]
+    return prop_a, prop_b, new_merged
+
+
+@pytest.mark.parametrize("kind", ["mirror", "synchronous"])
+def test_pair_step_matches_frozen_reference(kind, monkeypatch):
+    params = ModelParams(4, 4.0, 1.0)
+    x0 = ParticleState([0.5, 1.0, 1.5, 2.0])
+    times = [0.0, 0.1, 0.3, 1.0]
+    # y0 close to x0 merges pairs early; y0 = x0 starts an all-merged batch;
+    # dt = 0.02 from this start forces step halving
+    starts = (
+        ParticleState([0.6, 1.1, 1.6, 2.1]),
+        x0,
+        ParticleState([1.0, 2.5, 4.0, 6.0]),
+    )
+    halvings = []
+    live = coupling._advance_pairs
+
+    def counting(*args):
+        halvings.append(args[5] > 0)
+        return live(*args)
+
+    monkeypatch.setattr(coupling, "_advance_pairs", counting)
+    for y0 in starts:
+        got = run_coupled_batch(x0, y0, times, params, RngStream(6, 0), 60, kind, dt=0.02)
+        with monkeypatch.context() as m:
+            m.setattr(coupling, "_advance_pairs", _reference_advance_pairs)
+            want = run_coupled_batch(x0, y0, times, params, RngStream(6, 0), 60, kind, dt=0.02)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        if kind == "mirror" and y0 is not x0:
+            assert 0 < np.isfinite(got[2]).sum() < 60  # some pairs merged, not all
+    assert any(halvings)
+
+
+def test_pair_step_with_mixed_merged_rows_matches_reference():
+    params = ModelParams(3, 4.0, 1.0)
+    rng = np.random.default_rng(9)
+    ya = 2.0 * np.sqrt(np.sort(rng.gamma(4.0, 1.0, (40, 3)), axis=1))
+    yb = 2.0 * np.sqrt(np.sort(rng.gamma(4.0, 1.0, (40, 3)), axis=1))
+    merged = rng.uniform(size=40) < 0.4
+    yb[merged] = ya[merged]
+    for dt in (1e-3, 0.3):  # 0.3 rejects rows and halves
+        for m in (merged, np.ones(40, bool), np.zeros(40, bool)):
+            got = coupling._advance_pairs(ya, yb, dt, params, np.random.default_rng(3), 0,
+                                          "mirror", m)
+            want = _reference_advance_pairs(ya, yb, dt, params, np.random.default_rng(3), 0,
+                                            "mirror", m)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()

@@ -323,3 +323,106 @@ def test_paths_match_frozen_references(monkeypatch):
     assert np.array_equal(paths, ref_paths)
     for got, want in zip(pairs, ref_pairs):
         assert np.array_equal(got, want)
+
+
+# Frozen reference: the matrix route as it stood, one MatrixState and one
+# eigensolve per replica and grid time.  The stacked route must give every
+# replica exactly these bits.
+def _reference_rect_ou_transition(M, t, params, gen):
+    decay = math.exp(-params.gamma * t)
+    var = params.kappa**2 * (-math.expm1(-2.0 * params.gamma * t)) / (2.0 * params.gamma)
+    return MatrixState(decay * M.entries + math.sqrt(var) * gen.standard_normal(M.shape))
+
+
+def _reference_spectral_projection(M):
+    w = np.linalg.eigvalsh(M.entries @ M.entries.T)
+    scale = max(1.0, float(np.max(np.abs(w))))
+    assert np.all(np.isfinite(w)) and not np.any(w < -1e-8 * scale)
+    return ParticleState(np.maximum(np.sort(w), 0.0))
+
+
+def _reference_matrix_dl_path(M0, times, params, rng, canonical=False):
+    gen = rng.generator()
+    M = MatrixState(M0)
+    wall = np.asarray(times, float) / params.time_scale if canonical else np.asarray(times, float)
+    states = []
+    t_prev = 0.0
+    for tw in wall:
+        if tw > t_prev:
+            M = _reference_rect_ou_transition(M, tw - t_prev, params, gen)
+        t_prev = tw
+        s = _reference_spectral_projection(M)
+        if canonical:
+            s = ParticleState(params.space_scale * s.as_array())
+        states.append(s)
+    return np.array([s.as_array() for s in states])
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+@pytest.mark.parametrize("r", [1, 7, 50])
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (4, 10), (16, 16), (5, 40)])
+def test_matrix_stack_matches_per_replica_reference(n, m, r, canonical):
+    mp = MatrixParams.bru(n, m)
+    rng = np.random.default_rng(1000 * n + m)
+    M0 = rng.standard_normal((r, n, m)) * rng.choice([0.0, 1.0, 30.0], (r, 1, 1))
+    times = [0.0, 0.05, 0.4, 1.5]
+    sources = [RngStream(n + m, k) for k in range(r)]
+    out = matrix_dl_path(M0, times, mp, sources, canonical=canonical)
+    assert out.shape == (len(times), r, n)
+    for k in range(r):
+        want = _reference_matrix_dl_path(M0[k], times, mp, sources[k], canonical)
+        assert out[:, k].tobytes() == want.tobytes()
+        # a single matrix is the r = 1 case of the same route
+        path = matrix_dl_path(MatrixState(M0[k]), times, mp, sources[k], canonical=canonical)
+        assert np.array([s.as_array() for s in path.states]).tobytes() == want.tobytes()
+    # the stacked pieces on their own
+    gens = [s.generator() for s in sources]
+    stepped = rect_ou_transition(M0, 0.3, mp, gens)
+    ref_gens = [s.generator() for s in sources]
+    for k in range(r):
+        want = _reference_rect_ou_transition(MatrixState(M0[k]), 0.3, mp, ref_gens[k])
+        assert stepped[k].tobytes() == want.entries.tobytes()
+        assert (spectral_projection(stepped)[k].tobytes()
+                == _reference_spectral_projection(want).as_array().tobytes())
+
+
+def test_matrix_stack_rejects_bad_input():
+    mp = MatrixParams.bru(2, 3)
+    M0 = np.ones((4, 2, 3))
+    sources = [RngStream(0, k) for k in range(4)]
+    bad_values = M0.copy()
+    bad_values[2, 1, 0] = np.nan
+    for M, rng in (
+        (M0, sources[:3]),            # one source short
+        (M0, sources + sources[:1]),  # one source too many
+        (M0, RngStream(0, 0)),        # a single source for a stack
+        (np.ones((4, 3, 3)), [RngStream(0, k) for k in range(4)]),
+        (np.ones((4, 2, 3, 1)), sources),
+        (bad_values, sources),
+        (np.where(M0 > 0, np.inf, 0.0), sources),
+    ):
+        with pytest.raises(DomainError):
+            rect_ou_transition(M, 0.5, mp, rng)
+        with pytest.raises(DomainError):
+            matrix_dl_path(M, [0.5], mp, rng)
+    for t in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            rect_ou_transition(M0, t, mp, sources)
+    with pytest.raises(DomainError):
+        spectral_projection(np.ones((2, 2, 3, 1)))
+    # t = 0 draws nothing and returns a copy
+    same = rect_ou_transition(M0, 0.0, mp, sources)
+    assert np.array_equal(same, M0) and same is not M0
+
+
+@pytest.mark.parametrize("times", [0.1, [[0.1, 0.2]], [], [0.2, 0.1], [0.1, math.nan], [-0.1]])
+def test_route_time_grids_rejected(times):
+    params = ModelParams(3, 4.0, 1.0)
+    x0 = ParticleState([0.5, 1.0, 2.0])
+    mp = MatrixParams.bru(2, 3)
+    with pytest.raises(DomainError):
+        dl_paths_batch((x0, 2), times, params, RngStream(0, 0))
+    with pytest.raises(DomainError):
+        matrix_dl_path(np.ones((2, 3)), times, mp, RngStream(0, 0))
+    with pytest.raises(DomainError):
+        matrix_dl_path(np.ones((2, 2, 3)), times, mp, [RngStream(0, 0), RngStream(0, 1)])

@@ -93,7 +93,7 @@ def test_gaussian_tv_equal_laws_is_zero():
 
 
 def _gaussian_tv_stats(mu1, v1, v2):
-    """Reference: gaussian_tv as it stood with scipy.stats.norm.cdf."""
+    """Reference: gaussian_tv with scipy.stats.norm.cdf in place of ndtr."""
     a = 0.5 / v2 - 0.5 / v1
     b = mu1 / v1
     c = -0.5 * mu1**2 / v1 - 0.5 * math.log(v1 / v2)
@@ -103,10 +103,15 @@ def _gaussian_tv_stats(mu1, v1, v2):
         roots = [-c / b]
     else:
         disc = b * b - 4.0 * a * c
-        if disc <= 0:
-            return 0.0
-        r = math.sqrt(disc)
-        roots = sorted([(-b - r) / (2.0 * a), (-b + r) / (2.0 * a)])
+        if disc > 0:
+            r = math.sqrt(disc)
+            roots = sorted([(-b - r) / (2.0 * a), (-b + r) / (2.0 * a)])
+        else:
+            disc = (mu1**2 + (v1 - v2) * math.log(v1 / v2)) / (v1 * v2)
+            if disc <= 0:
+                return 0.0
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            roots = sorted([q / a, c / q])
     pts = [
         stats.norm.cdf((x - mu1) / math.sqrt(v1)) - stats.norm.cdf(x / math.sqrt(v2))
         for x in roots
@@ -125,7 +130,7 @@ def test_gaussian_tv_matches_norm_cdf_bit_for_bit():
         (0.8, 2.0, 2.0),  # equal variances: one crossing
         (0.0, 1.0, 3.0),  # centred, two crossings either side of 0
         (0.0, 3.0, 1.0),
-        (1e10, 1.0, 1e20),  # disc rounds to <= 0: the no-crossing branch
+        (1e10, 1.0, 1e20),  # b^2 - 4ac rounds to <= 0: the recomputed discriminant
         (2.0, 1e-300, 1.0),  # extreme variances
         (0.0, 1e300, 1e-300),
         (-3.0, 1e299, 2e299),
@@ -140,6 +145,33 @@ def test_gaussian_tv_matches_norm_cdf_bit_for_bit():
     for mu, v1, v2 in cases:
         got, want = gaussian_tv(mu, v1, v2), _gaussian_tv_stats(mu, v1, v2)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (mu, v1, v2)
+
+
+def _gaussian_tv_mpmath(mu1, v1, v2):
+    """Reference: the crossing-point TV at 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        mu1, v1, v2 = mp.mpf(mu1), mp.mpf(v1), mp.mpf(v2)
+        a = 1 / (2 * v2) - 1 / (2 * v1)
+        b = mu1 / v1
+        c = -mu1**2 / (2 * v1) - mp.log(v1 / v2) / 2
+        r = mp.sqrt(b * b - 4 * a * c)
+        pts = [mp.ncdf((x - mu1) / mp.sqrt(v1)) - mp.ncdf(x / mp.sqrt(v2))
+               for x in sorted([(-b - r) / (2 * a), (-b + r) / (2 * a)])]
+        return float((abs(pts[0]) + abs(pts[1] - pts[0]) + abs(pts[1])) / 2)
+
+
+@pytest.mark.parametrize("mu1,v1,v2", [
+    (1e10, 1.0, 1e20), (1e9, 1.0, 1e18), (-1e10, 1.0, 1e20), (1e11, 1.0, 1e22),
+    (1e10, 4.0, 1e20), (3e9, 2.0, 1e19),
+])
+def test_gaussian_tv_when_the_discriminant_cancels(mu1, v1, v2):
+    # b^2 - 4ac rounds to <= 0 here, yet the normals differ and the TV is ~1
+    a, b = 0.5 / v2 - 0.5 / v1, mu1 / v1
+    c = -0.5 * mu1**2 / v1 - 0.5 * math.log(v1 / v2)
+    assert b * b - 4.0 * a * c <= 0
+    assert gaussian_tv(mu1, v1, v2) == pytest.approx(_gaussian_tv_mpmath(mu1, v1, v2),
+                                                     rel=1e-13)
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
