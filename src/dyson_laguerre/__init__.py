@@ -1,6 +1,6 @@
 """Simulation and analysis toolkit for Dyson-Laguerre interacting particle systems."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     CollisionError,

@@ -210,13 +210,42 @@ def _file_digest(path):
     return h.hexdigest()
 
 
-def _csv_text(header, rows):
+# a field holding one of these may need csv quoting
+_CSV_SPECIAL = frozenset(',"\r\n')
+# types whose repr is the text csv.writer writes for them (floats go in as repr)
+_CSV_REPR_TYPES = frozenset((int, float))
+
+
+def _csv_field(v):
+    """One field as csv.writer (QUOTE_MINIMAL) writes it, a float as its repr."""
+    if isinstance(v, str):
+        s = v
+    elif isinstance(v, float):
+        s = repr(v)
+    else:
+        s = "" if v is None else str(v)
+    if _CSV_SPECIAL.isdisjoint(s):
+        return s
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow((s,))
+    return buf.getvalue()[:-1]
+
+
+def _csv_column(values):
+    """The csv fields of one column."""
+    if _CSV_REPR_TYPES.issuperset(map(type, values)):
+        return map(repr, values)
+    return map(_csv_field, values)
+
+
+def _csv_text(header, rows):
+    """CSV text with "\\n" line ends: byte for byte what csv.writer writes for
+    the header and rows, each float written as its repr.  Every row has one
+    field per header column, and there are at least two columns."""
+    if set(map(len, rows)) - {len(header)}:
+        raise SerializationError(f"every row needs {len(header)} fields")
+    columns = [_csv_column(col) for col in zip(*rows)]
+    return "\n".join([",".join(map(_csv_field, header)), *map(",".join, zip(*columns)), ""])
 
 
 def emit_report(profile, fmt, out_dir=".", basename="profile"):
@@ -307,11 +336,16 @@ def _model_from_config(config, need_alpha=False):
     raise ValidationError("config must provide alpha or m")
 
 
-def _path_csv_rows(times, states, replica):
-    for k, t in enumerate(times):
-        x = states[k]
-        for j, v in enumerate(np.asarray(x, dtype=float).reshape(-1)):
-            yield replica, float(t), j, float(v)
+def _path_csv_rows(times, paths):
+    """(replica, time, coord_index, value) rows of a (len(times), r, n) path
+    array, replica by replica."""
+    times = times.tolist()
+    return [
+        (rep, t, j, v)
+        for rep, path in enumerate(paths.transpose(1, 0, 2).tolist())
+        for t, x in zip(times, path)
+        for j, v in enumerate(x)
+    ]
 
 
 def _run_simulate(config, out_dir, fmt, fallbacks, written):
@@ -326,7 +360,6 @@ def _run_simulate(config, out_dir, fmt, fallbacks, written):
                         RngStream(seed, 900).generator(), positive=(route == "sde"))
     if note:
         fallbacks.append(note)
-    rows = []
     if route == "matrix":
         m0 = np.zeros((mp.n, mp.m))
         np.fill_diagonal(m0, np.sqrt(mp.m * x0.as_array()))
@@ -335,10 +368,9 @@ def _run_simulate(config, out_dir, fmt, fallbacks, written):
                              canonical=True)
     else:
         out = dl_paths_batch((x0, replicas), times, params, RngStream(seed, 0))
-    for rep in range(replicas):
-        rows.extend(_path_csv_rows(times, out[:, rep, :], rep))
     path = os.path.join(out_dir, "paths.csv")
-    _atomic_write(path, _csv_text(("replica", "time", "coord_index", "value"), rows))
+    _atomic_write(path, _csv_text(("replica", "time", "coord_index", "value"),
+                                  _path_csv_rows(times, out)))
     written.append(path)
 
 
@@ -397,12 +429,15 @@ def _run_couple(config, out_dir, fmt, fallbacks, written):
     y0 = sample_equilibrium(params, gen).state
     sa, sb, coal = run_coupled_batch(x0, y0, times, params, RngStream(seed, 0),
                                      replicas=replicas, kind="mirror")
-    rows = []
-    for rep in range(replicas):
-        for leg, arr in (("x", sa), ("y", sb)):
-            for k, t in enumerate(times):
-                for j, v in enumerate(arr[k, rep]):
-                    rows.append((rep, float(t), leg, j, float(v)))
+    grid = times.tolist()
+    rows = [
+        (rep, t, leg, j, v)
+        for rep, legs in enumerate(zip(sa.transpose(1, 0, 2).tolist(),
+                                       sb.transpose(1, 0, 2).tolist()))
+        for leg, path in zip(("x", "y"), legs)
+        for t, x in zip(grid, path)
+        for j, v in enumerate(x)
+    ]
     csv_path = os.path.join(out_dir, "coupled_paths.csv")
     _atomic_write(csv_path, _csv_text(("replica", "time", "leg", "coord_index", "value"), rows))
     written.append(csv_path)

@@ -12,18 +12,29 @@ is Gamma(f) = sum_i x_i (d_i f)^2, consistent with that metric.
 Two independent evaluations of the iterated operator Gamma_2 are provided:
 a closed-form expression (gamma2_explicit) and the definition
 Gamma_2 = (1/2) G Gamma(f) - Gamma(f, Gf) evaluated with exact polynomial
-partial derivatives (gamma2_definitional).  Agreement of the two on random
-inputs is part of the test suite; cd_certificate searches for violations of
-the curvature lower bound Gamma_2 >= rho * Gamma.
+partial derivatives (gamma2_definitional); edl_gamma2 is a third, in
+square-root coordinates.  Agreement of them on random inputs is part of the
+test suite.
+
+Gamma_2 depends on f only through g = grad f(x) and H = Hess f(x), and for
+every f
+
+    Gamma_2(f) - rho Gamma(f) = g^T K_rho(x) g + sum_i x_i^2 (H_ii + g_i / (2 x_i))^2
+                                + sum_{i>j} 2 x_i x_j H_ij^2,
+
+so the curvature bound Gamma_2 >= rho Gamma holds at x exactly when the
+n x n matrix K_rho(x) is positive semidefinite (see curvature_matrices).
+cd_certificate computes the best constant rho*(x) at a batch of random
+states with one stacked eigensolve and cross-checks it against
+gamma2_explicit at the worst one.
 """
 
 from dataclasses import dataclass
 import json
-import math
 
 import numpy as np
 
-from .errors import DomainError, SizeMismatch
+from .errors import DomainError, NumericError, SizeMismatch
 from .model import (
     ParticleState,
     Polynomial,
@@ -194,15 +205,22 @@ def edl_gamma2(f, y_state, params):
     return total
 
 
-def random_ordered_state(params, rng, min_gap=1e-6):
-    """A random strictly ordered positive state: sorted equilibrium-like
-    Gamma draws with a minimum-gap floor swept in from the left."""
+def random_ordered_states(params, rng, count, min_gap=1e-6):
+    """A (count, n) array of random strictly ordered positive states: sorted
+    equilibrium-like Gamma draws with a minimum-gap floor swept in from the
+    left.  Row k is the state the k-th of count random_ordered_state calls
+    on the same generator would give."""
     gen = _coerce_generator(rng)
-    x = np.sort(gen.standard_gamma(max(params.alpha, 1.0), size=params.n))
-    x[0] = max(x[0], min_gap)
+    x = np.sort(gen.standard_gamma(max(params.alpha, 1.0), size=(count, params.n)), axis=1)
+    x[:, 0] = np.maximum(x[:, 0], min_gap)
     for i in range(1, params.n):
-        x[i] = max(x[i], x[i - 1] + min_gap)
-    return ParticleState(x)
+        x[:, i] = np.maximum(x[:, i], x[:, i - 1] + min_gap)
+    return x
+
+
+def random_ordered_state(params, rng, min_gap=1e-6):
+    """One state of random_ordered_states, as a ParticleState."""
+    return ParticleState(random_ordered_states(params, rng, 1, min_gap)[0])
 
 
 def random_test_function(n, rng, degree=2, coeff_range=1.0):
@@ -225,9 +243,86 @@ def random_test_function(n, rng, degree=2, coeff_range=1.0):
     return Polynomial._wrap(n, dict(zip(monos, draws)))
 
 
+def curvature_matrices(x, params, rho):
+    """Normalized curvature matrices D^{-1/2} K_rho(x) D^{-1/2}, D = diag(x),
+    one per row of the (count, n) array of ordered states x.
+
+    K_rho(x) = diag((2 delta - 1)/4 + (1/2 - rho) x_i) + P(x), where each
+    pair i > j adds
+
+        (beta/2) / (x_i - x_j)^2 * [[x_i^2 + x_i x_j, -2 x_i x_j],
+                                    [-2 x_i x_j,      x_j^2 + x_i x_j]]
+
+    on rows and columns (i, j).  Gamma_2(f) - rho Gamma(f) >= g^T K_rho g
+    with equality when H_ii = -g_i / (2 x_i) and H_ij = 0 (see the module
+    docstring), and Gamma(f) = g^T D g.  So the smallest eigenvalue of the
+    normalized matrix is rho*(x) - rho, where rho*(x) is the largest
+    constant with Gamma_2 >= rho* Gamma at x; by Sylvester's law of inertia
+    it has the sign of the smallest eigenvalue of K_rho(x).
+    """
+    x = np.asarray(x, dtype=float)
+    diag = np.arange(x.shape[1])
+    d2 = (x[:, :, None] - x[:, None, :]) ** 2
+    d2[:, diag, diag] = np.inf  # no self pair
+    c = (0.5 * params.beta) / d2
+    k = -2.0 * c * np.sqrt(x[:, :, None] * x[:, None, :])
+    k[:, diag, diag] = (
+        (2.0 * params.delta - 1.0) / (4.0 * x)
+        + (0.5 - rho)
+        + np.sum(c * (x[:, :, None] + x[:, None, :]), axis=2)
+    )
+    return k
+
+
+def _witness(g, x):
+    """The quadratic f(z) = sum_i g_i (z_i - x_i) - g_i (z_i - x_i)^2 / (4 x_i).
+
+    Its gradient at x is g and its Hessian there is diag(-g_i / (2 x_i)), so
+    Gamma_2(f) - rho Gamma(f) = g^T K_rho(x) g at x.
+    """
+    n = x.size
+    f = Polynomial.zero(n)
+    for i in range(n):
+        d = Polynomial.coordinate(n, i) - x[i]
+        f = f + d * g[i] - d * d * (g[i] / (4.0 * x[i]))
+    return f
+
+
+def _gamma_gap(f, state, params, rho, norm):
+    """(Gamma_2(f) - rho Gamma(f), Gamma(f), Gamma_2(f), scale) at state.
+
+    scale, for relative tolerances, is the magnitude of the Gamma_2 terms,
+    or norm * Gamma(f) where that is larger: an eigensolver computes each
+    eigenvalue of a matrix of norm `norm` to within a small multiple of
+    machine epsilon times norm, and one nearly colliding pair makes the
+    curvature matrix's norm large while leaving its smallest eigenvalue of
+    order one.
+    """
+    g2, terms = gamma2_explicit(f, state, params, return_terms=True)
+    gam = carre_du_champ(f, state)
+    scale = max(1.0, sum(abs(t) for t in terms) + abs(rho * gam), norm * gam)
+    return g2 - rho * gam, gam, g2, scale
+
+
+# random quadratics at the worst state checked against the certificate
+SPOT_CHECKS = 8
+# agreement required of gamma2_explicit and the eigenvalues, relative to scale
+CROSS_CHECK_RTOL = 1e-9
+
+
 @dataclass
 class CurvatureReport:
-    """Outcome of a randomized curvature-bound search."""
+    """Outcome of the exact curvature certificate over sampled states.
+
+    min_gap is the smallest, over the sampled states, of rho*(x) - rho, the
+    smallest eigenvalue of the normalized curvature matrix: in units of
+    Gamma, Gamma_2(f) - rho Gamma(f) >= min_gap Gamma(f) for every f at every
+    sampled state, and some f attains it.  A negative min_gap means the
+    bound Gamma_2 >= rho Gamma fails.  worst_case holds that f, as
+    f_coeffs, with its state, Gamma_2 and Gamma (which is 1); scale is the
+    magnitude of its Gamma_2 terms or of the curvature matrix there,
+    whichever is larger (see cd_certificate).
+    """
 
     rho: float
     samples: int
@@ -236,12 +331,18 @@ class CurvatureReport:
     seed: object = None
     scale: float = 1.0
 
+    @property
+    def rho_star(self):
+        """The largest rho the sampled states certify."""
+        return self.rho + self.min_gap
+
     def violated(self):
         return self.min_gap < 0.0
 
     def to_json(self, indent=2):
         payload = {
             "rho": self.rho,
+            "rho_star": self.rho_star,
             "samples": self.samples,
             "min_gap": self.min_gap,
             "scale": self.scale,
@@ -253,11 +354,18 @@ class CurvatureReport:
 
 
 def cd_certificate(params, rho, trials, rng):
-    """Search random quadratics and random states for violations of
-    Gamma_2 >= rho * Gamma, reporting the minimal observed gap.
+    """Exact check of Gamma_2 >= rho * Gamma at `trials` random states.
 
-    The report's scale field carries the magnitude of the terms at the
-    worst case so callers can apply a relative tolerance.
+    The states come from random_ordered_states; one stacked eigensolve of
+    their curvature_matrices gives rho*(x) - rho at each, and the report's
+    min_gap is the smallest.  At the worst state the bottom eigenvector u
+    gives g = D^{-1/2} u and the witness quadratic with that gradient, whose
+    Gamma is 1 and whose Gamma_2 - rho Gamma is min_gap.  gamma2_explicit
+    must agree: for the witness, and for SPOT_CHECKS random quadratics f,
+    which must satisfy Gamma_2(f) - rho Gamma(f) >= min_gap Gamma(f).
+    NumericError is raised when either check fails beyond CROSS_CHECK_RTOL
+    times the larger of the magnitude of the terms and of the curvature
+    matrix at that state times Gamma(f).
     """
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
@@ -265,29 +373,38 @@ def cd_certificate(params, rho, trials, rng):
     if isinstance(rng, RngStream):
         seed = {"seed": rng.seed, "stream_id": rng.stream_id}
     gen = _coerce_generator(rng)
-    min_gap = math.inf
-    worst = None
-    worst_scale = 1.0
-    for _ in range(int(trials)):
-        state = random_ordered_state(params, gen)
-        f = random_test_function(params.n, gen, degree=2)
-        g2, terms = gamma2_explicit(f, state, params, return_terms=True)
-        gam = carre_du_champ(f, state.as_array())
-        gap = g2 - rho * gam
-        if gap < min_gap:
-            min_gap = gap
-            worst = {
-                "state": state.as_array().tolist(),
-                "f_coeffs": {" ".join(map(str, m)): c for m, c in sorted(f.coeffs.items())},
-                "gamma2": g2,
-                "gamma": gam,
-            }
-            worst_scale = max(1.0, sum(abs(t) for t in terms) + abs(rho * gam))
+    states = random_ordered_states(params, gen, int(trials))
+    lam, vec = np.linalg.eigh(curvature_matrices(states, params, rho))
+    k = int(np.argmin(lam[:, 0]))
+    min_gap = float(lam[k, 0])
+    norm = float(max(-lam[k, 0], lam[k, -1]))
+    x = states[k]
+    state = ParticleState(x)
+    f = _witness(vec[k, :, 0] / np.sqrt(x), x)
+    gap, gam, g2, scale = _gamma_gap(f, state, params, rho, norm)
+    if not abs(gap - min_gap) <= CROSS_CHECK_RTOL * scale:
+        raise NumericError(
+            f"curvature witness gives Gamma_2 - rho Gamma = {gap!r}, "
+            f"the eigenvalue {min_gap!r} (scale {scale:.3e})"
+        )
+    for _ in range(SPOT_CHECKS):
+        h = random_test_function(params.n, gen, degree=2)
+        h_gap, h_gam, _, h_scale = _gamma_gap(h, state, params, rho, norm)
+        if h_gap < min_gap * h_gam - CROSS_CHECK_RTOL * h_scale:
+            raise NumericError(
+                f"a random quadratic gives Gamma_2 - rho Gamma = {h_gap!r} below "
+                f"min_gap * Gamma = {min_gap * h_gam!r} (scale {h_scale:.3e})"
+            )
     return CurvatureReport(
         rho=float(rho),
         samples=int(trials),
-        min_gap=float(min_gap),
-        worst_case=worst,
+        min_gap=min_gap,
+        worst_case={
+            "state": x.tolist(),
+            "f_coeffs": {" ".join(map(str, m)): c for m, c in sorted(f.coeffs.items())},
+            "gamma2": g2,
+            "gamma": gam,
+        },
         seed=seed,
-        scale=float(worst_scale),
+        scale=float(scale),
     )

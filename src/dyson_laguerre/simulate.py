@@ -72,7 +72,7 @@ def default_dt(x0, scale=1e-3):
     return scale * min(1.0, max(spacing, 0.1))
 
 
-def _validate_times(times, allow_zero_first=True):
+def _validate_times(times):
     if np.ndim(times) != 1:
         raise DomainError("times must be a one-dimensional grid")
     t = np.asarray(times, dtype=float)
@@ -84,8 +84,6 @@ def _validate_times(times, allow_zero_first=True):
         raise DomainError("times must be nonnegative")
     if np.any(np.diff(t) <= 0):
         raise DomainError("time grid must be strictly increasing")
-    if not allow_zero_first and t[0] == 0:
-        raise DomainError("times must be strictly positive")
     return t
 
 

@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import math
 import os
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from dyson_laguerre import (
     ParseError,
+    SerializationError,
     ValidationError,
     emit_report,
     parse_config,
@@ -328,3 +331,116 @@ def test_run_simulate_matrix_route_projects_once_per_grid_time(tmp_path, monkeyp
     with open(manifest.outputs[0]["path"]) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 6 * 3 * 3  # replicas x times x coordinates
+
+
+def _csv_text_per_row(header, rows):
+    """Reference: cli._csv_text as it stood, one csv.writer row at a time."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+def _path_csv_rows_per_value(times, states, replica):
+    """Reference: cli._path_csv_rows as it stood, one replica at a time."""
+    for k, t in enumerate(times):
+        x = states[k]
+        for j, v in enumerate(np.asarray(x, dtype=float).reshape(-1)):
+            yield replica, float(t), j, float(v)
+
+
+def test_csv_text_matches_csv_writer_bytes():
+    from dyson_laguerre.cli import _csv_text
+
+    floats = [0.0, -0.0, 1e-300, 5e-324, 1e16, -1e16, 1.0 / 3.0, 2.5e-7, math.inf,
+              -math.inf, math.nan, np.float64(2.5), np.float64(-0.0), np.float64(1e16)]
+    ints = [0, -7, 12, 2**70, True, np.int64(3)]
+    strs = ["TV", "x", "a,b", 'say "hi"', '"', ",", "two\nlines", "cr\rhere", "", " lead",
+            "tab\there"]
+    fields = floats + ints + strs + [None]
+    rng = np.random.default_rng(23)
+    cases = [(("replica", "time", "leg", "coord_index", "value"),
+              [(rep, 0.5, "y", j, v) for rep in range(3) for j, v in enumerate([1.25, 3e-5])]),
+             (("a,b", 'q"', "n\nl"), [fields[i:i + 3] for i in range(0, len(fields) - 2, 3)])]
+    for width in range(2, 7):
+        header = tuple(f"c{k}" for k in range(width))
+        # one column of each kind: every field of one type, and mixed types
+        columns = [[floats[k % len(floats)] for k in range(40)],
+                   [ints[k % len(ints)] for k in range(40)],
+                   [strs[k % len(strs)] for k in range(40)],
+                   [fields[k] for k in rng.integers(len(fields), size=40)]]
+        rows = list(zip(*(columns[k % 4] for k in range(width))))
+        rows += [[fields[k] for k in rng.integers(len(fields), size=width)] for _ in range(60)]
+        cases.append((header, rows))
+    for header, rows in cases:
+        want = _csv_text_per_row(header, rows)
+        got = _csv_text(header, rows)
+        assert got.encode() == want.encode()
+        assert _csv_text(header, []) == _csv_text_per_row(header, [])
+
+
+def test_csv_text_rejects_rows_that_do_not_fit_the_header():
+    from dyson_laguerre.cli import _csv_text
+
+    with pytest.raises(SerializationError):
+        _csv_text(("a", "b"), [(1.0, 2.0), (1.0, 2.0, 3.0)])
+    with pytest.raises(SerializationError):
+        _csv_text(("a", "b", "c"), [(1.0, 2.0)])
+
+
+@pytest.mark.parametrize("route", ["matrix", "sde"])
+def test_run_simulate_paths_csv_matches_per_row_writer(tmp_path, route, monkeypatch):
+    from dyson_laguerre import cli
+
+    name = "matrix_dl_path" if route == "matrix" else "dl_paths_batch"
+    live = getattr(cli, name)
+    seen = []
+
+    def capture(*args, **kwargs):
+        seen.append(live(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, name, capture)
+    config = {"mode": "simulate", "n": 4, "times": [0.0, 0.3, 1.0], "replicas": 7, "seed": 9,
+              "out_dir": str(tmp_path), "format": "csv"}
+    config.update({"m": 6} if route == "matrix" else {"alpha": 5.0, "beta": 1.0,
+                                                       "x0_preset": "ramp"})
+    manifest = run(config)
+    (out,) = seen
+    times = np.asarray(config["times"], dtype=float)
+    rows = []
+    for rep in range(config["replicas"]):
+        rows.extend(_path_csv_rows_per_value(times, out[:, rep, :], rep))
+    want = _csv_text_per_row(("replica", "time", "coord_index", "value"), rows)
+    with open(manifest.outputs[0]["path"], "rb") as fh:
+        assert fh.read() == want.encode()
+
+
+def test_run_couple_csv_matches_per_row_writer(tmp_path, monkeypatch):
+    from dyson_laguerre import coupling
+
+    live = coupling.run_coupled_batch
+    seen = []
+
+    def capture(*args, **kwargs):
+        seen.append(live(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(coupling, "run_coupled_batch", capture)
+    config = {"mode": "couple", "n": 3, "alpha": 4.0, "beta": 1.0, "x0_preset": "ramp",
+              "times": [0.0, 0.05, 0.1], "replicas": 5, "seed": 2, "out_dir": str(tmp_path),
+              "format": "csv"}
+    manifest = run(config)
+    ((sa, sb, _),) = seen
+    rows = []
+    for rep in range(config["replicas"]):
+        for leg, arr in (("x", sa), ("y", sb)):
+            for k, t in enumerate(np.asarray(config["times"], dtype=float)):
+                for j, v in enumerate(arr[k, rep]):
+                    rows.append((rep, float(t), leg, j, float(v)))
+    want = _csv_text_per_row(("replica", "time", "leg", "coord_index", "value"), rows)
+    path = [o["path"] for o in manifest.outputs if o["path"].endswith("coupled_paths.csv")]
+    with open(path[0], "rb") as fh:
+        assert fh.read() == want.encode()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,13 @@ from dyson_laguerre import (
     geodesic_point,
     riemannian_distance,
 )
-from dyson_laguerre.geometry import random_ordered_state, random_test_function
+from dyson_laguerre.errors import NumericError
+from dyson_laguerre.geometry import (
+    curvature_matrices,
+    random_ordered_state,
+    random_ordered_states,
+    random_test_function,
+)
 from dyson_laguerre.simulate import RngStream
 
 
@@ -130,10 +138,155 @@ def test_cd_certificate_reports_clean_gap():
 
 
 def test_cd_certificate_detects_false_bound():
-    # an absurdly large rho must be violated by random search
+    # an absurdly large rho must be reported violated
     params = ModelParams(3, 4.0, 2.0)
     report = cd_certificate(params, 1e6, 200, RngStream(12, 0))
     assert report.violated()
+
+
+def test_cd_certificate_detects_weak_regime():
+    # delta < 1/2 makes the diagonal (2 delta - 1)/(4 x_i) of the curvature
+    # matrix unbounded below as a particle nears 0, so rho = 1/2 fails
+    params = ModelParams(3, 1.2, 1.0, allow_weak=True)
+    assert params.delta < 0.5
+    report = cd_certificate(params, 0.5, 300, RngStream(14, 0))
+    assert report.violated()
+    assert report.rho_star < 0.5
+
+
+def _curvature_matrix_loop(x, params, rho):
+    """Reference: D^{-1/2} K_rho(x) D^{-1/2} built one pair block at a time."""
+    n = x.size
+    k = np.diag((2.0 * params.delta - 1.0) / 4.0 + (0.5 - rho) * x)
+    for i in range(n):
+        for j in range(i):
+            w = 0.5 * params.beta / (x[i] - x[j]) ** 2
+            k[i, i] += w * (x[i] ** 2 + x[i] * x[j])
+            k[j, j] += w * (x[j] ** 2 + x[i] * x[j])
+            k[i, j] = k[j, i] = -2.0 * w * x[i] * x[j]
+    s = 1.0 / np.sqrt(x)
+    return s[:, None] * k * s[None, :]
+
+
+def _curvature_cases():
+    for n in (1, 2, 4, 6):
+        for beta in (0.0, 1.0, 2.0):
+            yield ModelParams(n, 2.0 + (n - 1) * beta / 2.0, beta)
+
+
+def test_curvature_matrix_identity_matches_gamma2_explicit():
+    # Gamma_2(f) - rho Gamma(f) = g^T K_rho g + sum_i x_i^2 (H_ii + g_i/(2x_i))^2
+    #                             + sum_{i>j} 2 x_i x_j H_ij^2
+    rng = np.random.default_rng(31)
+    checked = 0
+    for params in _curvature_cases():
+        states = random_ordered_states(params, rng, 30)
+        for x in states:
+            rho = float(rng.uniform(-1.0, 2.0))
+            (kt,) = curvature_matrices(x[None, :], params, rho)
+            ref = _curvature_matrix_loop(x, params, rho)
+            assert np.abs(kt - ref).max() <= 1e-12 * np.abs(ref).max()
+            f = random_test_function(params.n, rng, degree=2)
+            g, h = f.gradient(x), f.hessian(x)
+            u = np.sqrt(x) * g  # g^T K_rho g = u^T Kt u
+            squares = float(np.sum(x**2 * (np.diag(h) + g / (2.0 * x)) ** 2))
+            squares += sum(2.0 * x[i] * x[j] * h[i, j] ** 2
+                           for i in range(params.n) for j in range(i))
+            g2, terms = gamma2_explicit(f, x, params, return_terms=True)
+            gam = carre_du_champ(f, x)
+            scale = max(1.0, sum(abs(t) for t in terms) + abs(rho * gam))
+            assert abs((g2 - rho * gam) - (u @ kt @ u + squares)) <= 1e-12 * scale
+            checked += 1
+    assert checked >= 300
+
+
+def _random_ordered_state_loop(params, gen, min_gap):
+    """Reference: random_ordered_state as it stood, one state per call."""
+    x = np.sort(gen.standard_gamma(max(params.alpha, 1.0), size=params.n))
+    x[0] = max(x[0], min_gap)
+    for i in range(1, params.n):
+        x[i] = max(x[i], x[i - 1] + min_gap)
+    return x
+
+
+def test_random_ordered_states_match_one_state_at_a_time():
+    for params in (ModelParams(1, 0.5, 0.0), ModelParams(6, 9.0, 2.0), ModelParams(4, 2.0, 0.0)):
+        gen, ref_gen = np.random.default_rng(41), np.random.default_rng(41)
+        got = random_ordered_states(params, gen, 50, min_gap=0.3)
+        want = [_random_ordered_state_loop(params, ref_gen, 0.3) for _ in range(50)]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+        one = random_ordered_state(params, gen, min_gap=0.3).as_array()
+        assert one.tobytes() == _random_ordered_state_loop(params, ref_gen, 0.3).tobytes()
+
+
+def test_exact_gap_never_above_random_search_gap():
+    for params in _curvature_cases():
+        rho = 0.5
+        report = cd_certificate(params, rho, 200, RngStream(params.n, int(params.beta)))
+        # the certificate's states: the first draws of its generator
+        gen = RngStream(params.n, int(params.beta)).generator()
+        states = random_ordered_states(params, gen, 200)
+        lam = np.linalg.eigh(curvature_matrices(states, params, rho))[0]
+        assert report.min_gap == lam[:, 0].min()
+        search = np.inf
+        for x, (exact, top) in zip(states, lam[:, [0, -1]]):
+            f = random_test_function(params.n, gen, degree=2)
+            g2, terms = gamma2_explicit(f, x, params, return_terms=True)
+            gam = carre_du_champ(f, x)
+            scale = max(1.0, sum(abs(t) for t in terms) + abs(rho * gam), top * gam)
+            assert g2 - rho * gam >= exact * gam - 1e-12 * scale
+            search = min(search, (g2 - rho * gam) / gam)
+        assert report.min_gap <= search
+
+
+def _witness_of(report, n):
+    coeffs = {tuple(int(e) for e in m.split()): c for m, c in report.worst_case["f_coeffs"].items()}
+    return Polynomial(n, coeffs), np.array(report.worst_case["state"])
+
+
+def test_cd_certificate_witness_attains_min_gap():
+    for params, rho in ((ModelParams(6, 6.0, 1.0), 0.5), (ModelParams(4, 5.0, 2.0), 0.9),
+                        (ModelParams(3, 1.2, 1.0, allow_weak=True), 0.5),
+                        (ModelParams(5, 3.0, 0.0), 0.5)):
+        report = cd_certificate(params, rho, 300, RngStream(7, 1))
+        f, x = _witness_of(report, params.n)
+        gam = carre_du_champ(f, x)
+        g2 = gamma2_explicit(f, x, params)
+        assert gam == pytest.approx(1.0, rel=1e-12)
+        assert abs((g2 - rho * gam) - report.min_gap) <= 1e-9 * report.scale
+        assert report.worst_case["gamma"] == gam
+        assert report.worst_case["gamma2"] == g2
+        assert report.rho_star == report.rho + report.min_gap
+        assert json.loads(report.to_json())["rho_star"] == report.rho_star
+
+
+def test_cd_certificate_witness_matches_square_root_oracle():
+    # h(y) = f*(y^2/4) is f* in the coordinates y = 2 sqrt(x) of the
+    # additive-noise system, so its edl_gamma2 at y is Gamma_2(f*) at x
+    for params in (ModelParams(6, 6.0, 1.0), ModelParams(3, 4.0, 2.0), ModelParams(2, 2.5, 0.0)):
+        report = cd_certificate(params, 0.5, 300, RngStream(8, 0))
+        f, x = _witness_of(report, params.n)
+        h = Polynomial(params.n, {tuple(2 * e for e in m): c / 4.0 ** sum(m)
+                                  for m, c in f.coeffs.items()})
+        want = gamma2_explicit(f, x, params)
+        got = edl_gamma2(h, 2.0 * np.sqrt(x), params)
+        assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_cd_certificate_raises_when_gamma2_disagrees(monkeypatch):
+    from dyson_laguerre import geometry
+
+    live = geometry.gamma2_explicit
+
+    def off_by_a_little(f, state, params, return_terms=False):
+        total, terms = live(f, state, params, return_terms=True)
+        total += 1e-6 * max(1.0, sum(abs(t) for t in terms))
+        return (total, terms) if return_terms else total
+
+    monkeypatch.setattr(geometry, "gamma2_explicit", off_by_a_little)
+    with pytest.raises(NumericError):
+        cd_certificate(ModelParams(4, 5.0, 1.0), 0.5, 50, RngStream(3, 0))
 
 
 def test_random_ordered_state_respects_gap():
