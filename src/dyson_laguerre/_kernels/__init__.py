@@ -1,64 +1,14 @@
-"""Backend selection for the drift kernels.
+"""The batched drift kernels of the Euler step.
 
-A compiled Cython extension (_core) and a pure numpy reference (_ref)
-implement the same batched drift routines with identical floating-point
-operation order, so results are bit-identical.  The compiled backend is used
-when available; set DL_KERNEL_BACKEND=python or =cython in the environment
-to force a choice, or call set_backend() programmatically (tests do).
+There is one kernel source, the numpy routines of _ref.  They add each
+coordinate's pair terms over its partners in index order, which fixes the
+output bits.  Small batches divide each pair once and large ones loop over
+the partners; both forms give the same bits, as the _ref docstring argues.
 """
 
-import os
-
-import numpy as np
-
-from . import _ref
-
-try:
-    from . import _core
-except ImportError:
-    _core = None
-
-_backends = {"python": _ref}
-if _core is not None:
-    _backends["cython"] = _core
-
-
-def _default_backend():
-    forced = os.environ.get("DL_KERNEL_BACKEND", "").strip().lower()
-    if forced:
-        if forced not in _backends:
-            raise ImportError(
-                f"DL_KERNEL_BACKEND={forced!r} unavailable; choices: {sorted(_backends)}"
-            )
-        return forced
-    return "cython" if "cython" in _backends else "python"
-
-
-_active = _default_backend()
+from ._ref import dl_drift_batch, edl_drift_batch
 
 
 def backend_name():
-    return _active
-
-
-def available_backends():
-    return sorted(_backends)
-
-
-def set_backend(name):
-    global _active
-    if name not in _backends:
-        raise ValueError(f"unknown backend {name!r}; choices: {sorted(_backends)}")
-    _active = name
-
-
-def _prep(a):
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def dl_drift_batch(x, alpha, beta, out=None):
-    return _backends[_active].dl_drift_batch(_prep(x), float(alpha), float(beta), out)
-
-
-def edl_drift_batch(y, alpha, beta, out=None):
-    return _backends[_active].edl_drift_batch(_prep(y), float(alpha), float(beta), out)
+    """Name of the kernel source, recorded in benchmark fingerprints."""
+    return "python"

@@ -1,28 +1,72 @@
-"""Reference numpy implementation of the hot drift kernels.
+"""Numpy implementation of the hot drift kernels.
 
-The compiled backend in _core.pyx mirrors these routines operation for
-operation.  To keep the two backends bit-identical the interaction sums are
-accumulated coordinate-sequentially (a Python loop over the partner index j,
-vectorized over replicas and over i), so both backends perform the same
-floating-point additions in the same order.
+Both drifts share one interaction sum, sum_{j != i} (s_i + s_j)/(s_i - s_j).
+For each coordinate i it is accumulated over the partners j = 0..n-1 in
+order, starting from +0.0, with +0.0 added at j = i.  That order fixes every
+output bit; the tests hold it against frozen copies of earlier kernels.
 
-The j = i term is not skipped but evaluated as 0/1, which adds +0.0 at the
-same place in the sum where the compiled loop skips it; the divide is
-unmasked, because numpy's masked ufunc loop is several times slower.  The
-loop works on transposed (n, r) buffers so that each partner j is a
-contiguous row broadcast over the coordinates i; the arithmetic per element
-is unchanged.  Keep any edits synchronized with _core.pyx.
+Small batches divide each pair i < j once.  With
+q_ij = (s_i + s_j)/(s_i - s_j), the term of coordinate j is
+(s_j + s_i)/(s_j - s_i) = -q_ij exactly in IEEE arithmetic, because the sum
+commutes and s_j - s_i = -(s_i - s_j).  The one exception is an exact
+collision s_i == s_j: both differences are +0.0 there, so the term of j is
+q_ij itself.  The terms go into an (n, n, r) stack, the term of coordinate i
+and partner j at [j, i], with a zero diagonal.  np.add.reduce over axis 0
+adds the rows of the stack one after another, so every output element sees
+the additions of the partner loop, in j order.
+
+The stack form makes a fixed number of numpy calls, where the partner loop
+makes six per partner, but it allocates about 2.5 n*n*r doubles per call.
+Above STACK_LIMIT doubles of stack, freeing and re-allocating that much
+memory on every call costs page faults, and the partner loop is faster; the
+README's Performance section has the measurements.  Both forms give the
+same bits for every finite input.
 """
 
+import functools
+
 import numpy as np
+
+# Largest stack, n*n*r doubles, that _pair_sum builds.
+STACK_LIMIT = 1 << 15
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_layout(n):
+    """Pairs i < j of n coordinates, and the flat stack rows j*n + i and i*n + j."""
+    i, j = np.triu_indices(n, 1)
+    layout = (i, j, j * n + i, i * n + j)
+    for a in layout:
+        a.setflags(write=False)
+    return layout
 
 
 def _pair_sum(s):
     """sum_{j != i} (s_i + s_j)/(s_i - s_j) for the rows of s.T, as (n, r).
 
     s: (n, r) array, one column per replica.  The sum runs over j = 0..n-1
-    in order, starting from +0.0, with the j = i term evaluated as 0/1.
+    in order, starting from +0.0, with the j = i term +0.0.
     """
+    n, r = s.shape
+    if n * n * r > STACK_LIMIT:
+        return _pair_sum_loop(s)
+    i, j, at_ji, at_ij = _pair_layout(n)
+    a = s[i]
+    b = s[j]
+    q = a + b
+    np.subtract(a, b, out=a)
+    np.divide(q, a, out=q)
+    stack = np.zeros((n * n, r))
+    stack[at_ji] = q
+    np.negative(q, out=b)
+    if not a.all():
+        np.copyto(b, q, where=a == 0.0)  # exact collisions keep the sign of q
+    stack[at_ij] = b
+    return np.add.reduce(stack.reshape(n, n, r), axis=0, initial=0.0)
+
+
+def _pair_sum_loop(s):
+    """_pair_sum one partner j at a time, with the j = i term evaluated as 0/1."""
     acc = np.zeros_like(s)
     num = np.empty_like(s)
     den = np.empty_like(s)

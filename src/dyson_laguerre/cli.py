@@ -494,9 +494,10 @@ _EXPERIMENTS = {
 def run(config):
     """Dispatch a validated config to its experiment and write outputs.
 
-    Returns the RunManifest (also written to out_dir/manifest.json).  On
-    any failure, files created by this run are removed before the error
-    propagates.
+    Returns the RunManifest (also written to out_dir/manifest.json).  Its
+    output paths are relative to out_dir, so the manifest's bytes do not
+    depend on where out_dir sits.  On any failure, files created by this run
+    are removed before the error propagates.
     """
     mode = config.get("mode")
     if mode not in _EXPERIMENTS:
@@ -522,7 +523,8 @@ def run(config):
         artifact_version=__version__,
         started=started,
         finished=finished,
-        outputs=[{"path": p, "sha256": _file_digest(p)} for p in written],
+        outputs=[{"path": os.path.relpath(p, out_dir), "sha256": _file_digest(p)}
+                 for p in written],
         fallbacks=fallbacks,
     )
     _atomic_write(os.path.join(out_dir, "manifest.json"), manifest.to_json())
@@ -570,7 +572,8 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for out in manifest.outputs:
-        print(f"wrote {out['path']}  sha256={out['sha256'][:12]}")
+        path = os.path.join(config.get("out_dir") or ".", out["path"])
+        print(f"wrote {path}  sha256={out['sha256'][:12]}")
     return 0
 
 

@@ -337,7 +337,7 @@ def test_criterion_10_shipped_profiles_sandwich_and_determinism(tmp_path):
         (profile_path,) = [
             o["path"] for o in ma.outputs if os.path.basename(o["path"]) == "profile.json"
         ]
-        doc = json.load(open(profile_path))
+        doc = json.load(open(out_a / profile_path))
         assert doc["rows"], cfg_path
         for r in doc["rows"]:
             lo = r["bound_lower"] - 3.0 * r["stderr"]

@@ -151,7 +151,7 @@ def test_emit_report_unknown_format(tmp_path):
 
 def test_run_writes_manifest_and_is_deterministic(tmp_path):
     out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
+    out_b = tmp_path / "elsewhere" / "b"
     base = {
         "mode": "cutoff-profile",
         "n": 8,
@@ -168,6 +168,9 @@ def test_run_writes_manifest_and_is_deterministic(tmp_path):
     assert len(ma.outputs) == 1
     # identical seeds and configs give identical artifacts
     assert ma.outputs[0]["sha256"] == mb.outputs[0]["sha256"]
+    # output paths are relative to out_dir, so they do not depend on where it sits
+    assert ma.outputs == mb.outputs
+    assert ma.outputs[0]["path"] == "profile.csv"
     payload = json.loads((out_a / "manifest.json").read_text())
     assert payload["mode"] == "cutoff-profile"
     assert payload["seed"] == 11
@@ -190,7 +193,7 @@ def test_run_simulate_writes_paths(tmp_path):
         "format": "csv",
     }
     manifest = run(config)
-    path = manifest.outputs[0]["path"]
+    path = tmp_path / manifest.outputs[0]["path"]
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert {r["replica"] for r in rows} == {"0", "1", "2", "3"}
@@ -236,7 +239,7 @@ def test_run_cleans_partial_outputs(tmp_path, monkeypatch):
     assert leftover == []
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("mode = simulate\nn = 4\nalpha = 2.0\nbeta = 1.0\n")
     assert main(["simulate", "--config", str(bad_cfg)]) == 2
@@ -249,9 +252,12 @@ def test_main_exit_codes(tmp_path):
         "mode = simulate\nn = 2\nalpha = 3.0\nbeta = 1.0\n"
         "x0_preset = ramp\ntimes = 0.1\nreplicas = 2\n"
     )
+    capsys.readouterr()
     code = main(["simulate", "--config", str(good_cfg), "--out", str(tmp_path / "out")])
     assert code == 0
     assert (tmp_path / "out" / "manifest.json").exists()
+    # the manifest holds paths relative to out_dir; main prints them joined
+    assert capsys.readouterr().out.startswith(f"wrote {tmp_path / 'out' / 'paths.csv'}  ")
 
 
 def test_main_subcommand_overrides_mode(tmp_path):
@@ -281,7 +287,7 @@ def test_run_distance_writes_decay_curve(tmp_path):
         "format": "csv",
     }
     manifest = run(config)
-    with open(manifest.outputs[0]["path"]) as fh:
+    with open(tmp_path / manifest.outputs[0]["path"]) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert float(rows[0]["envelope"]) > float(rows[1]["envelope"])
@@ -328,7 +334,7 @@ def test_run_simulate_matrix_route_projects_once_per_grid_time(tmp_path, monkeyp
     }
     manifest = run(config)
     assert calls == [(6, 3, 5)] * 3
-    with open(manifest.outputs[0]["path"]) as fh:
+    with open(tmp_path / manifest.outputs[0]["path"]) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 6 * 3 * 3  # replicas x times x coordinates
 
@@ -414,7 +420,7 @@ def test_run_simulate_paths_csv_matches_per_row_writer(tmp_path, route, monkeypa
     for rep in range(config["replicas"]):
         rows.extend(_path_csv_rows_per_value(times, out[:, rep, :], rep))
     want = _csv_text_per_row(("replica", "time", "coord_index", "value"), rows)
-    with open(manifest.outputs[0]["path"], "rb") as fh:
+    with open(tmp_path / manifest.outputs[0]["path"], "rb") as fh:
         assert fh.read() == want.encode()
 
 
@@ -442,5 +448,5 @@ def test_run_couple_csv_matches_per_row_writer(tmp_path, monkeypatch):
                     rows.append((rep, float(t), leg, j, float(v)))
     want = _csv_text_per_row(("replica", "time", "leg", "coord_index", "value"), rows)
     path = [o["path"] for o in manifest.outputs if o["path"].endswith("coupled_paths.csv")]
-    with open(path[0], "rb") as fh:
+    with open(tmp_path / path[0], "rb") as fh:
         assert fh.read() == want.encode()

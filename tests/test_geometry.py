@@ -20,6 +20,7 @@ from dyson_laguerre import (
 )
 from dyson_laguerre.errors import NumericError
 from dyson_laguerre.geometry import (
+    SPOT_CHECKS,
     curvature_matrices,
     random_ordered_state,
     random_ordered_states,
@@ -489,14 +490,22 @@ def test_random_test_function_matches_scalar_draws():
             assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
-def test_cd_certificate_report_matches_validating_reference(monkeypatch):
-    from dyson_laguerre import geometry
-
+def test_cd_certificate_report_matches_validating_reference():
+    # reference: one state, one pair-block matrix and one eigvalsh per draw
     for n in (2, 4, 6):
         for beta in (1.0, 2.0):
             params = ModelParams(n, 2.0 + (n - 1) * beta / 2.0, beta)
-            got = cd_certificate(params, 0.5, 60, RngStream(n, int(beta))).to_json()
-            with monkeypatch.context() as m:
-                m.setattr(geometry, "random_test_function", _random_test_function_scalar)
-                want = cd_certificate(params, 0.5, 60, RngStream(n, int(beta))).to_json()
-            assert got == want
+            rho, trials = 0.5, 60
+            gen = RngStream(n, int(beta)).generator()
+            report = cd_certificate(params, rho, trials, gen)
+            ref_gen = RngStream(n, int(beta)).generator()
+            states = [_random_ordered_state_loop(params, ref_gen, 1e-6) for _ in range(trials)]
+            gaps = [np.linalg.eigvalsh(_curvature_matrix_loop(x, params, rho))[0] for x in states]
+            k = int(np.argmin(gaps))
+            assert report.min_gap == pytest.approx(gaps[k], rel=1e-12)
+            assert report.rho_star == pytest.approx(rho + gaps[k], rel=1e-12)
+            assert report.worst_case["state"] == pytest.approx(states[k].tolist(), rel=1e-12)
+            # after the states, the certificate drew exactly SPOT_CHECKS quadratics
+            for _ in range(SPOT_CHECKS):
+                _random_test_function_scalar(n, ref_gen, degree=2)
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
