@@ -18,7 +18,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, UnsupportedRegime
 from .model import ModelParams, ParticleState, observable_phi
@@ -258,6 +257,8 @@ def kl_chain_best(x0, total_time, params):
 
 def _phi_reference_logpdf(n_big):
     """Normalized log-density of Gamma(N, 1), the equilibrium law of phi."""
+    from scipy.special import gammaln
+
     lz = gammaln(n_big)
 
     def logpdf(z):

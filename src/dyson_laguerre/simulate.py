@@ -108,9 +108,10 @@ class Path:
 def _propose_batch(y, dt, params, gen, noise=None, drift=None):
     """One tamed Euler proposal for every row of y; returns (proposal, ok_rows).
 
-    A row fails if a coordinate falls at or below the negative taming
-    threshold -6*sqrt(2 dt), hits zero exactly, or (beta > 0) if the sorted
-    proposal has a gap at or below the collision tolerance in x space.
+    A row fails if a coordinate is NaN or infinite, falls at or below the
+    negative taming threshold -6*sqrt(2 dt), hits zero exactly, or (beta > 0)
+    if the sorted proposal has a gap at or below the collision tolerance in
+    x space.
     Small negative coordinates are reflected; proposals are re-sorted.
     Callers running coupled copies pass their own standard-normal noise and
     may pass the drift if they already computed it.
@@ -132,8 +133,12 @@ def _propose_batch(y, dt, params, gen, noise=None, drift=None):
     if params.beta > 0 and y.shape[1] > 1:
         x = 0.25 * prop.T.copy() ** 2
         tol = 1e-12 * (1.0 + x[-1])
-        # np.min propagates NaN, so a row holding NaN is rejected
+        # np.min propagates NaN, so a row holding NaN is rejected, and a row
+        # holding +inf has tol = inf
         ok &= np.min(x[1:] - x[:-1], axis=0) > tol
+    else:
+        # NaN and +inf sort last
+        ok &= np.isfinite(prop[:, -1])
     return prop, ok
 
 

@@ -7,15 +7,23 @@ L2 and Euclidean W2 distances between a rectangular Ornstein-Uhlenbeck flow
 started at a point and its Gaussian equilibrium.  ``tv_threshold_witness``
 and ``kl_projected_estimate`` are one-dimensional sample-based estimators
 used on projected statistics.
+
+Importing this module loads no scipy: ``linear_sum_assignment``,
+``digamma``, ``logsumexp`` and ``ndtr`` are bound as module attributes the
+first time they are looked up (PEP 562), so only the modes that use them pay
+for importing ``scipy.optimize`` or ``scipy.special``.  A bare name inside a
+function never reaches the module ``__getattr__``, so code here reads them as
+attributes of ``_this``, the module itself.  After the first lookup that is a
+plain module global, the same one a patch of the module attribute replaces.
 """
 
 from dataclasses import dataclass, field
+import importlib
 import json
 import math
+import sys
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import digamma, logsumexp, ndtr
 
 from .errors import (
     DomainError,
@@ -26,6 +34,25 @@ from .errors import (
     ValidationError,
 )
 from .model import ParticleState
+
+_this = sys.modules[__name__]
+
+_SCIPY_FUNCTIONS = {
+    "linear_sum_assignment": "scipy.optimize",
+    "digamma": "scipy.special",
+    "logsumexp": "scipy.special",
+    "ndtr": "scipy.special",
+}
+
+
+def __getattr__(name):
+    """Import a scipy function on first access and keep it as a module global."""
+    source = _SCIPY_FUNCTIONS.get(name)
+    if source is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    fn = getattr(importlib.import_module(source), name)
+    globals()[name] = fn
+    return fn
 
 
 @dataclass
@@ -98,15 +125,27 @@ def _as_measure(obj):
     return obj if isinstance(obj, EmpiricalMeasure) else EmpiricalMeasure(obj)
 
 
+# Doubles of the (rows, rb, n) difference tensor _intrinsic_cost holds at once.
+_COST_BLOCK = 2**21
+
+
 def _intrinsic_cost(a, b):
+    """Matrix of intrinsic distances |2 sqrt(u) - 2 sqrt(v)| between the atoms
+    of a (rows) and b (columns), filled a block of rows at a time so memory
+    stays bounded; each entry is the same axis-2 sum as the whole tensor."""
     ua = 2.0 * np.sqrt(a.atoms)
     ub = 2.0 * np.sqrt(b.atoms)
-    diff = ua[:, None, :] - ub[None, :, :]
-    return np.sqrt(np.sum(diff**2, axis=2))
+    cost = np.empty((ua.shape[0], ub.shape[0]))
+    step = max(1, _COST_BLOCK // max(1, ub.size))
+    for i in range(0, ua.shape[0], step):
+        diff = ua[i : i + step, None, :] - ub[None, :, :]
+        cost[i : i + step] = np.sqrt(np.sum(diff**2, axis=2))
+    return cost
 
 
 def _sinkhorn_log(cost_pow, wa, wb, eps, max_iter=5000, tol=1e-10):
     """Log-domain Sinkhorn; returns the transport plan."""
+    logsumexp = _this.logsumexp
     log_wa = np.log(wa)
     log_wb = np.log(wb)
     f = np.zeros(wa.size)
@@ -147,7 +186,7 @@ def _assignment_cost(a, b):
 def _assignment_value(cost_pow, order):
     """Wasserstein distance of the given order from the matrix of costs raised
     to that order, by an exact optimal assignment."""
-    rows, cols = linear_sum_assignment(cost_pow)
+    rows, cols = _this.linear_sum_assignment(cost_pow)
     return float(np.mean(cost_pow[rows, cols])) ** (1.0 / order)
 
 
@@ -277,19 +316,23 @@ def gaussian_tv(mu1, v1, v2):
             return 0.0
         roots = [-c / b]
     else:
-        disc = b * b - 4.0 * a * c
-        if disc > 0:
+        b2, ac4 = b * b, 4.0 * a * c
+        disc = b2 - ac4
+        if disc > 0 and disc >= 0.5 * max(b2, abs(ac4)):
             r = math.sqrt(disc)
             roots = sorted([(-b - r) / (2.0 * a), (-b + r) / (2.0 * a)])
         else:
-            # b^2 - 4ac cancels once v2/v1 is large (v2/v1 ~ 1e18 loses it
-            # all).  Exactly, it is this sum of two nonnegative terms, which
-            # is 0 only for equal laws; the roots then avoid -b + r.
+            # b^2 - 4ac cancels, in part or in full, once v2/v1 is large
+            # (v2/v1 ~ 1e16 loses digits, ~1e18 all of them).  Exactly, it is
+            # this sum of two nonnegative terms, which is 0 only for equal
+            # laws; the roots then avoid -b + r.
             disc = (mu1**2 + (v1 - v2) * math.log(v1 / v2)) / (v1 * v2)
             if disc <= 0:
                 return 0.0
             q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
             roots = sorted([q / a, c / q])
+
+    ndtr = _this.ndtr
 
     def cdf_gap(x):
         return ndtr((x - mu1) / math.sqrt(v1)) - ndtr(x / math.sqrt(v2))
@@ -381,6 +424,7 @@ def kl_projected_estimate(samples, reference_log_density, reference_normalizer, 
             f"reference_normalizer must be a positive finite real, got {reference_normalizer}"
         )
     log_z = math.log(reference_normalizer)
+    digamma = _this.digamma
 
     def _estimate(block):
         n = block.size

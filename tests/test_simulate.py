@@ -217,7 +217,8 @@ def test_matrix_state_frozen_and_frobenius():
 
 
 # Frozen reference: the proposal checks as they stood, with row reductions
-# np.any(..., axis=1) and np.min(np.diff(...), axis=1).  The live checks
+# np.any(..., axis=1) and np.min(np.diff(...), axis=1), plus a row-wise
+# finiteness check where the gap check does not run.  The live checks
 # reduce column-wise and must accept and reject exactly the same rows.
 def _reference_propose_batch(y, dt, params, gen, noise=None, drift=None):
     if drift is None:
@@ -235,6 +236,8 @@ def _reference_propose_batch(y, dt, params, gen, noise=None, drift=None):
         x = 0.25 * prop**2
         tol = 1e-12 * (1.0 + x[:, -1])
         ok &= np.min(np.diff(x, axis=1), axis=1) > tol
+    else:
+        ok &= np.all(np.isfinite(prop), axis=1)
     return prop, ok
 
 
@@ -283,6 +286,34 @@ def test_propose_batch_matches_row_reduction_reference(rows, n, beta):
             assert np.array_equal(got[1], want[1])
     if rows > 1:
         assert got[1].any() and not got[1].all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_propose_batch_rejects_nonfinite_rows(n, beta, monkeypatch):
+    params = ModelParams(n, 20.0, beta)
+    dt = 1e-3
+    x = np.linspace(1.0, 2.0, n)
+    y = 2.0 * np.sqrt(x)
+    cases = [(j, value) for j in range(n) for value in (np.nan, np.inf, -np.inf)]
+    rows = np.tile(y, (len(cases) + 1, 1))
+    for k, (j, value) in enumerate(cases):
+        rows[k, j] = value
+    zero = np.zeros_like(rows)
+    with np.errstate(invalid="ignore"):
+        prop, ok = simulate._propose_batch(rows, dt, params, None, noise=zero, drift=zero)
+    # zero drift and noise make each proposal its row; only the last is finite
+    assert not ok[:-1].any()
+    assert ok[-1]
+    for j, value in cases:
+        def drift(y, alpha, beta, j=j, value=value):
+            out = np.zeros_like(y)
+            out[:, j] = value
+            return out
+
+        monkeypatch.setattr(_kernels, "edl_drift_batch", drift)
+        with np.errstate(invalid="ignore"), pytest.raises(StepRejected):
+            step_dl_sqrt(ParticleState(x), dt, params, RngStream(3, j))
 
 
 def test_paths_match_frozen_references(monkeypatch):

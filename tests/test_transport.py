@@ -23,6 +23,7 @@ from dyson_laguerre import (
     tv_threshold_witness,
     wasserstein_intrinsic,
 )
+from dyson_laguerre import transport
 from dyson_laguerre.transport import _knn_distances, gaussian_tv, ou_entry_tv
 
 
@@ -102,8 +103,9 @@ def _gaussian_tv_stats(mu1, v1, v2):
             return 0.0
         roots = [-c / b]
     else:
-        disc = b * b - 4.0 * a * c
-        if disc > 0:
+        b2, ac4 = b * b, 4.0 * a * c
+        disc = b2 - ac4
+        if disc > 0 and disc >= 0.5 * max(b2, abs(ac4)):
             r = math.sqrt(disc)
             roots = sorted([(-b - r) / (2.0 * a), (-b + r) / (2.0 * a)])
         else:
@@ -174,6 +176,17 @@ def test_gaussian_tv_when_the_discriminant_cancels(mu1, v1, v2):
                                                      rel=1e-13)
 
 
+@pytest.mark.parametrize("mu1,v1,v2", [(1e8, 1.0, 1e16), (1e7, 1.0, 1e14)])
+def test_gaussian_tv_when_the_discriminant_cancels_in_part(mu1, v1, v2):
+    # b^2 - 4ac stays positive but loses digits: the form b^2 - 4ac gave
+    # 2.4e-12 relative error at (1e8, 1, 1e16)
+    a, b = 0.5 / v2 - 0.5 / v1, mu1 / v1
+    c = -0.5 * mu1**2 / v1 - 0.5 * math.log(v1 / v2)
+    assert 0 < b * b - 4.0 * a * c < 0.5 * max(b * b, abs(4.0 * a * c))
+    assert gaussian_tv(mu1, v1, v2) == pytest.approx(_gaussian_tv_mpmath(mu1, v1, v2),
+                                                     rel=1e-13)
+
+
 def test_package_import_leaves_scipy_stats_unloaded():
     # scipy.stats is the slowest scipy submodule to import; the package has
     # no use for it, and set-up time pays for every import
@@ -188,6 +201,90 @@ def test_package_import_leaves_scipy_stats_unloaded():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert done.stdout.strip() == "False"
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _fresh_interpreter(code, *args):
+    """Standard output of code run in a new interpreter on the package sources."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dyson_laguerre.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    return done.stdout
+
+
+def test_package_import_and_config_parsing_load_no_scipy():
+    # set-up pays for every import: scipy functions are bound on first use
+    code = (
+        "import sys, dyson_laguerre\n"
+        "from dyson_laguerre import cli\n"
+        "for path in sys.argv[1:]:\n"
+        "    cli.parse_config(open(path).read())\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    configs = [os.path.join(REPO_ROOT, "configs", name)
+               for name in ("profile_sde.cfg", "profile_matrix.cfg")]
+    assert _fresh_interpreter(code, *configs).strip() == "[]"
+
+
+def test_modes_without_exact_assignment_leave_scipy_optimize_unloaded(tmp_path):
+    code = (
+        "import sys\n"
+        "from dyson_laguerre import cli\n"
+        "for k, text in enumerate(sys.argv[2:]):\n"
+        "    config = cli.parse_config(text)\n"
+        "    config['out_dir'] = f'{sys.argv[1]}/{k}'\n"
+        "    cli.run(config)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    texts = [
+        "mode = simulate\nn = 3\nm = 5\ntimes = 0.1, 0.5\nreplicas = 6\nseed = 4\n",
+        "mode = check-cd\nn = 3\nalpha = 3.0\nbeta = 1.0\nreplicas = 20\nseed = 4\n",
+        "mode = couple\nn = 2\nalpha = 3.0\nbeta = 1.0\nx0_preset = ramp\n"
+        "times = 0, 0.2\nreplicas = 3\nseed = 0\n",
+    ]
+    assert _fresh_interpreter(code, str(tmp_path), *texts).strip() == "False"
+
+
+def test_assignment_solver_is_a_module_attribute_once_bound(monkeypatch):
+    # per-layer tracing wraps the module global that holds the solver, so
+    # exact assignment must look it up there at call time
+    import scipy.optimize
+
+    solver = scipy.optimize.linear_sum_assignment
+    assert transport.linear_sum_assignment is solver
+    assert vars(transport)["linear_sum_assignment"] is solver
+    with pytest.raises(AttributeError):
+        transport.no_such_function
+    calls = []
+
+    def counting(cost):
+        calls.append(cost.shape)
+        return solver(cost)
+
+    monkeypatch.setattr(transport, "linear_sum_assignment", counting)
+    wasserstein_intrinsic(np.ones((3, 2)), np.full((3, 2), 2.0))
+    assert calls == [(3, 3)]
+
+
+@pytest.mark.parametrize("ra,rb,n,several", [
+    (160, 160, 8, False), (520, 520, 8, True), (1100, 300, 8, True), (3, 2, 0, False),
+])
+def test_intrinsic_cost_in_row_blocks_matches_the_whole_tensor(ra, rb, n, several):
+    assert (ra * rb * n > transport._COST_BLOCK) == several
+    rng = np.random.default_rng(ra + rb + n)
+    a = EmpiricalMeasure(rng.gamma(3.0, 1.0, (ra, n)))
+    b = EmpiricalMeasure(rng.gamma(3.0, 1.0, (rb, n)))
+    diff = 2.0 * np.sqrt(a.atoms)[:, None, :] - 2.0 * np.sqrt(b.atoms)[None, :, :]
+    want = np.sqrt(np.sum(diff**2, axis=2))
+    assert np.array_equal(transport._intrinsic_cost(a, b), want)
 
 
 def test_ou_entry_tv_decays():
