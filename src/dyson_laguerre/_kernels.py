@@ -1,4 +1,4 @@
-"""Numpy implementation of the hot drift kernels.
+"""The batched drift kernels of the Euler step.
 
 Both drifts share one interaction sum, sum_{j != i} (s_i + s_j)/(s_i - s_j).
 For each coordinate i it is accumulated over the partners j = 0..n-1 in
@@ -29,6 +29,11 @@ import numpy as np
 
 # Largest stack, n*n*r doubles, that _pair_sum builds.
 STACK_LIMIT = 1 << 15
+
+
+def backend_name():
+    """Name of the kernel source, recorded in benchmark fingerprints."""
+    return "python"
 
 
 @functools.lru_cache(maxsize=None)
@@ -81,7 +86,7 @@ def _pair_sum_loop(s):
     return acc
 
 
-def dl_drift_batch(x, alpha, beta, out=None):
+def dl_drift_batch(x, alpha, beta):
     """Drift of the canonical system for a batch of states.
 
     x: array (r, n) of ordered nonnegative coordinates, one row per replica.
@@ -89,20 +94,17 @@ def dl_drift_batch(x, alpha, beta, out=None):
     No domain checks; callers validate.
     """
     x = np.asarray(x, dtype=float)
-    r, n = x.shape
-    if out is None:
-        out = np.empty_like(x)
-    if beta == 0.0 or n == 1:
-        np.subtract(alpha, x, out=out)
-        return out
+    if beta == 0.0 or x.shape[1] == 1:
+        return alpha - x
     xt = x.T.copy()
     acc = _pair_sum(xt)
     np.multiply(acc, 0.5 * beta, out=acc)
+    out = np.empty_like(x)
     np.add(alpha - xt, acc, out=out.T)
     return out
 
 
-def edl_drift_batch(y, alpha, beta, out=None):
+def edl_drift_batch(y, alpha, beta):
     """Drift of the square-root system for a batch of y states.
 
     y: array (r, n) of strictly positive coordinates.
@@ -110,16 +112,13 @@ def edl_drift_batch(y, alpha, beta, out=None):
         (2*alpha - 1)/y_i - y_i/2 + beta * (sum_{j != i} (y_i^2 + y_j^2)/(y_i^2 - y_j^2)) / y_i.
     """
     y = np.asarray(y, dtype=float)
-    r, n = y.shape
-    if out is None:
-        out = np.empty_like(y)
     two_am1 = 2.0 * alpha - 1.0
-    if beta == 0.0 or n == 1:
-        np.subtract(two_am1 / y, y * 0.5, out=out)
-        return out
+    if beta == 0.0 or y.shape[1] == 1:
+        return two_am1 / y - y * 0.5
     yt = y.T.copy()
     acc = _pair_sum(yt * yt)
     np.multiply(acc, beta, out=acc)
     np.divide(acc, yt, out=acc)
+    out = np.empty_like(y)
     np.add(two_am1 / yt - yt * 0.5, acc, out=out.T)
     return out

@@ -12,9 +12,9 @@ needs them:
     beta        repulsion strength (Euler route; default 1)
     x0_preset   zero | equilibrium-draw | linear-ramp | single-outlier
     times       comma list of grid times (profile: multipliers of c_n)
-    replicas    Monte Carlo replicas (also: trials for check-cd)
+    replicas    Monte Carlo replicas, at least 1 (also: trials for check-cd)
     distances   comma list of kinds among TV, KL, L2, W
-    seed        64-bit integer (default 0)
+    seed        nonnegative 64-bit integer (default 0)
     out_dir     output directory (default .)
     format      csv | json (default csv)
 
@@ -502,6 +502,10 @@ def run(config):
     mode = config.get("mode")
     if mode not in _EXPERIMENTS:
         raise ValidationError(f"config needs a mode among {', '.join(_MODES)}")
+    if config.get("seed") is not None and config["seed"] < 0:
+        raise ValidationError(f"seed must be nonnegative, got {config['seed']}")
+    if config.get("replicas") is not None and config["replicas"] < 1:
+        raise ValidationError(f"replicas must be at least 1, got {config['replicas']}")
     out_dir = config.get("out_dir") or "."
     os.makedirs(out_dir, exist_ok=True)
     fmt = config.get("format") or "csv"

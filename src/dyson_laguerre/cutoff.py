@@ -20,10 +20,9 @@ import warnings
 import numpy as np
 
 from .errors import DomainError, UnsupportedRegime
-from .model import ModelParams, ParticleState, observable_phi
-from .simulate import MatrixParams, RngStream, _coerce_generator, cir_exact_transition, dl_paths_batch
+from .model import ModelParams, observable_phi
+from .simulate import MatrixParams, RngStream, cir_exact_transition, dl_paths_batch
 from .transport import (
-    DistanceEstimate,
     OUParams,
     gaussian_tv,
     kl_projected_estimate,
@@ -248,13 +247,6 @@ def kl_upper_bound_chain(x0, t, eta, params):
     return ratio * (obs.phi_raw + obs.phi_l2norm_sq) * math.exp(-t)
 
 
-def kl_chain_best(x0, total_time, params):
-    """kl_upper_bound_chain optimized over the split, eta = total_time."""
-    if total_time <= 0:
-        raise DomainError("total_time must be positive")
-    return kl_upper_bound_chain(x0, 0.0, total_time, params)
-
-
 def _phi_reference_logpdf(n_big):
     """Normalized log-density of Gamma(N, 1), the equilibrium law of phi."""
     from scipy.special import gammaln
@@ -335,19 +327,16 @@ class CutoffProfile:
         return {"t_hi": t_hi, "t_lo": t_lo, "width": t_lo - t_hi, "ratio": (t_lo - t_hi) / cn}
 
 
-def _matrix_entry_tv_sum(x0, matrix_params, t):
+def _matrix_entry_tv_sum(x0, ou, t):
     """Sum of per-entry TVs for the matrix flow started at diag(sqrt(m x0)):
     a valid tensorization upper bound on the full matrix TV."""
-    n, m = matrix_params.n, matrix_params.m
-    v_inf = matrix_params.stationary_var if hasattr(matrix_params, "stationary_var") else (
-        matrix_params.kappa**2 / (2.0 * matrix_params.gamma)
-    )
-    v_t = v_inf * (-math.expm1(-2.0 * matrix_params.gamma * t))
-    decay = math.exp(-matrix_params.gamma * t)
+    v_inf = ou.stationary_var
+    v_t = v_inf * (-math.expm1(-2.0 * ou.gamma * t))
+    decay = math.exp(-ou.gamma * t)
     x = np.asarray(x0, dtype=float)
-    total = (n * m - n) * gaussian_tv(0.0, v_t, v_inf)
+    total = (ou.nm - ou.n) * gaussian_tv(0.0, v_t, v_inf)
     for xi in x:
-        total += gaussian_tv(math.sqrt(matrix_params.m * xi) * decay, v_t, v_inf)
+        total += gaussian_tv(math.sqrt(ou.m * xi) * decay, v_t, v_inf)
     return total
 
 
@@ -355,27 +344,32 @@ def run_cutoff_profile(config):
     """Run a distance-to-equilibrium profile over an n ladder.
 
     config is a mapping with keys drawn from the flat run schema: n (int or
-    list), m (selects the matrix route, defaults to n when alpha is not
-    given), alpha, beta (select the Euler route), x0_preset, times
-    (multipliers of the nominal critical time c_n), replicas, distances,
-    seed.  The matrix route is taken whenever it is available, that is,
-    whenever the config does not pin an explicit (alpha, beta).
+    list, default 16, 64, 128), m (selects the matrix route, defaults to n
+    when alpha is not given), alpha, beta (select the Euler route; beta
+    defaults to 1), x0_preset (default zero), times (multipliers of the
+    nominal critical time c_n, default 0.4 to 1.6 by 0.1), replicas
+    (default 4000), distances (default TV, KL), seed (default 0).  A key
+    whose value is None counts as omitted.  The matrix route is taken
+    whenever it is available, that is, whenever the config does not pin an
+    explicit (alpha, beta).
 
     On the matrix route the phi statistic is sampled from its exact
     transition law (the projection of the matrix flow), so profiles at
     large n cost nothing beyond the draws themselves; on the Euler route
     the integrator produces the samples.  Supported kinds here: TV, KL, L2.
+    Each bound is evaluated only for the kinds requested.
     """
     from .equilibrium import build_x0  # local import to avoid a cycle
 
-    route = "sde" if config.get("alpha") is not None else "matrix"
+    config = {k: v for k, v in config.items() if v is not None}
+    route = "sde" if "alpha" in config else "matrix"
     ladder = config.get("n", [16, 64, 128])
     if isinstance(ladder, (int, np.integer)):
         ladder = [int(ladder)]
     ladder = [int(v) for v in ladder]
     multipliers = np.asarray(config.get("times") or np.arange(0.4, 1.65, 0.1), dtype=float)
     replicas = int(config.get("replicas", 4000))
-    kinds = [(_norm_kind(k)) for k in config.get("distances") or ["TV", "KL"]]
+    kinds = [_norm_kind(k) for k in config.get("distances") or ["TV", "KL"]]
     seed = int(config.get("seed", 0))
     preset = config.get("x0_preset", "zero")
 
@@ -387,15 +381,12 @@ def run_cutoff_profile(config):
 
     for n_idx, n in enumerate(ladder):
         if route == "matrix":
-            m = int(config.get("m") or n)
-            mp = MatrixParams.bru(n, m)
+            mp = MatrixParams.bru(n, int(config.get("m") or n))
             params = mp.induced_model()
         else:
             mp = None
-            beta = config.get("beta", 1.0)
-            params = ModelParams(n, float(config["alpha"]), float(beta))
-        stream = RngStream(seed, stream_id=1000 + n_idx)
-        gen = stream.generator()
+            params = ModelParams(n, float(config["alpha"]), float(config.get("beta", 1.0)))
+        gen = RngStream(seed, stream_id=1000 + n_idx).generator()
         x0, note = build_x0(preset, params, gen, positive=(route == "sde"))
         if note:
             meta["fallbacks"].append(f"n={n}: {note}")
@@ -404,7 +395,8 @@ def run_cutoff_profile(config):
 
         preds = {k: cutoff_predict(k, x0, params, matrix=mp) for k in kinds}
         predictions[n] = preds
-        cn = cutoff_predict("TV", x0, params, matrix=mp).c_upper
+        tv_pred = preds["TV"] if "TV" in preds else cutoff_predict("TV", x0, params, matrix=mp)
+        cn = tv_pred.c_upper
         if cn <= 0:
             cn = max(0.5 * math.log(n_big), 1.0)
             meta["fallbacks"].append(f"n={n}: nominal critical time floored to {cn:.3f}")
@@ -414,59 +406,49 @@ def run_cutoff_profile(config):
         ref = gen.standard_gamma(n_big, size=replicas)
         logpdf = _phi_reference_logpdf(n_big)
 
-        if route == "sde":
-            paths_phi = dl_paths_batch((x0, replicas), abs_times, params, gen).sum(axis=2)
+        # The route fixes how phi is drawn at each grid time and the upper
+        # bound of each kind; a bound runs only when its kind is requested.
+        if route == "matrix":
+            ou = OUParams(n, mp.m, mp.kappa, mp.gamma, z0_norm_sq=float(mp.m * obs.phi_raw))
+            start = np.full(replicas, obs.phi_raw)
+            phi_draws = (cir_exact_transition(start, t, n_big, gen) for t in abs_times)
+            upper = {
+                "TV": lambda t: min(_matrix_entry_tv_sum(x0.as_array(), ou, t), 1.0),
+                "KL": lambda t: ou_closed_form_distances(ou, t)["KL"].value,
+                "L2": lambda t: ou_closed_form_distances(ou, t)["L2"].value,
+            }
+        else:
+            phi_draws = dl_paths_batch((x0, replicas), abs_times, params, gen).sum(axis=2)
 
-        for k_t, t_abs in enumerate(abs_times):
-            if route == "matrix":
-                phi_samples = cir_exact_transition(
-                    np.full(replicas, obs.phi_raw), t_abs, n_big, gen
-                )
-            else:
-                phi_samples = paths_phi[k_t]
+            def kl_chain(t):
+                return kl_upper_bound_chain(x0, 0.0, t, params)
 
+            upper = {
+                "TV": lambda t: min(math.sqrt(max(kl_chain(t), 0.0) / 2.0), 1.0),
+                "KL": kl_chain,
+                "L2": lambda t: math.inf,
+            }
+
+        for t_abs, phi_samples in zip(abs_times, phi_draws):
             for kind in kinds:
-                pred = preds[kind]
                 if kind == "TV":
                     est = tv_threshold_witness(phi_samples, ref)
-                    b_lo = tv_lower_bound_formula(x0, t_abs, params)
-                    if route == "matrix":
-                        b_up = min(_matrix_entry_tv_sum(x0.as_array(), mp, t_abs), 1.0)
-                    else:
-                        b_up = min(
-                            math.sqrt(max(kl_chain_best(x0, t_abs, params), 0.0) / 2.0), 1.0
-                        )
                     value, stderr = est.value, est.stderr
+                    b_lo = tv_lower_bound_formula(x0, t_abs, params)
                 elif kind == "KL":
                     est = kl_projected_estimate(phi_samples, logpdf, 1.0)
-                    b_lo = 0.0
-                    if route == "matrix":
-                        ou = OUParams(
-                            n, mp.m, mp.kappa, mp.gamma,
-                            z0_norm_sq=float(mp.m * obs.phi_raw),
-                        )
-                        b_up = ou_closed_form_distances(ou, t_abs)["KL"].value
-                    else:
-                        b_up = kl_chain_best(x0, t_abs, params)
                     value, stderr = est.value, est.stderr
+                    b_lo = 0.0
                 elif kind == "L2":
-                    dev = np.abs(np.mean(phi_samples) - n_big) / math.sqrt(n_big)
-                    value = float(dev)
+                    value = float(np.abs(np.mean(phi_samples) - n_big) / math.sqrt(n_big))
                     stderr = float(np.std(phi_samples) / math.sqrt(replicas * n_big))
                     b_lo = math.sqrt(lb_l2_witness(x0, t_abs, params))
-                    if route == "matrix":
-                        ou = OUParams(
-                            n, mp.m, mp.kappa, mp.gamma,
-                            z0_norm_sq=float(mp.m * obs.phi_raw),
-                        )
-                        b_up = ou_closed_form_distances(ou, t_abs)["L2"].value
-                    else:
-                        b_up = math.inf
                 else:
                     raise UnsupportedRegime(
                         "profile distances support TV, KL, L2; use the coupling module "
                         "for intrinsic Wasserstein decay"
                     )
+                b_up = upper[kind](t_abs)
                 rows.append(
                     ProfileRow(
                         n=n,
@@ -476,8 +458,8 @@ def run_cutoff_profile(config):
                         stderr=float(stderr) if math.isfinite(stderr) else 0.0,
                         bound_lower=float(b_lo),
                         bound_upper=float(b_up),
-                        c_pred_lower=pred.c_lower,
-                        c_pred_upper=pred.c_upper,
+                        c_pred_lower=preds[kind].c_lower,
+                        c_pred_upper=preds[kind].c_upper,
                     )
                 )
     return CutoffProfile(

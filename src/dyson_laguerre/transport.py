@@ -432,12 +432,12 @@ def kl_projected_estimate(samples, reference_log_density, reference_normalizer, 
         kk = min(k, n - 1)
         left = np.maximum(_knn_distances(srt, kk), 1e-300)
         entropy = float(np.mean(np.log(2.0 * left))) + digamma(n) - digamma(kk)
-        try:
-            logq = np.asarray(reference_log_density(srt), dtype=float)
-            if logq.shape != srt.shape:
-                raise TypeError
-        except TypeError:
-            logq = np.array([float(reference_log_density(v)) for v in srt])
+        logq = np.asarray(reference_log_density(srt), dtype=float)
+        if logq.shape != srt.shape:
+            raise DomainError(
+                f"reference_log_density returned shape {logq.shape} for {srt.shape} samples; "
+                "it must evaluate an array elementwise"
+            )
         cross = -float(np.mean(logq)) + log_z
         return -entropy + cross
 

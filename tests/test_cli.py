@@ -260,6 +260,97 @@ def test_main_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().out.startswith(f"wrote {tmp_path / 'out' / 'paths.csv'}  ")
 
 
+def test_main_numeric_failure_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    from dyson_laguerre import _kernels
+
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(
+        "n = 3\nalpha = 4.0\nbeta = 1.0\nx0_preset = ramp\ntimes = 0.1\nreplicas = 4\n"
+    )
+    monkeypatch.setattr(_kernels, "edl_drift_batch", lambda y, a, b: np.full_like(y, np.nan))
+    out = tmp_path / "out"
+    with np.errstate(invalid="ignore"):
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not (out / "paths.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "mode, text, args",
+    [
+        ("simulate", "seed = -3\n", []),
+        ("simulate", "", ["--seed", "-3"]),
+        ("simulate", "replicas = -2\n", []),
+        ("simulate", "replicas = 0\n", []),
+        ("check-cd", "replicas = 0\n", []),
+        ("cutoff-profile", "replicas = -2\n", []),
+    ],
+    ids=["config-seed", "flag-seed", "negative-replicas", "zero-replicas", "zero-trials",
+         "profile-negative-replicas"],
+)
+def test_main_rejects_negative_seed_and_too_few_replicas(tmp_path, capsys, mode, text, args):
+    model = "n = 3\nalpha = 4.0\nbeta = 1.0\nx0_preset = ramp\ntimes = 0.1\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(model + text)
+    out = tmp_path / "out"
+    assert main([mode, "--config", str(cfg), "--out", str(out), *args]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_negative_seed_and_too_few_replicas():
+    base = {"mode": "ou-formulas", "n": 2, "m": 3}
+    with pytest.raises(ValidationError):
+        run(dict(base, seed=-1))
+    with pytest.raises(ValidationError):
+        run(dict(base, replicas=0))
+
+
+def _profile_rows(out):
+    with open(out / "profile.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize(
+    "text, default",
+    [
+        # Euler route without beta: beta = 1
+        ("n = 3\nalpha = 4.0\ntimes = 0.8, 1.2\nreplicas = 200\ndistances = TV\n",
+         "beta = 1.0\n"),
+        # matrix route without replicas: 4000 replicas
+        ("n = 8\ntimes = 0.6, 1.0\ndistances = TV, L2\n", "replicas = 4000\n"),
+        # matrix route without n: the ladder 16, 64, 128 with m = n
+        ("times = 0.7\nreplicas = 200\ndistances = TV\n", "n = 16, 64, 128\n"),
+    ],
+    ids=["beta", "replicas", "n"],
+)
+def test_cutoff_profile_omitted_keys_take_their_defaults(tmp_path, text, default):
+    omitted = tmp_path / "omitted.cfg"
+    omitted.write_text(text)
+    explicit = tmp_path / "explicit.cfg"
+    explicit.write_text(text + default)
+    assert main(["cutoff-profile", "--config", str(omitted), "--out", str(tmp_path / "a")]) == 0
+    assert main(["cutoff-profile", "--config", str(explicit), "--out", str(tmp_path / "b")]) == 0
+    rows = _profile_rows(tmp_path / "a")
+    assert rows and rows == _profile_rows(tmp_path / "b")
+    if default.startswith("n ="):
+        assert sorted({int(r["n"]) for r in rows}) == [16, 64, 128]
+
+
+def test_cutoff_profile_euler_l2_at_time_zero(tmp_path):
+    # only the L2 bound runs, so the KL chain (undefined at t = 0) is never asked for
+    cfg = tmp_path / "l2.cfg"
+    cfg.write_text(
+        "n = 4\nalpha = 6.0\nbeta = 2.0\nx0_preset = ramp\ntimes = 0, 0.5\n"
+        "replicas = 200\ndistances = L2\n"
+    )
+    assert main(["cutoff-profile", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    rows = _profile_rows(tmp_path / "o")
+    assert [float(r["t"]) == 0.0 for r in rows] == [True, False]
+    assert all(float(r["bound_upper"]) == math.inf for r in rows)
+
+
 def test_main_subcommand_overrides_mode(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(

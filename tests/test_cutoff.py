@@ -20,7 +20,7 @@ from dyson_laguerre import (
     run_cutoff_profile,
     tv_lower_bound_formula,
 )
-from dyson_laguerre.cutoff import CutoffProfile, ProfileRow, kl_chain_best
+from dyson_laguerre.cutoff import CutoffProfile, ProfileRow
 
 
 def test_mixing_time_hand_values():
@@ -156,9 +156,6 @@ def test_kl_chain_hand_value():
     assert kl_upper_bound_chain(x0, 1.0, 0.5, params) == pytest.approx(want, rel=1e-12)
     with pytest.raises(DomainError):
         kl_upper_bound_chain(x0, 1.0, 0.0, params)
-    assert kl_chain_best(x0, 1.5, params) == pytest.approx(
-        kl_upper_bound_chain(x0, 0.0, 1.5, params)
-    )
 
 
 def test_kl_chain_decays_subexponentially():
@@ -166,7 +163,7 @@ def test_kl_chain_decays_subexponentially():
     params = ModelParams(4, 6.0, 2.0)
     x0 = ParticleState([1.0, 2.0, 3.0, 4.0])
     ts = np.linspace(1.0, 6.0, 11)
-    vals = np.array([kl_chain_best(x0, t, params) for t in ts])
+    vals = np.array([kl_upper_bound_chain(x0, 0.0, t, params) for t in ts])
     ratios = vals[1:] / vals[:-1]
     step = ts[1] - ts[0]
     assert np.all(ratios <= math.exp(-step) * 1.0000001)

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from dyson_laguerre import (
+    CollisionError,
     DomainError,
     ModelParams,
     ParticleState,
@@ -10,12 +11,14 @@ from dyson_laguerre import (
     UnsupportedRegime,
     build_x0,
     dl_drift,
+    edl_drift,
     gibbs_energy,
     gibbs_gradient,
     log_density_unnormalized,
     sample_equilibrium,
     sample_equilibrium_batch,
 )
+from dyson_laguerre.equilibrium import edl_gibbs_energy
 
 
 def test_batch_shape_and_order():
@@ -116,6 +119,37 @@ def test_energy_rejects_bad_states():
     params = ModelParams(2, 3.0, 1.0)
     with pytest.raises(DomainError):
         gibbs_energy(ParticleState([0.0, 1.0]), params)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+def test_sqrt_drift_is_minus_energy_gradient(beta):
+    # the implicit step of the square-root system rests on drift = -grad E_y
+    params = ModelParams(5, 8.0, beta)
+    gen = np.random.default_rng(31)
+    h = 1e-6
+    for _ in range(5):
+        y = 2.0 * np.sqrt(sample_equilibrium(params, gen).state.as_array())
+        grad = np.empty_like(y)
+        for i in range(y.size):
+            yp, ym = y.copy(), y.copy()
+            yp[i] += h
+            ym[i] -= h
+            grad[i] = (edl_gibbs_energy(yp, params) - edl_gibbs_energy(ym, params)) / (2 * h)
+        drift = edl_drift(y, params)
+        np.testing.assert_allclose(grad, -drift, rtol=1e-6)
+
+
+def test_sqrt_energy_rejects_bad_states():
+    params = ModelParams(3, 5.0, 1.0)
+    with pytest.raises(CollisionError):
+        edl_gibbs_energy([1.0, 2.0, 2.0], params)
+    with pytest.raises(DomainError):
+        edl_gibbs_energy([0.0, 1.0, 2.0], params)
+    with pytest.raises(DomainError):
+        edl_gibbs_energy([1.0, 2.0], params)
+    # without interaction coinciding coordinates are admissible
+    free = ModelParams(3, 5.0, 0.0)
+    assert np.isfinite(edl_gibbs_energy([1.0, 2.0, 2.0], free))
 
 
 def test_build_x0_presets():

@@ -9,6 +9,7 @@ from dyson_laguerre import (
     MatrixParams,
     MatrixState,
     ModelParams,
+    NumericError,
     ParticleState,
     RngStream,
     StepRejected,
@@ -314,6 +315,21 @@ def test_propose_batch_rejects_nonfinite_rows(n, beta, monkeypatch):
         monkeypatch.setattr(_kernels, "edl_drift_batch", drift)
         with np.errstate(invalid="ignore"), pytest.raises(StepRejected):
             step_dl_sqrt(ParticleState(x), dt, params, RngStream(3, j))
+
+
+def test_exhausted_step_halving_raises_numeric_error(monkeypatch):
+    # a NaN drift rejects every proposal, so both halving recursions give up
+    params = ModelParams(3, 4.0, 1.0)
+    x0 = ParticleState([1.0, 2.0, 3.0])
+    monkeypatch.setattr(_kernels, "edl_drift_batch", lambda y, a, b: np.full_like(y, np.nan))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError):
+            dl_paths_batch((x0, 4), [0.0, 0.1], params, RngStream(1, 0))
+        with pytest.raises(NumericError):
+            coupling.run_coupled_batch(
+                x0, ParticleState([1.5, 2.5, 3.5]), [0.0, 0.1], params, RngStream(2, 0),
+                replicas=4, kind="mirror",
+            )
 
 
 def test_paths_match_frozen_references(monkeypatch):

@@ -453,6 +453,13 @@ def test_kl_reference_normalizer_guard():
         kl_projected_estimate(np.array([1.0, 2.0]), lambda x: -x, 1.0)
 
 
+def test_kl_reference_density_must_be_elementwise():
+    # a density written for one value at a time collapses the sample array
+    # to one number; the estimate refuses it instead of looping over samples
+    with pytest.raises(DomainError):
+        kl_projected_estimate(np.arange(1.0, 101.0), lambda x: float(-np.sum(x)), 1.0)
+
+
 def test_distance_estimate_json():
     p = OUParams(1, 1, kappa=1.0, gamma=1.0, z0_norm_sq=1.0)
     est = ou_closed_form_distances(p, 1.0)["KL"]
