@@ -11,7 +11,6 @@ from .errors import (
     NonUniformWeights,
     NumericError,
     ParseError,
-    RegimeError,
     SerializationError,
     SizeMismatch,
     StepRejected,
@@ -24,7 +23,6 @@ from .model import (
     ObservableResult,
     ParticleState,
     Polynomial,
-    TestFunction,
     apply_generator,
     dl_drift,
     edl_drift,

@@ -15,9 +15,10 @@ otherwise.  Each leg's one-step marginal stays exactly standard normal,
 and coalescence happens at the rate the continuous coupling prescribes.
 
 Both legs of a coupled pair advance on a shared step clock: when either
-leg's proposal is rejected, the step is halved for both, so the copies
-stay aligned in time.  Refinement events are taming-tail rare, which keeps
-each leg's marginal law indistinguishable in practice from a solo run.
+leg's proposal is rejected, simulate._advance, the halving recursion of
+solo paths too, halves the step for both, so the copies stay aligned in
+time.  Refinement events are taming-tail rare, which keeps each leg's
+marginal law indistinguishable in practice from a solo run.
 """
 
 from dataclasses import dataclass, field
@@ -26,13 +27,14 @@ import math
 import numpy as np
 
 from . import _kernels, transport
-from .errors import DomainError, NumericError, ValidationError
+from .errors import DomainError, ValidationError
 from .model import ParticleState
 from .simulate import (
-    DT_HALVING_LIMIT,
-    RngStream,
+    _advance,
     _coerce_generator,
     _propose_batch,
+    _start_rows,
+    _step_plan,
     _validate_times,
     default_dt,
     dl_paths_batch,
@@ -110,11 +112,10 @@ def _mirror_second_noise(ya, yb, dt, xi, uniforms, merged, drift_a, drift_b):
 
 
 def _advance_pairs(ya, yb, dt, params, gen, depth, kind, merged):
-    """Advance both legs of every row by dt, halving rejected rows jointly.
-
-    The legs share one drift evaluation and one proposal on the stacked
-    rows [ya; yb]; both are row-wise, so each leg gets the bits it would
-    get on its own.
+    """One coupled proposal of size dt, the pair step of simulate._advance;
+    returns ((prop_a, prop_b, merged), ok), and depth is unused.  The legs
+    share one drift evaluation and one proposal on the stacked rows
+    [ya; yb]; both are row-wise, so each leg gets the bits of a solo call.
     """
     r = ya.shape[0]
     xi = gen.standard_normal(ya.shape)
@@ -126,81 +127,59 @@ def _advance_pairs(ya, yb, dt, params, gen, depth, kind, merged):
             ya, yb, dt, xi, uniforms, merged, drift[:r], drift[r:]
         )
     else:
-        drift, xi_b, new_merged = None, xi, merged
+        drift, xi_b, new_merged = None, xi, merged.copy()
     prop, ok = _propose_batch(y, dt, params, gen, noise=np.concatenate((xi, xi_b)), drift=drift)
     prop_a, prop_b = prop[:r], prop[r:]
     prop_b[new_merged] = prop_a[new_merged]
     ok = ok[:r] & (ok[r:] | new_merged)
-    if not np.all(ok):
-        if depth >= DT_HALVING_LIMIT:
-            raise NumericError(
-                f"coupled step halving exhausted after {DT_HALVING_LIMIT} levels"
-            )
-        bad = ~ok
-        half = 0.5 * dt
-        sa, sb, sm = ya[bad], yb[bad], merged[bad]
-        sa, sb, sm = _advance_pairs(sa, sb, half, params, gen, depth + 1, kind, sm)
-        sa, sb, sm = _advance_pairs(sa, sb, half, params, gen, depth + 1, kind, sm)
-        prop_a[bad], prop_b[bad] = sa, sb
-        out_merged = new_merged.copy()
-        out_merged[bad] = sm
-        new_merged = out_merged
     if kind == "mirror":
+        # _advance replaces rejected rows by half steps checked at their end
         dist = np.linalg.norm(prop_a - prop_b, axis=1)
         just = (~new_merged) & (dist <= MERGE_TOL)
         if np.any(just):
             new_merged = new_merged | just
             prop_b[just] = prop_a[just]
-    return prop_a, prop_b, new_merged
+    return (prop_a, prop_b, new_merged), ok
 
 
 def run_coupled_batch(x0a, x0b, times, params, rng, replicas=1, kind="mirror", dt=None):
     """Coupled pairs observed on a grid; the batch backbone for both
-    couplings.
+    couplings.  Each leg starts from one state repeated replicas times or
+    from (r, n) per-row starts, with the same row count for both legs.
 
     Returns (states_a, states_b, coalesce_times) with state arrays of shape
-    (len(times), replicas, n).  Coalescence times have step-size resolution;
-    synchronous pairs never merge (0 when the starts already agree, inf
-    otherwise).
+    (len(times), r, n).  Coalescence times have step-size resolution;
+    synchronous pairs never merge (0 where a row's starts already agree,
+    inf otherwise).
     """
     if kind not in ("mirror", "synchronous"):
         raise DomainError(f"coupling kind must be mirror or synchronous, got {kind!r}")
-    a0 = x0a.as_array() if isinstance(x0a, ParticleState) else np.asarray(x0a, float)
-    b0 = x0b.as_array() if isinstance(x0b, ParticleState) else np.asarray(x0b, float)
-    if a0.shape != (params.n,) or b0.shape != (params.n,):
-        raise DomainError(f"start states must have {params.n} coordinates")
-    if np.any(a0 <= 0) or np.any(b0 <= 0):
-        raise DomainError("coupled runs need strictly positive start coordinates")
+    a0 = _start_rows(x0a, params, replicas)
+    b0 = _start_rows(x0b, params, replicas)
+    if a0.shape != b0.shape:
+        raise DomainError(f"start legs have {a0.shape[0]} and {b0.shape[0]} rows")
     times = _validate_times(times)
     gen = _coerce_generator(rng)
-    if dt is None:
-        dt = default_dt(a0)
-    r = int(replicas)
-    ya = np.tile(2.0 * np.sqrt(a0)[None, :], (r, 1))
-    yb = np.tile(2.0 * np.sqrt(b0)[None, :], (r, 1))
-    equal_start = np.array_equal(a0, b0)
-    if kind == "mirror":
-        merged = np.full(r, equal_start)
-        coal = np.where(merged, 0.0, np.inf)
-    else:
-        merged = np.zeros(r, dtype=bool)
-        coal = np.full(r, 0.0 if equal_start else np.inf)
-    out_a = np.empty((times.size, r, params.n))
-    out_b = np.empty((times.size, r, params.n))
+    plan = _step_plan(times, default_dt(a0[0]) if dt is None else dt)
+
+    def step(rows, h, depth):
+        return _advance_pairs(rows[0], rows[1], h, params, gen, depth, kind, rows[2])
+
+    ya, yb = 2.0 * np.sqrt(a0), 2.0 * np.sqrt(b0)
+    merged = np.all(a0 == b0, axis=1)
+    coal = np.where(merged, 0.0, np.inf)
+    out_a = np.empty((times.size,) + a0.shape)
+    out_b = np.empty_like(out_a)
     t_now = 0.0
-    for k, t in enumerate(times):
-        span = t - t_now
-        if span > 0:
-            n_steps = max(1, int(math.ceil(span / dt - 1e-12)))
-            h = span / n_steps
-            for _ in range(n_steps):
-                was = merged.copy()
-                ya, yb, merged = _advance_pairs(ya, yb, h, params, gen, 0, kind, merged)
-                t_now += h
-                fresh = merged & ~was
-                if np.any(fresh):
-                    coal[fresh] = t_now
-            t_now = t
+    for k, (t, (n_steps, h)) in enumerate(zip(times, plan)):
+        for _ in range(n_steps):
+            was = merged
+            ya, yb, merged = _advance((ya, yb, merged), h, step)
+            t_now += h
+            fresh = merged & ~was
+            if np.any(fresh):
+                coal[fresh] = t_now
+        t_now = t
         out_a[k] = 0.25 * ya**2
         out_b[k] = 0.25 * yb**2
     return out_a, out_b, coal

@@ -4,27 +4,23 @@ The invariant measure has density proportional to
 
     prod_i x_i^(delta-1) e^{-x_i} * prod_{i>j} (x_i - x_j)^beta
 
-on the ordered chamber, with delta = alpha - (n-1)*beta/2.  Three samplers:
+on the ordered chamber, with delta = alpha - (n-1)*beta/2.  Two exact samplers:
 
 * tridiagonal: eigenvalues of B B^T / 2 for a bidiagonal B with chi-distributed
   entries; exact for every admissible (alpha, beta), the default.
 * matrix: eigenvalues of G G^T / 2 for an n x p standard Gaussian G; exact
   for beta = 1 when p = 2*alpha is an integer >= n.
-* long-run-sde: Euler relaxation over a long horizon; approximate, used as
-  an independent cross-check.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
 from .errors import CollisionError, DomainError, NumericError, UnsupportedRegime
-from .model import ModelParams, ParticleState, collision_tol
-from .simulate import _coerce_generator, dl_paths_batch
+from .model import ParticleState, collision_tol
+from .simulate import _coerce_generator
 
 MIN_GAP_FLOOR = 1e-10
-BURN_IN_TIME = 20.0
 
 
 @dataclass(frozen=True)
@@ -72,19 +68,9 @@ def _wishart_draws(params, gen, size):
     return 0.5 * np.maximum(w, 0.0)
 
 
-def _long_run_draws(params, gen, size):
-    """Approximate draws by relaxing an Euler batch for BURN_IN_TIME units."""
-    ramp = np.arange(1.0, params.n + 1.0)
-    scale = max(1.0, params.alpha / params.n)
-    x0 = np.tile(scale * ramp, (size, 1))
-    out = dl_paths_batch(x0, [BURN_IN_TIME], params, gen)
-    return out[0]
-
-
 _SAMPLERS = {
     "tridiagonal": _bidiagonal_draws,
     "matrix": _wishart_draws,
-    "long-run-sde": _long_run_draws,
 }
 
 
@@ -117,7 +103,7 @@ def sample_equilibrium_batch(params, rng, size, method=None):
 
 
 def sample_equilibrium(params, rng, method=None):
-    """One exact (or long-run approximate) equilibrium configuration."""
+    """One exact equilibrium configuration."""
     draws = sample_equilibrium_batch(params, rng, 1, method=method)
     return GasSample(state=ParticleState(draws[0]), method=method or "tridiagonal")
 

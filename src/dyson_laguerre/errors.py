@@ -33,10 +33,6 @@ class UnsupportedRegime(DysonLaguerreError):
     """No sampler or formula is available for the requested parameter regime."""
 
 
-class RegimeError(DysonLaguerreError):
-    """A cutoff prediction was requested outside the regime where it diverges."""
-
-
 class SizeMismatch(DysonLaguerreError):
     """Two empirical measures have different atom counts where equality is required."""
 

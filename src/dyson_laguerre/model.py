@@ -357,11 +357,6 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
-# Test functions passed to the generator / curvature operators are plain
-# polynomials; the alias documents intent at call sites.
-TestFunction = Polynomial
-
-
 def phi_polynomial(params):
     """The linear eigenfunction statistic phi_n(x) = sum_i x_i as a Polynomial."""
     n = params.n

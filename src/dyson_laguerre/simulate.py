@@ -6,7 +6,9 @@ Three routes to the particle law are implemented.
   where the noise is additive.  Proposals are tamed: a small negative
   coordinate is reflected, a breach beyond the taming threshold raises
   StepRejected, and path drivers respond by halving the step (down to a
-  floor of dt * 2**-12 before giving up).
+  floor of dt * 2**-12 before giving up).  That one halving recursion,
+  _advance, serves both drivers: solo paths here and coupled pairs in
+  coupling, whose pair step halves both legs on one shared clock.
 * The exact transition of the one-particle system (a squared Bessel-type
   process with reversion), sampled through a Poisson mixture of Gammas.
 * The matrix route: an exactly sampled rectangular Ornstein-Uhlenbeck
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, EigenFailure, NumericError, StepRejected, ValidationError
-from .model import ModelParams, ParticleState, collision_tol
+from .model import ModelParams, ParticleState
 
 DT_HALVING_LIMIT = 12
 
@@ -142,22 +144,47 @@ def _propose_batch(y, dt, params, gen, noise=None, drift=None):
     return prop, ok
 
 
-def _advance_rows(y, dt, params, gen, depth):
-    """Advance all rows of y by dt, recursively halving rejected rows."""
-    prop, ok = _propose_batch(y, dt, params, gen)
+def _advance(rows, dt, step, depth=0):
+    """Advance a tuple of row arrays by dt.  step(rows, dt, depth) returns
+    fresh stepped arrays and the mask of accepted rows; a rejected row takes
+    two half steps instead, down to DT_HALVING_LIMIT levels."""
+    out, ok = step(rows, dt, depth)
     if np.all(ok):
-        return prop
+        return out
     if depth >= DT_HALVING_LIMIT:
         raise NumericError(
             f"step halving exhausted after {DT_HALVING_LIMIT} levels (dt={dt:.3e})"
         )
     bad = ~ok
-    sub = y[bad]
-    half = 0.5 * dt
-    sub = _advance_rows(sub, half, params, gen, depth + 1)
-    sub = _advance_rows(sub, half, params, gen, depth + 1)
-    prop[bad] = sub
-    return prop
+    sub = tuple(a[bad] for a in rows)
+    sub = _advance(sub, 0.5 * dt, step, depth + 1)
+    sub = _advance(sub, 0.5 * dt, step, depth + 1)
+    for a, s in zip(out, sub):
+        a[bad] = s
+    return out
+
+
+def _step_plan(times, dt):
+    """(n_steps, h) per grid time: equal steps of at most dt from the
+    previous grid time, or from 0 for the first."""
+    if dt <= 0 or not math.isfinite(dt):
+        raise DomainError(f"dt must be positive and finite, got {dt}")
+    spans = np.diff(times, prepend=0.0)
+    counts = [max(1, int(math.ceil(s / dt - 1e-12))) if s > 0 else 0 for s in spans]
+    return [(c, s / c if c else 0.0) for s, c in zip(spans, counts)]
+
+
+def _start_rows(x0, params, replicas):
+    """(r, n) start rows: one state repeated replicas times, or an (r, n)
+    array as it is.  Every coordinate must be finite and strictly positive."""
+    x = x0.as_array() if isinstance(x0, ParticleState) else np.asarray(x0, dtype=float)
+    if x.ndim == 1:
+        x = np.tile(x[None, :], (max(int(replicas), 0), 1))
+    if x.ndim != 2 or x.shape[1] != params.n or x.shape[0] == 0:
+        raise DomainError(f"start states must be ({params.n},) or (replicas >= 1, {params.n})")
+    if not np.all(np.isfinite(x) & (x > 0)):
+        raise DomainError("start coordinates must be finite and strictly positive")
+    return x
 
 
 def step_dl_sqrt(state, dt, params, rng):
@@ -188,34 +215,26 @@ def dl_paths_batch(x0, times, params, rng, dt=None):
     """Euler paths for a batch of replicas, observed on a shared time grid.
 
     x0: (r, n) array of strictly positive ordered start states, or a single
-    state broadcast to r rows via x0=(state, replicas).
+    state broadcast to r rows via x0=(state, replicas); a bare state runs
+    one replica, as in run_coupled_batch.
     Returns an array of shape (len(times), r, n).
     """
-    if isinstance(x0, tuple):
-        state, r = x0
-        base = state.as_array() if isinstance(state, ParticleState) else np.asarray(state, float)
-        x0 = np.tile(base.reshape(1, -1), (int(r), 1))
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 2 or x0.shape[1] != params.n:
-        raise DomainError(f"x0 must be (replicas, {params.n})")
-    if np.any(x0 <= 0):
-        raise DomainError("square-root stepping needs strictly positive start coordinates")
+    state, replicas = x0 if isinstance(x0, tuple) else (x0, 1)
+    x0 = _start_rows(state, params, replicas)
     times = _validate_times(times)
     gen = _coerce_generator(rng)
-    if dt is None:
-        dt = default_dt(x0[0])
-    out = np.empty((times.size, x0.shape[0], x0.shape[1]))
+    plan = _step_plan(times, default_dt(x0[0]) if dt is None else dt)
+
+    def step(rows, h, depth):
+        prop, ok = _propose_batch(rows[0], h, params, gen)
+        return (prop,), ok
+
+    out = np.empty((times.size,) + x0.shape)
     y = 2.0 * np.sqrt(x0)
-    t_now = 0.0
-    for k, t in enumerate(times):
-        span = t - t_now
-        if span > 0:
-            n_steps = max(1, int(math.ceil(span / dt - 1e-12)))
-            h = span / n_steps
-            for _ in range(n_steps):
-                y = _advance_rows(y, h, params, gen, 0)
+    for k, (n_steps, h) in enumerate(plan):
+        for _ in range(n_steps):
+            (y,) = _advance((y,), h, step)
         out[k] = 0.25 * y**2
-        t_now = t
     return out
 
 

@@ -246,11 +246,6 @@ class OUParams:
         if self.z0_norm_sq < 0:
             raise ValidationError("z0_norm_sq must be nonnegative")
 
-    @classmethod
-    def from_start(cls, z0, n, m, kappa, gamma):
-        z = np.asarray(z0, dtype=float)
-        return cls(n=n, m=m, kappa=kappa, gamma=gamma, z0_norm_sq=float(np.sum(z**2)))
-
     @property
     def nm(self):
         return self.n * self.m

@@ -17,7 +17,7 @@ from dyson_laguerre import (
     synchronous_coupling_run,
     wg_decay_estimate,
 )
-from dyson_laguerre import _kernels, coupling
+from dyson_laguerre import _kernels, coupling, simulate
 from dyson_laguerre.coupling import (
     CoupledPath,
     _w_with_bootstrap,
@@ -245,7 +245,7 @@ def _reference_advance_pairs(ya, yb, dt, params, gen, depth, kind, merged):
     prop_b[new_merged] = prop_a[new_merged]
     ok = ok_a & (ok_b | new_merged)
     if not np.all(ok):
-        if depth >= coupling.DT_HALVING_LIMIT:
+        if depth >= simulate.DT_HALVING_LIMIT:
             raise NumericError("coupled step halving exhausted")
         bad = ~ok
         half = 0.5 * dt
@@ -263,6 +263,43 @@ def _reference_advance_pairs(ya, yb, dt, params, gen, depth, kind, merged):
             new_merged = new_merged | just
             prop_b[just] = prop_a[just]
     return prop_a, prop_b, new_merged
+
+
+# Frozen reference: the coupled driver as it stood, with its own grid walk
+# and the recursive pair step above.
+def _reference_run_coupled_batch(x0a, x0b, times, params, rng, replicas, kind, dt):
+    a0, b0 = x0a.as_array(), x0b.as_array()
+    times = np.asarray(times, dtype=float)
+    gen = simulate._coerce_generator(rng)
+    r = int(replicas)
+    ya = np.tile(2.0 * np.sqrt(a0)[None, :], (r, 1))
+    yb = np.tile(2.0 * np.sqrt(b0)[None, :], (r, 1))
+    equal_start = np.array_equal(a0, b0)
+    if kind == "mirror":
+        merged = np.full(r, equal_start)
+        coal = np.where(merged, 0.0, np.inf)
+    else:
+        merged = np.zeros(r, dtype=bool)
+        coal = np.full(r, 0.0 if equal_start else np.inf)
+    out_a = np.empty((times.size, r, params.n))
+    out_b = np.empty((times.size, r, params.n))
+    t_now = 0.0
+    for k, t in enumerate(times):
+        span = t - t_now
+        if span > 0:
+            n_steps = max(1, int(math.ceil(span / dt - 1e-12)))
+            h = span / n_steps
+            for _ in range(n_steps):
+                was = merged.copy()
+                ya, yb, merged = _reference_advance_pairs(ya, yb, h, params, gen, 0, kind, merged)
+                t_now += h
+                fresh = merged & ~was
+                if np.any(fresh):
+                    coal[fresh] = t_now
+            t_now = t
+        out_a[k] = 0.25 * ya**2
+        out_b[k] = 0.25 * yb**2
+    return out_a, out_b, coal
 
 
 @pytest.mark.parametrize("kind", ["mirror", "synchronous"])
@@ -287,9 +324,8 @@ def test_pair_step_matches_frozen_reference(kind, monkeypatch):
     monkeypatch.setattr(coupling, "_advance_pairs", counting)
     for y0 in starts:
         got = run_coupled_batch(x0, y0, times, params, RngStream(6, 0), 60, kind, dt=0.02)
-        with monkeypatch.context() as m:
-            m.setattr(coupling, "_advance_pairs", _reference_advance_pairs)
-            want = run_coupled_batch(x0, y0, times, params, RngStream(6, 0), 60, kind, dt=0.02)
+        want = _reference_run_coupled_batch(x0, y0, times, params, RngStream(6, 0), 60, kind,
+                                            dt=0.02)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
         if kind == "mirror" and y0 is not x0:
@@ -306,9 +342,58 @@ def test_pair_step_with_mixed_merged_rows_matches_reference():
     yb[merged] = ya[merged]
     for dt in (1e-3, 0.3):  # 0.3 rejects rows and halves
         for m in (merged, np.ones(40, bool), np.zeros(40, bool)):
-            got = coupling._advance_pairs(ya, yb, dt, params, np.random.default_rng(3), 0,
-                                          "mirror", m)
+            gen = np.random.default_rng(3)
+
+            def step(rows, h, depth):
+                return coupling._advance_pairs(rows[0], rows[1], h, params, gen, depth,
+                                               "mirror", rows[2])
+
+            got = simulate._advance((ya, yb, m), dt, step)
             want = _reference_advance_pairs(ya, yb, dt, params, np.random.default_rng(3), 0,
                                             "mirror", m)
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["mirror", "synchronous"])
+def test_per_row_starts_match_state_form(kind):
+    params = ModelParams(3, 4.0, 1.0)
+    x0 = ParticleState([0.5, 1.5, 3.0])
+    y0 = ParticleState([1.0, 2.0, 4.0])
+    times = [0.1, 0.4]
+    got = run_coupled_batch(np.tile(x0.as_array(), (25, 1)), np.tile(y0.as_array(), (25, 1)),
+                            times, params, RngStream(13, 0), kind=kind, dt=5e-3)
+    want = run_coupled_batch(x0, y0, times, params, RngStream(13, 0), 25, kind, dt=5e-3)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["mirror", "synchronous"])
+def test_per_row_starts_with_equal_rows(kind):
+    params = ModelParams(3, 4.0, 1.0)
+    rng = np.random.default_rng(14)
+    a0 = np.sort(rng.gamma(4.0, 1.0, (20, 3)), axis=1)
+    b0 = np.sort(rng.gamma(4.0, 1.0, (20, 3)), axis=1)
+    equal = np.arange(20) % 3 == 0
+    b0[equal] = a0[equal]
+    times = [0.1, 0.3]
+    sa, sb, coal = run_coupled_batch(a0, b0, times, params, RngStream(14, 0), kind=kind, dt=5e-3)
+    assert np.all(coal[equal] == 0.0)
+    assert np.array_equal(sa[:, equal], sb[:, equal])
+    assert np.all(coal[~equal] > 0.0)
+    if kind == "synchronous":
+        assert np.all(coal[~equal] == math.inf)
+    for k, t in enumerate(times):
+        # legs agree exactly on the rows that have merged by t, and only
+        # there; coalescence times are sums of steps, so allow roundoff
+        assert np.array_equal(np.all(sa[k] == sb[k], axis=1), coal <= t + 1e-9)
+
+
+def test_per_row_starts_need_equal_row_counts():
+    params = ModelParams(3, 4.0, 1.0)
+    a0 = np.tile([1.0, 2.0, 3.0], (5, 1))
+    for b0 in ([1.5, 2.5, 3.5], np.tile([1.5, 2.5, 3.5], (4, 1))):
+        with pytest.raises(DomainError):
+            run_coupled_batch(a0, b0, [0.1], params, RngStream(15, 0), dt=1e-2)
+    # one state repeated to the other leg's row count is fine
+    run_coupled_batch(a0, [1.5, 2.5, 3.5], [0.1], params, RngStream(15, 0), replicas=5, dt=1e-2)

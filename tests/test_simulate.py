@@ -473,3 +473,90 @@ def test_route_time_grids_rejected(times):
         matrix_dl_path(np.ones((2, 3)), times, mp, RngStream(0, 0))
     with pytest.raises(DomainError):
         matrix_dl_path(np.ones((2, 2, 3)), times, mp, [RngStream(0, 0), RngStream(0, 1)])
+
+
+@pytest.mark.parametrize("dt", [0.0, math.nan, -0.5, math.inf])
+def test_path_drivers_reject_bad_dt(dt):
+    params = ModelParams(3, 4.0, 1.0)
+    x0 = ParticleState([0.5, 1.0, 2.0])
+    with pytest.raises(DomainError):
+        dl_paths_batch((x0, 2), [0.1, 0.2], params, RngStream(0, 0), dt=dt)
+    with pytest.raises(DomainError):
+        coupling.run_coupled_batch(x0, ParticleState([1.0, 1.5, 2.5]), [0.1, 0.2], params,
+                                   RngStream(0, 0), replicas=2, dt=dt)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_path_drivers_reject_bad_starts(bad):
+    # a NaN or infinite start is bad input, not exhausted step halving
+    params = ModelParams(3, 4.0, 1.0)
+    x0 = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, bad]])
+    with pytest.raises(DomainError):
+        dl_paths_batch(x0, [0.1], params, RngStream(0, 0), dt=0.01)
+    for a0, b0 in ((x0, x0[[0, 0]]), (x0[[0, 0]], x0)):
+        with pytest.raises(DomainError):
+            coupling.run_coupled_batch(a0, b0, [0.1], params, RngStream(0, 0), dt=0.01)
+
+
+@pytest.mark.parametrize("replicas", [0, -2])
+def test_path_drivers_need_a_start_row(replicas):
+    params = ModelParams(3, 4.0, 1.0)
+    x0, y0 = ParticleState([1.0, 2.0, 3.0]), ParticleState([1.5, 2.5, 3.5])
+    with pytest.raises(DomainError):
+        dl_paths_batch((x0, replicas), [0.1], params, RngStream(0, 0))
+    with pytest.raises(DomainError):
+        coupling.run_coupled_batch(x0, y0, [0.1], params, RngStream(0, 0), replicas=replicas)
+    with pytest.raises(DomainError):
+        dl_paths_batch(np.empty((0, 3)), [0.1], params, RngStream(0, 0))
+
+
+# Frozen reference: the solo driver as it stood, with its own grid walk and
+# its own halving recursion.
+def _reference_advance_rows(y, dt, params, gen, depth):
+    prop, ok = simulate._propose_batch(y, dt, params, gen)
+    if np.all(ok):
+        return prop
+    if depth >= simulate.DT_HALVING_LIMIT:
+        raise NumericError("step halving exhausted")
+    bad = ~ok
+    sub = y[bad]
+    half = 0.5 * dt
+    sub = _reference_advance_rows(sub, half, params, gen, depth + 1)
+    sub = _reference_advance_rows(sub, half, params, gen, depth + 1)
+    prop[bad] = sub
+    return prop
+
+
+def _reference_dl_paths_batch(x0, times, params, gen, dt):
+    out = np.empty((len(times), x0.shape[0], x0.shape[1]))
+    y = 2.0 * np.sqrt(x0)
+    t_now = 0.0
+    for k, t in enumerate(np.asarray(times, dtype=float)):
+        span = t - t_now
+        if span > 0:
+            n_steps = max(1, int(math.ceil(span / dt - 1e-12)))
+            h = span / n_steps
+            for _ in range(n_steps):
+                y = _reference_advance_rows(y, h, params, gen, 0)
+        out[k] = 0.25 * y**2
+        t_now = t
+    return out
+
+
+def test_solo_driver_matches_frozen_reference(monkeypatch):
+    params = ModelParams(4, 4.0, 1.0)
+    x0 = np.tile([0.5, 1.0, 1.5, 2.0], (50, 1))
+    rejected = []
+    live = simulate._propose_batch
+
+    def counting(*args, **kwargs):
+        prop, ok = live(*args, **kwargs)
+        rejected.append(int(ok.size - ok.sum()))
+        return prop, ok
+
+    monkeypatch.setattr(simulate, "_propose_batch", counting)
+    for times in ([0.0, 0.1, 0.3, 1.0], [0.05, 0.5]):
+        got = dl_paths_batch(x0, times, params, RngStream(7, 0), dt=0.02)
+        want = _reference_dl_paths_batch(x0, times, params, RngStream(7, 0).generator(), 0.02)
+        assert got.tobytes() == want.tobytes()
+    assert sum(rejected) > 0  # the halving branch ran
