@@ -16,12 +16,15 @@ needs them:
     distances   comma list of kinds among TV, KL, L2, W
     seed        nonnegative 64-bit integer (default 0)
     out_dir     output directory (default .)
-    format      csv | json (default csv)
+    format      csv | json (default csv); cutoff-profile only, the other
+                modes always write the files their experiment names
 
-Outputs are written atomically (temp file in the destination directory,
-then rename); on failure any files already written by the run are removed
-and no manifest is produced.  Exit codes: 0 success, 2 config error,
-3 numeric failure, 4 I/O error.
+Each experiment returns its artifacts, an ordered list of (file name,
+text), and run() alone writes them: atomically (temp file in the
+destination directory, then rename), with a sha256 of the bytes written.
+On failure any files already written by the run are removed and no
+manifest is produced.  Exit codes: 0 success, 2 config error, 3 numeric
+failure, 4 I/O error.
 """
 
 from dataclasses import dataclass, field
@@ -31,8 +34,8 @@ import datetime
 import hashlib
 import io
 import json
-import math
 import os
+from operator import attrgetter
 import sys
 
 import numpy as np
@@ -52,23 +55,6 @@ from .simulate import MatrixParams, RngStream, matrix_dl_path, dl_paths_batch
 from .cutoff import CutoffProfile, ProfileRow, run_cutoff_profile
 from .transport import OUParams, ou_closed_form_distances
 
-CONFIG_KEYS = (
-    "mode",
-    "n",
-    "m",
-    "alpha",
-    "beta",
-    "x0_preset",
-    "times",
-    "replicas",
-    "distances",
-    "seed",
-    "out_dir",
-    "format",
-)
-
-_MODES = ("simulate", "distance", "cutoff-profile", "check-cd", "couple", "ou-formulas")
-
 _DEFAULTS = {
     "mode": None,
     "n": None,
@@ -83,6 +69,8 @@ _DEFAULTS = {
     "out_dir": ".",
     "format": "csv",
 }
+
+CONFIG_KEYS = tuple(_DEFAULTS)
 
 
 def _parse_scalar(key, raw, line_no, col):
@@ -202,14 +190,6 @@ def _atomic_write(path, data):
         raise
 
 
-def _file_digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 # a field holding one of these may need csv quoting
 _CSV_SPECIAL = frozenset(',"\r\n')
 # types whose repr is the text csv.writer writes for them (floats go in as repr)
@@ -248,18 +228,12 @@ def _csv_text(header, rows):
     return "\n".join([",".join(map(_csv_field, header)), *map(",".join, zip(*columns)), ""])
 
 
-def emit_report(profile, fmt, out_dir=".", basename="profile"):
-    """Write a CutoffProfile as CSV (fixed column order) or JSON (rows plus
-    prediction brackets and critical times).  Returns written paths."""
+def _report_text(profile, fmt):
+    """A CutoffProfile as CSV text (fields in CutoffProfile.COLUMNS order)
+    or JSON text (rows plus prediction brackets and critical times)."""
     if fmt == "csv":
-        rows = [
-            [r.n, r.t, r.kind, r.value, r.stderr, r.bound_lower, r.bound_upper,
-             r.c_pred_lower, r.c_pred_upper]
-            for r in profile.rows
-        ]
-        path = os.path.join(out_dir, f"{basename}.csv")
-        _atomic_write(path, _csv_text(CutoffProfile.COLUMNS, rows))
-        return [path]
+        fields = attrgetter(*CutoffProfile.COLUMNS)
+        return _csv_text(CutoffProfile.COLUMNS, list(map(fields, profile.rows)))
     if fmt == "json":
         doc = {
             "route": profile.route,
@@ -280,14 +254,20 @@ def emit_report(profile, fmt, out_dir=".", basename="profile"):
             },
             "rows": [r.__dict__ for r in profile.rows],
         }
-        path = os.path.join(out_dir, f"{basename}.json")
         try:
-            text = json.dumps(doc, indent=2, allow_nan=True) + "\n"
+            return json.dumps(doc, indent=2, allow_nan=True) + "\n"
         except (TypeError, ValueError) as exc:
             raise SerializationError(f"profile not serializable: {exc}")
-        _atomic_write(path, text)
-        return [path]
     raise SerializationError(f"unknown report format {fmt!r}")
+
+
+def emit_report(profile, fmt, out_dir=".", basename="profile"):
+    """Write a CutoffProfile to out_dir as basename.csv or basename.json
+    (see _report_text).  Returns the written paths."""
+    text = _report_text(profile, fmt)
+    path = os.path.join(out_dir, f"{basename}.{fmt}")
+    _atomic_write(path, text)
+    return [path]
 
 
 def read_profile(path):
@@ -348,19 +328,24 @@ def _path_csv_rows(times, paths):
     ]
 
 
-def _run_simulate(config, out_dir, fmt, fallbacks, written):
+def _start(config, params, positive):
+    """The config's start state from its x0_preset, drawn on stream 900 of
+    the seed; returns (x0, notes, generator), the generator left where the
+    draw ended."""
     from .equilibrium import build_x0
 
+    gen = RngStream(int(config.get("seed") or 0), 900).generator()
+    x0, note = build_x0(config.get("x0_preset", "zero"), params, gen, positive=positive)
+    return x0, [note] if note else [], gen
+
+
+def _run_simulate(config):
     params, mp = _model_from_config(config)
     times = np.asarray(config.get("times") or [1.0], dtype=float)
     replicas = int(config.get("replicas") or 1)
     seed = int(config.get("seed") or 0)
-    route = "matrix" if (mp is not None) else "sde"
-    x0, note = build_x0(config.get("x0_preset", "zero"), params,
-                        RngStream(seed, 900).generator(), positive=(route == "sde"))
-    if note:
-        fallbacks.append(note)
-    if route == "matrix":
+    x0, notes, _ = _start(config, params, positive=mp is None)
+    if mp is not None:
         m0 = np.zeros((mp.n, mp.m))
         np.fill_diagonal(m0, np.sqrt(mp.m * x0.as_array()))
         sources = [RngStream(seed, rep) for rep in range(replicas)]
@@ -368,66 +353,50 @@ def _run_simulate(config, out_dir, fmt, fallbacks, written):
                              canonical=True)
     else:
         out = dl_paths_batch((x0, replicas), times, params, RngStream(seed, 0))
-    path = os.path.join(out_dir, "paths.csv")
-    _atomic_write(path, _csv_text(("replica", "time", "coord_index", "value"),
-                                  _path_csv_rows(times, out)))
-    written.append(path)
+    text = _csv_text(("replica", "time", "coord_index", "value"), _path_csv_rows(times, out))
+    return [("paths.csv", text)], notes
 
 
-def _run_distance(config, out_dir, fmt, fallbacks, written):
+def _run_distance(config):
     from .coupling import wg_decay_estimate
-    from .equilibrium import build_x0
 
     params, _ = _model_from_config(config)
     times = np.asarray(config.get("times") or np.arange(0.5, 6.1, 0.5), dtype=float)
     replicas = int(config.get("replicas") or 200)
-    seed = int(config.get("seed") or 0)
-    x0, note = build_x0(config.get("x0_preset", "zero"), params,
-                        RngStream(seed, 900).generator(), positive=True)
-    if note:
-        fallbacks.append(note)
-    curve = wg_decay_estimate(x0, times, params, replicas, RngStream(seed, 0))
-    rows = [
-        (r["t"], r["value"], r["stderr"], r["envelope"], r["floor"])
-        for r in curve.rows()
-    ]
-    path = os.path.join(out_dir, "wg_decay.csv")
-    _atomic_write(path, _csv_text(("t", "value", "stderr", "envelope", "floor"), rows))
-    written.append(path)
+    x0, notes, _ = _start(config, params, positive=True)
+    curve = wg_decay_estimate(x0, times, params, replicas,
+                              RngStream(int(config.get("seed") or 0), 0))
+    header = ("t", "value", "stderr", "envelope", "floor")
+    rows = [[r[key] for key in header] for r in curve.rows()]
+    return [("wg_decay.csv", _csv_text(header, rows))], notes
 
 
-def _run_cutoff_profile(config, out_dir, fmt, fallbacks, written):
+def _run_cutoff_profile(config):
     profile = run_cutoff_profile(config)
-    fallbacks.extend(profile.meta.get("fallbacks", []))
-    written.extend(emit_report(profile, fmt, out_dir=out_dir))
+    fmt = config.get("format") or "csv"
+    return [(f"profile.{fmt}", _report_text(profile, fmt))], profile.meta.get("fallbacks", [])
 
 
-def _run_check_cd(config, out_dir, fmt, fallbacks, written):
+def _run_check_cd(config):
     from .geometry import cd_certificate
 
     params, _ = _model_from_config(config, need_alpha=True)
     trials = int(config.get("replicas") or 1000)
-    seed = int(config.get("seed") or 0)
-    report = cd_certificate(params, 0.5, trials, RngStream(seed, 0))
-    path = os.path.join(out_dir, "cd_report.json")
-    _atomic_write(path, report.to_json() + "\n")
-    written.append(path)
+    report = cd_certificate(params, 0.5, trials, RngStream(int(config.get("seed") or 0), 0))
+    return [("cd_report.json", report.to_json() + "\n")], []
 
 
-def _run_couple(config, out_dir, fmt, fallbacks, written):
+def _run_couple(config):
     from .coupling import run_coupled_batch
-    from .equilibrium import build_x0, sample_equilibrium
+    from .equilibrium import sample_equilibrium
 
     params, _ = _model_from_config(config)
     times = np.asarray(config.get("times") or np.arange(0.5, 6.1, 0.5), dtype=float)
     replicas = int(config.get("replicas") or 100)
-    seed = int(config.get("seed") or 0)
-    gen = RngStream(seed, 900).generator()
-    x0, note = build_x0(config.get("x0_preset", "zero"), params, gen, positive=True)
-    if note:
-        fallbacks.append(note)
+    x0, notes, gen = _start(config, params, positive=True)
     y0 = sample_equilibrium(params, gen).state
-    sa, sb, coal = run_coupled_batch(x0, y0, times, params, RngStream(seed, 0),
+    sa, sb, coal = run_coupled_batch(x0, y0, times, params,
+                                     RngStream(int(config.get("seed") or 0), 0),
                                      replicas=replicas, kind="mirror")
     grid = times.tolist()
     rows = [
@@ -438,9 +407,6 @@ def _run_couple(config, out_dir, fmt, fallbacks, written):
         for t, x in zip(grid, path)
         for j, v in enumerate(x)
     ]
-    csv_path = os.path.join(out_dir, "coupled_paths.csv")
-    _atomic_write(csv_path, _csv_text(("replica", "time", "leg", "coord_index", "value"), rows))
-    written.append(csv_path)
     finite = np.isfinite(coal)
     summary = {
         "replicas": replicas,
@@ -449,36 +415,28 @@ def _run_couple(config, out_dir, fmt, fallbacks, written):
         "median_coalesce_time": float(np.median(coal[finite])) if np.any(finite) else None,
         "horizon": float(times[-1]),
     }
-    sum_path = os.path.join(out_dir, "coupling_summary.json")
-    _atomic_write(sum_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    written.append(sum_path)
+    return [
+        ("coupled_paths.csv", _csv_text(("replica", "time", "leg", "coord_index", "value"), rows)),
+        ("coupling_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"),
+    ], notes
 
 
-def _run_ou_formulas(config, out_dir, fmt, fallbacks, written):
-    from .equilibrium import build_x0
-
+def _run_ou_formulas(config):
     n = config.get("n")
     m = config.get("m")
     if n is None or m is None or isinstance(n, list):
         raise ValidationError("ou-formulas needs integer n and m")
     mp = MatrixParams.bru(int(n), int(m))
     params = mp.induced_model()
-    seed = int(config.get("seed") or 0)
-    x0, note = build_x0(config.get("x0_preset", "zero"), params,
-                        RngStream(seed, 900).generator())
-    if note:
-        fallbacks.append(note)
+    x0, notes, _ = _start(config, params, positive=False)
     z0_sq = float(mp.m * observable_phi(x0, params).phi_raw)
     ou = OUParams(int(n), int(m), mp.kappa, mp.gamma, z0_norm_sq=z0_sq)
     times = np.asarray(config.get("times") or np.arange(0.5, 6.1, 0.5), dtype=float)
     rows = []
     for t in times:
         vals = ou_closed_form_distances(ou, float(t))
-        for kind in ("KL", "L2", "W2"):
-            rows.append((float(t), kind, vals[kind].value))
-    path = os.path.join(out_dir, "ou_distances.csv")
-    _atomic_write(path, _csv_text(("t", "kind", "value"), rows))
-    written.append(path)
+        rows += [(float(t), kind, vals[kind].value) for kind in ("KL", "L2", "W2")]
+    return [("ou_distances.csv", _csv_text(("t", "kind", "value"), rows))], notes
 
 
 _EXPERIMENTS = {
@@ -490,14 +448,18 @@ _EXPERIMENTS = {
     "ou-formulas": _run_ou_formulas,
 }
 
+_MODES = tuple(_EXPERIMENTS)
+
 
 def run(config):
-    """Dispatch a validated config to its experiment and write outputs.
+    """Dispatch a validated config to its experiment and write its artifacts
+    in order.
 
-    Returns the RunManifest (also written to out_dir/manifest.json).  Its
-    output paths are relative to out_dir, so the manifest's bytes do not
-    depend on where out_dir sits.  On any failure, files created by this run
-    are removed before the error propagates.
+    Returns the RunManifest (also written to out_dir/manifest.json), with
+    the sha256 of each artifact's bytes.  Its output paths are relative to
+    out_dir, so the manifest's bytes do not depend on where out_dir sits.
+    The experiment writes nothing; if a write fails, the artifacts already
+    written are removed before the error propagates.
     """
     mode = config.get("mode")
     if mode not in _EXPERIMENTS:
@@ -508,16 +470,19 @@ def run(config):
         raise ValidationError(f"replicas must be at least 1, got {config['replicas']}")
     out_dir = config.get("out_dir") or "."
     os.makedirs(out_dir, exist_ok=True)
-    fmt = config.get("format") or "csv"
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    fallbacks = []
-    written = []
+    artifacts, fallbacks = _EXPERIMENTS[mode](config)
+    outputs = []
     try:
-        _EXPERIMENTS[mode](config, out_dir, fmt, fallbacks, written)
+        for name, text in artifacts:
+            data = text.encode("utf-8")
+            _atomic_write(os.path.join(out_dir, name), data)
+            outputs.append({"path": name, "sha256": hashlib.sha256(data).hexdigest()})
     except BaseException:
-        for p in written:
-            if os.path.exists(p):
-                os.unlink(p)
+        for out in outputs:
+            path = os.path.join(out_dir, out["path"])
+            if os.path.exists(path):
+                os.unlink(path)
         raise
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
     manifest = RunManifest(
@@ -527,8 +492,7 @@ def run(config):
         artifact_version=__version__,
         started=started,
         finished=finished,
-        outputs=[{"path": os.path.relpath(p, out_dir), "sha256": _file_digest(p)}
-                 for p in written],
+        outputs=outputs,
         fallbacks=fallbacks,
     )
     _atomic_write(os.path.join(out_dir, "manifest.json"), manifest.to_json())

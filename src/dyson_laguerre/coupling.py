@@ -228,9 +228,13 @@ def coupled_distance_curve(x0, y0, times, params, rng, replicas=500, kind="mirro
     """Mean intrinsic distance between coupled copies over a grid.
 
     Returns (mean, stderr, coalesce_times).  The domination envelope for
-    the mirror coupling is exp(-t/2) times the starting distance.
+    the mirror coupling is exp(-t/2) times the starting distance.  The
+    stderr needs at least two pairs.
     """
-    sa, sb, coal = run_coupled_batch(x0, y0, times, params, rng, replicas, kind, dt)
+    a0 = _start_rows(x0, params, replicas)
+    if a0.shape[0] < 2:
+        raise DomainError(f"a distance stderr needs at least two pairs, got {a0.shape[0]}")
+    sa, sb, coal = run_coupled_batch(a0, y0, times, params, rng, replicas, kind, dt)
     d = 2.0 * np.sqrt(np.sum((np.sqrt(sa) - np.sqrt(sb)) ** 2, axis=2))
     mean = d.mean(axis=1)
     stderr = d.std(axis=1, ddof=1) / math.sqrt(d.shape[1])

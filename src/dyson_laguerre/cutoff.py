@@ -327,6 +327,10 @@ class CutoffProfile:
         return {"t_hi": t_hi, "t_lo": t_lo, "width": t_lo - t_hi, "ratio": (t_lo - t_hi) / cn}
 
 
+# Upper bounds at t = 0, where the law is the point mass at the start.
+_POINT_MASS_UPPER = {"TV": 1.0, "KL": math.inf, "L2": math.inf}
+
+
 def _matrix_entry_tv_sum(x0, ou, t):
     """Sum of per-entry TVs for the matrix flow started at diag(sqrt(m x0)):
     a valid tensorization upper bound on the full matrix TV."""
@@ -357,7 +361,9 @@ def run_cutoff_profile(config):
     transition law (the projection of the matrix flow), so profiles at
     large n cost nothing beyond the draws themselves; on the Euler route
     the integrator produces the samples.  Supported kinds here: TV, KL, L2.
-    Each bound is evaluated only for the kinds requested.
+    Each bound is evaluated only for the kinds requested.  A grid time 0
+    is allowed: the law there is the point mass at the start, whose upper
+    bounds are TV 1 and KL = L2 = inf.
     """
     from .equilibrium import build_x0  # local import to avoid a cycle
 
@@ -448,7 +454,7 @@ def run_cutoff_profile(config):
                         "profile distances support TV, KL, L2; use the coupling module "
                         "for intrinsic Wasserstein decay"
                     )
-                b_up = upper[kind](t_abs)
+                b_up = upper[kind](t_abs) if t_abs > 0 else _POINT_MASS_UPPER[kind]
                 rows.append(
                     ProfileRow(
                         n=n,

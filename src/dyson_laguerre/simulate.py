@@ -4,11 +4,12 @@ Three routes to the particle law are implemented.
 
 * An Euler-Maruyama scheme in square-root coordinates y_i = 2 sqrt(x_i),
   where the noise is additive.  Proposals are tamed: a small negative
-  coordinate is reflected, a breach beyond the taming threshold raises
-  StepRejected, and path drivers respond by halving the step (down to a
-  floor of dt * 2**-12 before giving up).  That one halving recursion,
-  _advance, serves both drivers: solo paths here and coupled pairs in
-  coupling, whose pair step halves both legs on one shared clock.
+  coordinate is reflected, and a breach beyond the taming threshold makes
+  _propose_batch reject the row, which _advance replaces by two half steps
+  (down to a floor of dt * 2**-12 before giving up).  That one halving
+  recursion serves both drivers: solo paths here and coupled pairs in
+  coupling, whose pair step halves both legs on one shared clock.  Only the
+  single step step_dl_sqrt raises StepRejected.
 * The exact transition of the one-particle system (a squared Bessel-type
   process with reversion), sampled through a Poisson mixture of Gammas.
 * The matrix route: an exactly sampled rectangular Ornstein-Uhlenbeck
@@ -216,10 +217,12 @@ def dl_paths_batch(x0, times, params, rng, dt=None):
 
     x0: (r, n) array of strictly positive ordered start states, or a single
     state broadcast to r rows via x0=(state, replicas); a bare state runs
-    one replica, as in run_coupled_batch.
+    one replica, as in run_coupled_batch.  A tuple whose first item is a
+    scalar is a bare state.
     Returns an array of shape (len(times), r, n).
     """
-    state, replicas = x0 if isinstance(x0, tuple) else (x0, 1)
+    pair = isinstance(x0, tuple) and len(x0) > 0 and not np.isscalar(x0[0])
+    state, replicas = x0 if pair else (x0, 1)
     x0 = _start_rows(state, params, replicas)
     times = _validate_times(times)
     gen = _coerce_generator(rng)

@@ -144,14 +144,17 @@ def _intrinsic_cost(a, b):
 
 
 def _sinkhorn_log(cost_pow, wa, wb, eps, max_iter=5000, tol=1e-10):
-    """Log-domain Sinkhorn; returns the transport plan."""
+    """Log-domain Sinkhorn, stopped once no potential moves by tol or after
+    max_iter iterations.  Returns (plan, iterations, marginal_error), the
+    error being the largest gap between a row or column sum of the plan and
+    its weight."""
     logsumexp = _this.logsumexp
     log_wa = np.log(wa)
     log_wb = np.log(wb)
     f = np.zeros(wa.size)
     g = np.zeros(wb.size)
     M = -cost_pow / eps
-    for _ in range(max_iter):
+    for iterations in range(1, max_iter + 1):
         f_new = -eps * logsumexp(M + (g / eps)[None, :] + log_wb[None, :], axis=1)
         g_new = -eps * logsumexp(M + (f_new / eps)[:, None] + log_wa[:, None], axis=0)
         shift = max(np.max(np.abs(f_new - f)), np.max(np.abs(g_new - g)))
@@ -159,7 +162,8 @@ def _sinkhorn_log(cost_pow, wa, wb, eps, max_iter=5000, tol=1e-10):
         if shift < tol:
             break
     plan = np.exp(M + (f / eps)[:, None] + (g / eps)[None, :]) * wa[:, None] * wb[None, :]
-    return plan
+    error = max(np.max(np.abs(plan.sum(axis=1) - wa)), np.max(np.abs(plan.sum(axis=0) - wb)))
+    return plan, iterations, float(error)
 
 
 ASSIGNMENT_LIMIT = 4000
@@ -195,8 +199,9 @@ def wasserstein_intrinsic(a, b, order=2, method="exact-assignment"):
 
     exact-assignment requires two equal-size uniform clouds and solves the
     assignment problem exactly.  entropic runs log-domain Sinkhorn with a
-    small regularization (recorded in extras; values carry an upward bias
-    of that order).
+    small regularization (values carry an upward bias of that order); extras
+    record the regularization, the iterations run and the final marginal
+    error, which show whether Sinkhorn converged.
     """
     a, b = _as_measure(a), _as_measure(b)
     if a.atoms.shape[1] != b.atoms.shape[1]:
@@ -212,14 +217,14 @@ def wasserstein_intrinsic(a, b, order=2, method="exact-assignment"):
         cp = cost**order
         scale = float(np.mean(cp))
         eps = 0.01 * scale if scale > 0 else 1e-6
-        plan = _sinkhorn_log(cp, a.weights, b.weights, eps)
+        plan, iterations, error = _sinkhorn_log(cp, a.weights, b.weights, eps)
         value = float(np.sum(plan * cp)) ** (1.0 / order)
         return DistanceEstimate(
             kind=kind,
             value=value,
             stderr=0.0,
             method="entropic",
-            extras={"regularization": eps},
+            extras={"regularization": eps, "iterations": iterations, "marginal_error": error},
         )
     raise DomainError(f"unknown method {method!r}")
 
@@ -403,7 +408,8 @@ def kl_projected_estimate(samples, reference_log_density, reference_normalizer, 
     Entropy is estimated with the Kozachenko-Leonenko k-nearest-neighbor
     estimator; the cross term averages the supplied unnormalized
     log-density and adds log(reference_normalizer).  stderr comes from a
-    ten-way batch split of the full estimate.
+    ten-way batch split of the full estimate, and is NaN when the estimate
+    is infinite, e.g. for a sample that sits on a zero of the reference.
     """
     s = np.asarray(samples, dtype=float).reshape(-1)
     if s.size == 0:
@@ -438,7 +444,7 @@ def kl_projected_estimate(samples, reference_log_density, reference_normalizer, 
 
     value = _estimate(s)
     n_batches = 10
-    if s.size >= 20 * n_batches:
+    if s.size >= 20 * n_batches and math.isfinite(value):
         perm = np.random.default_rng(0).permutation(s.size)
         parts = np.array_split(s[perm], n_batches)
         vals = [_estimate(p) for p in parts]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -239,6 +240,33 @@ def test_run_cleans_partial_outputs(tmp_path, monkeypatch):
     assert leftover == []
 
 
+_SMALL = {"n": 3, "alpha": 4.0, "beta": 1.0, "x0_preset": "ramp", "seed": 5}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(_SMALL, mode="simulate", times=[0.1, 0.2], replicas=3),
+        dict(_SMALL, mode="distance", times=[0.1, 0.2], replicas=100),
+        dict(_SMALL, mode="cutoff-profile", times=[0.5, 1.0], replicas=200, distances=["TV"]),
+        dict(_SMALL, mode="cutoff-profile", times=[0.5], replicas=200, distances=["KL", "L2"],
+             format="json"),
+        dict(_SMALL, mode="check-cd", replicas=10),
+        dict(_SMALL, mode="couple", times=[0.0, 0.1], replicas=4),
+        {"mode": "ou-formulas", "n": 3, "m": 5, "times": [0.5, 1.0], "seed": 5},
+    ],
+    ids=["simulate", "distance", "profile-csv", "profile-json", "check-cd", "couple",
+         "ou-formulas"],
+)
+def test_manifest_digests_are_those_of_the_files_on_disk(tmp_path, config):
+    manifest = run(dict(config, out_dir=str(tmp_path)))
+    names = [out["path"] for out in manifest.outputs]
+    assert names and sorted(os.listdir(tmp_path)) == sorted(names + ["manifest.json"])
+    for out in manifest.outputs:
+        assert out["sha256"] == hashlib.sha256((tmp_path / out["path"]).read_bytes()).hexdigest()
+    assert json.loads((tmp_path / "manifest.json").read_text())["outputs"] == manifest.outputs
+
+
 def test_main_exit_codes(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("mode = simulate\nn = 4\nalpha = 2.0\nbeta = 1.0\n")
@@ -339,7 +367,7 @@ def test_cutoff_profile_omitted_keys_take_their_defaults(tmp_path, text, default
 
 
 def test_cutoff_profile_euler_l2_at_time_zero(tmp_path):
-    # only the L2 bound runs, so the KL chain (undefined at t = 0) is never asked for
+    # a grid time 0 runs through the CLI; the Euler route's L2 upper bound is inf throughout
     cfg = tmp_path / "l2.cfg"
     cfg.write_text(
         "n = 4\nalpha = 6.0\nbeta = 2.0\nx0_preset = ramp\ntimes = 0, 0.5\n"

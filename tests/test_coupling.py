@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,58 @@ def test_coupled_path_invariant_enforced():
         CoupledPath(times=[0.0, 1.0], x_path=a, y_path=b, coalesce_time=0.0, coupling_kind="mirror")
     # fine when coalescence is recorded after the differing time
     CoupledPath(times=[0.0, 1.0], x_path=a, y_path=b, coalesce_time=2.0, coupling_kind="mirror")
+
+
+def test_coupled_distance_curve_needs_two_pairs(monkeypatch):
+    params = ModelParams(3, 4.0, 1.0)
+    x0, y0 = [1.0, 2.0, 3.0], [1.5, 2.5, 3.5]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("simulated although the stderr cannot be formed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(coupling, "run_coupled_batch", unreachable)
+        for start in (x0, [x0]):
+            with pytest.raises(DomainError):
+                coupled_distance_curve(start, y0, [0.1], params, RngStream(0), replicas=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, stderr, _ = coupled_distance_curve(x0, y0, [0.1], params, RngStream(0), replicas=2)
+    assert np.all(np.isfinite(mean)) and np.all(np.isfinite(stderr))
+
+
+class _ChosenDraws:
+    """Generator stand-in whose draws are fixed arrays."""
+
+    def __init__(self, normal, uniform):
+        self.normal, self.uniform = normal, uniform
+
+    def standard_normal(self, shape):
+        assert shape == self.normal.shape
+        return self.normal.copy()
+
+    def random(self, size):
+        assert size == self.uniform.size
+        return self.uniform.copy()
+
+
+def test_advance_pairs_merges_rows_whose_sorted_proposals_agree():
+    # swapped legs have swapped means, so the mirror reflection of xi is its
+    # swap; once the sticking branch rejects, sorting maps both proposals to
+    # one row up to rounding, and the late merge sets the legs equal
+    params = ModelParams(2, 4.0, 1.0)
+    ya, yb = np.array([[2.0, 3.0]]), np.array([[3.0, 2.0]])
+    dt, merged = 1e-3, np.array([False])
+    draws = _ChosenDraws(np.array([[0.3, -0.2]]), np.array([0.999]))
+    drift = _kernels.edl_drift_batch(np.concatenate((ya, yb)), params.alpha, params.beta)
+    xi_b, stuck = coupling._mirror_second_noise(ya, yb, dt, draws.normal, draws.uniform, merged,
+                                                drift[:1], drift[1:])
+    assert not stuck[0]
+    assert np.allclose(xi_b, draws.normal[:, ::-1])
+    (prop_a, prop_b, now_merged), ok = coupling._advance_pairs(ya, yb, dt, params, draws, 0,
+                                                                "mirror", merged)
+    assert ok[0] and now_merged[0]
+    assert np.array_equal(prop_a, prop_b)
 
 
 def test_run_coupled_batch_guards():

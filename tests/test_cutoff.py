@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,30 @@ def test_profile_sde_route_small():
     prof = run_cutoff_profile(config)
     assert prof.route == "sde"
     assert len(prof.rows_for(n=3, kind="TV")) == 2
+
+
+@pytest.mark.parametrize("kind", ["TV", "KL", "L2"])
+@pytest.mark.parametrize(
+    "route",
+    [{"n": 8}, {"n": 4, "alpha": 6.0, "beta": 2.0, "x0_preset": "ramp"}],
+    ids=["matrix", "euler"],
+)
+def test_profile_runs_at_time_zero(route, kind):
+    config = dict(route, replicas=300, distances=[kind], seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first, later = run_cutoff_profile(dict(config, times=[0.0, 0.5])).rows
+    assert first.t == 0.0 and first.kind == kind
+    # the law at t = 0 is the point mass at the start
+    assert first.bound_upper == {"TV": 1.0, "KL": math.inf, "L2": math.inf}[kind]
+    if kind == "L2":
+        # the value and the lower bound are one number computed two ways
+        assert first.value == pytest.approx(first.bound_lower, rel=1e-12)
+    else:
+        assert first.bound_lower <= first.value
+    # a grid time 0 draws nothing, so the later row is the row of a grid without it
+    (alone,) = run_cutoff_profile(dict(config, times=[0.5])).rows
+    assert later == alone
 
 
 def test_profile_rejects_wasserstein():

@@ -129,6 +129,20 @@ def test_paths_shapes_and_reproducibility():
     assert np.all(np.diff(a, axis=2) >= 0)
 
 
+def test_dl_paths_batch_reads_tuples_of_numbers_as_states():
+    times = [0.05, 0.1]
+    for state in ([0.5], [0.5, 1.0], [0.5, 1.0, 1.5]):
+        params = ModelParams(len(state), 6.0, 1.0)
+        want = dl_paths_batch(state, times, params, RngStream(4, 0))
+        got = dl_paths_batch(tuple(state), times, params, RngStream(4, 0))
+        assert got.shape == (2, 1, len(state))
+        assert np.array_equal(got, want)
+        # a tuple whose first item is a state still broadcasts it
+        rows = dl_paths_batch(np.tile(state, (3, 1)), times, params, RngStream(4, 0))
+        for start in (state, np.array(state), ParticleState(state)):
+            assert np.array_equal(dl_paths_batch((start, 3), times, params, RngStream(4, 0)), rows)
+
+
 def test_dl_path_phi_series():
     params = ModelParams(3, 4.0, 1.0)
     p = dl_path([0.5, 1.0, 2.0], [0.0, 0.2], params, RngStream(2, 0))

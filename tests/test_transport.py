@@ -331,6 +331,31 @@ def test_entropic_close_to_exact():
     assert exact - 1e-9 <= ent.value < exact * 1.2 + 0.05
 
 
+def test_entropic_records_iterations_and_marginal_error(monkeypatch):
+    live = transport._sinkhorn_log
+    plans = []
+
+    def capture(*args, **kwargs):
+        out = live(*args, **kwargs)
+        plans.append(out[0])
+        return out
+
+    monkeypatch.setattr(transport, "_sinkhorn_log", capture)
+    rng = np.random.default_rng(5)
+    a = np.sort(rng.gamma(3.0, 1.0, (12, 2)), axis=1)
+    b = np.sort(rng.gamma(3.0, 1.0, (12, 2)), axis=1)
+    est = wasserstein_intrinsic(a, b, order=2, method="entropic")
+    (plan,) = plans
+    gaps = np.concatenate((plan.sum(axis=1), plan.sum(axis=0))) - 1.0 / 12
+    assert est.extras["marginal_error"] == np.max(np.abs(gaps))
+    assert 1 <= est.extras["iterations"] <= 5000
+    # a run cut short says so
+    cost = transport._intrinsic_cost(EmpiricalMeasure(a), EmpiricalMeasure(b)) ** 2
+    w = np.full(12, 1.0 / 12)
+    _, iterations, error = live(cost, w, w, 0.01 * float(np.mean(cost)), max_iter=2)
+    assert iterations == 2 and error > est.extras["marginal_error"]
+
+
 def test_wasserstein_guards():
     a = np.ones((3, 2))
     b = np.ones((4, 2))
