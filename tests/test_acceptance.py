@@ -24,6 +24,7 @@ from scipy.special import gammainc
 from dyson_laguerre import (
     MatrixParams,
     ModelParams,
+    NumericError,
     OUParams,
     ParticleState,
     RngStream,
@@ -196,6 +197,21 @@ def test_criterion_06_exponential_decay():
     for t, v, se in zip(curve.times, curve.values, curve.stderrs):
         bound = math.exp(-t / 2.0) * curve.w0 + 3.0 * (curve.floor + se)
         assert v <= bound, (t, v, bound)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NumericError,
+    reason="the explicit Euler step exhausts step halving on this certified-regime "
+    "(delta = 2.5) config at seed 206, inside dl_paths_batch; the step that never "
+    "rejects (ROADMAP item 3) turns this test on",
+)
+def test_criterion_06_config_runs_at_seed_206():
+    params = ModelParams(4, 4.0, 1.0)
+    x0 = ParticleState([0.5, 1.0, 1.5, 2.0])
+    times = np.arange(0.5, 6.01, 0.5)
+    curve = wg_decay_estimate(x0, times, params, 500, RngStream(206, 0))
+    assert np.all(np.isfinite(curve.values))
 
 
 # ---------------------------------------------------------------- criterion 7

@@ -1,10 +1,10 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.optimize import linear_sum_assignment
 
 from dyson_laguerre import (
     DomainError,
@@ -16,6 +16,7 @@ from dyson_laguerre import (
     dl_paths_batch,
     mirror_coupling_run,
     synchronous_coupling_run,
+    wasserstein_intrinsic,
     wg_decay_estimate,
 )
 from dyson_laguerre import _kernels, coupling, simulate
@@ -27,7 +28,6 @@ from dyson_laguerre.coupling import (
 )
 from dyson_laguerre.equilibrium import sample_equilibrium_batch
 from dyson_laguerre.simulate import _propose_batch
-from dyson_laguerre.transport import EmpiricalMeasure, _intrinsic_cost
 
 
 def test_equal_starts_stay_equal():
@@ -214,42 +214,60 @@ def test_wg_decay_point_mass_decays():
     assert curve.values[-1] < curve.floor + 4 * (curve.stderrs[-1] + 0.05)
 
 
-def _w2_rebuilt(a, b):
-    """Reference: exact W2 with the cost matrix built afresh for the clouds."""
-    cost = _intrinsic_cost(EmpiricalMeasure(a), EmpiricalMeasure(b))
-    rows, cols = linear_sum_assignment(cost**2)
-    return float(np.mean(cost[rows, cols] ** 2)) ** 0.5
+def _split_se_reference(cloud_a, cloud_b):
+    """Reference: the split-sample stderr with each of 4 blocks solved by
+    wasserstein_intrinsic on block clouds built afresh; the first r % 4
+    blocks take one row more, so every row is in one block."""
+    blocks = 4
+    size, extra = divmod(cloud_a.shape[0], blocks)
+    vals, start = [], 0
+    for k in range(blocks):
+        stop = start + size + (k < extra)
+        vals.append(wasserstein_intrinsic(cloud_a[start:stop], cloud_b[start:stop]).value)
+        start = stop
+    return float(np.std(vals, ddof=1) / math.sqrt(blocks))
 
 
-def _w_with_bootstrap_rebuilt(cloud_a, cloud_b, gen, n_boot=8):
-    """Reference: _w_with_bootstrap as it stood, one cost build per resample."""
-    value = _w2_rebuilt(cloud_a, cloud_b)
-    if n_boot < 2:
-        return value, float("nan")
-    vals = np.empty(n_boot)
-    r = cloud_a.shape[0]
-    for i in range(n_boot):
-        ia = gen.integers(0, r, size=r)
-        ib = gen.integers(0, r, size=r)
-        vals[i] = _w2_rebuilt(cloud_a[ia], cloud_b[ib])
-    return value, float(np.std(vals, ddof=1))
+@pytest.mark.parametrize("n, r", itertools.product((2, 4), (100, 160, 163)))
+def test_split_sample_se_matches_block_references(n, r):
+    params = ModelParams(n, 2.0 + (n - 1), 2.0)
+    src = np.random.default_rng(n * r)
+    eq = sample_equilibrium_batch(params, src, r)
+    clouds = [
+        (sample_equilibrium_batch(params, src, r), eq),
+        (np.tile(np.arange(1.0, n + 1.0), (r, 1)), eq),  # point mass: tied costs
+    ]
+    for cloud_a, cloud_b in clouds:
+        exact = wasserstein_intrinsic(cloud_a, cloud_b).value
+        got = _w_with_bootstrap(cloud_a, cloud_b)
+        want = (exact, _split_se_reference(cloud_a, cloud_b))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        value, se = _w_with_bootstrap(cloud_a, cloud_b, se=False)
+        assert value == exact and math.isnan(se)
 
 
-def test_bootstrap_submatrix_matches_rebuilt_costs():
-    for n, r, n_boot in ((2, 100, 8), (4, 160, 8), (4, 120, 0), (3, 100, 3)):
-        params = ModelParams(n, 2.0 + (n - 1), 2.0)
-        src = np.random.default_rng(n * r)
-        eq = sample_equilibrium_batch(params, src, r)
-        clouds = [
-            (sample_equilibrium_batch(params, src, r), eq),
-            (np.tile(np.arange(1.0, n + 1.0), (r, 1)), eq),  # point mass: tied costs
-        ]
-        for cloud_a, cloud_b in clouds:
-            gen, ref_gen = np.random.default_rng(r), np.random.default_rng(r)
-            got = _w_with_bootstrap(cloud_a, cloud_b, gen, n_boot=n_boot)
-            want = _w_with_bootstrap_rebuilt(cloud_a, cloud_b, ref_gen, n_boot=n_boot)
-            assert np.array(got).tobytes() == np.array(want).tobytes()
-            assert gen.bit_generator.state == ref_gen.bit_generator.state
+def test_wg_decay_draws_only_its_clouds_and_paths():
+    # replay every draw wg_decay_estimate makes on a second generator: the
+    # stderr draws nothing, and w0, floor, values and stderrs are those of
+    # plain assignments on the replayed clouds
+    params = ModelParams(2, 3.0, 1.0)
+    x0 = ParticleState([0.2, 0.6])
+    times, r, dt = [0.3, 0.8], 103, 2e-3
+    gen, ref = np.random.default_rng(4), np.random.default_rng(4)
+    curve = wg_decay_estimate(x0, times, params, r, gen, dt=dt)
+    cloud0 = np.tile(x0.as_array(), (r, 1))
+    eq0 = sample_equilibrium_batch(params, ref, r)
+    floor_a = sample_equilibrium_batch(params, ref, r)
+    floor_b = sample_equilibrium_batch(params, ref, r)
+    paths = dl_paths_batch(cloud0, times, params, ref, dt=dt)
+    assert curve.w0 == wasserstein_intrinsic(cloud0, eq0).value
+    assert curve.floor == wasserstein_intrinsic(floor_a, floor_b).value
+    for k in range(len(times)):
+        eq_k = sample_equilibrium_batch(params, ref, r)
+        assert curve.values[k] == wasserstein_intrinsic(paths[k], eq_k).value
+        assert curve.stderrs[k] == _split_se_reference(paths[k], eq_k)
+    assert gen.bit_generator.state == ref.bit_generator.state
+    assert curve.meta == {"replicas": r, "se_blocks": 4}
 
 
 # Frozen reference: the pair step as it stood, with one drift evaluation and

@@ -14,6 +14,7 @@ from dyson_laguerre import (
     DomainError,
     EmptySample,
     EmpiricalMeasure,
+    ModelParams,
     NonUniformWeights,
     OUParams,
     SizeMismatch,
@@ -24,6 +25,7 @@ from dyson_laguerre import (
     wasserstein_intrinsic,
 )
 from dyson_laguerre import transport
+from dyson_laguerre.equilibrium import sample_equilibrium_batch
 from dyson_laguerre.transport import _knn_distances, gaussian_tv, ou_entry_tv
 
 
@@ -355,6 +357,25 @@ def test_entropic_records_iterations_and_marginal_error(monkeypatch):
     _, iterations, error = live(cost, w, w, 0.01 * float(np.mean(cost)), max_iter=2)
     assert iterations == 2 and error > est.extras["marginal_error"]
 
+
+def test_sinkhorn_stops_at_a_relative_marginal_error():
+    # the stop shift <= 1e-3 eps bounds the relative marginal error by about
+    # 1e-3, well before max_iter, and moves the value far less than the
+    # regularization bias
+    params = ModelParams(4, 4.0, 1.0)
+    gen = np.random.default_rng(50)
+    a = sample_equilibrium_batch(params, gen, 50)
+    b = sample_equilibrium_batch(params, gen, 50)
+    est = wasserstein_intrinsic(a, b, order=2, method="entropic")
+    assert est.extras["iterations"] < 5000
+    assert est.extras["marginal_error"] <= 1e-3 / 50
+    cost = transport._intrinsic_cost(EmpiricalMeasure(a), EmpiricalMeasure(b)) ** 2
+    w = np.full(50, 1.0 / 50)
+    plan, iterations, _ = transport._sinkhorn_log(
+        cost, w, w, est.extras["regularization"], max_iter=5000, tol=0.0
+    )
+    assert iterations == 5000
+    assert abs(est.value - float(np.sum(plan * cost)) ** 0.5) <= 1e-4
 
 def test_wasserstein_guards():
     a = np.ones((3, 2))
