@@ -228,6 +228,22 @@ def _csv_text(header, rows):
     return "\n".join([",".join(map(_csv_field, header)), *map(",".join, zip(*columns)), ""])
 
 
+def _path_table_text(header, heads, paths):
+    """CSV text of a path table: under header, for each head (the fields
+    before coord_index, each followed by a comma) one row `head j,value`
+    per coordinate j of the matching row of paths, an array whose last
+    axis holds the coordinates and whose other axes run in head order.
+    Byte for byte what _csv_text writes for those rows: every field here
+    needs no quoting and each value is written as its repr."""
+    n = paths.shape[-1]
+    values = paths.reshape(-1).tolist()
+    pieces = [None] * (3 * len(values))
+    pieces[0::3] = [f"\n{head}" for head in heads for _ in range(n)]
+    pieces[1::3] = [f"{j}," for j in range(n)] * len(heads)
+    pieces[2::3] = map(repr, values)
+    return ",".join(header) + "".join(pieces) + "\n"
+
+
 def _report_text(profile, fmt):
     """A CutoffProfile as CSV text (fields in CutoffProfile.COLUMNS order)
     or JSON text (rows plus prediction brackets and critical times)."""
@@ -316,18 +332,6 @@ def _model_from_config(config, need_alpha=False):
     raise ValidationError("config must provide alpha or m")
 
 
-def _path_csv_rows(times, paths):
-    """(replica, time, coord_index, value) rows of a (len(times), r, n) path
-    array, replica by replica."""
-    times = times.tolist()
-    return [
-        (rep, t, j, v)
-        for rep, path in enumerate(paths.transpose(1, 0, 2).tolist())
-        for t, x in zip(times, path)
-        for j, v in enumerate(x)
-    ]
-
-
 def _start(config, params, positive):
     """The config's start state from its x0_preset, drawn on stream 900 of
     the seed; returns (x0, notes, generator), the generator left where the
@@ -353,7 +357,9 @@ def _run_simulate(config):
                              canonical=True)
     else:
         out = dl_paths_batch((x0, replicas), times, params, RngStream(seed, 0))
-    text = _csv_text(("replica", "time", "coord_index", "value"), _path_csv_rows(times, out))
+    heads = [f"{rep},{t!r}," for rep in range(out.shape[1]) for t in times.tolist()]
+    text = _path_table_text(("replica", "time", "coord_index", "value"), heads,
+                            out.transpose(1, 0, 2))
     return [("paths.csv", text)], notes
 
 
@@ -398,15 +404,10 @@ def _run_couple(config):
     sa, sb, coal = run_coupled_batch(x0, y0, times, params,
                                      RngStream(int(config.get("seed") or 0), 0),
                                      replicas=replicas, kind="mirror")
-    grid = times.tolist()
-    rows = [
-        (rep, t, leg, j, v)
-        for rep, legs in enumerate(zip(sa.transpose(1, 0, 2).tolist(),
-                                       sb.transpose(1, 0, 2).tolist()))
-        for leg, path in zip(("x", "y"), legs)
-        for t, x in zip(grid, path)
-        for j, v in enumerate(x)
-    ]
+    heads = [f"{rep},{t!r},{leg}," for rep in range(replicas) for leg in ("x", "y")
+             for t in times.tolist()]
+    text = _path_table_text(("replica", "time", "leg", "coord_index", "value"), heads,
+                            np.stack((sa, sb)).transpose(2, 0, 1, 3))
     finite = np.isfinite(coal)
     summary = {
         "replicas": replicas,
@@ -416,7 +417,7 @@ def _run_couple(config):
         "horizon": float(times[-1]),
     }
     return [
-        ("coupled_paths.csv", _csv_text(("replica", "time", "leg", "coord_index", "value"), rows)),
+        ("coupled_paths.csv", text),
         ("coupling_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"),
     ], notes
 

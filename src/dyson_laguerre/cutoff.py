@@ -337,10 +337,12 @@ def _matrix_entry_tv_sum(x0, ou, t):
     v_inf = ou.stationary_var
     v_t = v_inf * (-math.expm1(-2.0 * ou.gamma * t))
     decay = math.exp(-ou.gamma * t)
-    x = np.asarray(x0, dtype=float)
-    total = (ou.nm - ou.n) * gaussian_tv(0.0, v_t, v_inf)
-    for xi in x:
-        total += gaussian_tv(math.sqrt(ou.m * xi) * decay, v_t, v_inf)
+    # entry 0 is the zero-mean entry, one of nm - n alike
+    means = np.concatenate(([0.0], np.sqrt(ou.m * np.asarray(x0, dtype=float)) * decay))
+    tvs = gaussian_tv(means, v_t, v_inf).tolist()
+    total = (ou.nm - ou.n) * tvs[0]
+    for tv in tvs[1:]:
+        total += tv
     return total
 
 

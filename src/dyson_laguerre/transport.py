@@ -303,49 +303,73 @@ def ou_closed_form_distances(p, t, printed_variant=False):
     }
 
 
+def _float_rules():
+    """numpy's error state for Python float arithmetic: overflow gives inf,
+    and inf - inf nan, without a warning.  Square roots stay outside it, so
+    a wrong mask still warns."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def gaussian_tv(mu1, v1, v2):
     """Exact total variation between N(mu1, v1) and N(0, v2).
 
-    Solved through the density crossing points, so the value is exact up to
-    normal-CDF evaluation.
+    mu1 may be an array of means, all against the one pair of variances;
+    the result then has its shape, and a scalar mean gives a float.  Solved
+    through the density crossing points, so each value is exact up to
+    normal-CDF evaluation, and each entry has the bits it has alone.  A
+    non-finite mean or variance raises DomainError.
     """
+    mu = np.asarray(mu1, dtype=float)
+    if not (math.isfinite(v1) and math.isfinite(v2) and np.all(np.isfinite(mu))):
+        raise DomainError("means and variances must be finite")
     if v1 <= 0 or v2 <= 0:
         raise DomainError("variances must be positive")
+    log_ratio = math.log(v1 / v2)
     a = 0.5 / v2 - 0.5 / v1
-    b = mu1 / v1
-    c = -0.5 * mu1**2 / v1 - 0.5 * math.log(v1 / v2)
-    if abs(a) < 1e-300:
-        if b == 0.0:
-            return 0.0
-        roots = [-c / b]
-    else:
+    # all="ignore": a v1 * v2 that underflows to 0 is caught below
+    with np.errstate(all="ignore"):
+        # mu**2 of a Python float is libm pow, which differs from mu * mu
+        # in the last bit for about one value in a thousand; so does
+        # float_power, which calls the same pow
+        mu_sq = np.float_power(mu, 2.0)
+        b = mu / v1
+        c = -0.5 * mu_sq / v1 - 0.5 * log_ratio
         b2, ac4 = b * b, 4.0 * a * c
         disc = b2 - ac4
-        if disc > 0 and disc >= 0.5 * max(b2, abs(ac4)):
-            r = math.sqrt(disc)
-            roots = sorted([(-b - r) / (2.0 * a), (-b + r) / (2.0 * a)])
-        else:
-            # b^2 - 4ac cancels, in part or in full, once v2/v1 is large
-            # (v2/v1 ~ 1e16 loses digits, ~1e18 all of them).  Exactly, it is
-            # this sum of two nonnegative terms, which is 0 only for equal
-            # laws; the roots then avoid -b + r.
-            disc = (mu1**2 + (v1 - v2) * math.log(v1 / v2)) / (v1 * v2)
-            if disc <= 0:
-                return 0.0
-            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-            roots = sorted([q / a, c / q])
+        # b^2 - 4ac cancels, in part or in full, once v2/v1 is large
+        # (v2/v1 ~ 1e16 loses digits, ~1e18 all of them).  Exactly, it is
+        # this sum of two nonnegative terms, which is 0 only for equal laws;
+        # the roots then avoid -b + r.
+        disc_exact = (mu_sq + (v1 - v2) * log_ratio) / (v1 * v2)
+    if not np.all(np.isfinite(mu_sq)):
+        raise DomainError("means must be below 1.3e154 in size: their square overflows")
+    if abs(a) < 1e-300:
+        zero = b == 0.0
+        with _float_rules():
+            roots = [-c / np.where(zero, 1.0, b)]
+    else:
+        regular = (disc > 0) & (disc >= 0.5 * np.maximum(b2, np.abs(ac4)))
+        if v1 * v2 == 0.0 and not np.all(regular):
+            raise DomainError(f"variances {v1} and {v2} too small: their product underflows")
+        zero = ~regular & (disc_exact <= 0)
+        r = np.sqrt(np.where(regular, disc, 0.0))
+        s = np.sqrt(np.where(regular | zero, 0.0, disc_exact))
+        with _float_rules():
+            q = -0.5 * (b + np.copysign(s, b))
+            lo = np.where(regular, (-b - r) / (2.0 * a), q / a)
+            hi = np.where(regular, (-b + r) / (2.0 * a), c / np.where(regular | zero, 1.0, q))
+        swap = hi < lo  # sorted([lo, hi]), entry by entry
+        roots = [np.where(swap, hi, lo), np.where(swap, lo, hi)]
 
     ndtr = _this.ndtr
-
-    def cdf_gap(x):
-        return ndtr((x - mu1) / math.sqrt(v1)) - ndtr(x / math.sqrt(v2))
-
-    pts = [cdf_gap(x) for x in roots]
-    total = abs(pts[0])
+    sd1, sd2 = math.sqrt(v1), math.sqrt(v2)
+    with _float_rules():
+        pts = [ndtr((x - mu) / sd1) - ndtr(x / sd2) for x in roots]
+    total = np.abs(pts[0])
     for u, v in zip(pts, pts[1:]):
-        total += abs(v - u)
-    total += abs(pts[-1])
-    return 0.5 * total
+        total = total + np.abs(v - u)
+    tv = np.where(zero, 0.0, 0.5 * (total + np.abs(pts[-1])))
+    return float(tv) if tv.ndim == 0 else tv
 
 
 def ou_entry_tv(p, t):
@@ -366,12 +390,14 @@ def tv_threshold_witness(samples_p, samples_q):
     The witness is the largest gap between the two empirical CDFs over all
     thresholds.  stderr carries a DKW 95 percent confidence half-width
     (a conservative penalty, not a standard error of an unbiased
-    estimator).
+    estimator).  A non-finite sample raises DomainError.
     """
     sp = np.asarray(samples_p, dtype=float).reshape(-1)
     sq = np.asarray(samples_q, dtype=float).reshape(-1)
     if sp.size == 0 or sq.size == 0:
         raise EmptySample("both sample sets must be nonempty")
+    if not (np.all(np.isfinite(sp)) and np.all(np.isfinite(sq))):
+        raise DomainError("samples must be finite")
     sp = np.sort(sp)
     sq = np.sort(sq)
     pooled = np.concatenate([sp, sq])
@@ -385,8 +411,8 @@ def tv_threshold_witness(samples_p, samples_q):
 
 
 def _knn_distances(srt, k):
-    """Distance from each entry of the sorted sample srt to its k-th nearest
-    other entry, for 1 <= k < srt.size.
+    """Distance from each entry of srt, sorted along its last axis, to its
+    k-th nearest other entry of the same row, for 1 <= k < row size.
 
     The k nearest entries of srt[i] together with srt[i] fill a window
     [i - l, i + k - l] of the sorted order, so the distance is the minimum
@@ -395,13 +421,13 @@ def _knn_distances(srt, k):
     the differences a walk outward from i would take, so the result is the
     same to the bit, ties included.
     """
-    n = srt.size
-    out = np.full(n, np.inf)
-    lo, hi = srt[: n - k], srt[k:]
+    n = srt.shape[-1]
+    out = np.full(srt.shape, np.inf)
+    lo, hi = srt[..., : n - k], srt[..., k:]
     for l in range(k + 1):
-        mid = srt[l : n - k + l]
+        mid = srt[..., l : n - k + l]
         d = np.maximum(mid - lo, hi - mid)
-        np.minimum(out[l : n - k + l], d, out=out[l : n - k + l])
+        np.minimum(out[..., l : n - k + l], d, out=out[..., l : n - k + l])
     return out
 
 
@@ -413,12 +439,17 @@ def kl_projected_estimate(samples, reference_log_density, reference_normalizer, 
     log-density and adds log(reference_normalizer).  stderr comes from a
     ten-way batch split of the full estimate, and is NaN when the estimate
     is infinite, e.g. for a sample that sits on a zero of the reference.
+    The batches of one size are estimated together, as the rows of one
+    array, with the bits each gets alone.  A non-finite sample raises
+    DomainError.
     """
     s = np.asarray(samples, dtype=float).reshape(-1)
     if s.size == 0:
         raise EmptySample("samples must be nonempty")
     if s.size <= k + 1:
         raise EmptySample(f"need more than {k + 1} samples for the kNN entropy estimate")
+    if not np.all(np.isfinite(s)):
+        raise DomainError("samples must be finite")
     if (
         reference_normalizer is None
         or not math.isfinite(reference_normalizer)
@@ -430,27 +461,33 @@ def kl_projected_estimate(samples, reference_log_density, reference_normalizer, 
     log_z = math.log(reference_normalizer)
     digamma = _this.digamma
 
-    def _estimate(block):
-        n = block.size
-        srt = np.sort(block)
+    def _estimates(blocks):
+        """The estimate of each row of a 2-D array of samples."""
+        rows, n = blocks.shape
+        srt = np.sort(blocks, axis=1)
         kk = min(k, n - 1)
         left = np.maximum(_knn_distances(srt, kk), 1e-300)
-        entropy = float(np.mean(np.log(2.0 * left))) + digamma(n) - digamma(kk)
-        logq = np.asarray(reference_log_density(srt), dtype=float)
-        if logq.shape != srt.shape:
+        entropy = np.mean(np.log(2.0 * left), axis=1) + digamma(n) - digamma(kk)
+        flat = srt.reshape(-1)
+        logq = np.asarray(reference_log_density(flat), dtype=float)
+        if logq.shape != flat.shape:
             raise DomainError(
-                f"reference_log_density returned shape {logq.shape} for {srt.shape} samples; "
+                f"reference_log_density returned shape {logq.shape} for {flat.shape} samples; "
                 "it must evaluate an array elementwise"
             )
-        cross = -float(np.mean(logq)) + log_z
+        cross = -np.mean(logq.reshape(rows, n), axis=1) + log_z
         return -entropy + cross
 
-    value = _estimate(s)
+    value = float(_estimates(s[None, :])[0])
     n_batches = 10
     if s.size >= 20 * n_batches and math.isfinite(value):
-        perm = np.random.default_rng(0).permutation(s.size)
-        parts = np.array_split(s[perm], n_batches)
-        vals = [_estimate(p) for p in parts]
+        shuffled = s[np.random.default_rng(0).permutation(s.size)]
+        # np.array_split's blocks: the first s.size % n_batches hold one more
+        size, wide = divmod(s.size, n_batches)
+        cut = wide * (size + 1)
+        groups = (shuffled[:cut].reshape(wide, size + 1),
+                  shuffled[cut:].reshape(n_batches - wide, size))
+        vals = np.concatenate([_estimates(g) for g in groups if g.size])
         stderr = float(np.std(vals, ddof=1) / math.sqrt(n_batches))
     else:
         stderr = float("nan")

@@ -341,7 +341,8 @@ def test_criterion_10_shipped_profiles_sandwich_and_determinism(tmp_path):
     assert configs, "no shipped example configs found"
     ran_any = False
     for k, cfg_path in enumerate(configs):
-        config = parse_config(open(cfg_path).read())
+        with open(cfg_path) as fh:
+            config = parse_config(fh.read())
         if config["mode"] != "cutoff-profile":
             continue
         ran_any = True
@@ -353,7 +354,8 @@ def test_criterion_10_shipped_profiles_sandwich_and_determinism(tmp_path):
         (profile_path,) = [
             o["path"] for o in ma.outputs if os.path.basename(o["path"]) == "profile.json"
         ]
-        doc = json.load(open(out_a / profile_path))
+        with open(out_a / profile_path) as fh:
+            doc = json.load(fh)
         assert doc["rows"], cfg_path
         for r in doc["rows"]:
             lo = r["bound_lower"] - 3.0 * r["stderr"]

@@ -515,6 +515,30 @@ def test_csv_text_rejects_rows_that_do_not_fit_the_header():
         _csv_text(("a", "b", "c"), [(1.0, 2.0)])
 
 
+# Frozen reference: cli._path_csv_rows as it stood, one row tuple per value.
+def _path_csv_rows_frozen(times, paths):
+    times = times.tolist()
+    return [
+        (rep, t, j, v)
+        for rep, path in enumerate(paths.transpose(1, 0, 2).tolist())
+        for t, x in zip(times, path)
+        for j, v in enumerate(x)
+    ]
+
+
+# Frozen reference: the coupled_paths.csv rows of cli._run_couple as it stood.
+def _coupled_csv_rows_frozen(times, sa, sb):
+    grid = times.tolist()
+    return [
+        (rep, t, leg, j, v)
+        for rep, legs in enumerate(zip(sa.transpose(1, 0, 2).tolist(),
+                                       sb.transpose(1, 0, 2).tolist()))
+        for leg, path in zip(("x", "y"), legs)
+        for t, x in zip(grid, path)
+        for j, v in enumerate(x)
+    ]
+
+
 @pytest.mark.parametrize("route", ["matrix", "sde"])
 def test_run_simulate_paths_csv_matches_per_row_writer(tmp_path, route, monkeypatch):
     from dyson_laguerre import cli
@@ -528,19 +552,27 @@ def test_run_simulate_paths_csv_matches_per_row_writer(tmp_path, route, monkeypa
         return seen[-1]
 
     monkeypatch.setattr(cli, name, capture)
-    config = {"mode": "simulate", "n": 4, "times": [0.0, 0.3, 1.0], "replicas": 7, "seed": 9,
-              "out_dir": str(tmp_path), "format": "csv"}
-    config.update({"m": 6} if route == "matrix" else {"alpha": 5.0, "beta": 1.0,
-                                                       "x0_preset": "ramp"})
-    manifest = run(config)
-    (out,) = seen
-    times = np.asarray(config["times"], dtype=float)
-    rows = []
-    for rep in range(config["replicas"]):
-        rows.extend(_path_csv_rows_per_value(times, out[:, rep, :], rep))
-    want = _csv_text_per_row(("replica", "time", "coord_index", "value"), rows)
-    with open(tmp_path / manifest.outputs[0]["path"], "rb") as fh:
-        assert fh.read() == want.encode()
+    # (replicas, n, times): a small case, one replica of one particle, and
+    # on the matrix route the benchmark's simulate step (200 x 3 x 16)
+    sizes = [(7, 4, [0.0, 0.3, 1.0]), (1, 1, [0.0, 0.3, 1.0])]
+    if route == "matrix":
+        sizes.append((200, 16, [0.5, 1.0, 2.0]))
+    for replicas, n, grid in sizes:
+        config = {"mode": "simulate", "n": n, "times": grid, "replicas": replicas, "seed": 9,
+                  "out_dir": str(tmp_path / f"{replicas}x{n}"), "format": "csv"}
+        config.update({"m": n + 2 if n < 16 else n} if route == "matrix"
+                      else {"alpha": 5.0, "beta": 1.0, "x0_preset": "ramp"})
+        manifest = run(config)
+        out = seen.pop()
+        assert out.shape == (len(grid), replicas, n)
+        times = np.asarray(grid, dtype=float)
+        rows = []
+        for rep in range(replicas):
+            rows.extend(_path_csv_rows_per_value(times, out[:, rep, :], rep))
+        assert rows == _path_csv_rows_frozen(times, out)
+        want = _csv_text_per_row(("replica", "time", "coord_index", "value"), rows)
+        with open(os.path.join(config["out_dir"], manifest.outputs[0]["path"]), "rb") as fh:
+            assert fh.read() == want.encode()
 
 
 def test_run_couple_csv_matches_per_row_writer(tmp_path, monkeypatch):
@@ -554,18 +586,54 @@ def test_run_couple_csv_matches_per_row_writer(tmp_path, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(coupling, "run_coupled_batch", capture)
-    config = {"mode": "couple", "n": 3, "alpha": 4.0, "beta": 1.0, "x0_preset": "ramp",
-              "times": [0.0, 0.05, 0.1], "replicas": 5, "seed": 2, "out_dir": str(tmp_path),
-              "format": "csv"}
-    manifest = run(config)
-    ((sa, sb, _),) = seen
-    rows = []
-    for rep in range(config["replicas"]):
-        for leg, arr in (("x", sa), ("y", sb)):
-            for k, t in enumerate(np.asarray(config["times"], dtype=float)):
-                for j, v in enumerate(arr[k, rep]):
-                    rows.append((rep, float(t), leg, j, float(v)))
-    want = _csv_text_per_row(("replica", "time", "leg", "coord_index", "value"), rows)
-    path = [o["path"] for o in manifest.outputs if o["path"].endswith("coupled_paths.csv")]
-    with open(tmp_path / path[0], "rb") as fh:
-        assert fh.read() == want.encode()
+    # (replicas, n, times): a small case, one pair of one particle, and the
+    # benchmark's couple step (100 pairs, n = 4, 5 grid times)
+    sizes = [(5, 3, [0.0, 0.05, 0.1]), (1, 1, [0.0, 0.05, 0.1]),
+             (100, 4, [0.0, 0.25, 0.5, 0.75, 1.0])]
+    for replicas, n, grid in sizes:
+        config = {"mode": "couple", "n": n, "alpha": 4.0, "beta": 1.0, "x0_preset": "ramp",
+                  "times": grid, "replicas": replicas, "seed": 2,
+                  "out_dir": str(tmp_path / f"{replicas}x{n}"), "format": "csv"}
+        manifest = run(config)
+        sa, sb, _ = seen.pop()
+        assert sa.shape == sb.shape == (len(grid), replicas, n)
+        rows = []
+        for rep in range(replicas):
+            for leg, arr in (("x", sa), ("y", sb)):
+                for k, t in enumerate(np.asarray(grid, dtype=float)):
+                    for j, v in enumerate(arr[k, rep]):
+                        rows.append((rep, float(t), leg, j, float(v)))
+        assert rows == _coupled_csv_rows_frozen(np.asarray(grid, dtype=float), sa, sb)
+        want = _csv_text_per_row(("replica", "time", "leg", "coord_index", "value"), rows)
+        path = [o["path"] for o in manifest.outputs if o["path"].endswith("coupled_paths.csv")]
+        with open(os.path.join(config["out_dir"], path[0]), "rb") as fh:
+            assert fh.read() == want.encode()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="replica 900 draws its noise from the start's stream; "
+                   "moving the start moves bits, so it waits for a version bump")
+def test_matrix_simulate_replica_streams_avoid_the_start_stream(tmp_path, monkeypatch):
+    from dyson_laguerre import cli, equilibrium
+
+    def key(gen):
+        seq = gen.bit_generator.seed_seq
+        return seq.entropy, seq.spawn_key
+
+    starts, replicas = [], []
+    live_build, live_path = equilibrium.build_x0, cli.matrix_dl_path
+
+    def capture_start(preset, params, gen, **kwargs):
+        starts.append(key(gen))
+        return live_build(preset, params, gen, **kwargs)
+
+    def capture_path(m0, times, mp, sources, **kwargs):
+        replicas.extend(key(src.generator()) for src in sources)
+        return live_path(m0, times, mp, sources, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "build_x0", capture_start)
+    monkeypatch.setattr(cli, "matrix_dl_path", capture_path)
+    run({"mode": "simulate", "n": 2, "m": 2, "x0_preset": "equilibrium-draw", "times": [0.1],
+         "replicas": 901, "seed": 7, "out_dir": str(tmp_path), "format": "csv"})
+    assert len(starts) == 1 and len(replicas) == 901
+    assert starts[0] not in replicas

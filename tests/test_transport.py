@@ -14,6 +14,7 @@ from dyson_laguerre import (
     DomainError,
     EmptySample,
     EmpiricalMeasure,
+    MatrixParams,
     ModelParams,
     NonUniformWeights,
     OUParams,
@@ -187,6 +188,124 @@ def test_gaussian_tv_when_the_discriminant_cancels_in_part(mu1, v1, v2):
     assert 0 < b * b - 4.0 * a * c < 0.5 * max(b * b, abs(4.0 * a * c))
     assert gaussian_tv(mu1, v1, v2) == pytest.approx(_gaussian_tv_mpmath(mu1, v1, v2),
                                                      rel=1e-13)
+
+
+# Frozen reference: gaussian_tv as it stood, one scalar mean per call.
+def _gaussian_tv_scalar(mu1, v1, v2):
+    a = 0.5 / v2 - 0.5 / v1
+    b = mu1 / v1
+    c = -0.5 * mu1**2 / v1 - 0.5 * math.log(v1 / v2)
+    if abs(a) < 1e-300:
+        if b == 0.0:
+            return 0.0
+        roots = [-c / b]
+    else:
+        b2, ac4 = b * b, 4.0 * a * c
+        disc = b2 - ac4
+        if disc > 0 and disc >= 0.5 * max(b2, abs(ac4)):
+            r = math.sqrt(disc)
+            roots = sorted([(-b - r) / (2.0 * a), (-b + r) / (2.0 * a)])
+        else:
+            disc = (mu1**2 + (v1 - v2) * math.log(v1 / v2)) / (v1 * v2)
+            if disc <= 0:
+                return 0.0
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            roots = sorted([q / a, c / q])
+
+    def cdf_gap(x):
+        return special.ndtr((x - mu1) / math.sqrt(v1)) - special.ndtr(x / math.sqrt(v2))
+
+    pts = [cdf_gap(x) for x in roots]
+    total = abs(pts[0])
+    for u, v in zip(pts, pts[1:]):
+        total += abs(v - u)
+    total += abs(pts[-1])
+    return 0.5 * total
+
+
+def _same_bits(got, want):
+    return np.array_equal(np.asarray(got, dtype=float).view(np.int64),
+                          np.asarray(want, dtype=float).view(np.int64))
+
+
+def _matrix_profile_variances(n, t):
+    mp = MatrixParams.bru(n, n)
+    ou = OUParams(n, n, mp.kappa, mp.gamma, z0_norm_sq=1.0)
+    v_inf = ou.stationary_var
+    return ou, v_inf * (-math.expm1(-2.0 * ou.gamma * t)), v_inf
+
+
+def test_gaussian_tv_array_matches_frozen_scalar_bit_for_bit():
+    rng = np.random.default_rng(43)
+    cancels = [(1e10, 1.0, 1e20), (1e9, 1.0, 1e18), (-1e10, 1.0, 1e20), (1e11, 1.0, 1e22),
+               (1e10, 4.0, 1e20), (3e9, 2.0, 1e19), (1e8, 1.0, 1e16), (1e7, 1.0, 1e14),
+               # b^2 - 4ac rounds to -2^24 here
+               (-57995652061.47849, 0.20047735580877157, 1.8800295845264595e+23)]
+    groups = [
+        # regular roots
+        (rng.normal(size=50) * 3.0, 1.0, 3.0),
+        (rng.normal(size=50) * 1e3, 2.5, 0.4),
+        # equal variances: the one-crossing branch, a zero mean giving 0
+        (np.append(rng.normal(size=20), 0.0), 1.7, 1.7),
+        # the recomputed discriminant is 0 once v1 * v2 overflows
+        (np.array([1e150, 1e144]), 1e280, 1e300),
+    ]
+    # mu * mu in place of mu**2 (libm pow) changes the last bit of these
+    groups += [(np.array([mu]), v1, v2) for mu, v1, v2 in [
+        (8.251367813642773, 0.11238204844729406, 32.50251465301405),
+        (-0.31486757465795145, 4.26712278154594, 2.553238882304535),
+        (0.9305004314205105, 0.5437656336160418, 2.071015933363993)]]
+    # the cancelling branches, alone and among regular means
+    groups += [(np.array([mu, 0.0, 1.0, -mu]), v1, v2) for mu, v1, v2 in cancels]
+    for _ in range(200):
+        v1 = 10.0 ** rng.uniform(-6, 6)
+        v2 = v1 if rng.uniform() < 0.1 else 10.0 ** rng.uniform(-6, 6)
+        groups.append((rng.normal(size=8) * 10.0 ** rng.uniform(-3, 10), v1, v2))
+    # the matrix profile's (v_t, v_inf), one call per grid time
+    for n in (16, 64, 128):
+        for t in np.linspace(0.02, 3.0, 25):
+            ou, v_t, v_inf = _matrix_profile_variances(n, t)
+            x = rng.gamma(2.0, size=n)
+            means = np.concatenate(([0.0], np.sqrt(n * x) * math.exp(-ou.gamma * t)))
+            groups.append((means, v_t, v_inf))
+    assert gaussian_tv(1e150, 1e280, 1e300) == 0.0
+    for means, v1, v2 in groups:
+        want = [_gaussian_tv_scalar(float(mu), v1, v2) for mu in means]
+        assert _same_bits(gaussian_tv(means, v1, v2), want), (v1, v2)
+        assert _same_bits([gaussian_tv(float(mu), v1, v2) for mu in means], want)
+
+
+def test_gaussian_tv_keeps_the_shape_of_its_means():
+    got = gaussian_tv(1.0, 1.0, 2.0)
+    assert type(got) is float
+    means = np.arange(6.0).reshape(2, 3)
+    tvs = gaussian_tv(means, 1.0, 2.0)
+    assert tvs.shape == (2, 3)
+    assert tvs[1, 2] == gaussian_tv(5.0, 1.0, 2.0)
+
+
+def test_matrix_entry_tv_sum_matches_frozen_scalar_sum():
+    from dyson_laguerre.cutoff import _matrix_entry_tv_sum
+
+    rng = np.random.default_rng(44)
+    for n in (16, 64, 128):
+        x = rng.gamma(2.0, size=n)
+        for t in (0.1, 0.5, 1.3):
+            ou, v_t, v_inf = _matrix_profile_variances(n, t)
+            decay = math.exp(-ou.gamma * t)
+            want = (ou.nm - ou.n) * _gaussian_tv_scalar(0.0, v_t, v_inf)
+            for xi in x:
+                want += _gaussian_tv_scalar(math.sqrt(ou.m * xi) * decay, v_t, v_inf)
+            assert _same_bits(_matrix_entry_tv_sum(x, ou, t), want)
+
+
+@pytest.mark.parametrize("mu1,v1,v2", [
+    (0.0, math.nan, 1.0), (1.0, math.inf, 1.0), (math.nan, 1.0, 2.0), (1.0, 1.0, -math.inf),
+    (np.array([0.5, math.inf]), 1.0, 2.0),
+])
+def test_gaussian_tv_rejects_non_finite_input(mu1, v1, v2):
+    with pytest.raises(DomainError):
+        gaussian_tv(mu1, v1, v2)
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
@@ -504,6 +623,91 @@ def test_kl_reference_density_must_be_elementwise():
     # to one number; the estimate refuses it instead of looping over samples
     with pytest.raises(DomainError):
         kl_projected_estimate(np.arange(1.0, 101.0), lambda x: float(-np.sum(x)), 1.0)
+
+
+# Frozen reference: kl_projected_estimate as it stood, one block at a time.
+def _kl_projected_estimate_per_block(samples, reference_log_density, reference_normalizer,
+                                     k=3):
+    s = np.asarray(samples, dtype=float).reshape(-1)
+    log_z = math.log(reference_normalizer)
+
+    def _estimate(block):
+        n = block.size
+        srt = np.sort(block)
+        kk = min(k, n - 1)
+        left = np.maximum(_knn_distances(srt, kk), 1e-300)
+        entropy = float(np.mean(np.log(2.0 * left))) + special.digamma(n) - special.digamma(kk)
+        logq = np.asarray(reference_log_density(srt), dtype=float)
+        cross = -float(np.mean(logq)) + log_z
+        return -entropy + cross
+
+    value = _estimate(s)
+    n_batches = 10
+    if s.size >= 20 * n_batches and math.isfinite(value):
+        perm = np.random.default_rng(0).permutation(s.size)
+        parts = np.array_split(s[perm], n_batches)
+        vals = [_estimate(p) for p in parts]
+        stderr = float(np.std(vals, ddof=1) / math.sqrt(n_batches))
+    else:
+        stderr = float("nan")
+    return value, stderr
+
+
+def _gamma_logpdf(shape):
+    return lambda x: np.where(x > 0, (shape - 1.0) * np.log(np.maximum(x, 1e-300)) - x, -np.inf)
+
+
+@pytest.mark.parametrize("size", [199, 200, 1000, 1003, 4000])
+def test_kl_batches_match_frozen_per_block_estimate(size):
+    rng = np.random.default_rng(size)
+    for shape in (16.0, 64.0, 128.0):
+        samples = rng.standard_gamma(shape * rng.uniform(0.8, 1.2), size)
+        for logq in (_gamma_logpdf(shape), lambda x: -0.5 * (x - shape) ** 2):
+            est = kl_projected_estimate(samples, logq, math.gamma(shape))
+            want = _kl_projected_estimate_per_block(samples, logq, math.gamma(shape))
+            assert type(est.value) is float
+            assert _same_bits(est.value, want[0]) and _same_bits(est.stderr, want[1])
+            assert math.isnan(est.stderr) == (size < 200)
+
+
+def test_kl_infinite_estimate_matches_frozen_per_block_estimate():
+    # a sample that sits on a zero of the reference: the estimate is inf,
+    # and no batch stderr is computed
+    samples = np.concatenate([np.random.default_rng(5).standard_gamma(3.0, 999), [-1.0]])
+    est = kl_projected_estimate(samples, _gamma_logpdf(3.0), 2.0)
+    value, stderr = _kl_projected_estimate_per_block(samples, _gamma_logpdf(3.0), 2.0)
+    assert est.value == value == math.inf
+    assert math.isnan(est.stderr) and math.isnan(stderr)
+
+
+def test_kl_calls_the_density_once_per_block_size():
+    seen = []
+
+    def logq(x):
+        seen.append(x.shape)
+        return -x
+
+    kl_projected_estimate(np.random.default_rng(6).normal(size=1003), logq, 1.0)
+    # the full sample, then the three blocks of 101 and the seven of 100
+    assert seen == [(1003,), (303,), (700,)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kl_rejects_non_finite_samples(bad):
+    samples = np.random.default_rng(7).standard_gamma(3.0, 500)
+    samples[17] = bad
+    with pytest.raises(DomainError):
+        kl_projected_estimate(samples, _gamma_logpdf(3.0), 2.0)
+
+
+def test_tv_witness_rejects_non_finite_samples():
+    rng = np.random.default_rng(8)
+    a, b = rng.normal(size=300), rng.normal(size=300)
+    a[5] = math.nan
+    with pytest.raises(DomainError):
+        tv_threshold_witness(a, b)
+    with pytest.raises(DomainError):
+        tv_threshold_witness(b, np.append(b, math.inf))
 
 
 def test_distance_estimate_json():
