@@ -1,6 +1,6 @@
 """Simulation and analysis toolkit for Dyson-Laguerre interacting particle systems."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import (
     CollisionError,
@@ -83,6 +83,9 @@ from .cutoff import (
     mixing_time_ou,
     run_cutoff_profile,
     tv_lower_bound_formula,
+    zero_start_chi2,
+    zero_start_kl,
+    zero_start_tv,
 )
 from .coupling import (
     CoupledPath,

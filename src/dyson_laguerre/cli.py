@@ -333,12 +333,16 @@ def _model_from_config(config, need_alpha=False):
 
 
 def _start(config, params, positive):
-    """The config's start state from its x0_preset, drawn on stream 900 of
-    the seed; returns (x0, notes, generator), the generator left where the
-    draw ended."""
+    """The config's start state from its x0_preset; returns (x0, notes,
+    generator), the generator left where the draw ended.
+
+    The draw runs on the seed's spawn key (900, 0), the first child of
+    stream 900.  Every replica stream RngStream(seed, k) has the one-part
+    key (k,), so no replica count reaches the start's stream."""
     from .equilibrium import build_x0
 
-    gen = RngStream(int(config.get("seed") or 0), 900).generator()
+    seq = np.random.SeedSequence(int(config.get("seed") or 0), spawn_key=(900, 0))
+    gen = np.random.Generator(np.random.PCG64(seq))
     x0, note = build_x0(config.get("x0_preset", "zero"), params, gen, positive=positive)
     return x0, [note] if note else [], gen
 

@@ -1,10 +1,12 @@
-"""Cutoff predictions, witness bounds, and profile experiments.
+"""Cutoff predictions, witness bounds, zero-start closed forms, and profile
+experiments.
 
 The linear statistic phi(x) = sum_i x_i is an exact eigenfunction carrier:
 G phi = N - phi with N = n*alpha, Gamma(phi) = phi, so phi(X_t) is itself a
-one-dimensional canonical square-root diffusion with shape N.  Its
-equilibrium pushforward is Gamma(N, 1) exactly.  All witness formulas below
-live on that projection.
+one-dimensional canonical square-root diffusion with shape N, for every
+beta.  Its equilibrium pushforward is Gamma(N, 1) exactly.  All witness
+formulas below live on that projection, and the profile runner draws phi
+from its exact transition law on both routes, so it runs no integrator.
 
 Mixing-time branch formulas for Ornstein-Uhlenbeck flows are transcribed
 exactly as stated by their source; they are asymptotic cutoff locations,
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedRegime
 from .model import ModelParams, observable_phi
-from .simulate import MatrixParams, RngStream, cir_exact_transition, dl_paths_batch
+from .simulate import MatrixParams, RngStream, cir_exact_transition
 from .transport import (
     OUParams,
     gaussian_tv,
@@ -247,6 +249,70 @@ def kl_upper_bound_chain(x0, t, eta, params):
     return ratio * (obs.phi_raw + obs.phi_l2norm_sq) * math.exp(-t)
 
 
+# Zero-start closed forms.  From X_0 = 0 the gas at time t has the law of
+# c * pi, c = 1 - e^{-t}, for every beta (the flow without its restoring
+# drift is self-similar), and the density of c * pi against pi depends on x
+# only through phi.  So the TV, KL and chi^2 of the whole particle law
+# equal those of c * Gamma(N, 1) against Gamma(N, 1), N = n * alpha.
+
+
+def _check_zero_start(n_big, t):
+    if not (n_big > 0 and math.isfinite(n_big)):
+        raise DomainError(f"shape N must be positive and finite, got {n_big}")
+    if not t >= 0:
+        raise DomainError(f"t must be nonnegative, got {t}")
+
+
+def zero_start_tv(n_big, t):
+    """Exact TV from equilibrium at time t of the gas started at 0: the two
+    Gamma(N) densities, scales c and 1, cross once, at
+    x* = N c log(c) / (c - 1), so TV = P(Gamma(N) < x*/c) - P(Gamma(N) < x*).
+    At t = 0 the law is the point mass at 0 and the TV is 1."""
+    _check_zero_start(n_big, t)
+    if t == 0:
+        return 1.0
+    from scipy.special import gammainc
+
+    u = math.exp(-t)
+    if u == 0.0:
+        return 0.0
+    c = -math.expm1(-t)
+    xs = n_big * c * -math.log1p(-u) / u
+    return abs(float(gammainc(n_big, xs / c) - gammainc(n_big, xs)))
+
+
+def zero_start_kl(n_big, t):
+    """Exact KL from equilibrium at time t of the gas started at 0,
+
+        KL = N (c - 1 - log c) = N sum_{k >= 2} e^{-kt} / k,   c = 1 - e^{-t},
+
+    summed as the series once e^{-t} <= 1/2, where the closed form cancels.
+    Infinite at t = 0."""
+    _check_zero_start(n_big, t)
+    if t == 0:
+        return math.inf
+    u = math.exp(-t)
+    if u > 0.5:
+        return n_big * (-u - math.log1p(-u))
+    total, power, k = 0.0, u * u, 2
+    while power / k > 1e-17 * total:
+        total += power / k
+        power *= u
+        k += 1
+    return n_big * total
+
+
+def zero_start_chi2(n_big, t):
+    """Exact chi^2 from equilibrium at time t of the gas started at 0,
+    (1 - e^{-2t})^{-N} - 1, the square of the L2 distance; inf where it
+    overflows, and at t = 0."""
+    _check_zero_start(n_big, t)
+    if t == 0:
+        return math.inf
+    exponent = -n_big * math.log1p(-math.exp(-2.0 * t))
+    return math.expm1(exponent) if exponent < 700 else math.inf
+
+
 def _phi_reference_logpdf(n_big):
     """Normalized log-density of Gamma(N, 1), the equilibrium law of phi."""
     from scipy.special import gammaln
@@ -359,12 +425,17 @@ def run_cutoff_profile(config):
     whenever it is available, that is, whenever the config does not pin an
     explicit (alpha, beta).
 
-    On the matrix route the phi statistic is sampled from its exact
-    transition law (the projection of the matrix flow), so profiles at
-    large n cost nothing beyond the draws themselves; on the Euler route
-    the integrator produces the samples.  Supported kinds here: TV, KL, L2.
-    Each bound is evaluated only for the kinds requested.  A grid time 0
-    is allowed: the law there is the point mass at the start, whose upper
+    Every kind reads only phi = sum_i x_i, and phi(X_t) is a CIR process
+    with shape N = n * alpha for every beta.  So on both routes each rung
+    draws its start preset (the zero preset stays at 0), then the Gamma(N)
+    reference sample, then phi at each grid time from its exact transition
+    law, all from the rung's one generator; nothing is integrated, and a
+    profile costs about the draws themselves at any n.  The routes differ
+    in how the start and the model are built and in their upper bounds:
+    the matrix flow's closed forms on the matrix route, the regularized KL
+    chain on the Euler route.  Supported kinds here: TV, KL, L2.  Each
+    bound is evaluated only for the kinds requested.  A grid time 0 is
+    allowed: the law there is the point mass at the start, whose upper
     bounds are TV 1 and KL = L2 = inf.
     """
     from .equilibrium import build_x0  # local import to avoid a cycle
@@ -395,9 +466,7 @@ def run_cutoff_profile(config):
             mp = None
             params = ModelParams(n, float(config["alpha"]), float(config.get("beta", 1.0)))
         gen = RngStream(seed, stream_id=1000 + n_idx).generator()
-        x0, note = build_x0(preset, params, gen, positive=(route == "sde"))
-        if note:
-            meta["fallbacks"].append(f"n={n}: {note}")
+        x0, _ = build_x0(preset, params, gen)
         obs = observable_phi(x0, params)
         n_big = obs.phi_l2norm_sq
 
@@ -413,21 +482,21 @@ def run_cutoff_profile(config):
         abs_times = multipliers * cn
         ref = gen.standard_gamma(n_big, size=replicas)
         logpdf = _phi_reference_logpdf(n_big)
+        # one exact draw per grid time, lazily, after the reference draw:
+        # this order fixes the profile's bits
+        start = np.full(replicas, obs.phi_raw)
+        phi_draws = (cir_exact_transition(start, t, n_big, gen) for t in abs_times)
 
-        # The route fixes how phi is drawn at each grid time and the upper
-        # bound of each kind; a bound runs only when its kind is requested.
+        # The route fixes the upper bound of each kind; a bound runs only
+        # when its kind is requested.
         if route == "matrix":
             ou = OUParams(n, mp.m, mp.kappa, mp.gamma, z0_norm_sq=float(mp.m * obs.phi_raw))
-            start = np.full(replicas, obs.phi_raw)
-            phi_draws = (cir_exact_transition(start, t, n_big, gen) for t in abs_times)
             upper = {
                 "TV": lambda t: min(_matrix_entry_tv_sum(x0.as_array(), ou, t), 1.0),
                 "KL": lambda t: ou_closed_form_distances(ou, t)["KL"].value,
                 "L2": lambda t: ou_closed_form_distances(ou, t)["L2"].value,
             }
         else:
-            phi_draws = dl_paths_batch((x0, replicas), abs_times, params, gen).sum(axis=2)
-
             def kl_chain(t):
                 return kl_upper_bound_chain(x0, 0.0, t, params)
 

@@ -339,8 +339,9 @@ def gaussian_tv(mu1, v1, v2):
         # b^2 - 4ac cancels, in part or in full, once v2/v1 is large
         # (v2/v1 ~ 1e16 loses digits, ~1e18 all of them).  Exactly, it is
         # this sum of two nonnegative terms, which is 0 only for equal laws;
-        # the roots then avoid -b + r.
-        disc_exact = (mu_sq + (v1 - v2) * log_ratio) / (v1 * v2)
+        # the roots then avoid -b + r.  Dividing by v1 and then by v2 keeps
+        # it finite where v1 * v2 would overflow.
+        disc_exact = (mu_sq + (v1 - v2) * log_ratio) / v1 / v2
     if not np.all(np.isfinite(mu_sq)):
         raise DomainError("means must be below 1.3e154 in size: their square overflows")
     if abs(a) < 1e-300:

@@ -19,7 +19,6 @@ import os
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import gammainc
 
 from dyson_laguerre import (
     MatrixParams,
@@ -44,6 +43,7 @@ from dyson_laguerre import (
     tv_threshold_witness,
     wasserstein_intrinsic,
     wg_decay_estimate,
+    zero_start_tv,
 )
 from dyson_laguerre.coupling import coupled_distance_curve
 from dyson_laguerre.geometry import random_ordered_state, random_test_function
@@ -246,12 +246,6 @@ LADDER = [16, 64, 128]
 MULTS = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6]
 
 
-def _tv_oracle_exact(n_big, t):
-    c = -math.expm1(-t)
-    xs = n_big * c * math.log(c) / (c - 1.0)
-    return abs(gammainc(n_big, xs) - gammainc(n_big, xs / c))
-
-
 @pytest.fixture(scope="module")
 def profile8():
     config = {
@@ -278,7 +272,7 @@ def test_criterion_08a_cutoff_profile_tv_threshold(profile8):
     for n in LADDER:
         assert profile8.critical_times[n] == pytest.approx(math.log(n))
         row = _row_at(profile8, n, "TV", 0.7)
-        oracle = _tv_oracle_exact(n * n / 2.0, row.t)
+        oracle = zero_start_tv(n * n / 2.0, row.t)
         assert oracle == pytest.approx(TV_ORACLE[n], abs=1e-5)
         # soundness: the witness measures the exact TV of the projected law
         assert abs(row.value - oracle) <= row.stderr + 0.01, (n, row.value, oracle)
@@ -291,7 +285,7 @@ def test_criterion_08a_cutoff_profile_tv_threshold(profile8):
     for n in LADDER:
         t_hi = profile8.tv_window(n)["t_hi"]
         stderr = min(profile8.rows_for(n=n, kind="TV"), key=lambda r: abs(r.t - t_hi)).stderr
-        exact = _tv_oracle_exact(n * n / 2.0, t_hi)
+        exact = zero_start_tv(n * n / 2.0, t_hi)
         assert abs(exact - 0.9) <= stderr + 0.01, (n, t_hi, exact)
         fractions.append(t_hi / profile8.critical_times[n])
     assert all(a < b < 1.0 for a, b in zip(fractions, fractions[1:])), fractions

@@ -610,9 +610,6 @@ def test_run_couple_csv_matches_per_row_writer(tmp_path, monkeypatch):
             assert fh.read() == want.encode()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="replica 900 draws its noise from the start's stream; "
-                   "moving the start moves bits, so it waits for a version bump")
 def test_matrix_simulate_replica_streams_avoid_the_start_stream(tmp_path, monkeypatch):
     from dyson_laguerre import cli, equilibrium
 

@@ -5,21 +5,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, stats
+from scipy.special import gammainc
 
 from dyson_laguerre import (
     DomainError,
+    MatrixParams,
     ModelParams,
     OUParams,
     ParticleState,
+    RngStream,
     UnsupportedRegime,
+    build_x0,
+    cir_exact_transition,
     cutoff_predict,
     duhamel_variance,
     kl_upper_bound_chain,
     lb_l2_witness,
     lift_matrix_bounds,
     mixing_time_ou,
+    observable_phi,
+    ou_closed_form_distances,
     run_cutoff_profile,
     tv_lower_bound_formula,
+    tv_threshold_witness,
+    zero_start_chi2,
+    zero_start_kl,
+    zero_start_tv,
 )
 from dyson_laguerre.cutoff import CutoffProfile, ProfileRow
 
@@ -266,3 +278,113 @@ def test_profile_rejects_wasserstein():
     }
     with pytest.raises(UnsupportedRegime):
         run_cutoff_profile(config)
+
+
+# Frozen reference: the zero-start TV as the acceptance tests computed it.
+def _tv_oracle_exact(n_big, t):
+    c = -math.expm1(-t)
+    xs = n_big * c * math.log(c) / (c - 1.0)
+    return abs(gammainc(n_big, xs) - gammainc(n_big, xs / c))
+
+
+def test_zero_start_tv_matches_frozen_oracle_on_the_acceptance_ladder():
+    for n in (16, 64, 128):
+        for mult in (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6):
+            t = mult * math.log(n)
+            assert zero_start_tv(n * n / 2.0, t) == pytest.approx(
+                _tv_oracle_exact(n * n / 2.0, t), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_big", [2.5, 12.0, 96.0])
+@pytest.mark.parametrize("t", [0.2, 0.7, 1.5, 3.0])
+def test_zero_start_closed_forms_match_quadrature(n_big, t):
+    # c * Gamma(N, 1) against Gamma(N, 1), c = 1 - e^{-t}
+    c = -math.expm1(-t)
+    p, q = stats.gamma(n_big, scale=c), stats.gamma(n_big)
+    top = n_big + 40.0 * math.sqrt(n_big) + 40.0
+
+    def quad(f):
+        return integrate.quad(f, 0.0, top, points=[n_big * c, n_big], limit=500,
+                              epsabs=1e-14, epsrel=1e-12)[0]
+
+    kl = quad(lambda z: p.pdf(z) * (p.logpdf(z) - q.logpdf(z)) if p.pdf(z) > 0 else 0.0)
+    chi2 = quad(lambda z: math.exp(2.0 * p.logpdf(z) - q.logpdf(z))) - 1.0
+    tv = 0.5 * quad(lambda z: abs(p.pdf(z) - q.pdf(z)))
+    assert zero_start_kl(n_big, t) == pytest.approx(kl, rel=1e-9)
+    assert zero_start_chi2(n_big, t) == pytest.approx(chi2, rel=1e-9)
+    assert zero_start_tv(n_big, t) == pytest.approx(tv, rel=0, abs=1e-10)
+
+
+def test_zero_start_chi2_is_the_squared_matrix_l2_from_zero():
+    for n in (16, 64):
+        mp = MatrixParams.bru(n, n)
+        ou = OUParams(n, n, mp.kappa, mp.gamma, z0_norm_sq=0.0)
+        for t in (1.0, 2.0, 3.0, 4.0, 5.0):
+            l2 = ou_closed_form_distances(ou, t)["L2"].value
+            assert zero_start_chi2(n * n / 2.0, t) == pytest.approx(l2 * l2, rel=1e-12)
+
+
+def test_zero_start_closed_forms_at_the_ends():
+    # t = 0 is the point mass at 0
+    assert (zero_start_tv(8.0, 0.0), zero_start_kl(8.0, 0.0), zero_start_chi2(8.0, 0.0)) == (
+        1.0, math.inf, math.inf)
+    assert (zero_start_tv(8.0, 800.0), zero_start_kl(8.0, 800.0), zero_start_chi2(8.0, 800.0)) == (
+        0.0, 0.0, 0.0)
+    # sum_{k >= 2} u^k / k at u = e^{-t} = 0.01, where N (c - 1 - log c) cancels
+    assert zero_start_kl(3.0, math.log(100.0)) == pytest.approx(
+        3.0 * sum(0.01**k / k for k in range(2, 12)), rel=1e-14)
+    assert zero_start_chi2(1e6, 0.01) == math.inf
+    for args in [(0.0, 1.0), (-2.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (4.0, -0.1),
+                 (4.0, math.nan)]:
+        for fn in (zero_start_tv, zero_start_kl, zero_start_chi2):
+            with pytest.raises(DomainError):
+                fn(*args)
+
+
+@pytest.mark.parametrize("preset", ["zero", "ramp", "equilibrium-draw"])
+def test_euler_profile_draws_phi_from_its_exact_transition(monkeypatch, preset):
+    from dyson_laguerre import cutoff
+
+    live, drawn = cutoff.cir_exact_transition, []
+
+    def capture(*args):
+        drawn.append(live(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(cutoff, "cir_exact_transition", capture)
+    ladder, alpha, beta, replicas, seed = [3, 5], 6.0, 2.0, 400, 11
+    prof = run_cutoff_profile({"n": ladder, "alpha": alpha, "beta": beta, "x0_preset": preset,
+                               "times": [0.5, 1.0], "replicas": replicas,
+                               "distances": ["TV", "L2"], "seed": seed})
+    assert prof.route == "sde"
+    # a generator in the profile's state: the start preset, the reference
+    # draw, then one exact transition per grid time
+    want = []
+    for n_idx, n in enumerate(ladder):
+        params = ModelParams(n, alpha, beta)
+        gen = RngStream(seed, 1000 + n_idx).generator()
+        x0, _ = build_x0(preset, params, gen)
+        n_big = n * alpha
+        ref = gen.standard_gamma(n_big, size=replicas)
+        start = np.full(replicas, observable_phi(x0, params).phi_raw)
+        tv_rows, l2_rows = prof.rows_for(n=n, kind="TV"), prof.rows_for(n=n, kind="L2")
+        for tv_row, l2_row in zip(tv_rows, l2_rows):
+            phi = cir_exact_transition(start, tv_row.t, n_big, gen)
+            want.append(phi)
+            assert tv_row.value == tv_threshold_witness(phi, ref).value
+            assert l2_row.value == abs(np.mean(phi) - n_big) / math.sqrt(n_big)
+    assert len(drawn) == len(want) == 4
+    for got, exact in zip(drawn, want):
+        assert np.array_equal(got.view(np.int64), exact.view(np.int64))
+
+
+@pytest.mark.parametrize("n,alpha,beta", [(6, 8.0, 1.0), (4, 6.0, 2.0)])
+def test_euler_profile_from_zero_lies_in_its_bounds(n, alpha, beta):
+    prof = run_cutoff_profile({"n": n, "alpha": alpha, "beta": beta, "x0_preset": "zero",
+                               "replicas": 4000, "distances": ["TV", "KL", "L2"], "seed": 1})
+    assert prof.route == "sde" and prof.meta["fallbacks"] == []
+    assert len(prof.rows) == 39
+    for r in prof.rows:
+        assert r.bound_lower - 3.0 * r.stderr <= r.value <= r.bound_upper + 3.0 * r.stderr, r
+        if r.kind == "TV":
+            assert abs(r.value - zero_start_tv(n * alpha, r.t)) <= r.stderr + 0.01, r

@@ -112,7 +112,7 @@ def _gaussian_tv_stats(mu1, v1, v2):
             r = math.sqrt(disc)
             roots = sorted([(-b - r) / (2.0 * a), (-b + r) / (2.0 * a)])
         else:
-            disc = (mu1**2 + (v1 - v2) * math.log(v1 / v2)) / (v1 * v2)
+            disc = (mu1**2 + (v1 - v2) * math.log(v1 / v2)) / v1 / v2
             if disc <= 0:
                 return 0.0
             q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
@@ -190,7 +190,8 @@ def test_gaussian_tv_when_the_discriminant_cancels_in_part(mu1, v1, v2):
                                                      rel=1e-13)
 
 
-# Frozen reference: gaussian_tv as it stood, one scalar mean per call.
+# Frozen reference: gaussian_tv as it stood, one scalar mean per call, with
+# the cancelling branch's discriminant divided by v1 and then by v2.
 def _gaussian_tv_scalar(mu1, v1, v2):
     a = 0.5 / v2 - 0.5 / v1
     b = mu1 / v1
@@ -206,7 +207,7 @@ def _gaussian_tv_scalar(mu1, v1, v2):
             r = math.sqrt(disc)
             roots = sorted([(-b - r) / (2.0 * a), (-b + r) / (2.0 * a)])
         else:
-            disc = (mu1**2 + (v1 - v2) * math.log(v1 / v2)) / (v1 * v2)
+            disc = (mu1**2 + (v1 - v2) * math.log(v1 / v2)) / v1 / v2
             if disc <= 0:
                 return 0.0
             q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
@@ -247,7 +248,7 @@ def test_gaussian_tv_array_matches_frozen_scalar_bit_for_bit():
         (rng.normal(size=50) * 1e3, 2.5, 0.4),
         # equal variances: the one-crossing branch, a zero mean giving 0
         (np.append(rng.normal(size=20), 0.0), 1.7, 1.7),
-        # the recomputed discriminant is 0 once v1 * v2 overflows
+        # v1 * v2 overflows; the recomputed discriminant stays finite
         (np.array([1e150, 1e144]), 1e280, 1e300),
     ]
     # mu * mu in place of mu**2 (libm pow) changes the last bit of these
@@ -268,7 +269,9 @@ def test_gaussian_tv_array_matches_frozen_scalar_bit_for_bit():
             x = rng.gamma(2.0, size=n)
             means = np.concatenate(([0.0], np.sqrt(n * x) * math.exp(-ou.gamma * t)))
             groups.append((means, v_t, v_inf))
-    assert gaussian_tv(1e150, 1e280, 1e300) == 0.0
+    # scale-equivalent to (1e10, 1, 1e20), though v1 * v2 overflows
+    assert gaussian_tv(1e150, 1e280, 1e300) == 0.9999999996611302
+    assert gaussian_tv(1e150, 1e280, 1e300) == gaussian_tv(1e10, 1.0, 1e20)
     for means, v1, v2 in groups:
         want = [_gaussian_tv_scalar(float(mu), v1, v2) for mu in means]
         assert _same_bits(gaussian_tv(means, v1, v2), want), (v1, v2)
