@@ -32,16 +32,13 @@ from .model import (
 from .simulate import (
     MatrixParams,
     MatrixState,
-    Path,
     RngStream,
     cir_exact_transition,
     default_dt,
-    dl_path,
     dl_paths_batch,
     matrix_dl_path,
     rect_ou_transition,
     spectral_projection,
-    step_dl_sqrt,
 )
 from .equilibrium import (
     GasSample,
@@ -88,10 +85,8 @@ from .cutoff import (
     zero_start_tv,
 )
 from .coupling import (
-    CoupledPath,
     WgDecayCurve,
-    mirror_coupling_run,
-    synchronous_coupling_run,
+    run_coupled_batch,
     wg_decay_estimate,
 )
-from .cli import RunManifest, emit_report, parse_config, run, serialize_config
+from .cli import RunManifest, parse_config, run, serialize_config

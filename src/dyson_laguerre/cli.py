@@ -47,7 +47,6 @@ from .errors import (
     NumericError,
     ParseError,
     SerializationError,
-    StepRejected,
     ValidationError,
 )
 from .model import ModelParams, observable_phi
@@ -277,18 +276,9 @@ def _report_text(profile, fmt):
     raise SerializationError(f"unknown report format {fmt!r}")
 
 
-def emit_report(profile, fmt, out_dir=".", basename="profile"):
-    """Write a CutoffProfile to out_dir as basename.csv or basename.json
-    (see _report_text).  Returns the written paths."""
-    text = _report_text(profile, fmt)
-    path = os.path.join(out_dir, f"{basename}.{fmt}")
-    _atomic_write(path, text)
-    return [path]
-
-
 def read_profile(path):
-    """Load a JSON profile emitted by emit_report back into a
-    CutoffProfile."""
+    """Load the profile.json that run writes for a cutoff-profile config
+    with format = json back into a CutoffProfile."""
     with open(path) as fh:
         doc = json.load(fh)
     from .cutoff import CutoffPrediction
@@ -360,7 +350,7 @@ def _run_simulate(config):
         out = matrix_dl_path(np.broadcast_to(m0, (replicas, mp.n, mp.m)), times, mp, sources,
                              canonical=True)
     else:
-        out = dl_paths_batch((x0, replicas), times, params, RngStream(seed, 0))
+        out = dl_paths_batch(x0, times, params, RngStream(seed, 0), replicas=replicas)
     heads = [f"{rep},{t!r}," for rep in range(out.shape[1]) for t in times.tolist()]
     text = _path_table_text(("replica", "time", "coord_index", "value"), heads,
                             out.transpose(1, 0, 2))
@@ -538,7 +528,7 @@ def main(argv=None):
     except (OSError, SerializationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (CollisionError, StepRejected, NumericError) as exc:
+    except (CollisionError, NumericError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except DysonLaguerreError as exc:

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from . import _kernels, transport
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 from .model import ParticleState
 from .simulate import (
     _advance,
@@ -41,41 +41,6 @@ from .simulate import (
 )
 
 MERGE_TOL = 1e-8
-
-
-@dataclass
-class CoupledPath:
-    """Two coupled trajectories on a common grid.
-
-    After coalesce_time the two legs are forced equal; the constructor
-    checks that invariant on the grid points it can see.
-    """
-
-    times: np.ndarray
-    x_path: list
-    y_path: list
-    coalesce_time: float
-    coupling_kind: str
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if not (len(self.x_path) == len(self.y_path) == self.times.size):
-            raise ValidationError("times and both paths must have equal length")
-        for t, a, b in zip(self.times, self.x_path, self.y_path):
-            if t >= self.coalesce_time and not np.array_equal(a.as_array(), b.as_array()):
-                raise ValidationError(
-                    f"paths differ at t={t} although coalescence was recorded earlier"
-                )
-
-    def distance_series(self):
-        """Intrinsic distance between the legs at each grid time."""
-        out = np.empty(self.times.size)
-        for k, (a, b) in enumerate(zip(self.x_path, self.y_path)):
-            out[k] = 2.0 * math.sqrt(
-                float(np.sum((np.sqrt(a.as_array()) - np.sqrt(b.as_array())) ** 2))
-            )
-        return out
 
 
 def _mirror_second_noise(ya, yb, dt, xi, uniforms, merged, drift_a, drift_b):
@@ -143,14 +108,17 @@ def _advance_pairs(ya, yb, dt, params, gen, depth, kind, merged):
 
 
 def run_coupled_batch(x0a, x0b, times, params, rng, replicas=1, kind="mirror", dt=None):
-    """Coupled pairs observed on a grid; the batch backbone for both
+    """Coupled pairs observed on a grid, the one path driver for both
     couplings.  Each leg starts from one state repeated replicas times or
     from (r, n) per-row starts, with the same row count for both legs.
+    kind="mirror" is the coupling of the module docstring; "synchronous"
+    shares the noise, a diagnostic whose pairs never merge and which the
+    explicit step need not contract where the pair terms are stiff.
 
     Returns (states_a, states_b, coalesce_times) with state arrays of shape
-    (len(times), r, n).  Coalescence times have step-size resolution;
-    synchronous pairs never merge (0 where a row's starts already agree,
-    inf otherwise).
+    (len(times), r, n).  A row's legs are equal at every grid time at or
+    after its coalescence time, which has step-size resolution: 0 where a
+    row's starts already agree, inf where the pair never merged.
     """
     if kind not in ("mirror", "synchronous"):
         raise DomainError(f"coupling kind must be mirror or synchronous, got {kind!r}")
@@ -183,45 +151,6 @@ def run_coupled_batch(x0a, x0b, times, params, rng, replicas=1, kind="mirror", d
         out_a[k] = 0.25 * ya**2
         out_b[k] = 0.25 * yb**2
     return out_a, out_b, coal
-
-
-def _single_run(x0, y0, times, params, rng, kind, dt):
-    sa, sb, coal = run_coupled_batch(x0, y0, times, params, rng, 1, kind, dt)
-    xs = [ParticleState(sa[k, 0]) for k in range(sa.shape[0])]
-    ys = [ParticleState(sb[k, 0]) for k in range(sb.shape[0])]
-    return CoupledPath(
-        times=np.asarray(times, float),
-        x_path=xs,
-        y_path=ys,
-        coalesce_time=float(coal[0]),
-        coupling_kind=kind,
-        meta={"dt": dt},
-    )
-
-
-def mirror_coupling_run(x0, y0, times, params, rng, dt=None):
-    """Two copies coupled by reflected noise.
-
-    The second copy's noise is the first's reflected across the hyperplane
-    orthogonal to the unit vector connecting the square-root states.  Once
-    the y-distance drops below 1e-8 the copies are set equal and share
-    noise from then on; coalesce_time records that moment at step
-    resolution.
-    """
-    return _single_run(x0, y0, times, params, rng, "mirror", dt)
-
-
-def synchronous_coupling_run(x0, y0, times, params, rng, dt=None):
-    """Two copies driven by the same noise; diagnostic only.
-
-    No merge rule.  The square-root drift is -grad E_y for an energy E_y
-    that is 1/2-strongly convex on the chamber, so the continuous pair
-    contracts pathwise under shared noise, at rate 1/2.  The explicit Euler
-    step does not inherit that where the pair terms are stiff, so the
-    simulated inter-copy distance need not contract.  Equal starts stay
-    equal for all time.
-    """
-    return _single_run(x0, y0, times, params, rng, "synchronous", dt)
 
 
 def coupled_distance_curve(x0, y0, times, params, rng, replicas=500, kind="mirror", dt=None):

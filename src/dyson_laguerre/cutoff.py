@@ -50,7 +50,7 @@ def _norm_kind(dist_kind):
     return _KIND_ALIASES[k]
 
 
-def mixing_time_ou(dist_kind, p, nm_override=None):
+def mixing_time_ou(dist_kind, p):
     """Cutoff-time branch formulas for an OU flow with general coefficients.
 
     For dZ = sigma dB - theta Z dt in dimension N started at z0,
@@ -60,14 +60,13 @@ def mixing_time_ou(dist_kind, p, nm_override=None):
         2 theta t = log(2 theta |z0|^2 / sigma^2)   v log sqrt(N/2)   (L2)
         2 theta t = log(|z0|^2)  v  log sqrt(N sigma^2 / (8 theta))   (W)
 
-    A branch whose argument is nonpositive is dropped; if both drop the
-    start is already indistinguishable at this resolution and DomainError
-    is raised.  nm_override replaces the dimension count N = p.n * p.m.
+    with N = p.n * p.m.  A branch with a nonpositive argument (the start
+    branch, from a centered start) is dropped; the other stands, as N >= 1.
     """
     kind = _norm_kind(dist_kind)
     theta = p.gamma
     sigma_sq = p.kappa**2
-    nn = float(nm_override if nm_override is not None else p.nm)
+    nn = float(p.nm)
     z2 = p.z0_norm_sq
     if kind == "TV":
         args = (theta * z2 / (4.0 * sigma_sq), nn / 4.0)
@@ -77,10 +76,7 @@ def mixing_time_ou(dist_kind, p, nm_override=None):
         args = (2.0 * theta * z2 / sigma_sq, math.sqrt(nn / 2.0))
     else:
         args = (z2, math.sqrt(nn * sigma_sq / (8.0 * theta)))
-    logs = [math.log(a) for a in args if a > 0]
-    if not logs:
-        raise DomainError("both cutoff branches are vacuous for these parameters")
-    return max(logs) / (2.0 * theta)
+    return max(math.log(a) for a in args if a > 0) / (2.0 * theta)
 
 
 @dataclass
@@ -162,7 +158,7 @@ def cutoff_predict(dist_kind, x0, params, matrix=None):
 def lb_l2_witness(x0, t, params):
     """Squared spectral witness (phi_centered(x0)^2 / N) e^{-2t}, a certified
     lower bound for the squared L2 distance from equilibrium at time t."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"t must be nonnegative, got {t}")
     obs = observable_phi(x0, params)
     if obs.phi_centered == 0.0:
@@ -178,7 +174,7 @@ def duhamel_variance(x0, t, params):
     exact for every beta since phi projects to a closed one-dimensional
     diffusion.  A negative value (impossible for admissible inputs, kept as
     a diagnostic) is flagged with a warning, never raised."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"t must be nonnegative, got {t}")
     obs = observable_phi(x0, params)
     c = -math.expm1(-t)
@@ -194,7 +190,7 @@ def tv_lower_bound_formula(x0, t, params):
         TV >= 1 - 4 e^{2t} (N + Var_t(phi)) / phi_centered(x0)^2,
 
     clamped to [0, 1]; zero when the start is exactly centered."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"t must be nonnegative, got {t}")
     obs = observable_phi(x0, params)
     if obs.phi_centered == 0.0:
@@ -204,14 +200,13 @@ def tv_lower_bound_formula(x0, t, params):
     return min(max(val, 0.0), 1.0)
 
 
-def lift_matrix_bounds(dist_kind, matrix_value, n, m, statement_constant=False):
+def lift_matrix_bounds(dist_kind, matrix_value, n, m):
     """Lift a matrix-flow distance to the projected particle system.
 
         TV:  min(nm * v, 1)
         KL:  nm * v
         L2:  sqrt((v^2 + 1)^{nm} - 1)   (+inf marker on overflow)
-        W:   2 sqrt(n) * v    (per the contraction argument; pass
-             statement_constant=True for the sqrt(n) variant)
+        W:   2 sqrt(n) * v    (per the contraction argument)
 
     For TV and KL, matrix_value is a per-entry distance; for L2 a
     per-entry L2 distance; for W the Euclidean W2 of the full matrix flow.
@@ -229,8 +224,7 @@ def lift_matrix_bounds(dist_kind, matrix_value, n, m, statement_constant=False):
         if log_term > 700.0:
             return math.inf
         return math.sqrt(math.expm1(log_term))
-    const = math.sqrt(n) if statement_constant else 2.0 * math.sqrt(n)
-    return const * matrix_value
+    return 2.0 * math.sqrt(n) * matrix_value
 
 
 def kl_upper_bound_chain(x0, t, eta, params):
@@ -240,9 +234,9 @@ def kl_upper_bound_chain(x0, t, eta, params):
 
     combining the Wasserstein contraction up to time t with a
     transport-entropy regularization step of length eta > 0."""
-    if eta <= 0:
+    if not eta > 0:
         raise DomainError(f"eta must be positive, got {eta}")
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"t must be nonnegative, got {t}")
     obs = observable_phi(x0, params)
     ratio = math.exp(-eta) / (-math.expm1(-eta))
@@ -421,9 +415,9 @@ def run_cutoff_profile(config):
     defaults to 1), x0_preset (default zero), times (multipliers of the
     nominal critical time c_n, default 0.4 to 1.6 by 0.1), replicas
     (default 4000), distances (default TV, KL), seed (default 0).  A key
-    whose value is None counts as omitted.  The matrix route is taken
-    whenever it is available, that is, whenever the config does not pin an
-    explicit (alpha, beta).
+    whose value is None, and an empty times or distances (list or array),
+    count as omitted.  The matrix route is taken whenever it is available,
+    that is, whenever the config does not pin an explicit (alpha, beta).
 
     Every kind reads only phi = sum_i x_i, and phi(X_t) is a CIR process
     with shape N = n * alpha for every beta.  So on both routes each rung
@@ -446,9 +440,11 @@ def run_cutoff_profile(config):
     if isinstance(ladder, (int, np.integer)):
         ladder = [int(ladder)]
     ladder = [int(v) for v in ladder]
-    multipliers = np.asarray(config.get("times") or np.arange(0.4, 1.65, 0.1), dtype=float)
+    multipliers = np.asarray(config.get("times", ()), dtype=float)
+    if multipliers.size == 0:
+        multipliers = np.arange(0.4, 1.65, 0.1)
     replicas = int(config.get("replicas", 4000))
-    kinds = [_norm_kind(k) for k in config.get("distances") or ["TV", "KL"]]
+    kinds = [_norm_kind(k) for k in config.get("distances", ())] or ["TV", "KL"]
     seed = int(config.get("seed", 0))
     preset = config.get("x0_preset", "zero")
 

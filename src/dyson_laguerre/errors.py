@@ -18,7 +18,8 @@ class ValidationError(DysonLaguerreError):
 
 
 class StepRejected(DysonLaguerreError):
-    """An SDE proposal left the admissible region; the caller should halve dt."""
+    """An SDE proposal left the admissible region.  The package no longer
+    raises it: its path drivers halve the step, then raise NumericError."""
 
 
 class NumericError(DysonLaguerreError):

@@ -8,22 +8,24 @@ Three routes to the particle law are implemented.
   _propose_batch reject the row, which _advance replaces by two half steps
   (down to a floor of dt * 2**-12 before giving up).  That one halving
   recursion serves both drivers: solo paths here and coupled pairs in
-  coupling, whose pair step halves both legs on one shared clock.  Only the
-  single step step_dl_sqrt raises StepRejected.
+  coupling, whose pair step halves both legs on one shared clock.
 * The exact transition of the one-particle system (a squared Bessel-type
   process with reversion), sampled through a Poisson mixture of Gammas.
 * The matrix route: an exactly sampled rectangular Ornstein-Uhlenbeck
   matrix flow whose spectrum, after scaling, follows the interacting system
   with beta = 1 and alpha = m/2.
+
+One path driver per route, dl_paths_batch, matrix_dl_path and (for pairs)
+coupling.run_coupled_batch, each returning (len(times), r, n) arrays.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, EigenFailure, NumericError, StepRejected, ValidationError
+from .errors import DomainError, EigenFailure, NumericError, ValidationError
 from .model import ModelParams, ParticleState
 
 DT_HALVING_LIMIT = 12
@@ -46,9 +48,6 @@ class RngStream:
     def generator(self):
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.PCG64(ss))
-
-    def child(self, stream_id):
-        return RngStream(self.seed, stream_id=stream_id)
 
 
 def _coerce_generator(rng):
@@ -88,24 +87,6 @@ def _validate_times(times):
     if np.any(np.diff(t) <= 0):
         raise DomainError("time grid must be strictly increasing")
     return t
-
-
-@dataclass
-class Path:
-    """States observed along a time grid, one configuration per grid time."""
-
-    times: np.ndarray
-    states: list
-    scheme: str
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if len(self.states) != self.times.size:
-            raise ValidationError("times and states must have equal length")
-
-    def phi_series(self):
-        return np.array([float(np.sum(s.as_array())) for s in self.states])
 
 
 def _propose_batch(y, dt, params, gen, noise=None, drift=None):
@@ -188,42 +169,14 @@ def _start_rows(x0, params, replicas):
     return x
 
 
-def step_dl_sqrt(state, dt, params, rng):
-    """One tamed Euler-Maruyama step in square-root coordinates.
-
-    Raises StepRejected if the proposal breaches the taming threshold or
-    produces a collision; callers wanting automatic recovery should use the
-    path drivers, which halve dt and retry.
-    """
-    if dt <= 0 or not math.isfinite(dt):
-        raise DomainError(f"dt must be positive and finite, got {dt}")
-    x = state.as_array() if isinstance(state, ParticleState) else None
-    if x is None:
-        x = ParticleState(state).as_array()
-    if x.size != params.n:
-        raise DomainError(f"state has {x.size} coordinates, params expect {params.n}")
-    if np.any(x <= 0):
-        raise DomainError("square-root stepping needs strictly positive coordinates")
-    gen = _coerce_generator(rng)
-    y = 2.0 * np.sqrt(x)[None, :]
-    prop, ok = _propose_batch(y, dt, params, gen)
-    if not ok[0]:
-        raise StepRejected(f"proposal left the admissible region at dt={dt:.3e}")
-    return ParticleState(0.25 * prop[0] ** 2)
-
-
-def dl_paths_batch(x0, times, params, rng, dt=None):
+def dl_paths_batch(x0, times, params, rng, replicas=1, dt=None):
     """Euler paths for a batch of replicas, observed on a shared time grid.
 
-    x0: (r, n) array of strictly positive ordered start states, or a single
-    state broadcast to r rows via x0=(state, replicas); a bare state runs
-    one replica, as in run_coupled_batch.  A tuple whose first item is a
-    scalar is a bare state.
+    x0 is one strictly positive ordered state, repeated replicas times, or
+    an (r, n) array of per-row starts, as in run_coupled_batch.
     Returns an array of shape (len(times), r, n).
     """
-    pair = isinstance(x0, tuple) and len(x0) > 0 and not np.isscalar(x0[0])
-    state, replicas = x0 if pair else (x0, 1)
-    x0 = _start_rows(state, params, replicas)
+    x0 = _start_rows(x0, params, replicas)
     times = _validate_times(times)
     gen = _coerce_generator(rng)
     plan = _step_plan(times, default_dt(x0[0]) if dt is None else dt)
@@ -239,15 +192,6 @@ def dl_paths_batch(x0, times, params, rng, dt=None):
             (y,) = _advance((y,), h, step)
         out[k] = 0.25 * y**2
     return out
-
-
-def dl_path(x0, times, params, rng, dt=None):
-    """A single Euler path observed on a time grid; see dl_paths_batch."""
-    state = x0 if isinstance(x0, ParticleState) else ParticleState(x0)
-    arr = dl_paths_batch((state, 1), times, params, rng, dt=dt)
-    states = [ParticleState(arr[k, 0]) for k in range(arr.shape[0])]
-    return Path(times=np.asarray(times, float), states=states, scheme="euler-sqrt",
-                meta={"dt": dt if dt is not None else default_dt(state.as_array())})
 
 
 def cir_exact_transition(x0, t, alpha, rng):
@@ -436,10 +380,10 @@ def spectral_projection(M):
 def matrix_dl_path(M0, times, params, rng, canonical=False):
     """Exact matrix transitions chained along a grid, projected to spectra.
 
-    M0 is one n x m matrix with one random source, returning a Path, or an
-    (r, n, m) stack with a sequence of r sources, one per replica, returning
-    an array of shape (len(times), r, n) as dl_paths_batch does.  A replica
-    gets the same bits either way.
+    M0 is an (r, n, m) stack with a sequence of r sources, one per replica,
+    or one n x m matrix with one source, a stack of one.  Returns an array
+    of shape (len(times), r, n), as dl_paths_batch does.  Replica k draws
+    from source k alone, so it gets the bits a stack of one would give.
 
     With canonical=False states carry the raw eigenvalues of M M^T on the
     matrix clock (so sum of coordinates equals the squared Frobenius norm).
@@ -448,7 +392,7 @@ def matrix_dl_path(M0, times, params, rng, canonical=False):
     system with the induced parameters.
     """
     times = _validate_times(times)
-    M, sources, single = _matrix_stack(M0, params, rng)
+    M, sources, _ = _matrix_stack(M0, params, rng)
     gens = [_coerce_generator(src) for src in sources]
     wall = times / params.time_scale if canonical else times
     out = np.empty((times.size, M.shape[0], params.n))
@@ -460,8 +404,4 @@ def matrix_dl_path(M0, times, params, rng, canonical=False):
         out[k] = spectral_projection(M)
     if canonical:
         out *= params.space_scale
-    if not single:
-        return out
-    return Path(times=times, states=[ParticleState(x) for x in out[:, 0]], scheme="matrix-exact",
-                meta={"canonical": bool(canonical), "space_scale": params.space_scale,
-                      "time_scale": params.time_scale})
+    return out

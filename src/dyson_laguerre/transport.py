@@ -263,7 +263,7 @@ class OUParams:
         return self.kappa**2 / (2.0 * self.gamma)
 
 
-def ou_closed_form_distances(p, t, printed_variant=False):
+def ou_closed_form_distances(p, t):
     """Closed-form distances of the OU flow from equilibrium at time t.
 
     Returns a dict keyed KL, L2, W2 of DistanceEstimate values:
@@ -273,8 +273,9 @@ def ou_closed_form_distances(p, t, printed_variant=False):
                        - (nm/2) log(1 - e^{-4gt}) ) - 1
         W2(t)^2 = |z0|^2 e^{-2gt} + nm (k^2/2g) (1 - sqrt(1 - e^{-2gt}))^2
 
-    printed_variant=True switches to a harmless transcription variant kept
-    for comparison (k for k^2 in the L2 exponent, last W2 factor unsquared).
+    The printed variant (k for k^2 in the L2 exponent, the last W2 factor
+    unsquared) is a transcription slip: the exponent must be dimensionless,
+    and W2^2 between Gaussians squares the gap of their standard deviations.
     """
     if t <= 0 or not math.isfinite(t):
         raise DomainError(f"t must be positive, got {t}")
@@ -283,22 +284,17 @@ def ou_closed_form_distances(p, t, printed_variant=False):
     e2 = math.exp(-2.0 * g * t)
     one_m_e2 = -math.expm1(-2.0 * g * t)
     kl = 0.5 * ((2.0 * g / k2) * p.z0_norm_sq * e2 - nm * e2 - nm * math.log(one_m_e2))
-    l2_rate = (2.0 * g / p.kappa) if printed_variant else (2.0 * g / k2)
-    l2_exp = l2_rate * p.z0_norm_sq * e2 / (1.0 + e2) - 0.5 * nm * math.log1p(-e2 * e2)
+    l2_exp = (2.0 * g / k2) * p.z0_norm_sq * e2 / (1.0 + e2) - 0.5 * nm * math.log1p(-e2 * e2)
     l2_sq = math.expm1(l2_exp) if l2_exp < 700 else math.inf
     sqrt_term = 1.0 - math.sqrt(one_m_e2)
-    w2_tail = sqrt_term if printed_variant else sqrt_term**2
-    w2_sq = p.z0_norm_sq * e2 + nm * (k2 / (2.0 * g)) * w2_tail
-    flag = {"printed_variant": True} if printed_variant else {}
+    w2_sq = p.z0_norm_sq * e2 + nm * (k2 / (2.0 * g)) * sqrt_term**2
     return {
-        "KL": DistanceEstimate("KL", max(kl, 0.0), 0.0, "closed-form", t=t, extras=dict(flag)),
+        "KL": DistanceEstimate("KL", max(kl, 0.0), 0.0, "closed-form", t=t),
         "L2": DistanceEstimate(
-            "L2", math.sqrt(l2_sq) if l2_sq != math.inf else math.inf, 0.0, "closed-form",
-            t=t, extras=dict(flag),
+            "L2", math.sqrt(l2_sq) if l2_sq != math.inf else math.inf, 0.0, "closed-form", t=t,
         ),
         "W2": DistanceEstimate(
-            "Wg2", math.sqrt(w2_sq), 0.0, "closed-form", t=t,
-            extras=dict(flag, metric="euclidean"),
+            "Wg2", math.sqrt(w2_sq), 0.0, "closed-form", t=t, extras={"metric": "euclidean"},
         ),
     }
 

@@ -134,15 +134,15 @@ def test_criterion_04_route_equivalence():
     reps = 10_000
     t = 1.0
 
-    sde_phi = dl_paths_batch((x0, reps), [t], params, RngStream(404, 0), dt=1e-3)[0].sum(axis=1)
+    sde_phi = dl_paths_batch(x0, [t], params, RngStream(404, 0), replicas=reps,
+                             dt=1e-3)[0].sum(axis=1)
 
+    # every replica draws in turn from one shared generator
     gen = RngStream(404, 1).generator()
     m0 = np.zeros((n, m))
     np.fill_diagonal(m0, np.sqrt(m * x0.as_array()))
-    mat_phi = np.empty(reps)
-    for r in range(reps):
-        path = matrix_dl_path(m0, [t], mp, gen, canonical=True)
-        mat_phi[r] = float(np.sum(path.states[0].as_array()))
+    stack = np.broadcast_to(m0, (reps, n, m))
+    mat_phi = matrix_dl_path(stack, [t], mp, [gen] * reps, canonical=True)[0].sum(axis=1)
 
     assert stats.ks_2samp(sde_phi, mat_phi).pvalue > 0.01
 

@@ -12,12 +12,11 @@ from dyson_laguerre import (
     ParseError,
     SerializationError,
     ValidationError,
-    emit_report,
     parse_config,
     run,
     serialize_config,
 )
-from dyson_laguerre.cli import config_digest, main, read_profile
+from dyson_laguerre.cli import _report_text, config_digest, main, read_profile
 from dyson_laguerre.cutoff import CutoffProfile, ProfileRow
 
 
@@ -111,30 +110,27 @@ def _tiny_profile():
     )
 
 
-def test_emit_report_csv_schema(tmp_path):
-    (path,) = emit_report(_tiny_profile(), "csv", out_dir=str(tmp_path))
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        body = list(reader)
+def test_report_text_csv_schema():
+    reader = csv.reader(io.StringIO(_report_text(_tiny_profile(), "csv")))
+    header = next(reader)
+    body = list(reader)
     assert tuple(header) == CutoffProfile.COLUMNS
     assert len(body) == 2
     # repr round-trip: the value column parses back to the exact float
     assert float(body[0][3]) == 0.8
 
 
-def test_emit_report_empty_profile_is_header_only(tmp_path):
+def test_report_text_empty_profile_is_header_only():
     prof = CutoffProfile(rows=[], predictions={}, critical_times={}, route="matrix")
-    (path,) = emit_report(prof, "csv", out_dir=str(tmp_path), basename="empty")
-    with open(path) as fh:
-        lines = fh.read().strip().splitlines()
+    lines = _report_text(prof, "csv").strip().splitlines()
     assert len(lines) == 1
     assert lines[0].split(",")[0] == "n"
 
 
-def test_emit_report_json_roundtrip(tmp_path):
+def test_report_text_json_roundtrip(tmp_path):
     prof = _tiny_profile()
-    (path,) = emit_report(prof, "json", out_dir=str(tmp_path))
+    path = tmp_path / "profile.json"
+    path.write_text(_report_text(prof, "json"))
     back = read_profile(path)
     assert back.route == prof.route
     assert back.critical_times == prof.critical_times
@@ -143,11 +139,9 @@ def test_emit_report_json_roundtrip(tmp_path):
     assert back.predictions[4]["TV"].c_upper == 1.4
 
 
-def test_emit_report_unknown_format(tmp_path):
-    from dyson_laguerre import SerializationError
-
+def test_report_text_unknown_format():
     with pytest.raises(SerializationError):
-        emit_report(_tiny_profile(), "parquet", out_dir=str(tmp_path))
+        _report_text(_tiny_profile(), "parquet")
 
 
 def test_run_writes_manifest_and_is_deterministic(tmp_path):

@@ -12,16 +12,12 @@ from dyson_laguerre import (
     ModelParams,
     ParticleState,
     RngStream,
-    ValidationError,
     dl_paths_batch,
-    mirror_coupling_run,
-    synchronous_coupling_run,
     wasserstein_intrinsic,
     wg_decay_estimate,
 )
 from dyson_laguerre import _kernels, coupling, simulate
 from dyson_laguerre.coupling import (
-    CoupledPath,
     _w_with_bootstrap,
     coupled_distance_curve,
     run_coupled_batch,
@@ -30,24 +26,29 @@ from dyson_laguerre.equilibrium import sample_equilibrium_batch
 from dyson_laguerre.simulate import _propose_batch
 
 
-def test_equal_starts_stay_equal():
+def _leg_distance(sa, sb):
+    """Intrinsic distance between the legs, per grid time and row."""
+    return 2.0 * np.sqrt(np.sum((np.sqrt(sa) - np.sqrt(sb)) ** 2, axis=2))
+
+
+@pytest.mark.parametrize("kind", ["mirror", "synchronous"])
+def test_legs_are_equal_from_coalescence_on(kind):
+    # at every grid time at or after a row's coalescence time its legs are
+    # equal; rows start apart, merged (equal starts) or merge on the way
     params = ModelParams(3, 4.0, 1.0)
-    x0 = ParticleState([1.0, 2.0, 3.0])
-    for kind in ("mirror", "synchronous"):
-        run = (mirror_coupling_run if kind == "mirror" else synchronous_coupling_run)(
-            x0, x0, [0.2, 0.5], params, RngStream(0, 0), dt=1e-3
-        )
-        assert run.coalesce_time == 0.0
-        assert np.all(run.distance_series() == 0.0)
-
-
-def test_coupled_path_invariant_enforced():
-    a = [ParticleState([1.0]), ParticleState([1.5])]
-    b = [ParticleState([1.0]), ParticleState([2.0])]
-    with pytest.raises(ValidationError):
-        CoupledPath(times=[0.0, 1.0], x_path=a, y_path=b, coalesce_time=0.0, coupling_kind="mirror")
-    # fine when coalescence is recorded after the differing time
-    CoupledPath(times=[0.0, 1.0], x_path=a, y_path=b, coalesce_time=2.0, coupling_kind="mirror")
+    x0 = np.tile([1.0, 2.0, 3.0], (60, 1))
+    y0 = x0 * np.linspace(1.0, 1.05, 60)[:, None]
+    y0[::4] = x0[::4]
+    times = [0.05, 0.2, 0.5, 1.0]
+    sa, sb, coal = run_coupled_batch(x0, y0, times, params, RngStream(0, 0), kind=kind, dt=1e-3)
+    assert np.all(coal[::4] == 0.0)
+    if kind == "mirror":
+        assert 0 < np.sum(np.isfinite(coal) & (coal > 0.0))
+    else:
+        assert np.all(coal[np.any(x0 != y0, axis=1)] == math.inf)
+    for k, t in enumerate(times):
+        after = t >= coal
+        assert np.array_equal(sa[k, after], sb[k, after])
 
 
 def test_coupled_distance_curve_needs_two_pairs(monkeypatch):
@@ -124,8 +125,8 @@ def test_mirror_marginals_match_solo_law():
     t = [0.6]
     reps = 1500
     sa, sb, _ = run_coupled_batch(x0, y0, t, params, RngStream(3, 0), replicas=reps, dt=2e-3)
-    solo_a = dl_paths_batch((x0, reps), t, params, RngStream(4, 0), dt=2e-3)
-    solo_b = dl_paths_batch((y0, reps), t, params, RngStream(5, 0), dt=2e-3)
+    solo_a = dl_paths_batch(x0, t, params, RngStream(4, 0), replicas=reps, dt=2e-3)
+    solo_b = dl_paths_batch(y0, t, params, RngStream(5, 0), replicas=reps, dt=2e-3)
     assert stats.ks_2samp(sa[0].sum(axis=1), solo_a[0].sum(axis=1)).pvalue > 0.01
     assert stats.ks_2samp(sb[0].sum(axis=1), solo_b[0].sum(axis=1)).pvalue > 0.01
 
@@ -166,21 +167,22 @@ def test_synchronous_gap_follows_ode():
     params = ModelParams(1, 0.5, 0.0)
     x0 = ParticleState([4.0])   # y = 4
     y0 = ParticleState([1.0])   # y = 2
-    run = synchronous_coupling_run(x0, y0, [0.5, 1.0], params, RngStream(8, 0), dt=1e-4)
-    assert run.coalesce_time == math.inf
-    d = run.distance_series()
+    sa, sb, coal = run_coupled_batch(x0, y0, [0.5, 1.0], params, RngStream(8, 0),
+                                     kind="synchronous", dt=1e-4)
+    assert coal[0] == math.inf
+    d = _leg_distance(sa, sb)[:, 0]
     for t, g in zip([0.5, 1.0], d):
         assert g == pytest.approx(2.0 * math.exp(-t / 2), rel=2e-3)
 
 
 def test_synchronous_never_merges():
     params = ModelParams(2, 3.0, 1.0)
-    run = synchronous_coupling_run(
+    _, _, coal = run_coupled_batch(
         ParticleState([1.0, 2.0]), ParticleState([1.2, 2.2]),
-        [0.5], params, RngStream(9, 0), dt=2e-3
+        [0.5], params, RngStream(9, 0), kind="synchronous", dt=2e-3
     )
-    assert run.coalesce_time == math.inf
-    assert run.coupling_kind == "synchronous"
+    assert coal.shape == (1,)
+    assert coal[0] == math.inf
 
 
 def test_wg_decay_needs_replicas():

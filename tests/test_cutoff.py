@@ -50,13 +50,12 @@ def test_mixing_time_dimensional_branch():
     # centered start leaves only the dimensional branch
     p = OUParams(4, 4, kappa=1.0, gamma=1.0, z0_norm_sq=0.0)
     assert mixing_time_ou("TV", p) == pytest.approx(math.log(4.0) / 2.0)
-    assert mixing_time_ou("TV", p, nm_override=64) == pytest.approx(math.log(16.0) / 2.0)
+    p = OUParams(8, 8, kappa=1.0, gamma=1.0, z0_norm_sq=0.0)
+    assert mixing_time_ou("TV", p) == pytest.approx(math.log(16.0) / 2.0)
 
 
 def test_mixing_time_vacuous_raises():
     p = OUParams(1, 1, kappa=1.0, gamma=1.0, z0_norm_sq=0.0)
-    with pytest.raises(DomainError):
-        mixing_time_ou("TV", p, nm_override=0)
     with pytest.raises(DomainError):
         mixing_time_ou("huh", p)
 
@@ -154,7 +153,6 @@ def test_lift_matrix_bounds():
     assert lift_matrix_bounds("L2", 0.3, 2, 3) == pytest.approx(want_l2, rel=1e-12)
     assert lift_matrix_bounds("L2", 10.0, 20, 20) == math.inf
     assert lift_matrix_bounds("W", 0.5, 4, 9) == pytest.approx(2.0 * 2.0 * 0.5)
-    assert lift_matrix_bounds("W", 0.5, 4, 9, statement_constant=True) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         lift_matrix_bounds("TV", -0.1, 2, 2)
     with pytest.raises(DomainError):
@@ -169,6 +167,27 @@ def test_kl_chain_hand_value():
     assert kl_upper_bound_chain(x0, 1.0, 0.5, params) == pytest.approx(want, rel=1e-12)
     with pytest.raises(DomainError):
         kl_upper_bound_chain(x0, 1.0, 0.0, params)
+
+
+_NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        lambda x0, p: lb_l2_witness(x0, _NAN, p),
+        lambda x0, p: duhamel_variance(x0, _NAN, p),
+        lambda x0, p: tv_lower_bound_formula(x0, _NAN, p),
+        lambda x0, p: kl_upper_bound_chain(x0, _NAN, 0.5, p),
+        lambda x0, p: kl_upper_bound_chain(x0, 1.0, _NAN, p),
+    ],
+    ids=["lb_l2_witness", "duhamel_variance", "tv_lower_bound_formula", "kl_chain-t",
+         "kl_chain-eta"],
+)
+def test_cutoff_bounds_reject_nan_times(bound):
+    params = ModelParams(2, 4.0, 2.0)
+    with pytest.raises(DomainError):
+        bound(ParticleState([4.0, 6.0]), params)
 
 
 def test_kl_chain_decays_subexponentially():
@@ -265,6 +284,22 @@ def test_profile_runs_at_time_zero(route, kind):
     # a grid time 0 draws nothing, so the later row is the row of a grid without it
     (alone,) = run_cutoff_profile(dict(config, times=[0.5])).rows
     assert later == alone
+
+
+@pytest.mark.parametrize("route", [{"n": 8}, {"n": 3, "alpha": 4.0}], ids=["matrix", "euler"])
+def test_profile_reads_array_times_and_distances(route):
+    config = dict(route, replicas=200, seed=5)
+    want = run_cutoff_profile(dict(config, times=[0.6, 1.0, 1.4], distances=["TV", "L2"]))
+    got = run_cutoff_profile(dict(config, times=np.array([0.6, 1.0, 1.4]),
+                                  distances=np.array(["TV", "L2"])))
+    assert len(got.rows) == 6
+    assert [r.__dict__ for r in got.rows] == [r.__dict__ for r in want.rows]
+    assert np.array([r.value for r in got.rows]).tobytes() == (
+        np.array([r.value for r in want.rows]).tobytes()
+    )
+    # empty arrays take the defaults, as empty lists do
+    empty = run_cutoff_profile(dict(config, times=np.array([]), distances=np.array([])))
+    assert empty.rows == run_cutoff_profile(dict(config, times=[], distances=[])).rows
 
 
 def test_profile_rejects_wasserstein():

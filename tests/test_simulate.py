@@ -12,15 +12,12 @@ from dyson_laguerre import (
     NumericError,
     ParticleState,
     RngStream,
-    StepRejected,
     cir_exact_transition,
     default_dt,
-    dl_path,
     dl_paths_batch,
     matrix_dl_path,
     rect_ou_transition,
     spectral_projection,
-    step_dl_sqrt,
 )
 from dyson_laguerre import _kernels, coupling, simulate
 
@@ -94,24 +91,26 @@ def test_step_rejects_when_drift_overshoots():
     # threshold deterministically (drift ~ -y/2, so y(1 - dt/2) is far
     # below -tau at dt = 4), independent of the noise draw
     params = ModelParams(1, 2.0, 0.0)
-    x = ParticleState([1e8])
-    with pytest.raises(StepRejected):
-        step_dl_sqrt(x, 4.0, params, np.random.default_rng(0))
+    y = 2.0 * np.sqrt([[1e8]])
+    _, ok = simulate._propose_batch(y, 4.0, params, np.random.default_rng(0))
+    assert not ok[0]
 
 
 def test_path_driver_recovers_by_halving():
     # the same start succeeds through the path driver, which halves dt on
     # rejection until the proposal is admissible
     params = ModelParams(1, 2.0, 0.0)
-    out = dl_paths_batch((ParticleState([1e8]), 2), [4.0], params, RngStream(0, 0), dt=4.0)
+    out = dl_paths_batch(ParticleState([1e8]), [4.0], params, RngStream(0, 0), replicas=2, dt=4.0)
     assert np.all(np.isfinite(out))
     assert np.all(out > 0)
 
 
 def test_step_small_dt_accepted():
     params = ModelParams(3, 4.0, 2.0)
-    x = ParticleState([0.5, 1.0, 1.5])
-    out = step_dl_sqrt(x, 1e-4, params, np.random.default_rng(0))
+    y = 2.0 * np.sqrt([[0.5, 1.0, 1.5]])
+    prop, ok = simulate._propose_batch(y, 1e-4, params, np.random.default_rng(0))
+    assert ok[0]
+    out = ParticleState(0.25 * prop[0] ** 2)
     assert out.n == 3
     assert out.min_gap() > 0
 
@@ -120,8 +119,8 @@ def test_paths_shapes_and_reproducibility():
     params = ModelParams(4, 6.0, 2.0)
     x0 = ParticleState([1.0, 2.0, 3.0, 4.0])
     times = [0.0, 0.1, 0.3]
-    a = dl_paths_batch((x0, 5), times, params, RngStream(1, 0), dt=1e-3)
-    b = dl_paths_batch((x0, 5), times, params, RngStream(1, 0), dt=1e-3)
+    a = dl_paths_batch(x0, times, params, RngStream(1, 0), replicas=5, dt=1e-3)
+    b = dl_paths_batch(x0, times, params, RngStream(1, 0), replicas=5, dt=1e-3)
     assert a.shape == (3, 5, 4)
     assert np.array_equal(a, b)
     assert np.allclose(a[0], x0.as_array())  # t=0 returns the start
@@ -137,16 +136,35 @@ def test_dl_paths_batch_reads_tuples_of_numbers_as_states():
         got = dl_paths_batch(tuple(state), times, params, RngStream(4, 0))
         assert got.shape == (2, 1, len(state))
         assert np.array_equal(got, want)
-        # a tuple whose first item is a state still broadcasts it
-        rows = dl_paths_batch(np.tile(state, (3, 1)), times, params, RngStream(4, 0))
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_replicas_match_the_tiled_start(r):
+    # one state with replicas=r runs exactly as its (r, n) tiling
+    times = [0.05, 0.1]
+    for state in ([0.5], [0.5, 1.0], [0.5, 1.0, 1.5]):
+        params = ModelParams(len(state), 6.0, 1.0)
+        rows = dl_paths_batch(np.tile(state, (r, 1)), times, params, RngStream(4, 0))
+        assert rows.shape == (2, r, len(state))
         for start in (state, np.array(state), ParticleState(state)):
-            assert np.array_equal(dl_paths_batch((start, 3), times, params, RngStream(4, 0)), rows)
+            got = dl_paths_batch(start, times, params, RngStream(4, 0), replicas=r)
+            assert got.tobytes() == rows.tobytes()
 
 
-def test_dl_path_phi_series():
+def test_tuple_of_rows_runs_as_replicas():
+    params = ModelParams(2, 6.0, 1.0)
+    rows = ((0.5, 1.0), (0.7, 1.6))
+    got = dl_paths_batch(rows, [0.05, 0.1], params, RngStream(4, 0))
+    want = dl_paths_batch(np.array(rows), [0.05, 0.1], params, RngStream(4, 0))
+    assert got.shape == (2, 2, 2)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_single_start_is_a_batch_of_one():
     params = ModelParams(3, 4.0, 1.0)
-    p = dl_path([0.5, 1.0, 2.0], [0.0, 0.2], params, RngStream(2, 0))
-    phi = p.phi_series()
+    out = dl_paths_batch([0.5, 1.0, 2.0], [0.0, 0.2], params, RngStream(2, 0))
+    assert out.shape == (2, 1, 3)
+    phi = out[:, 0].sum(axis=1)
     assert phi.shape == (2,)
     assert phi[0] == pytest.approx(3.5)
 
@@ -158,7 +176,7 @@ def test_paths_match_exact_law_beta_zero():
     x0 = 1.2
     t = 0.7
     sim = dl_paths_batch(
-        (ParticleState([x0]), 4000), [t], params, RngStream(3, 0), dt=1e-3
+        ParticleState([x0]), [t], params, RngStream(3, 0), replicas=4000, dt=1e-3
     )[0, :, 0]
     exact = cir_exact_transition(np.full(4000, x0), t, 2.0, np.random.default_rng(4))
     assert stats.ks_2samp(sim, exact).pvalue > 0.01
@@ -206,11 +224,9 @@ def test_matrix_path_stationary_pushforward():
     mp = MatrixParams.bru(n, m)
     reps = 3000
     rng = np.random.default_rng(13)
-    phis = np.empty(reps)
-    for r in range(reps):
-        M0 = math.sqrt(m / 2.0) * rng.standard_normal((n, m))
-        path = matrix_dl_path(MatrixState(M0), [0.6], mp, RngStream(17, r), canonical=True)
-        phis[r] = float(np.sum(path.states[0].as_array()))
+    M0 = math.sqrt(m / 2.0) * rng.standard_normal((reps, n, m))
+    sources = [RngStream(17, r) for r in range(reps)]
+    phis = matrix_dl_path(M0, [0.6], mp, sources, canonical=True)[0].sum(axis=1)
     a = mp.induced_model().phi_mean
     assert stats.kstest(phis, "gamma", args=(a,)).pvalue > 0.01
 
@@ -219,9 +235,10 @@ def test_matrix_path_start_is_projected_exactly():
     mp = MatrixParams.bru(2, 3)
     M0 = np.zeros((2, 3))
     M0[0, 0], M0[1, 1] = 1.0, 2.0
-    path = matrix_dl_path(MatrixState(M0), [0.0], mp, RngStream(5, 0), canonical=True)
+    out = matrix_dl_path(MatrixState(M0), [0.0], mp, RngStream(5, 0), canonical=True)
+    assert out.shape == (1, 1, 2)  # one matrix is a stack of one
     want = mp.space_scale * spectral_projection(MatrixState(M0)).as_array()
-    assert np.allclose(path.states[0].as_array(), want, atol=1e-12)
+    assert np.allclose(out[0, 0], want, atol=1e-12)
 
 
 def test_matrix_state_frozen_and_frobenius():
@@ -327,8 +344,9 @@ def test_propose_batch_rejects_nonfinite_rows(n, beta, monkeypatch):
             return out
 
         monkeypatch.setattr(_kernels, "edl_drift_batch", drift)
-        with np.errstate(invalid="ignore"), pytest.raises(StepRejected):
-            step_dl_sqrt(ParticleState(x), dt, params, RngStream(3, j))
+        with np.errstate(invalid="ignore"):
+            _, ok = simulate._propose_batch(y[None], dt, params, RngStream(3, j).generator())
+        assert not ok[0]
 
 
 def test_exhausted_step_halving_raises_numeric_error(monkeypatch):
@@ -338,7 +356,7 @@ def test_exhausted_step_halving_raises_numeric_error(monkeypatch):
     monkeypatch.setattr(_kernels, "edl_drift_batch", lambda y, a, b: np.full_like(y, np.nan))
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError):
-            dl_paths_batch((x0, 4), [0.0, 0.1], params, RngStream(1, 0))
+            dl_paths_batch(x0, [0.0, 0.1], params, RngStream(1, 0), replicas=4)
         with pytest.raises(NumericError):
             coupling.run_coupled_batch(
                 x0, ParticleState([1.5, 2.5, 3.5]), [0.0, 0.1], params, RngStream(2, 0),
@@ -368,7 +386,7 @@ def test_paths_match_frozen_references(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(simulate, "_propose_batch", counting)
             m.setattr(coupling, "_propose_batch", counting)
-            paths = dl_paths_batch((x0, 40), times, params, RngStream(5, 0), dt=0.02)
+            paths = dl_paths_batch(x0, times, params, RngStream(5, 0), replicas=40, dt=0.02)
             pairs = coupling.run_coupled_batch(
                 x0, other, times, params, RngStream(6, 0), replicas=30, kind="mirror", dt=0.02
             )
@@ -434,8 +452,9 @@ def test_matrix_stack_matches_per_replica_reference(n, m, r, canonical):
         want = _reference_matrix_dl_path(M0[k], times, mp, sources[k], canonical)
         assert out[:, k].tobytes() == want.tobytes()
         # a single matrix is the r = 1 case of the same route
-        path = matrix_dl_path(MatrixState(M0[k]), times, mp, sources[k], canonical=canonical)
-        assert np.array([s.as_array() for s in path.states]).tobytes() == want.tobytes()
+        one = matrix_dl_path(MatrixState(M0[k]), times, mp, sources[k], canonical=canonical)
+        assert one.shape == (len(times), 1, n)
+        assert one[:, 0].tobytes() == want.tobytes()
     # the stacked pieces on their own
     gens = [s.generator() for s in sources]
     stepped = rect_ou_transition(M0, 0.3, mp, gens)
@@ -482,7 +501,7 @@ def test_route_time_grids_rejected(times):
     x0 = ParticleState([0.5, 1.0, 2.0])
     mp = MatrixParams.bru(2, 3)
     with pytest.raises(DomainError):
-        dl_paths_batch((x0, 2), times, params, RngStream(0, 0))
+        dl_paths_batch(x0, times, params, RngStream(0, 0), replicas=2)
     with pytest.raises(DomainError):
         matrix_dl_path(np.ones((2, 3)), times, mp, RngStream(0, 0))
     with pytest.raises(DomainError):
@@ -494,7 +513,7 @@ def test_path_drivers_reject_bad_dt(dt):
     params = ModelParams(3, 4.0, 1.0)
     x0 = ParticleState([0.5, 1.0, 2.0])
     with pytest.raises(DomainError):
-        dl_paths_batch((x0, 2), [0.1, 0.2], params, RngStream(0, 0), dt=dt)
+        dl_paths_batch(x0, [0.1, 0.2], params, RngStream(0, 0), replicas=2, dt=dt)
     with pytest.raises(DomainError):
         coupling.run_coupled_batch(x0, ParticleState([1.0, 1.5, 2.5]), [0.1, 0.2], params,
                                    RngStream(0, 0), replicas=2, dt=dt)
@@ -517,7 +536,7 @@ def test_path_drivers_need_a_start_row(replicas):
     params = ModelParams(3, 4.0, 1.0)
     x0, y0 = ParticleState([1.0, 2.0, 3.0]), ParticleState([1.5, 2.5, 3.5])
     with pytest.raises(DomainError):
-        dl_paths_batch((x0, replicas), [0.1], params, RngStream(0, 0))
+        dl_paths_batch(x0, [0.1], params, RngStream(0, 0), replicas=replicas)
     with pytest.raises(DomainError):
         coupling.run_coupled_batch(x0, y0, [0.1], params, RngStream(0, 0), replicas=replicas)
     with pytest.raises(DomainError):

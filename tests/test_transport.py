@@ -75,14 +75,6 @@ def test_ou_closed_form_l2_overflow_is_inf():
     assert got["L2"].value == math.inf
 
 
-def test_printed_variant_flagged():
-    p = OUParams(1, 1, kappa=2.0, gamma=1.0, z0_norm_sq=1.0)
-    a = ou_closed_form_distances(p, 1.0)
-    b = ou_closed_form_distances(p, 1.0, printed_variant=True)
-    assert b["L2"].extras.get("printed_variant") is True
-    assert a["L2"].value != b["L2"].value  # kappa != kappa^2 separates them
-
-
 def test_gaussian_tv_vs_quadrature():
     cases = [(0.0, 1.0, 2.0), (1.5, 1.0, 1.0), (0.7, 0.5, 2.5)]
     for mu, v1, v2 in cases:
