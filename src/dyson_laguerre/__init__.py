@@ -31,7 +31,6 @@ from .model import (
 )
 from .simulate import (
     MatrixParams,
-    MatrixState,
     RngStream,
     cir_exact_transition,
     default_dt,
@@ -41,12 +40,10 @@ from .simulate import (
     spectral_projection,
 )
 from .equilibrium import (
-    GasSample,
     build_x0,
     gibbs_energy,
     gibbs_gradient,
     log_density_unnormalized,
-    sample_equilibrium,
     sample_equilibrium_batch,
 )
 from .geometry import (

@@ -140,13 +140,16 @@ def parse_config(text):
 
 def serialize_config(config):
     """Canonical text form of a config; parse(serialize(parse(t))) is
-    parse(t)."""
+    parse(t).  A list, tuple or 1-D array is written as a comma list of its
+    values, so the list and array forms of one config share a digest."""
     lines = []
     for key in CONFIG_KEYS:
         val = config.get(key)
         if val is None:
             continue
-        if isinstance(val, list):
+        if isinstance(val, np.ndarray) and val.ndim == 1:
+            val = val.tolist()
+        if isinstance(val, (list, tuple)):
             lines.append(f"{key} = {', '.join(str(v) for v in val)}")
         else:
             lines.append(f"{key} = {val}")
@@ -337,9 +340,16 @@ def _start(config, params, positive):
     return x0, [note] if note else [], gen
 
 
+def _times(config, default):
+    """The config's grid times as a float array; an omitted or empty value
+    (list or array) takes the default."""
+    times = np.asarray(() if config.get("times") is None else config["times"], dtype=float)
+    return times if times.size else np.asarray(default, dtype=float)
+
+
 def _run_simulate(config):
     params, mp = _model_from_config(config)
-    times = np.asarray(config.get("times") or [1.0], dtype=float)
+    times = _times(config, [1.0])
     replicas = int(config.get("replicas") or 1)
     seed = int(config.get("seed") or 0)
     x0, notes, _ = _start(config, params, positive=mp is None)
@@ -361,7 +371,7 @@ def _run_distance(config):
     from .coupling import wg_decay_estimate
 
     params, _ = _model_from_config(config)
-    times = np.asarray(config.get("times") or np.arange(0.5, 6.1, 0.5), dtype=float)
+    times = _times(config, np.arange(0.5, 6.1, 0.5))
     replicas = int(config.get("replicas") or 200)
     x0, notes, _ = _start(config, params, positive=True)
     curve = wg_decay_estimate(x0, times, params, replicas,
@@ -388,13 +398,13 @@ def _run_check_cd(config):
 
 def _run_couple(config):
     from .coupling import run_coupled_batch
-    from .equilibrium import sample_equilibrium
+    from .equilibrium import sample_equilibrium_batch
 
     params, _ = _model_from_config(config)
-    times = np.asarray(config.get("times") or np.arange(0.5, 6.1, 0.5), dtype=float)
+    times = _times(config, np.arange(0.5, 6.1, 0.5))
     replicas = int(config.get("replicas") or 100)
     x0, notes, gen = _start(config, params, positive=True)
-    y0 = sample_equilibrium(params, gen).state
+    y0 = sample_equilibrium_batch(params, gen, 1)[0]
     sa, sb, coal = run_coupled_batch(x0, y0, times, params,
                                      RngStream(int(config.get("seed") or 0), 0),
                                      replicas=replicas, kind="mirror")
@@ -426,7 +436,7 @@ def _run_ou_formulas(config):
     x0, notes, _ = _start(config, params, positive=False)
     z0_sq = float(mp.m * observable_phi(x0, params).phi_raw)
     ou = OUParams(int(n), int(m), mp.kappa, mp.gamma, z0_norm_sq=z0_sq)
-    times = np.asarray(config.get("times") or np.arange(0.5, 6.1, 0.5), dtype=float)
+    times = _times(config, np.arange(0.5, 6.1, 0.5))
     rows = []
     for t in times:
         vals = ou_closed_form_distances(ou, float(t))

@@ -19,6 +19,11 @@ leg's proposal is rejected, simulate._advance, the halving recursion of
 solo paths too, halves the step for both, so the copies stay aligned in
 time.  Refinement events are taming-tail rare, which keeps each leg's
 marginal law indistinguishable in practice from a solo run.
+
+Every entry point reads its starts as dl_paths_batch does, through
+simulate._start_rows: one state repeated replicas times, or (r, n) rows.
+A start law, such as the invariant gas in wg_decay_estimate, is passed as
+rows the caller has drawn.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +33,6 @@ import numpy as np
 
 from . import _kernels, transport
 from .errors import DomainError
-from .model import ParticleState
 from .simulate import (
     _advance,
     _coerce_generator,
@@ -196,17 +200,6 @@ class WgDecayCurve:
         ]
 
 
-def _draw_cloud(mu0_sampler, gen, replicas, n):
-    if isinstance(mu0_sampler, ParticleState):
-        return np.tile(mu0_sampler.as_array()[None, :], (replicas, 1))
-    if isinstance(mu0_sampler, np.ndarray) and mu0_sampler.ndim == 1:
-        return np.tile(np.asarray(mu0_sampler, float)[None, :], (replicas, 1))
-    cloud = np.asarray(mu0_sampler(gen, replicas), dtype=float)
-    if cloud.shape != (replicas, n):
-        raise DomainError(f"mu0_sampler must return a ({replicas}, {n}) array")
-    return cloud
-
-
 # Contiguous row blocks behind the split-sample stderr of a decay value.
 SE_BLOCKS = 4
 
@@ -235,12 +228,13 @@ def _w_with_bootstrap(cloud_a, cloud_b, se=True):
     return value, float(np.std(vals, ddof=1) / math.sqrt(SE_BLOCKS))
 
 
-def wg_decay_estimate(mu0_sampler, times, params, replicas, rng, dt=None):
+def wg_decay_estimate(x0, times, params, replicas, rng, dt=None):
     """Intrinsic Wasserstein decay of Law(X_t) toward the invariant gas.
 
-    mu0_sampler is either a start state (point mass) or a callable
-    (gen, size) -> (size, n) array of start rows.  Each grid time compares
-    the simulated cloud against a fresh equilibrium cloud of equal size by
+    x0 is read as dl_paths_batch reads it: one start state repeated
+    replicas times (a point mass), or an (r, n) array of start rows, drawn
+    by the caller, with r = replicas.  Each grid time compares the
+    simulated cloud against a fresh equilibrium cloud of equal size by
     one exact assignment; its stderr is the split-sample one of
     _w_with_bootstrap, over SE_BLOCKS row blocks of the same cost matrix,
     and draws nothing from rng.  The envelope is exp(-t/2) times the
@@ -253,7 +247,9 @@ def wg_decay_estimate(mu0_sampler, times, params, replicas, rng, dt=None):
         raise DomainError(f"replicas must be at least 100, got {replicas}")
     times = np.asarray(times, dtype=float)
     gen = _coerce_generator(rng)
-    cloud0 = _draw_cloud(mu0_sampler, gen, replicas, params.n)
+    cloud0 = _start_rows(x0, params, replicas)
+    if cloud0.shape[0] != replicas:
+        raise DomainError(f"{cloud0.shape[0]} start rows for {replicas} replicas")
     eq0 = sample_equilibrium_batch(params, gen, replicas)
     w0, _ = _w_with_bootstrap(cloud0, eq0, se=False)
     floor, _ = _w_with_bootstrap(

@@ -10,9 +10,10 @@ on the ordered chamber, with delta = alpha - (n-1)*beta/2.  Two exact samplers:
   entries; exact for every admissible (alpha, beta), the default.
 * matrix: eigenvalues of G G^T / 2 for an n x p standard Gaussian G; exact
   for beta = 1 when p = 2*alpha is an integer >= n.
-"""
 
-from dataclasses import dataclass
+sample_equilibrium_batch is the one entry point to both; a single draw is
+row 0 of a batch of one.
+"""
 
 import numpy as np
 
@@ -21,12 +22,6 @@ from .model import ParticleState, collision_tol
 from .simulate import _coerce_generator
 
 MIN_GAP_FLOOR = 1e-10
-
-
-@dataclass(frozen=True)
-class GasSample:
-    state: ParticleState
-    method: str
 
 
 def _bidiagonal_draws(params, gen, size):
@@ -100,12 +95,6 @@ def sample_equilibrium_batch(params, rng, size, method=None):
         else:
             raise NumericError("equilibrium sampler kept producing collided draws")
     return draws
-
-
-def sample_equilibrium(params, rng, method=None):
-    """One exact equilibrium configuration."""
-    draws = sample_equilibrium_batch(params, rng, 1, method=method)
-    return GasSample(state=ParticleState(draws[0]), method=method or "tridiagonal")
 
 
 def _energy_terms(x, params):
@@ -195,13 +184,13 @@ def build_x0(preset, params, rng, positive=False):
     """Build a start configuration from a named preset.
 
     Presets: zero (all coordinates at the origin), equilibrium-draw (one
-    exact gas sample), linear-ramp (x_i = i), single-outlier (a ramp whose
-    top coordinate is pushed to max(10*alpha, 2n)).  Returns (state, note);
-    note records any substitution.  positive=True, which the Euler
-    integrator's callers pass (simulate, distance and couple without m),
-    replaces the zero preset by the ramp 1e-4 * (1, ..., n), since the
-    scheme cannot start at 0; the cutoff profile draws phi exactly and
-    keeps the zero preset at 0.
+    exact gas sample, row 0 of a tridiagonal batch of one), linear-ramp
+    (x_i = i), single-outlier (a ramp whose top coordinate is pushed to
+    max(10*alpha, 2n)).  Returns (state, note); note records any
+    substitution.  positive=True, which the Euler integrator's callers pass
+    (simulate, distance and couple without m), replaces the zero preset by
+    the ramp 1e-4 * (1, ..., n), since the scheme cannot start at 0; the
+    cutoff profile draws phi exactly and keeps the zero preset at 0.
     """
     key = _X0_ALIASES.get(str(preset).lower())
     if key is None:
@@ -218,7 +207,7 @@ def build_x0(preset, params, rng, positive=False):
         else:
             x = np.zeros(n)
     elif key == "equilibrium":
-        x = sample_equilibrium(params, rng).state.as_array()
+        x = sample_equilibrium_batch(params, rng, 1)[0]
     elif key == "ramp":
         x = np.arange(1.0, n + 1.0)
     else:

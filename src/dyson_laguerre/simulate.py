@@ -16,7 +16,10 @@ Three routes to the particle law are implemented.
   with beta = 1 and alpha = m/2.
 
 One path driver per route, dl_paths_batch, matrix_dl_path and (for pairs)
-coupling.run_coupled_batch, each returning (len(times), r, n) arrays.
+coupling.run_coupled_batch, each returning (len(times), r, n) arrays.  A
+single item is a batch of one: one start state is r = 1 rows, and on the
+matrix route one n x m matrix is a stack of one, so rect_ou_transition and
+spectral_projection return (r, n, m) and (r, n) arrays for every input.
 """
 
 from dataclasses import dataclass
@@ -267,74 +270,40 @@ class MatrixParams:
         return ModelParams(self.n, self.m / 2.0, 1.0, allow_weak=True)
 
 
-class MatrixState:
-    """An n x m real matrix, frozen."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2:
-            raise DomainError("matrix state must be two-dimensional")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("matrix entries must be finite")
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixState is immutable")
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-    def frobenius_sq(self):
-        return float(np.sum(self.entries**2))
-
-
 def _matrix_stack(M, params, rng):
-    """(stack, sources, single): M as a validated (r, n, m) float array, its
-    random sources as a list of r, and whether M was one matrix.
+    """(stack, sources): M as a validated (r, n, m) float array and its
+    random sources as a list of r.
 
-    M is a MatrixState or an n x m array with one source, or an (r, n, m)
-    stack with a sequence of r sources.
+    M is an (r, n, m) stack or one n x m matrix, a stack of one.  rng is a
+    list or tuple of r sources, or, when r = 1, one bare source.
     """
-    if isinstance(M, MatrixState):
-        a, single = M.entries[None], True
-    else:
-        a = np.asarray(M, dtype=float)
-        single = a.ndim == 2
-        if single:
-            a = a[None]
-        elif a.ndim != 3:
-            raise DomainError("matrix state must be two-dimensional, or a stack of matrices")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("matrix entries must be finite")
+    a = np.asarray(M, dtype=float)
+    if a.ndim == 2:
+        a = a[None]
+    elif a.ndim != 3:
+        raise DomainError("matrix state must be two-dimensional, or a stack of matrices")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix entries must be finite")
     if a.shape[1:] != (params.n, params.m):
         raise DomainError(
             f"matrix shape {a.shape[1:]} does not match params ({params.n}, {params.m})"
         )
-    if single:
-        return a, [rng], True
     r = a.shape[0]
-    try:
-        sources = list(rng)
-    except TypeError:
-        raise DomainError(f"a stack of {r} matrices needs a sequence of {r} sources") from None
+    sources = list(rng) if isinstance(rng, (list, tuple)) else [rng]
     if len(sources) != r:
         raise DomainError(f"a stack of {r} matrices needs {r} random sources, got {len(sources)}")
-    return a, sources, False
+    return a, sources
 
 
 def rect_ou_transition(M0, t, params, rng):
     """Exact transition of the matrix flow over time t (matrix clock).
 
-    M0 is one n x m matrix with one random source, returning a MatrixState,
-    or an (r, n, m) stack with a sequence of r sources, returning an
-    (r, n, m) array.  Matrix k draws its noise from source k alone, so each
-    matrix of a stack gets the bits a call on it by itself would give.
+    M0 is an (r, n, m) stack with a list or tuple of r sources, or one
+    n x m matrix, a stack of one, whose source may also come bare.  Returns
+    an (r, n, m) array.  Matrix k draws its noise from source k alone, so
+    each matrix of a stack gets the bits a stack of one would give.
     """
-    M, sources, single = _matrix_stack(M0, params, rng)
+    M, sources = _matrix_stack(M0, params, rng)
     if t < 0 or not math.isfinite(t):
         raise DomainError(f"t must be nonnegative, got {t}")
     if t == 0:
@@ -350,19 +319,21 @@ def rect_ou_transition(M0, t, params, rng):
         out += noise
         if not np.all(np.isfinite(out)):
             raise DomainError("matrix entries must be finite")
-    return MatrixState(out[0]) if single else out
+    return out
 
 
 def spectral_projection(M):
-    """Ordered eigenvalues of M M^T: a ParticleState for one matrix, an
-    (r, n) array for an (r, n, m) stack.
+    """Ordered eigenvalues of M M^T for each matrix of an (r, n, m) stack,
+    as an (r, n) array; one n x m matrix is a stack of one.
 
     Tiny negative eigenvalues from roundoff are clipped to zero; anything
     materially negative, on the scale of its own matrix, or non-finite
     raises EigenFailure.
     """
-    A = M.entries if isinstance(M, MatrixState) else np.asarray(M, dtype=float)
-    if A.ndim not in (2, 3):
+    A = np.asarray(M, dtype=float)
+    if A.ndim == 2:
+        A = A[None]
+    elif A.ndim != 3:
         raise DomainError("expected a matrix or a stack of matrices")
     try:
         w = np.linalg.eigvalsh(A @ A.swapaxes(-1, -2))
@@ -373,17 +344,17 @@ def spectral_projection(M):
     scale = np.maximum(1.0, np.max(np.abs(w), axis=-1, keepdims=True))
     if np.any(w < -1e-8 * scale):
         raise EigenFailure(f"materially negative eigenvalue {np.min(w):.3e} from a Gram matrix")
-    w = np.maximum(np.sort(w, axis=-1), 0.0)
-    return ParticleState(w) if A.ndim == 2 else w
+    return np.maximum(np.sort(w, axis=-1), 0.0)
 
 
 def matrix_dl_path(M0, times, params, rng, canonical=False):
     """Exact matrix transitions chained along a grid, projected to spectra.
 
-    M0 is an (r, n, m) stack with a sequence of r sources, one per replica,
-    or one n x m matrix with one source, a stack of one.  Returns an array
-    of shape (len(times), r, n), as dl_paths_batch does.  Replica k draws
-    from source k alone, so it gets the bits a stack of one would give.
+    M0 and rng are as in rect_ou_transition: an (r, n, m) stack with a list
+    or tuple of r sources, one per replica, or one n x m matrix, a stack of
+    one, with a one-element list or a bare source.  Returns an array of
+    shape (len(times), r, n), as dl_paths_batch does.  Replica k draws from
+    source k alone, so it gets the bits a stack of one would give.
 
     With canonical=False states carry the raw eigenvalues of M M^T on the
     matrix clock (so sum of coordinates equals the squared Frobenius norm).
@@ -392,7 +363,7 @@ def matrix_dl_path(M0, times, params, rng, canonical=False):
     system with the induced parameters.
     """
     times = _validate_times(times)
-    M, sources, _ = _matrix_stack(M0, params, rng)
+    M, sources = _matrix_stack(M0, params, rng)
     gens = [_coerce_generator(src) for src in sources]
     wall = times / params.time_scale if canonical else times
     out = np.empty((times.size, M.shape[0], params.n))

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from dyson_laguerre import (
+    DomainError,
+    DysonLaguerreError,
     ParseError,
     SerializationError,
     ValidationError,
@@ -45,6 +47,18 @@ def test_parse_and_serialize_roundtrip():
     again = parse_config(text)
     assert again == config
     assert config_digest(again) == config_digest(config)
+
+
+@pytest.mark.parametrize("form", [np.array, tuple])
+def test_serialize_writes_sequences_as_comma_lists(form):
+    # the list, tuple and array forms of a config share their text and digest
+    config = parse_config(GOOD)
+    other = dict(config, times=form(config["times"]), distances=form(config["distances"]))
+    text = serialize_config(other)
+    assert text == serialize_config(config)
+    assert "times = 0.6, 1.0, 1.4\n" in text
+    assert parse_config(text) == config
+    assert config_digest(other) == config_digest(config)
 
 
 def test_parse_n_ladder():
@@ -628,3 +642,39 @@ def test_matrix_simulate_replica_streams_avoid_the_start_stream(tmp_path, monkey
          "replicas": 901, "seed": 7, "out_dir": str(tmp_path), "format": "csv"})
     assert len(starts) == 1 and len(replicas) == 901
     assert starts[0] not in replicas
+
+
+_ARRAY_TIMES_CONFIGS = {
+    "simulate": {"n": 3, "alpha": 6.0, "x0_preset": "ramp", "replicas": 20},
+    "distance": {"n": 2, "alpha": 3.0, "x0_preset": "ramp", "replicas": 100},
+    "couple": {"n": 2, "alpha": 3.0, "x0_preset": "ramp", "replicas": 10},
+    "ou-formulas": {"n": 3, "m": 5, "x0_preset": "ramp"},
+}
+
+
+def _run_outputs(config):
+    """(config_hash, artifact bytes by name) of a run, or its error type."""
+    try:
+        manifest = run(config)
+    except DysonLaguerreError as exc:
+        return type(exc)
+    out = {}
+    for o in manifest.outputs:
+        with open(os.path.join(config["out_dir"], o["path"]), "rb") as fh:
+            out[o["path"]] = fh.read()
+    return manifest.config_hash, out
+
+
+@pytest.mark.parametrize("mode", list(_ARRAY_TIMES_CONFIGS))
+def test_array_times_give_the_list_artifacts(tmp_path, mode):
+    # an array of times is read as the list it holds, not as a truth value:
+    # a grid of one 0 is a grid time (ou-formulas rejects it in both forms),
+    # and only an empty grid takes the mode's default
+    base = dict(_ARRAY_TIMES_CONFIGS[mode], mode=mode, seed=4, out_dir=str(tmp_path))
+    got = {}
+    for grid in ((0.1, 0.25), (0.0,), ()):
+        got[grid] = _run_outputs(dict(base, times=list(grid)))
+        assert _run_outputs(dict(base, times=np.array(grid))) == got[grid]
+    assert got[(0.0,)] != got[()]
+    if mode == "ou-formulas":
+        assert got[(0.0,)] is DomainError

@@ -189,16 +189,20 @@ def test_wg_decay_needs_replicas():
     params = ModelParams(2, 3.0, 1.0)
     with pytest.raises(DomainError):
         wg_decay_estimate(ParticleState([1.0, 2.0]), [1.0], params, 50, RngStream(10, 0))
+    # (r, n) start rows are the replicas, so their count must be replicas
+    rows = np.tile([1.0, 2.0], (120, 1))
+    for r in (100, 140):
+        with pytest.raises(DomainError):
+            wg_decay_estimate(rows, [1.0], params, r, RngStream(10, 0))
 
 
 def test_wg_decay_flat_at_equilibrium():
-    # started from equilibrium the curve sits at the floor for all times
+    # started from equilibrium the curve sits at the floor for all times; the
+    # start rows come from the generator the estimate then goes on with
     params = ModelParams(2, 3.0, 1.0)
-
-    def eq_sampler(gen, replicas):
-        return sample_equilibrium_batch(params, gen, replicas)
-
-    curve = wg_decay_estimate(eq_sampler, [0.4, 1.2], params, 140, RngStream(11, 0), dt=2e-3)
+    gen = RngStream(11, 0).generator()
+    rows = sample_equilibrium_batch(params, gen, 140)
+    curve = wg_decay_estimate(rows, [0.4, 1.2], params, 140, gen, dt=2e-3)
     for v, se in zip(curve.values, curve.stderrs):
         assert abs(v - curve.floor) < 4 * (se + 0.05)
     rows = curve.rows()

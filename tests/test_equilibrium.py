@@ -16,7 +16,6 @@ from dyson_laguerre import (
     gibbs_energy,
     gibbs_gradient,
     log_density_unnormalized,
-    sample_equilibrium,
     sample_equilibrium_batch,
 )
 from dyson_laguerre.equilibrium import edl_gibbs_energy
@@ -78,10 +77,10 @@ def test_matrix_sampler_guards():
 
 
 def test_sample_equilibrium_single():
-    s = sample_equilibrium(ModelParams(4, 6.0, 2.0), RngStream(6, 0))
-    assert isinstance(s.state, ParticleState)
-    assert s.method == "tridiagonal"
-    assert s.state.min_gap() > 0
+    # a single draw is a batch of one
+    draws = sample_equilibrium_batch(ModelParams(4, 6.0, 2.0), RngStream(6, 0), 1)
+    assert draws.shape == (1, 4)
+    assert ParticleState(draws[0]).min_gap() > 0
 
 
 def test_drift_energy_identity():
@@ -132,7 +131,7 @@ def test_sqrt_drift_is_minus_energy_gradient(beta):
     gen = np.random.default_rng(31)
     h = 1e-6
     for _ in range(5):
-        y = 2.0 * np.sqrt(sample_equilibrium(params, gen).state.as_array())
+        y = 2.0 * np.sqrt(sample_equilibrium_batch(params, gen, 1)[0])
         grad = np.empty_like(y)
         for i in range(y.size):
             yp, ym = y.copy(), y.copy()

@@ -7,7 +7,6 @@ from scipy import stats
 from dyson_laguerre import (
     DomainError,
     MatrixParams,
-    MatrixState,
     ModelParams,
     NumericError,
     ParticleState,
@@ -202,7 +201,7 @@ def test_rect_ou_transition_moments():
     t = 0.9
     reps = 20_000
     rng = np.random.default_rng(11)
-    draws = np.array([rect_ou_transition(M0, t, mp, rng).entries for _ in range(reps)])
+    draws = np.array([rect_ou_transition(M0, t, mp, rng)[0] for _ in range(reps)])
     mean = 3.0 * math.exp(-mp.gamma * t)
     var = mp.kappa**2 * (1 - math.exp(-2 * mp.gamma * t)) / (2 * mp.gamma)
     assert np.allclose(draws.mean(axis=0), mean, atol=4 * math.sqrt(var / reps))
@@ -213,8 +212,9 @@ def test_spectral_projection_known_matrix():
     # M = diag(2, 3) padded to 2x4: MM^T has eigenvalues 4, 9
     M = np.zeros((2, 4))
     M[0, 0], M[1, 1] = 2.0, 3.0
-    x = spectral_projection(MatrixState(M))
-    assert np.allclose(x.as_array(), [4.0, 9.0], atol=1e-12)
+    x = spectral_projection(M)
+    assert x.shape == (1, 2)  # one matrix is a stack of one
+    assert np.allclose(x, [[4.0, 9.0]], atol=1e-12)
 
 
 def test_matrix_path_stationary_pushforward():
@@ -235,17 +235,26 @@ def test_matrix_path_start_is_projected_exactly():
     mp = MatrixParams.bru(2, 3)
     M0 = np.zeros((2, 3))
     M0[0, 0], M0[1, 1] = 1.0, 2.0
-    out = matrix_dl_path(MatrixState(M0), [0.0], mp, RngStream(5, 0), canonical=True)
+    out = matrix_dl_path(M0, [0.0], mp, RngStream(5, 0), canonical=True)
     assert out.shape == (1, 1, 2)  # one matrix is a stack of one
-    want = mp.space_scale * spectral_projection(MatrixState(M0)).as_array()
+    want = mp.space_scale * spectral_projection(M0)[0]
     assert np.allclose(out[0, 0], want, atol=1e-12)
 
 
-def test_matrix_state_frozen_and_frobenius():
-    s = MatrixState(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert s.frobenius_sq() == pytest.approx(30.0)
-    with pytest.raises(ValueError):
-        s.entries[0, 0] = 9.0
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (4, 10)])
+def test_one_matrix_is_a_stack_of_one(n, m):
+    # an n x m matrix with a bare source, with a one-element list or tuple,
+    # and the (1, n, m) stack are one call, bit for bit
+    mp = MatrixParams.bru(n, m)
+    M0 = np.random.default_rng(n * m).standard_normal((n, m))
+    times = [0.0, 0.3, 1.1]
+    src = RngStream(n + m, 0)
+    calls = [(M0, src), (M0, [src]), (M0, (src,)), (M0[None], [src]), (M0[None], src)]
+    paths = [matrix_dl_path(M, times, mp, rng).tobytes() for M, rng in calls]
+    steps = [rect_ou_transition(M, 0.4, mp, rng).tobytes() for M, rng in calls]
+    assert len(set(paths)) == 1 and len(set(steps)) == 1
+    assert rect_ou_transition(M0, 0.4, mp, src).shape == (1, n, m)
+    assert spectral_projection(M0).tobytes() == spectral_projection(M0[None]).tobytes()
 
 
 # Frozen reference: the proposal checks as they stood, with row reductions
@@ -404,17 +413,17 @@ def test_paths_match_frozen_references(monkeypatch):
         assert np.array_equal(got, want)
 
 
-# Frozen reference: the matrix route as it stood, one MatrixState and one
+# Frozen reference: the matrix route as it stood, one n x m matrix and one
 # eigensolve per replica and grid time.  The stacked route must give every
 # replica exactly these bits.
 def _reference_rect_ou_transition(M, t, params, gen):
     decay = math.exp(-params.gamma * t)
     var = params.kappa**2 * (-math.expm1(-2.0 * params.gamma * t)) / (2.0 * params.gamma)
-    return MatrixState(decay * M.entries + math.sqrt(var) * gen.standard_normal(M.shape))
+    return decay * M + math.sqrt(var) * gen.standard_normal(M.shape)
 
 
 def _reference_spectral_projection(M):
-    w = np.linalg.eigvalsh(M.entries @ M.entries.T)
+    w = np.linalg.eigvalsh(M @ M.T)
     scale = max(1.0, float(np.max(np.abs(w))))
     assert np.all(np.isfinite(w)) and not np.any(w < -1e-8 * scale)
     return ParticleState(np.maximum(np.sort(w), 0.0))
@@ -422,7 +431,7 @@ def _reference_spectral_projection(M):
 
 def _reference_matrix_dl_path(M0, times, params, rng, canonical=False):
     gen = rng.generator()
-    M = MatrixState(M0)
+    M = np.array(M0, dtype=float)
     wall = np.asarray(times, float) / params.time_scale if canonical else np.asarray(times, float)
     states = []
     t_prev = 0.0
@@ -452,7 +461,7 @@ def test_matrix_stack_matches_per_replica_reference(n, m, r, canonical):
         want = _reference_matrix_dl_path(M0[k], times, mp, sources[k], canonical)
         assert out[:, k].tobytes() == want.tobytes()
         # a single matrix is the r = 1 case of the same route
-        one = matrix_dl_path(MatrixState(M0[k]), times, mp, sources[k], canonical=canonical)
+        one = matrix_dl_path(M0[k], times, mp, sources[k], canonical=canonical)
         assert one.shape == (len(times), 1, n)
         assert one[:, 0].tobytes() == want.tobytes()
     # the stacked pieces on their own
@@ -460,8 +469,8 @@ def test_matrix_stack_matches_per_replica_reference(n, m, r, canonical):
     stepped = rect_ou_transition(M0, 0.3, mp, gens)
     ref_gens = [s.generator() for s in sources]
     for k in range(r):
-        want = _reference_rect_ou_transition(MatrixState(M0[k]), 0.3, mp, ref_gens[k])
-        assert stepped[k].tobytes() == want.entries.tobytes()
+        want = _reference_rect_ou_transition(M0[k], 0.3, mp, ref_gens[k])
+        assert stepped[k].tobytes() == want.tobytes()
         assert (spectral_projection(stepped)[k].tobytes()
                 == _reference_spectral_projection(want).as_array().tobytes())
 
@@ -476,6 +485,8 @@ def test_matrix_stack_rejects_bad_input():
         (M0, sources[:3]),            # one source short
         (M0, sources + sources[:1]),  # one source too many
         (M0, RngStream(0, 0)),        # a single source for a stack
+        (M0[0], sources[:2]),         # two sources for one matrix
+        (M0[0], []),                  # no source for one matrix
         (np.ones((4, 3, 3)), [RngStream(0, k) for k in range(4)]),
         (np.ones((4, 2, 3, 1)), sources),
         (bad_values, sources),
