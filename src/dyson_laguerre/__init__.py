@@ -8,7 +8,6 @@ from .errors import (
     DysonLaguerreError,
     EigenFailure,
     EmptySample,
-    NonUniformWeights,
     NumericError,
     ParseError,
     SerializationError,
@@ -60,7 +59,6 @@ from .geometry import (
 from .transport import (
     DistanceEstimate,
     EmpiricalMeasure,
-    OUParams,
     kl_projected_estimate,
     ou_closed_form_distances,
     tv_threshold_witness,

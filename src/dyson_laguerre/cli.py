@@ -52,7 +52,7 @@ from .errors import (
 from .model import ModelParams, observable_phi
 from .simulate import MatrixParams, RngStream, matrix_dl_path, dl_paths_batch
 from .cutoff import CutoffProfile, ProfileRow, run_cutoff_profile
-from .transport import OUParams, ou_closed_form_distances
+from .transport import ou_closed_form_distances
 
 _DEFAULTS = {
     "mode": None,
@@ -141,17 +141,18 @@ def parse_config(text):
 def serialize_config(config):
     """Canonical text form of a config; parse(serialize(parse(t))) is
     parse(t).  A list, tuple or 1-D array is written as a comma list of its
-    values, so the list and array forms of one config share a digest."""
+    values, so the list and array forms of one config share a digest.  An
+    empty one is skipped like None, as the modes read an empty n, times or
+    distances as omitted."""
     lines = []
     for key in CONFIG_KEYS:
         val = config.get(key)
-        if val is None:
-            continue
         if isinstance(val, np.ndarray) and val.ndim == 1:
             val = val.tolist()
         if isinstance(val, (list, tuple)):
-            lines.append(f"{key} = {', '.join(str(v) for v in val)}")
-        else:
+            if val:
+                lines.append(f"{key} = {', '.join(str(v) for v in val)}")
+        elif val is not None:
             lines.append(f"{key} = {val}")
     return "\n".join(lines) + "\n"
 
@@ -435,11 +436,10 @@ def _run_ou_formulas(config):
     params = mp.induced_model()
     x0, notes, _ = _start(config, params, positive=False)
     z0_sq = float(mp.m * observable_phi(x0, params).phi_raw)
-    ou = OUParams(int(n), int(m), mp.kappa, mp.gamma, z0_norm_sq=z0_sq)
     times = _times(config, np.arange(0.5, 6.1, 0.5))
     rows = []
     for t in times:
-        vals = ou_closed_form_distances(ou, float(t))
+        vals = ou_closed_form_distances(mp, float(t), z0_sq)
         rows += [(float(t), kind, vals[kind].value) for kind in ("KL", "L2", "W2")]
     return [("ou_distances.csv", _csv_text(("t", "kind", "value"), rows))], notes
 

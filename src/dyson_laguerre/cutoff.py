@@ -25,7 +25,6 @@ from .errors import DomainError, UnsupportedRegime
 from .model import ModelParams, observable_phi
 from .simulate import MatrixParams, RngStream, cir_exact_transition
 from .transport import (
-    OUParams,
     gaussian_tv,
     kl_projected_estimate,
     ou_closed_form_distances,
@@ -50,10 +49,11 @@ def _norm_kind(dist_kind):
     return _KIND_ALIASES[k]
 
 
-def mixing_time_ou(dist_kind, p):
+def mixing_time_ou(dist_kind, p, z0_norm_sq):
     """Cutoff-time branch formulas for an OU flow with general coefficients.
 
-    For dZ = sigma dB - theta Z dt in dimension N started at z0,
+    For dZ = sigma dB - theta Z dt in dimension N started at z0, with
+    sigma = p.kappa, theta = p.gamma and |z0|^2 = z0_norm_sq,
 
         2 theta t = log(theta |z0|^2 / (4 sigma^2)) v log(N/4)        (TV)
         2 theta t = log(theta |z0|^2 / sigma^2)     v log(sqrt(N)/2)  (KL)
@@ -64,10 +64,12 @@ def mixing_time_ou(dist_kind, p):
     branch, from a centered start) is dropped; the other stands, as N >= 1.
     """
     kind = _norm_kind(dist_kind)
+    if not 0 <= z0_norm_sq < math.inf:
+        raise DomainError(f"z0_norm_sq must be finite and nonnegative, got {z0_norm_sq}")
     theta = p.gamma
     sigma_sq = p.kappa**2
-    nn = float(p.nm)
-    z2 = p.z0_norm_sq
+    nn = float(p.n * p.m)
+    z2 = z0_norm_sq
     if kind == "TV":
         args = (theta * z2 / (4.0 * sigma_sq), nn / 4.0)
     elif kind == "KL":
@@ -391,16 +393,16 @@ class CutoffProfile:
 _POINT_MASS_UPPER = {"TV": 1.0, "KL": math.inf, "L2": math.inf}
 
 
-def _matrix_entry_tv_sum(x0, ou, t):
-    """Sum of per-entry TVs for the matrix flow started at diag(sqrt(m x0)):
-    a valid tensorization upper bound on the full matrix TV."""
-    v_inf = ou.stationary_var
-    v_t = v_inf * (-math.expm1(-2.0 * ou.gamma * t))
-    decay = math.exp(-ou.gamma * t)
+def _matrix_entry_tv_sum(x0, mp, t):
+    """Sum of per-entry TVs for the matrix flow with parameters mp started at
+    diag(sqrt(m x0)): a valid tensorization upper bound on the full matrix TV."""
+    v_inf = mp.kappa**2 / (2.0 * mp.gamma)
+    v_t = v_inf * (-math.expm1(-2.0 * mp.gamma * t))
+    decay = math.exp(-mp.gamma * t)
     # entry 0 is the zero-mean entry, one of nm - n alike
-    means = np.concatenate(([0.0], np.sqrt(ou.m * np.asarray(x0, dtype=float)) * decay))
+    means = np.concatenate(([0.0], np.sqrt(mp.m * np.asarray(x0, dtype=float)) * decay))
     tvs = gaussian_tv(means, v_t, v_inf).tolist()
-    total = (ou.nm - ou.n) * tvs[0]
+    total = (mp.n * mp.m - mp.n) * tvs[0]
     for tv in tvs[1:]:
         total += tv
     return total
@@ -415,7 +417,7 @@ def run_cutoff_profile(config):
     defaults to 1), x0_preset (default zero), times (multipliers of the
     nominal critical time c_n, default 0.4 to 1.6 by 0.1), replicas
     (default 4000), distances (default TV, KL), seed (default 0).  A key
-    whose value is None, and an empty times or distances (list or array),
+    whose value is None, and an empty n, times or distances (list or array),
     count as omitted.  The matrix route is taken whenever it is available,
     that is, whenever the config does not pin an explicit (alpha, beta).
 
@@ -436,10 +438,7 @@ def run_cutoff_profile(config):
 
     config = {k: v for k, v in config.items() if v is not None}
     route = "sde" if "alpha" in config else "matrix"
-    ladder = config.get("n", [16, 64, 128])
-    if isinstance(ladder, (int, np.integer)):
-        ladder = [int(ladder)]
-    ladder = [int(v) for v in ladder]
+    ladder = [int(v) for v in np.atleast_1d(config.get("n", ()))] or [16, 64, 128]
     multipliers = np.asarray(config.get("times", ()), dtype=float)
     if multipliers.size == 0:
         multipliers = np.arange(0.4, 1.65, 0.1)
@@ -486,11 +485,11 @@ def run_cutoff_profile(config):
         # The route fixes the upper bound of each kind; a bound runs only
         # when its kind is requested.
         if route == "matrix":
-            ou = OUParams(n, mp.m, mp.kappa, mp.gamma, z0_norm_sq=float(mp.m * obs.phi_raw))
+            z0_sq = float(mp.m * obs.phi_raw)
             upper = {
-                "TV": lambda t: min(_matrix_entry_tv_sum(x0.as_array(), ou, t), 1.0),
-                "KL": lambda t: ou_closed_form_distances(ou, t)["KL"].value,
-                "L2": lambda t: ou_closed_form_distances(ou, t)["L2"].value,
+                "TV": lambda t: min(_matrix_entry_tv_sum(x0.as_array(), mp, t), 1.0),
+                "KL": lambda t: ou_closed_form_distances(mp, t, z0_sq)["KL"].value,
+                "L2": lambda t: ou_closed_form_distances(mp, t, z0_sq)["L2"].value,
             }
         else:
             def kl_chain(t):

@@ -38,10 +38,6 @@ class SizeMismatch(DysonLaguerreError):
     """Two empirical measures have different atom counts where equality is required."""
 
 
-class NonUniformWeights(DysonLaguerreError):
-    """Exact assignment requires uniform weights."""
-
-
 class EmptySample(DysonLaguerreError):
     """An estimator received an empty sample set."""
 

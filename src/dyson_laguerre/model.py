@@ -87,28 +87,6 @@ class ModelParams:
         """Equilibrium mean of the raw statistic sum(x_i); equals n*alpha."""
         return self.n * self.alpha
 
-    @classmethod
-    def from_generalized(cls, n, drift_const, rate, interaction, sigma, allow_weak=False):
-        """Canonicalize the generalized system
-
-            dX_i = sigma*sqrt(X_i) dB_i
-                   + (drift_const - rate*X_i + interaction*sum_{j!=i}(X_i+X_j)/(X_i-X_j)) dt.
-
-        Rescaling space by c = 2*rate/sigma^2 and time by a = rate maps it to
-        the canonical system with alpha = 2*drift_const/sigma^2 and
-        beta = 4*interaction/sigma^2.
-
-        Returns (params, space_scale, time_scale): canonical state is
-        space_scale * X evaluated at canonical time time_scale * t.
-        """
-        if sigma <= 0 or rate <= 0:
-            raise ValidationError("sigma and rate must be positive")
-        alpha = 2.0 * drift_const / sigma**2
-        beta = 4.0 * interaction / sigma**2
-        space_scale = 2.0 * rate / sigma**2
-        time_scale = float(rate)
-        return cls(n, alpha, beta, allow_weak=allow_weak), space_scale, time_scale
-
 
 class ParticleState:
     """An ordered configuration of n nonnegative coordinates.

@@ -244,8 +244,10 @@ class MatrixParams:
         object.__setattr__(self, "m", int(self.m))
         if self.n < 1 or self.m < self.n:
             raise ValidationError(f"need m >= n >= 1, got n={self.n}, m={self.m}")
-        if self.kappa <= 0 or self.gamma <= 0:
-            raise ValidationError("kappa and gamma must be positive")
+        if not (0 < self.kappa < math.inf and 0 < self.gamma < math.inf):
+            raise ValidationError(
+                f"kappa and gamma must be finite and positive, got {self.kappa}, {self.gamma}"
+            )
 
     @classmethod
     def bru(cls, n, m):

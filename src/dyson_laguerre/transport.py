@@ -1,7 +1,7 @@
 """Distances between laws: intrinsic Wasserstein, closed forms, witnesses.
 
-``wasserstein_intrinsic`` couples empirical clouds under the intrinsic
-metric (exact assignment by default, entropic fallback for big clouds).
+``wasserstein_intrinsic`` couples two equal-size empirical clouds under the
+intrinsic metric by an exact optimal assignment.
 ``ou_closed_form_distances`` evaluates the closed-form KL, chi-square-based
 L2 and Euclidean W2 distances between a rectangular Ornstein-Uhlenbeck flow
 started at a point and its Gaussian equilibrium.  ``tv_threshold_witness``
@@ -9,7 +9,7 @@ and ``kl_projected_estimate`` are one-dimensional sample-based estimators
 used on projected statistics.
 
 Importing this module loads no scipy: ``linear_sum_assignment``,
-``digamma``, ``logsumexp`` and ``ndtr`` are bound as module attributes the
+``digamma`` and ``ndtr`` are bound as module attributes the
 first time they are looked up (PEP 562), so only the modes that use them pay
 for importing ``scipy.optimize`` or ``scipy.special``.  A bare name inside a
 function never reaches the module ``__getattr__``, so code here reads them as
@@ -19,7 +19,6 @@ plain module global, the same one a patch of the module attribute replaces.
 
 from dataclasses import dataclass, field
 import importlib
-import json
 import math
 import sys
 
@@ -28,10 +27,8 @@ import numpy as np
 from .errors import (
     DomainError,
     EmptySample,
-    NonUniformWeights,
     SizeMismatch,
     UnnormalizedReference,
-    ValidationError,
 )
 from .model import ParticleState
 
@@ -40,7 +37,6 @@ _this = sys.modules[__name__]
 _SCIPY_FUNCTIONS = {
     "linear_sum_assignment": "scipy.optimize",
     "digamma": "scipy.special",
-    "logsumexp": "scipy.special",
     "ndtr": "scipy.special",
 }
 
@@ -60,8 +56,7 @@ class DistanceEstimate:
     """A single distance value with provenance.
 
     kind: one of TV | KL | L2 | Wg1 | Wg2.
-    method: closed-form | assignment | entropic | threshold-witness |
-            quadrature | knn.
+    method: closed-form | assignment | threshold-witness | knn.
     stderr is 0.0 for deterministic evaluations.
     """
 
@@ -70,29 +65,15 @@ class DistanceEstimate:
     stderr: float
     method: str
     t: float = None
-    params_hash: str = None
     extras: dict = field(default_factory=dict)
-
-    def to_json(self):
-        payload = {
-            "kind": self.kind,
-            "value": self.value,
-            "stderr": self.stderr,
-            "method": self.method,
-            "t": self.t,
-            "params_hash": self.params_hash,
-        }
-        if self.extras:
-            payload["extras"] = self.extras
-        return json.dumps(payload, sort_keys=True)
 
 
 class EmpiricalMeasure:
-    """A weighted cloud of configurations (rows are atoms)."""
+    """A uniformly weighted cloud of configurations (rows are atoms)."""
 
-    __slots__ = ("atoms", "weights")
+    __slots__ = ("atoms",)
 
-    def __init__(self, atoms, weights=None):
+    def __init__(self, atoms):
         if isinstance(atoms, (list, tuple)) and atoms and isinstance(atoms[0], ParticleState):
             atoms = np.stack([s.as_array() for s in atoms])
         a = np.asarray(atoms, dtype=float)
@@ -102,23 +83,11 @@ class EmpiricalMeasure:
             raise EmptySample("empirical measure needs at least one atom")
         if np.any(a < 0) or not np.all(np.isfinite(a)):
             raise DomainError("atoms must be finite and nonnegative")
-        if weights is None:
-            w = np.full(a.shape[0], 1.0 / a.shape[0])
-        else:
-            w = np.asarray(weights, dtype=float).reshape(-1)
-            if w.size != a.shape[0]:
-                raise ValidationError("weights length must match atom count")
-            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-                raise ValidationError("weights must be nonnegative and sum to 1")
         self.atoms = a
-        self.weights = w
 
     @property
     def size(self):
         return self.atoms.shape[0]
-
-    def is_uniform(self):
-        return bool(np.all(np.abs(self.weights - 1.0 / self.size) <= 1e-12))
 
 
 def _as_measure(obj):
@@ -143,49 +112,20 @@ def _intrinsic_cost(a, b):
     return cost
 
 
-def _sinkhorn_log(cost_pow, wa, wb, eps, max_iter=5000, tol=1e-3):
-    """Log-domain Sinkhorn, stopped once no potential moves by more than
-    tol * eps, or after max_iter iterations.  After a g update the column
-    sums are exact and row i sums to wa_i exp((f_i - f'_i)/eps), f' being
-    the next f, so the stop is a relative marginal error of about tol with
-    no extra plan evaluation.  Returns (plan, iterations, marginal_error),
-    the error being the largest gap between a row or column sum of the plan
-    and its weight."""
-    logsumexp = _this.logsumexp
-    log_wa = np.log(wa)
-    log_wb = np.log(wb)
-    f = np.zeros(wa.size)
-    g = np.zeros(wb.size)
-    M = -cost_pow / eps
-    for iterations in range(1, max_iter + 1):
-        f_new = -eps * logsumexp(M + (g / eps)[None, :] + log_wb[None, :], axis=1)
-        g_new = -eps * logsumexp(M + (f_new / eps)[:, None] + log_wa[:, None], axis=0)
-        shift = max(np.max(np.abs(f_new - f)), np.max(np.abs(g_new - g)))
-        f, g = f_new, g_new
-        if shift <= tol * eps:
-            break
-    plan = np.exp(M + (f / eps)[:, None] + (g / eps)[None, :]) * wa[:, None] * wb[None, :]
-    error = max(np.max(np.abs(plan.sum(axis=1) - wa)), np.max(np.abs(plan.sum(axis=0) - wb)))
-    return plan, iterations, float(error)
-
-
 ASSIGNMENT_LIMIT = 4000
 
 
 def _assignment_cost(a, b):
     """Intrinsic cost matrix of two clouds, after the checks exact assignment
-    needs: equal sizes, uniform weights and a size within ASSIGNMENT_LIMIT."""
+    needs: equal sizes and a size within ASSIGNMENT_LIMIT."""
     a, b = _as_measure(a), _as_measure(b)
     if a.size != b.size:
         raise SizeMismatch(
             f"exact assignment needs equal cloud sizes, got {a.size} and {b.size}"
         )
-    if not (a.is_uniform() and b.is_uniform()):
-        raise NonUniformWeights("exact assignment needs uniform weights")
     if a.size > ASSIGNMENT_LIMIT:
         raise DomainError(
-            f"cloud size {a.size} above assignment limit {ASSIGNMENT_LIMIT}; "
-            "use method='entropic'"
+            f"cloud size {a.size} above assignment limit {ASSIGNMENT_LIMIT}"
         )
     return _intrinsic_cost(a, b)
 
@@ -197,74 +137,22 @@ def _assignment_value(cost_pow, order):
     return float(np.mean(cost_pow[rows, cols])) ** (1.0 / order)
 
 
-def wasserstein_intrinsic(a, b, order=2, method="exact-assignment"):
-    """Wasserstein distance of the given order under the intrinsic metric.
-
-    exact-assignment requires two equal-size uniform clouds and solves the
-    assignment problem exactly.  entropic runs log-domain Sinkhorn with a
-    small regularization (values carry an upward bias of that order); extras
-    record the regularization, the iterations run and the final marginal
-    error, which show whether Sinkhorn converged.
-    """
+def wasserstein_intrinsic(a, b, order=2):
+    """Wasserstein distance of the given order under the intrinsic metric,
+    between two equal-size clouds, by an exact optimal assignment."""
     a, b = _as_measure(a), _as_measure(b)
     if a.atoms.shape[1] != b.atoms.shape[1]:
         raise SizeMismatch("clouds live in different dimensions")
     if order not in (1, 2):
         raise DomainError(f"order must be 1 or 2, got {order}")
-    kind = f"Wg{order}"
-    if method == "exact-assignment":
-        value = _assignment_value(_assignment_cost(a, b) ** order, order)
-        return DistanceEstimate(kind=kind, value=value, stderr=0.0, method="assignment")
-    if method == "entropic":
-        cost = _intrinsic_cost(a, b)
-        cp = cost**order
-        scale = float(np.mean(cp))
-        eps = 0.01 * scale if scale > 0 else 1e-6
-        plan, iterations, error = _sinkhorn_log(cp, a.weights, b.weights, eps)
-        value = float(np.sum(plan * cp)) ** (1.0 / order)
-        return DistanceEstimate(
-            kind=kind,
-            value=value,
-            stderr=0.0,
-            method="entropic",
-            extras={"regularization": eps, "iterations": iterations, "marginal_error": error},
-        )
-    raise DomainError(f"unknown method {method!r}")
+    value = _assignment_value(_assignment_cost(a, b) ** order, order)
+    return DistanceEstimate(kind=f"Wg{order}", value=value, stderr=0.0, method="assignment")
 
 
-@dataclass(frozen=True)
-class OUParams:
-    """Rectangular OU flow dZ = kappa dB - gamma Z dt with start point z0.
-
-    Only the squared norm of z0 enters the closed forms.  nm = n*m is the
-    total number of entries (set n=m=1 with z0 scalar for the scalar flow).
-    """
-
-    n: int
-    m: int
-    kappa: float
-    gamma: float
-    z0_norm_sq: float
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValidationError("n and m must be positive")
-        if self.kappa <= 0 or self.gamma <= 0:
-            raise ValidationError("kappa and gamma must be positive")
-        if self.z0_norm_sq < 0:
-            raise ValidationError("z0_norm_sq must be nonnegative")
-
-    @property
-    def nm(self):
-        return self.n * self.m
-
-    @property
-    def stationary_var(self):
-        return self.kappa**2 / (2.0 * self.gamma)
-
-
-def ou_closed_form_distances(p, t):
-    """Closed-form distances of the OU flow from equilibrium at time t.
+def ou_closed_form_distances(p, t, z0_norm_sq):
+    """Closed-form distances from equilibrium at time t of the matrix flow
+    dZ = k dB - g Z dt with parameters p (a MatrixParams), started at a
+    point z0 of squared norm z0_norm_sq; nm = n*m counts its entries.
 
     Returns a dict keyed KL, L2, W2 of DistanceEstimate values:
 
@@ -279,15 +167,17 @@ def ou_closed_form_distances(p, t):
     """
     if t <= 0 or not math.isfinite(t):
         raise DomainError(f"t must be positive, got {t}")
+    if not 0 <= z0_norm_sq < math.inf:
+        raise DomainError(f"z0_norm_sq must be finite and nonnegative, got {z0_norm_sq}")
     g, k2 = p.gamma, p.kappa**2
-    nm = p.nm
+    nm = p.n * p.m
     e2 = math.exp(-2.0 * g * t)
     one_m_e2 = -math.expm1(-2.0 * g * t)
-    kl = 0.5 * ((2.0 * g / k2) * p.z0_norm_sq * e2 - nm * e2 - nm * math.log(one_m_e2))
-    l2_exp = (2.0 * g / k2) * p.z0_norm_sq * e2 / (1.0 + e2) - 0.5 * nm * math.log1p(-e2 * e2)
+    kl = 0.5 * ((2.0 * g / k2) * z0_norm_sq * e2 - nm * e2 - nm * math.log(one_m_e2))
+    l2_exp = (2.0 * g / k2) * z0_norm_sq * e2 / (1.0 + e2) - 0.5 * nm * math.log1p(-e2 * e2)
     l2_sq = math.expm1(l2_exp) if l2_exp < 700 else math.inf
     sqrt_term = 1.0 - math.sqrt(one_m_e2)
-    w2_sq = p.z0_norm_sq * e2 + nm * (k2 / (2.0 * g)) * sqrt_term**2
+    w2_sq = z0_norm_sq * e2 + nm * (k2 / (2.0 * g)) * sqrt_term**2
     return {
         "KL": DistanceEstimate("KL", max(kl, 0.0), 0.0, "closed-form", t=t),
         "L2": DistanceEstimate(
@@ -367,18 +257,6 @@ def gaussian_tv(mu1, v1, v2):
         total = total + np.abs(v - u)
     tv = np.where(zero, 0.0, 0.5 * (total + np.abs(pts[-1])))
     return float(tv) if tv.ndim == 0 else tv
-
-
-def ou_entry_tv(p, t):
-    """Exact per-entry TV of the OU flow from equilibrium at time t, for a
-    start entry value of sqrt(z0_norm_sq / nm) (used with z0 = 0 where the
-    entries are exchangeable)."""
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t}")
-    v_inf = p.stationary_var
-    v_t = v_inf * (-math.expm1(-2.0 * p.gamma * t))
-    mu = math.sqrt(p.z0_norm_sq / p.nm) * math.exp(-p.gamma * t)
-    return gaussian_tv(mu, v_t, v_inf)
 
 
 def tv_threshold_witness(samples_p, samples_q):

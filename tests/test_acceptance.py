@@ -24,7 +24,6 @@ from dyson_laguerre import (
     MatrixParams,
     ModelParams,
     NumericError,
-    OUParams,
     ParticleState,
     RngStream,
     carre_du_champ,
@@ -55,12 +54,13 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_criterion_01_ou_closed_forms_match_quadrature():
-    p = OUParams(1, 1, kappa=1.2, gamma=0.8, z0_norm_sq=5.0)
-    sd_t = lambda t: math.sqrt(p.stationary_var * (1.0 - math.exp(-2.0 * p.gamma * t)))
-    mu_t = lambda t: math.sqrt(p.z0_norm_sq) * math.exp(-p.gamma * t)
-    sd_inf = math.sqrt(p.stationary_var)
+    p, z0_norm_sq = MatrixParams(1, 1, kappa=1.2, gamma=0.8), 5.0
+    stationary_var = p.kappa**2 / (2.0 * p.gamma)
+    sd_t = lambda t: math.sqrt(stationary_var * (1.0 - math.exp(-2.0 * p.gamma * t)))
+    mu_t = lambda t: math.sqrt(z0_norm_sq) * math.exp(-p.gamma * t)
+    sd_inf = math.sqrt(stationary_var)
     for t in np.linspace(0.1, 5.0, 20):
-        got = ou_closed_form_distances(p, float(t))
+        got = ou_closed_form_distances(p, float(t), z0_norm_sq)
         pt = stats.norm(mu_t(t), sd_t(t))
         pi = stats.norm(0.0, sd_inf)
         lim = mu_t(t) + 12.0 * max(sd_t(t), sd_inf)

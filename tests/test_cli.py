@@ -61,6 +61,17 @@ def test_serialize_writes_sequences_as_comma_lists(form):
     assert config_digest(other) == config_digest(config)
 
 
+@pytest.mark.parametrize("empty", [[], (), np.array([])], ids=["list", "tuple", "array"])
+def test_serialize_skips_an_empty_sequence(empty):
+    # the modes read an empty times or distances as omitted; so do the text
+    # and the digest
+    config = parse_config(GOOD)
+    omitted = dict(config, times=None, distances=None)
+    other = dict(config, times=empty, distances=empty)
+    assert parse_config(serialize_config(other)) == omitted
+    assert config_digest(other) == config_digest(omitted)
+
+
 def test_parse_n_ladder():
     config = parse_config("mode = cutoff-profile\nn = 8, 16, 32\n")
     assert config["n"] == [8, 16, 32]

@@ -12,7 +12,6 @@ from dyson_laguerre import (
     DomainError,
     MatrixParams,
     ModelParams,
-    OUParams,
     ParticleState,
     RngStream,
     UnsupportedRegime,
@@ -39,31 +38,31 @@ from dyson_laguerre.cutoff import CutoffProfile, ProfileRow
 def test_mixing_time_hand_values():
     # theta = sigma = 1, |z0|^2 = 4e, one entry:
     #   TV branch log(4e/4) = 1 beats log(1/4), so t = 1/2
-    p = OUParams(1, 1, kappa=1.0, gamma=1.0, z0_norm_sq=4.0 * math.e)
-    assert mixing_time_ou("TV", p) == pytest.approx(0.5, abs=1e-12)
-    assert mixing_time_ou("KL", p) == pytest.approx((1.0 + math.log(4.0)) / 2.0)
-    assert mixing_time_ou("L2", p) == pytest.approx((1.0 + math.log(8.0)) / 2.0)
-    assert mixing_time_ou("W", p) == pytest.approx((1.0 + math.log(4.0)) / 2.0)
+    p, z2 = MatrixParams(1, 1, kappa=1.0, gamma=1.0), 4.0 * math.e
+    assert mixing_time_ou("TV", p, z2) == pytest.approx(0.5, abs=1e-12)
+    assert mixing_time_ou("KL", p, z2) == pytest.approx((1.0 + math.log(4.0)) / 2.0)
+    assert mixing_time_ou("L2", p, z2) == pytest.approx((1.0 + math.log(8.0)) / 2.0)
+    assert mixing_time_ou("W", p, z2) == pytest.approx((1.0 + math.log(4.0)) / 2.0)
 
 
 def test_mixing_time_dimensional_branch():
     # centered start leaves only the dimensional branch
-    p = OUParams(4, 4, kappa=1.0, gamma=1.0, z0_norm_sq=0.0)
-    assert mixing_time_ou("TV", p) == pytest.approx(math.log(4.0) / 2.0)
-    p = OUParams(8, 8, kappa=1.0, gamma=1.0, z0_norm_sq=0.0)
-    assert mixing_time_ou("TV", p) == pytest.approx(math.log(16.0) / 2.0)
+    p = MatrixParams(4, 4, kappa=1.0, gamma=1.0)
+    assert mixing_time_ou("TV", p, 0.0) == pytest.approx(math.log(4.0) / 2.0)
+    p = MatrixParams(8, 8, kappa=1.0, gamma=1.0)
+    assert mixing_time_ou("TV", p, 0.0) == pytest.approx(math.log(16.0) / 2.0)
 
 
 def test_mixing_time_vacuous_raises():
-    p = OUParams(1, 1, kappa=1.0, gamma=1.0, z0_norm_sq=0.0)
+    p = MatrixParams(1, 1, kappa=1.0, gamma=1.0)
     with pytest.raises(DomainError):
-        mixing_time_ou("huh", p)
+        mixing_time_ou("huh", p, 0.0)
 
 
 def test_mixing_time_aliases():
-    p = OUParams(2, 2, kappa=1.0, gamma=0.5, z0_norm_sq=3.0)
-    assert mixing_time_ou("w2", p) == mixing_time_ou("W", p)
-    assert mixing_time_ou("wasserstein", p) == mixing_time_ou("W", p)
+    p = MatrixParams(2, 2, kappa=1.0, gamma=0.5)
+    assert mixing_time_ou("w2", p, 3.0) == mixing_time_ou("W", p, 3.0)
+    assert mixing_time_ou("wasserstein", p, 3.0) == mixing_time_ou("W", p, 3.0)
 
 
 def test_cutoff_predict_sde_route():
@@ -302,6 +301,15 @@ def test_profile_reads_array_times_and_distances(route):
     assert empty.rows == run_cutoff_profile(dict(config, times=[], distances=[])).rows
 
 
+def test_profile_empty_ladder_is_the_default_ladder():
+    # serialize_config skips an empty n, so it must run what an omitted n runs
+    config = dict(replicas=200, seed=5, times=[1.0])
+    want = run_cutoff_profile(config).rows
+    assert [r.n for r in want] == [16, 16, 64, 64, 128, 128]
+    for empty in ([], (), np.array([], dtype=int)):
+        assert run_cutoff_profile(dict(config, n=empty)).rows == want
+
+
 def test_profile_rejects_wasserstein():
     config = {
         "mode": "cutoff-profile",
@@ -353,9 +361,8 @@ def test_zero_start_closed_forms_match_quadrature(n_big, t):
 def test_zero_start_chi2_is_the_squared_matrix_l2_from_zero():
     for n in (16, 64):
         mp = MatrixParams.bru(n, n)
-        ou = OUParams(n, n, mp.kappa, mp.gamma, z0_norm_sq=0.0)
         for t in (1.0, 2.0, 3.0, 4.0, 5.0):
-            l2 = ou_closed_form_distances(ou, t)["L2"].value
+            l2 = ou_closed_form_distances(mp, t, 0.0)["L2"].value
             assert zero_start_chi2(n * n / 2.0, t) == pytest.approx(l2 * l2, rel=1e-12)
 
 

@@ -53,17 +53,6 @@ def test_delta_and_phi_mean():
     assert p.phi_mean == pytest.approx(30.0)
 
 
-def test_from_generalized_roundtrip():
-    # dX = sigma sqrt(X) dB + (A - C X + B sum (X+X')/(X-X')) dt
-    params, space_scale, time_scale = ModelParams.from_generalized(
-        3, drift_const=6.0, rate=2.0, interaction=1.0, sigma=2.0
-    )
-    assert params.alpha == pytest.approx(3.0)
-    assert params.beta == pytest.approx(1.0)
-    assert space_scale == pytest.approx(1.0)
-    assert time_scale == pytest.approx(2.0)
-
-
 def test_state_validation():
     with pytest.raises(DomainError):
         ParticleState([2.0, 1.0])

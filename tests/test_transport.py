@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import os
 import subprocess
@@ -15,34 +14,36 @@ from dyson_laguerre import (
     EmptySample,
     EmpiricalMeasure,
     MatrixParams,
-    ModelParams,
-    NonUniformWeights,
-    OUParams,
     SizeMismatch,
     UnnormalizedReference,
+    ValidationError,
     kl_projected_estimate,
+    mixing_time_ou,
     ou_closed_form_distances,
     tv_threshold_witness,
     wasserstein_intrinsic,
 )
 from dyson_laguerre import transport
-from dyson_laguerre.equilibrium import sample_equilibrium_batch
-from dyson_laguerre.transport import _knn_distances, gaussian_tv, ou_entry_tv
+from dyson_laguerre.transport import _knn_distances, gaussian_tv
 
 
-def _scalar_gaussians(p, t):
-    mu = math.sqrt(p.z0_norm_sq) * math.exp(-p.gamma * t)
-    vt = p.stationary_var * (1.0 - math.exp(-2.0 * p.gamma * t))
-    return mu, vt, p.stationary_var
+def _stationary_var(p):
+    return p.kappa**2 / (2.0 * p.gamma)
+
+
+def _scalar_gaussians(p, t, z0_norm_sq):
+    mu = math.sqrt(z0_norm_sq) * math.exp(-p.gamma * t)
+    vt = _stationary_var(p) * (1.0 - math.exp(-2.0 * p.gamma * t))
+    return mu, vt, _stationary_var(p)
 
 
 def test_ou_closed_forms_vs_quadrature():
     # scalar flow: time-t law is N(z0 e^{-gt}, vt); integrate the
     # divergences numerically and compare with the closed forms
-    p = OUParams(1, 1, kappa=1.3, gamma=0.7, z0_norm_sq=4.0)
+    p = MatrixParams(1, 1, kappa=1.3, gamma=0.7)
     for t in (0.3, 1.0, 2.5):
-        got = ou_closed_form_distances(p, t)
-        mu, vt, vinf = _scalar_gaussians(p, t)
+        got = ou_closed_form_distances(p, t, 4.0)
+        mu, vt, vinf = _scalar_gaussians(p, t, 4.0)
         pt = stats.norm(mu, math.sqrt(vt))
         pi = stats.norm(0.0, math.sqrt(vinf))
 
@@ -61,18 +62,32 @@ def test_ou_closed_forms_vs_quadrature():
 
 
 def test_ou_closed_forms_monotone_to_zero():
-    p = OUParams(2, 3, kappa=1.0, gamma=0.5, z0_norm_sq=9.0)
+    p = MatrixParams(2, 3, kappa=1.0, gamma=0.5)
     ts = np.linspace(0.5, 14.0, 16)
     for key in ("KL", "L2", "W2"):
-        vals = [ou_closed_form_distances(p, t)[key].value for t in ts]
+        vals = [ou_closed_form_distances(p, t, 9.0)[key].value for t in ts]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-2
 
 
 def test_ou_closed_form_l2_overflow_is_inf():
-    p = OUParams(1, 1, kappa=1.0, gamma=1.0, z0_norm_sq=1e6)
-    got = ou_closed_form_distances(p, 1e-3)
+    p = MatrixParams(1, 1, kappa=1.0, gamma=1.0)
+    got = ou_closed_form_distances(p, 1e-3, 1e6)
     assert got["L2"].value == math.inf
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_ou_flow_rejects_non_finite_parameters(bad):
+    with pytest.raises(ValidationError):
+        MatrixParams(2, 3, bad, 0.5)
+    with pytest.raises(ValidationError):
+        MatrixParams(2, 3, 1.0, bad)
+    p = MatrixParams(2, 3, 1.0, 0.5)
+    with pytest.raises(DomainError):
+        ou_closed_form_distances(p, 1.0, bad)
+    for kind in ("TV", "KL", "L2", "W"):
+        with pytest.raises(DomainError):
+            mixing_time_ou(kind, p, bad)
 
 
 def test_gaussian_tv_vs_quadrature():
@@ -223,9 +238,8 @@ def _same_bits(got, want):
 
 def _matrix_profile_variances(n, t):
     mp = MatrixParams.bru(n, n)
-    ou = OUParams(n, n, mp.kappa, mp.gamma, z0_norm_sq=1.0)
-    v_inf = ou.stationary_var
-    return ou, v_inf * (-math.expm1(-2.0 * ou.gamma * t)), v_inf
+    v_inf = _stationary_var(mp)
+    return mp, v_inf * (-math.expm1(-2.0 * mp.gamma * t)), v_inf
 
 
 def test_gaussian_tv_array_matches_frozen_scalar_bit_for_bit():
@@ -257,9 +271,9 @@ def test_gaussian_tv_array_matches_frozen_scalar_bit_for_bit():
     # the matrix profile's (v_t, v_inf), one call per grid time
     for n in (16, 64, 128):
         for t in np.linspace(0.02, 3.0, 25):
-            ou, v_t, v_inf = _matrix_profile_variances(n, t)
+            mp, v_t, v_inf = _matrix_profile_variances(n, t)
             x = rng.gamma(2.0, size=n)
-            means = np.concatenate(([0.0], np.sqrt(n * x) * math.exp(-ou.gamma * t)))
+            means = np.concatenate(([0.0], np.sqrt(n * x) * math.exp(-mp.gamma * t)))
             groups.append((means, v_t, v_inf))
     # scale-equivalent to (1e10, 1, 1e20), though v1 * v2 overflows
     assert gaussian_tv(1e150, 1e280, 1e300) == 0.9999999996611302
@@ -286,12 +300,12 @@ def test_matrix_entry_tv_sum_matches_frozen_scalar_sum():
     for n in (16, 64, 128):
         x = rng.gamma(2.0, size=n)
         for t in (0.1, 0.5, 1.3):
-            ou, v_t, v_inf = _matrix_profile_variances(n, t)
-            decay = math.exp(-ou.gamma * t)
-            want = (ou.nm - ou.n) * _gaussian_tv_scalar(0.0, v_t, v_inf)
+            mp, v_t, v_inf = _matrix_profile_variances(n, t)
+            decay = math.exp(-mp.gamma * t)
+            want = (mp.n * mp.m - mp.n) * _gaussian_tv_scalar(0.0, v_t, v_inf)
             for xi in x:
-                want += _gaussian_tv_scalar(math.sqrt(ou.m * xi) * decay, v_t, v_inf)
-            assert _same_bits(_matrix_entry_tv_sum(x, ou, t), want)
+                want += _gaussian_tv_scalar(math.sqrt(mp.m * xi) * decay, v_t, v_inf)
+            assert _same_bits(_matrix_entry_tv_sum(x, mp, t), want)
 
 
 @pytest.mark.parametrize("mu1,v1,v2", [
@@ -403,13 +417,6 @@ def test_intrinsic_cost_in_row_blocks_matches_the_whole_tensor(ra, rb, n, severa
     assert np.array_equal(transport._intrinsic_cost(a, b), want)
 
 
-def test_ou_entry_tv_decays():
-    p = OUParams(2, 2, kappa=math.sqrt(2.0), gamma=0.5, z0_norm_sq=0.0)
-    vals = [ou_entry_tv(p, t) for t in (0.2, 0.5, 1.0, 3.0, 6.0)]
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
-    assert vals[-1] < 0.01
-
-
 def test_assignment_matches_brute_force():
     rng = np.random.default_rng(21)
     for _ in range(5):
@@ -435,62 +442,6 @@ def test_wasserstein_identical_clouds_zero():
     assert est.value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_entropic_close_to_exact():
-    rng = np.random.default_rng(22)
-    a = np.sort(rng.gamma(3.0, 1.0, (40, 2)), axis=1)
-    b = np.sort(rng.gamma(3.0, 1.0, (40, 2)), axis=1)
-    exact = wasserstein_intrinsic(a, b, order=2).value
-    ent = wasserstein_intrinsic(a, b, order=2, method="entropic")
-    assert ent.method == "entropic"
-    assert ent.extras["regularization"] > 0
-    # entropic value carries a small upward bias
-    assert exact - 1e-9 <= ent.value < exact * 1.2 + 0.05
-
-
-def test_entropic_records_iterations_and_marginal_error(monkeypatch):
-    live = transport._sinkhorn_log
-    plans = []
-
-    def capture(*args, **kwargs):
-        out = live(*args, **kwargs)
-        plans.append(out[0])
-        return out
-
-    monkeypatch.setattr(transport, "_sinkhorn_log", capture)
-    rng = np.random.default_rng(5)
-    a = np.sort(rng.gamma(3.0, 1.0, (12, 2)), axis=1)
-    b = np.sort(rng.gamma(3.0, 1.0, (12, 2)), axis=1)
-    est = wasserstein_intrinsic(a, b, order=2, method="entropic")
-    (plan,) = plans
-    gaps = np.concatenate((plan.sum(axis=1), plan.sum(axis=0))) - 1.0 / 12
-    assert est.extras["marginal_error"] == np.max(np.abs(gaps))
-    assert 1 <= est.extras["iterations"] <= 5000
-    # a run cut short says so
-    cost = transport._intrinsic_cost(EmpiricalMeasure(a), EmpiricalMeasure(b)) ** 2
-    w = np.full(12, 1.0 / 12)
-    _, iterations, error = live(cost, w, w, 0.01 * float(np.mean(cost)), max_iter=2)
-    assert iterations == 2 and error > est.extras["marginal_error"]
-
-
-def test_sinkhorn_stops_at_a_relative_marginal_error():
-    # the stop shift <= 1e-3 eps bounds the relative marginal error by about
-    # 1e-3, well before max_iter, and moves the value far less than the
-    # regularization bias
-    params = ModelParams(4, 4.0, 1.0)
-    gen = np.random.default_rng(50)
-    a = sample_equilibrium_batch(params, gen, 50)
-    b = sample_equilibrium_batch(params, gen, 50)
-    est = wasserstein_intrinsic(a, b, order=2, method="entropic")
-    assert est.extras["iterations"] < 5000
-    assert est.extras["marginal_error"] <= 1e-3 / 50
-    cost = transport._intrinsic_cost(EmpiricalMeasure(a), EmpiricalMeasure(b)) ** 2
-    w = np.full(50, 1.0 / 50)
-    plan, iterations, _ = transport._sinkhorn_log(
-        cost, w, w, est.extras["regularization"], max_iter=5000, tol=0.0
-    )
-    assert iterations == 5000
-    assert abs(est.value - float(np.sum(plan * cost)) ** 0.5) <= 1e-4
-
 def test_wasserstein_guards():
     a = np.ones((3, 2))
     b = np.ones((4, 2))
@@ -500,9 +451,6 @@ def test_wasserstein_guards():
         wasserstein_intrinsic(np.ones((3, 2)), np.ones((3, 3)))
     with pytest.raises(DomainError):
         wasserstein_intrinsic(a, np.ones((3, 2)), order=3)
-    w = EmpiricalMeasure(np.ones((2, 2)), weights=np.array([0.7, 0.3]))
-    with pytest.raises(NonUniformWeights):
-        wasserstein_intrinsic(w, np.ones((2, 2)))
 
 
 def test_tv_witness_same_law_small():
@@ -703,12 +651,3 @@ def test_tv_witness_rejects_non_finite_samples():
         tv_threshold_witness(a, b)
     with pytest.raises(DomainError):
         tv_threshold_witness(b, np.append(b, math.inf))
-
-
-def test_distance_estimate_json():
-    p = OUParams(1, 1, kappa=1.0, gamma=1.0, z0_norm_sq=1.0)
-    est = ou_closed_form_distances(p, 1.0)["KL"]
-    payload = json.loads(est.to_json())
-    assert payload["kind"] == "KL"
-    assert payload["method"] == "closed-form"
-    assert payload["t"] == 1.0
