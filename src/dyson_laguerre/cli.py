@@ -7,9 +7,9 @@ needs them:
     mode        experiment name: simulate | distance | cutoff-profile |
                 check-cd | couple | ou-formulas
     n           particle count; comma list allowed for profile ladders
-    m           matrix column count; selects the matrix route where it applies
-    alpha       shape parameter (Euler route)
-    beta        repulsion strength (Euler route; default 1)
+    m           matrix column count on the matrix route (default n)
+    alpha       shape parameter; given, it selects the Euler route
+    beta        repulsion strength on the Euler route (default 1)
     x0_preset   zero | equilibrium-draw | linear-ramp | single-outlier
     times       comma list of grid times (profile: multipliers of c_n)
     replicas    Monte Carlo replicas, at least 1 (also: trials for check-cd)
@@ -18,6 +18,15 @@ needs them:
     out_dir     output directory (default .)
     format      csv | json (default csv); cutoff-profile only, the other
                 modes always write the files their experiment names
+
+One rule, simulate.route_params, picks the route for every mode (for
+each rung of a profile ladder): the Euler route with (n, alpha, beta) when
+alpha is given, otherwise the matrix route on n x m matrices (m = n when
+omitted), whose spectrum is the gas with alpha = m/2 and beta = 1.
+simulate, cutoff-profile and check-cd accept both routes; ou-formulas only
+the matrix route.  distance and couple run the Euler scheme: on the matrix
+route they run it on the induced model only where that model is certified,
+delta = (m - n + 1)/2 > 1, and raise UnsupportedRegime otherwise.
 
 Each experiment returns its artifacts, an ordered list of (file name,
 text), and run() alone writes them: atomically (temp file in the
@@ -47,10 +56,11 @@ from .errors import (
     NumericError,
     ParseError,
     SerializationError,
+    UnsupportedRegime,
     ValidationError,
 )
 from .model import ModelParams, observable_phi
-from .simulate import MatrixParams, RngStream, matrix_dl_path, dl_paths_batch
+from .simulate import RngStream, matrix_dl_path, dl_paths_batch, route_params
 from .cutoff import CutoffProfile, ProfileRow, run_cutoff_profile
 from .transport import ou_closed_form_distances
 
@@ -311,19 +321,28 @@ def read_profile(path):
     )
 
 
-def _model_from_config(config, need_alpha=False):
+def _route(config):
+    """(params, matrix) of the config's single n by the route rule
+    (simulate.route_params); matrix is None on the Euler route."""
     n = config.get("n")
     if n is None or isinstance(n, list):
         raise ValidationError("this experiment needs a single integer n")
-    if config.get("alpha") is not None:
-        beta = config.get("beta") if config.get("beta") is not None else 1.0
-        return ModelParams(int(n), float(config["alpha"]), float(beta)), None
-    if config.get("m") is not None:
-        mp = MatrixParams.bru(int(n), int(config["m"]))
-        return mp.induced_model(), mp
-    if need_alpha:
-        raise ValidationError("config must provide alpha (with beta) or m")
-    raise ValidationError("config must provide alpha or m")
+    return route_params(int(n), config.get("alpha"), config.get("beta"), config.get("m"))
+
+
+def _euler_model(config):
+    """The model that distance and couple integrate: the Euler route's, or
+    on the matrix route the induced model where it is certified."""
+    params, mp = _route(config)
+    if mp is None:
+        return params
+    if params.delta <= 1:
+        raise UnsupportedRegime(
+            f"{config['mode']} runs the Euler scheme; without alpha the route rule takes the "
+            f"matrix route (n = {mp.n}, m = {mp.m}), where it runs only on a certified induced "
+            f"model: delta = (m - n + 1)/2 = {params.delta} must exceed 1 (give alpha, or m > n + 1)"
+        )
+    return ModelParams(params.n, params.alpha, params.beta)
 
 
 def _start(config, params, positive):
@@ -349,7 +368,7 @@ def _times(config, default):
 
 
 def _run_simulate(config):
-    params, mp = _model_from_config(config)
+    params, mp = _route(config)
     times = _times(config, [1.0])
     replicas = int(config.get("replicas") or 1)
     seed = int(config.get("seed") or 0)
@@ -371,7 +390,7 @@ def _run_simulate(config):
 def _run_distance(config):
     from .coupling import wg_decay_estimate
 
-    params, _ = _model_from_config(config)
+    params = _euler_model(config)
     times = _times(config, np.arange(0.5, 6.1, 0.5))
     replicas = int(config.get("replicas") or 200)
     x0, notes, _ = _start(config, params, positive=True)
@@ -391,7 +410,7 @@ def _run_cutoff_profile(config):
 def _run_check_cd(config):
     from .geometry import cd_certificate
 
-    params, _ = _model_from_config(config, need_alpha=True)
+    params, _ = _route(config)
     trials = int(config.get("replicas") or 1000)
     report = cd_certificate(params, 0.5, trials, RngStream(int(config.get("seed") or 0), 0))
     return [("cd_report.json", report.to_json() + "\n")], []
@@ -401,7 +420,7 @@ def _run_couple(config):
     from .coupling import run_coupled_batch
     from .equilibrium import sample_equilibrium_batch
 
-    params, _ = _model_from_config(config)
+    params = _euler_model(config)
     times = _times(config, np.arange(0.5, 6.1, 0.5))
     replicas = int(config.get("replicas") or 100)
     x0, notes, gen = _start(config, params, positive=True)
@@ -428,12 +447,10 @@ def _run_couple(config):
 
 
 def _run_ou_formulas(config):
-    n = config.get("n")
-    m = config.get("m")
-    if n is None or m is None or isinstance(n, list):
-        raise ValidationError("ou-formulas needs integer n and m")
-    mp = MatrixParams.bru(int(n), int(m))
-    params = mp.induced_model()
+    params, mp = _route(config)
+    if mp is None:
+        raise UnsupportedRegime("ou-formulas evaluates the matrix flow's closed forms; "
+                                "alpha selects the Euler route, so leave it out")
     x0, notes, _ = _start(config, params, positive=False)
     z0_sq = float(mp.m * observable_phi(x0, params).phi_raw)
     times = _times(config, np.arange(0.5, 6.1, 0.5))

@@ -22,8 +22,8 @@ import warnings
 import numpy as np
 
 from .errors import DomainError, UnsupportedRegime
-from .model import ModelParams, observable_phi
-from .simulate import MatrixParams, RngStream, cir_exact_transition
+from .model import observable_phi
+from .simulate import RngStream, cir_exact_transition, route_params
 from .transport import (
     gaussian_tv,
     kl_projected_estimate,
@@ -60,8 +60,10 @@ def mixing_time_ou(dist_kind, p, z0_norm_sq):
         2 theta t = log(2 theta |z0|^2 / sigma^2)   v log sqrt(N/2)   (L2)
         2 theta t = log(|z0|^2)  v  log sqrt(N sigma^2 / (8 theta))   (W)
 
-    with N = p.n * p.m.  A branch with a nonpositive argument (the start
-    branch, from a centered start) is dropped; the other stands, as N >= 1.
+    with N = p.n * p.m.  Only branches whose logarithm is positive stand:
+    the start branch drops out from a centered start, and the dimensional
+    branch where N is small (N < 4 for TV, say).  Where neither stands,
+    DomainError names N, as no positive time is predicted.
     """
     kind = _norm_kind(dist_kind)
     if not 0 <= z0_norm_sq < math.inf:
@@ -78,7 +80,11 @@ def mixing_time_ou(dist_kind, p, z0_norm_sq):
         args = (2.0 * theta * z2 / sigma_sq, math.sqrt(nn / 2.0))
     else:
         args = (z2, math.sqrt(nn * sigma_sq / (8.0 * theta)))
-    return max(math.log(a) for a in args if a > 0) / (2.0 * theta)
+    logs = [math.log(a) for a in args if a > 1.0]
+    if not logs:
+        raise DomainError(f"{kind}: no branch has a positive logarithm at N = n*m = {nn:g} "
+                          f"and |z0|^2 = {z2:g}")
+    return max(logs) / (2.0 * theta)
 
 
 @dataclass
@@ -412,14 +418,15 @@ def run_cutoff_profile(config):
     """Run a distance-to-equilibrium profile over an n ladder.
 
     config is a mapping with keys drawn from the flat run schema: n (int or
-    list, default 16, 64, 128), m (selects the matrix route, defaults to n
-    when alpha is not given), alpha, beta (select the Euler route; beta
-    defaults to 1), x0_preset (default zero), times (multipliers of the
-    nominal critical time c_n, default 0.4 to 1.6 by 0.1), replicas
-    (default 4000), distances (default TV, KL), seed (default 0).  A key
-    whose value is None, and an empty n, times or distances (list or array),
-    count as omitted.  The matrix route is taken whenever it is available,
-    that is, whenever the config does not pin an explicit (alpha, beta).
+    list, default 16, 64, 128), m, alpha, beta, x0_preset (default zero),
+    times (multipliers of the nominal critical time c_n, default 0.4 to 1.6
+    by 0.1), replicas (default 4000), distances (default TV, KL), seed
+    (default 0).  A key whose value is None, and an empty n, times or
+    distances (list or array), count as omitted.  Each rung takes its route
+    from the one route rule, simulate.route_params, and the profile accepts
+    both routes: given alpha, the Euler route with (n, alpha, beta), beta
+    defaulting to 1; otherwise the matrix route on n x m matrices, m
+    defaulting to the rung's n.
 
     Every kind reads only phi = sum_i x_i, and phi(X_t) is a CIR process
     with shape N = n * alpha for every beta.  So on both routes each rung
@@ -437,8 +444,10 @@ def run_cutoff_profile(config):
     from .equilibrium import build_x0  # local import to avoid a cycle
 
     config = {k: v for k, v in config.items() if v is not None}
-    route = "sde" if "alpha" in config else "matrix"
     ladder = [int(v) for v in np.atleast_1d(config.get("n", ()))] or [16, 64, 128]
+    rungs = [route_params(n, config.get("alpha"), config.get("beta"), config.get("m"))
+             for n in ladder]
+    route = "sde" if rungs[0][1] is None else "matrix"
     multipliers = np.asarray(config.get("times", ()), dtype=float)
     if multipliers.size == 0:
         multipliers = np.arange(0.4, 1.65, 0.1)
@@ -453,13 +462,7 @@ def run_cutoff_profile(config):
     meta = {"route": route, "x0_preset": preset, "replicas": replicas, "seed": seed,
             "fallbacks": []}
 
-    for n_idx, n in enumerate(ladder):
-        if route == "matrix":
-            mp = MatrixParams.bru(n, int(config.get("m") or n))
-            params = mp.induced_model()
-        else:
-            mp = None
-            params = ModelParams(n, float(config["alpha"]), float(config.get("beta", 1.0)))
+    for n_idx, (n, (params, mp)) in enumerate(zip(ladder, rungs)):
         gen = RngStream(seed, stream_id=1000 + n_idx).generator()
         x0, _ = build_x0(preset, params, gen)
         obs = observable_phi(x0, params)

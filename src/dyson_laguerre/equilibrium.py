@@ -188,9 +188,10 @@ def build_x0(preset, params, rng, positive=False):
     (x_i = i), single-outlier (a ramp whose top coordinate is pushed to
     max(10*alpha, 2n)).  Returns (state, note); note records any
     substitution.  positive=True, which the Euler integrator's callers pass
-    (simulate, distance and couple without m), replaces the zero preset by
-    the ramp 1e-4 * (1, ..., n), since the scheme cannot start at 0; the
-    cutoff profile draws phi exactly and keeps the zero preset at 0.
+    (simulate on the Euler route, distance and couple always), replaces the
+    zero preset by the ramp 1e-4 * (1, ..., n), since the scheme cannot
+    start at 0; the cutoff profile draws phi exactly and keeps the zero
+    preset at 0.
     """
     key = _X0_ALIASES.get(str(preset).lower())
     if key is None:

@@ -40,7 +40,10 @@ class ModelParams:
     interacting regime beta >= 1; beta = 0 only needs alpha > 0.  Weaker
     parameter sets (delta in (0, 1]) can be constructed with
     ``allow_weak=True`` for experiments that knowingly leave the certified
-    regime; the CLI never does this.
+    regime.  ``MatrixParams.induced_model()`` builds its params this way,
+    as the matrix flow realizes the gas exactly for every m >= n, and the
+    CLI's matrix route carries them; distance and couple, which integrate
+    the model, refuse one with delta <= 1.
     """
 
     n: int

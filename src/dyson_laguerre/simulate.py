@@ -15,11 +15,13 @@ Three routes to the particle law are implemented.
   matrix flow whose spectrum, after scaling, follows the interacting system
   with beta = 1 and alpha = m/2.
 
-One path driver per route, dl_paths_batch, matrix_dl_path and (for pairs)
-coupling.run_coupled_batch, each returning (len(times), r, n) arrays.  A
-single item is a batch of one: one start state is r = 1 rows, and on the
-matrix route one n x m matrix is a stack of one, so rect_ou_transition and
-spectral_projection return (r, n, m) and (r, n) arrays for every input.
+route_params is the one rule that picks the Euler or the matrix route from
+(n, alpha, beta, m) for every mode.  There is one path driver per route,
+dl_paths_batch, matrix_dl_path and (for pairs) coupling.run_coupled_batch,
+each returning (len(times), r, n) arrays.  A single item is a batch of
+one: one start state is r = 1 rows, and on the matrix route one n x m
+matrix is a stack of one, so rect_ou_transition and spectral_projection
+return (r, n, m) and (r, n) arrays for every input.
 """
 
 from dataclasses import dataclass
@@ -32,6 +34,10 @@ from .errors import DomainError, EigenFailure, NumericError, ValidationError
 from .model import ModelParams, ParticleState
 
 DT_HALVING_LIMIT = 12
+
+# matrix_dl_path advances and projects at most this many matrix entries at a
+# time: one block of replicas, 512 KiB per working array
+_MATRIX_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -266,10 +272,27 @@ class MatrixParams:
     def induced_model(self):
         """Canonical particle parameters carried by the spectrum.
 
-        delta = (m - n + 1)/2 is below 1 when m <= n + 1, outside the
+        delta = (m - n + 1)/2 is at most 1 when m <= n + 1, outside the
         certified interacting regime, so the params are built allow_weak.
         """
         return ModelParams(self.n, self.m / 2.0, 1.0, allow_weak=True)
+
+
+def route_params(n, alpha=None, beta=None, m=None):
+    """The route rule: (params, matrix) for n particles and the config's
+    alpha, beta and m, where a key left out is None.
+
+    Given alpha, the Euler route: params = ModelParams(n, alpha, beta), beta
+    defaulting to 1, and matrix None; m is not read.  Otherwise the matrix
+    route: matrix = MatrixParams.bru(n, m), m defaulting to n, and params its
+    induced model, which is built allow_weak; beta is not read.  Each mode
+    accepts the routes it implements and raises UnsupportedRegime for the
+    other.
+    """
+    if alpha is not None:
+        return ModelParams(n, float(alpha), float(1.0 if beta is None else beta)), None
+    mp = MatrixParams.bru(n, n if m is None else int(m))
+    return mp.induced_model(), mp
 
 
 def _matrix_stack(M, params, rng):
@@ -284,7 +307,8 @@ def _matrix_stack(M, params, rng):
         a = a[None]
     elif a.ndim != 3:
         raise DomainError("matrix state must be two-dimensional, or a stack of matrices")
-    if not np.all(np.isfinite(a)):
+    # min and max propagate NaN and need no mask as large as the stack
+    if a.size and not (math.isfinite(a.min()) and math.isfinite(a.max())):
         raise DomainError("matrix entries must be finite")
     if a.shape[1:] != (params.n, params.m):
         raise DomainError(
@@ -358,6 +382,11 @@ def matrix_dl_path(M0, times, params, rng, canonical=False):
     shape (len(times), r, n), as dl_paths_batch does.  Replica k draws from
     source k alone, so it gets the bits a stack of one would give.
 
+    Replicas run in blocks of at most _MATRIX_BLOCK matrix entries (one
+    replica when n*m exceeds it): each block walks the whole grid before
+    the next starts, so the working arrays stay within the block at any r,
+    and each replica keeps its bits.
+
     With canonical=False states carry the raw eigenvalues of M M^T on the
     matrix clock (so sum of coordinates equals the squared Frobenius norm).
     With canonical=True the grid is read in canonical time units and states
@@ -366,15 +395,18 @@ def matrix_dl_path(M0, times, params, rng, canonical=False):
     """
     times = _validate_times(times)
     M, sources = _matrix_stack(M0, params, rng)
-    gens = [_coerce_generator(src) for src in sources]
     wall = times / params.time_scale if canonical else times
     out = np.empty((times.size, M.shape[0], params.n))
-    t_prev = 0.0
-    for k, tw in enumerate(wall):
-        if tw > t_prev:
-            M = rect_ou_transition(M, tw - t_prev, params, gens)
-        t_prev = tw
-        out[k] = spectral_projection(M)
+    per = max(1, _MATRIX_BLOCK // (params.n * params.m))
+    for lo in range(0, M.shape[0], per):
+        block = M[lo:lo + per]
+        gens = [_coerce_generator(src) for src in sources[lo:lo + per]]
+        t_prev = 0.0
+        for k, tw in enumerate(wall):
+            if tw > t_prev:
+                block = rect_ou_transition(block, tw - t_prev, params, gens)
+            t_prev = tw
+            out[k, lo:lo + per] = spectral_projection(block)
     if canonical:
         out *= params.space_scale
     return out

@@ -11,8 +11,11 @@ import pytest
 from dyson_laguerre import (
     DomainError,
     DysonLaguerreError,
+    MatrixParams,
+    ModelParams,
     ParseError,
     SerializationError,
+    UnsupportedRegime,
     ValidationError,
     parse_config,
     run,
@@ -689,3 +692,139 @@ def test_array_times_give_the_list_artifacts(tmp_path, mode):
     assert got[(0.0,)] != got[()]
     if mode == "ou-formulas":
         assert got[(0.0,)] is DomainError
+
+
+class _Reached(Exception):
+    """Raised by a stub driver once it has recorded what a mode built."""
+
+
+_ROUTE_CONFIGS = {
+    "alpha": {"n": 4, "alpha": 6.0, "beta": 2.0},
+    "m": {"n": 4, "m": 8},
+    "both": {"n": 4, "alpha": 6.0, "beta": 2.0, "m": 8},
+    "neither": {"n": 4},
+}
+
+# (driver reached, params, params.allow_weak, matrix params), or an error type
+_EULER = (ModelParams(4, 6.0, 2.0), False, None)
+_MATRIX_8 = (ModelParams(4, 4.0, 1.0, allow_weak=True), True, MatrixParams.bru(4, 8))
+_MATRIX_4 = (ModelParams(4, 2.0, 1.0, allow_weak=True), True, MatrixParams.bru(4, 4))
+_CERTIFIED_8 = (ModelParams(4, 4.0, 1.0), False, None)
+_ROUTE_TABLE = {
+    "simulate": {"alpha": ("dl_paths_batch", *_EULER),
+                 "m": ("matrix_dl_path", *_MATRIX_8),
+                 "both": ("dl_paths_batch", *_EULER),
+                 "neither": ("matrix_dl_path", *_MATRIX_4)},
+    "distance": {"alpha": ("wg_decay_estimate", *_EULER),
+                 "m": ("wg_decay_estimate", *_CERTIFIED_8),
+                 "both": ("wg_decay_estimate", *_EULER),
+                 "neither": UnsupportedRegime},
+    "couple": {"alpha": ("run_coupled_batch", *_EULER),
+               "m": ("run_coupled_batch", *_CERTIFIED_8),
+               "both": ("run_coupled_batch", *_EULER),
+               "neither": UnsupportedRegime},
+    "check-cd": {"alpha": ("cd_certificate", *_EULER),
+                 "m": ("cd_certificate", *_MATRIX_8[:2], None),
+                 "both": ("cd_certificate", *_EULER),
+                 "neither": ("cd_certificate", *_MATRIX_4[:2], None)},
+    "ou-formulas": {"alpha": UnsupportedRegime,
+                    "m": ("ou_closed_form_distances", *_MATRIX_8),
+                    "both": UnsupportedRegime,
+                    "neither": ("ou_closed_form_distances", *_MATRIX_4)},
+    "cutoff-profile": {"alpha": ("cutoff_predict", *_EULER),
+                       "m": ("cutoff_predict", *_MATRIX_8),
+                       "both": ("cutoff_predict", *_EULER),
+                       "neither": ("cutoff_predict", *_MATRIX_4)},
+}
+
+
+def _route_built(monkeypatch, config):
+    """What a run of config builds before its first path driver or formula:
+    (driver, params, params.allow_weak, matrix params), or the type of the
+    error it raises first.  Each driver is a stub that records its
+    arguments and stops the run; the params of a matrix-route driver that
+    takes none are those its start was built with."""
+    from dyson_laguerre import cli, coupling, cutoff, equilibrium, geometry
+
+    seen = {}
+
+    def record(driver, params=None, matrix=None):
+        seen.update(driver=driver, matrix=matrix)
+        if params is not None:
+            seen["params"] = params
+        raise _Reached
+
+    live_build = equilibrium.build_x0
+
+    def build_x0(preset, params, gen, **kwargs):
+        seen["params"] = params
+        return live_build(preset, params, gen, **kwargs)
+
+    stubs = [
+        (equilibrium, "build_x0", build_x0),
+        (cli, "dl_paths_batch",
+         lambda x0, times, params, rng, **kw: record("dl_paths_batch", params)),
+        (cli, "matrix_dl_path",
+         lambda m0, times, mp, sources, **kw: record("matrix_dl_path", None, mp)),
+        (coupling, "wg_decay_estimate",
+         lambda x0, times, params, *a: record("wg_decay_estimate", params)),
+        (coupling, "run_coupled_batch",
+         lambda x0, y0, times, params, *a, **kw: record("run_coupled_batch", params)),
+        (geometry, "cd_certificate", lambda params, *a: record("cd_certificate", params)),
+        (cli, "ou_closed_form_distances",
+         lambda mp, t, z0_sq: record("ou_closed_form_distances", None, mp)),
+        (cutoff, "cutoff_predict",
+         lambda kind, x0, params, matrix=None: record("cutoff_predict", params, matrix)),
+    ]
+    for module, name, stub in stubs:
+        monkeypatch.setattr(module, name, stub)
+    try:
+        run(config)
+    except _Reached:
+        params = seen["params"]
+        return seen["driver"], params, params.allow_weak, seen["matrix"]
+    except DysonLaguerreError as exc:
+        return type(exc)
+    raise AssertionError("the run reached no driver")
+
+
+@pytest.mark.parametrize("keys", list(_ROUTE_CONFIGS))
+@pytest.mark.parametrize("mode", list(_ROUTE_TABLE))
+def test_route_rule_table(tmp_path, monkeypatch, mode, keys):
+    # one route rule for every mode: alpha selects the Euler route, otherwise
+    # the matrix route with m = n by default; each mode accepts its routes
+    config = dict(_ROUTE_CONFIGS[keys], mode=mode, x0_preset="ramp", times=[0.5, 1.0],
+                  replicas=100, seed=1, out_dir=str(tmp_path))
+    assert _route_built(monkeypatch, config) == _ROUTE_TABLE[mode][keys]
+
+
+@pytest.mark.parametrize(
+    "mode, m, delta, driver",
+    [("couple", 4, 0.5, "run_coupled_batch"), ("distance", 5, 1.0, "wg_decay_estimate")],
+)
+def test_uncertified_induced_model_stops_before_the_integrator(
+        tmp_path, monkeypatch, capsys, mode, m, delta, driver):
+    # on the matrix route distance and couple integrate the induced model
+    # only where delta = (m - n + 1)/2 > 1; at n = m = 4 the explicit step
+    # used to exhaust its halving (exit code 3 at this seed)
+    from dyson_laguerre import coupling
+
+    calls = []
+    live = getattr(coupling, driver)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return live(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, driver, counting)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 4\nm = {m}\ntimes = 0.5, 1\nreplicas = {20 if m == 4 else 100}\n"
+                   "seed = 1\n")
+    out = tmp_path / "out"
+    assert main([mode, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"delta = (m - n + 1)/2 = {delta}" in err
+    assert "without alpha the route rule takes the matrix route" in err
+    assert calls == []
+    assert os.listdir(out) == []

@@ -59,6 +59,26 @@ def test_mixing_time_vacuous_raises():
         mixing_time_ou("huh", p, 0.0)
 
 
+@pytest.mark.parametrize("kind", ["TV", "KL", "L2", "W"])
+def test_mixing_time_is_never_negative(kind):
+    # from a centered start at N = 1 every branch's logarithm is negative
+    # (the time would be -0.693, -0.347, -0.173 and -0.520): no prediction
+    with pytest.raises(DomainError, match="N = n\\*m = 1"):
+        mixing_time_ou(kind, MatrixParams(1, 1, 1.0, 1.0), 0.0)
+
+
+def test_mixing_time_keeps_only_positive_branches():
+    # N = 6: the W branch log sqrt(6/8) < 0 would give -0.072; TV's
+    # log(6/4) > 0 stands
+    p = MatrixParams(2, 3, 1.0, 1.0)
+    with pytest.raises(DomainError, match="N = n\\*m = 6"):
+        mixing_time_ou("W", p, 0.0)
+    assert mixing_time_ou("TV", p, 0.0) == math.log(1.5) / 2.0
+    # a start branch of exactly log 1 = 0 is not positive either
+    with pytest.raises(DomainError):
+        mixing_time_ou("W", p, 1.0)
+
+
 def test_mixing_time_aliases():
     p = MatrixParams(2, 2, kappa=1.0, gamma=0.5)
     assert mixing_time_ou("w2", p, 3.0) == mixing_time_ou("W", p, 3.0)

@@ -491,6 +491,7 @@ def test_matrix_stack_rejects_bad_input():
         (np.ones((4, 2, 3, 1)), sources),
         (bad_values, sources),
         (np.where(M0 > 0, np.inf, 0.0), sources),
+        (np.where(M0 > 0, -np.inf, 0.0), sources),
     ):
         with pytest.raises(DomainError):
             rect_ou_transition(M, 0.5, mp, rng)
@@ -504,6 +505,47 @@ def test_matrix_stack_rejects_bad_input():
     # t = 0 draws nothing and returns a copy
     same = rect_ou_transition(M0, 0.0, mp, sources)
     assert np.array_equal(same, M0) and same is not M0
+
+
+@pytest.mark.parametrize("block", [1, 30, 61])
+def test_matrix_blocks_keep_the_bits(monkeypatch, block):
+    # n * m = 15 entries: blocks of 1, 30 and 61 entries hold 1, 2 and 4 of
+    # the 7 replicas, and every block run is the one-block run, bit for bit
+    n, m, r = 3, 5, 7
+    mp = MatrixParams.bru(n, m)
+    M0 = np.random.default_rng(5).standard_normal((r, n, m))
+    times = [0.0, 0.2, 0.9]
+    sources = [RngStream(3, k) for k in range(r)]
+    whole = matrix_dl_path(M0, times, mp, sources, canonical=True)
+    sizes = []
+    live = simulate.spectral_projection
+
+    def counting(M):
+        sizes.append(len(M))
+        return live(M)
+
+    monkeypatch.setattr(simulate, "_MATRIX_BLOCK", block)
+    monkeypatch.setattr(simulate, "spectral_projection", counting)
+    blocked = matrix_dl_path(M0, times, mp, sources, canonical=True)
+    assert blocked.tobytes() == whole.tobytes()
+    per = max(1, block // (n * m))
+    assert max(sizes) == per and sum(sizes) == r * len(times)
+
+
+def test_matrix_block_holds_the_benchmark_stack():
+    # the benchmark's matrix simulate step, 200 replicas of 16 x 16, runs as
+    # one block
+    assert 200 * 16 * 16 <= simulate._MATRIX_BLOCK
+
+
+def test_route_params():
+    # alpha selects the Euler route (beta 1 by default, m unread); otherwise
+    # the matrix route, m defaulting to n, with the induced model
+    assert simulate.route_params(3, 5.0) == (ModelParams(3, 5.0, 1.0), None)
+    assert simulate.route_params(3, 6, 2, m=9) == (ModelParams(3, 6.0, 2.0), None)
+    params, mp = simulate.route_params(3, beta=2.0)
+    assert mp == MatrixParams.bru(3, 3) and params == mp.induced_model() and params.allow_weak
+    assert simulate.route_params(3, m=7)[1] == MatrixParams.bru(3, 7)
 
 
 @pytest.mark.parametrize("times", [0.1, [[0.1, 0.2]], [], [0.2, 0.1], [0.1, math.nan], [-0.1]])
