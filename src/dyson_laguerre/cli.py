@@ -9,7 +9,7 @@ needs them:
     n           particle count; comma list allowed for profile ladders
     m           matrix column count on the matrix route (default n)
     alpha       shape parameter; given, it selects the Euler route
-    beta        repulsion strength on the Euler route (default 1)
+    beta        repulsion strength (default 1); the matrix route takes only 1
     x0_preset   zero | equilibrium-draw | linear-ramp | single-outlier
     times       comma list of grid times (profile: multipliers of c_n)
     replicas    Monte Carlo replicas, at least 1 (also: trials for check-cd)
@@ -22,18 +22,24 @@ needs them:
 One rule, simulate.route_params, picks the route for every mode (for
 each rung of a profile ladder): the Euler route with (n, alpha, beta) when
 alpha is given, otherwise the matrix route on n x m matrices (m = n when
-omitted), whose spectrum is the gas with alpha = m/2 and beta = 1.
-simulate, cutoff-profile and check-cd accept both routes; ou-formulas only
-the matrix route.  distance and couple run the Euler scheme: on the matrix
-route they run it on the induced model only where that model is certified,
-delta = (m - n + 1)/2 > 1, and raise UnsupportedRegime otherwise.
+omitted), whose spectrum is the gas with alpha = m/2 and beta = 1; a beta
+other than 1 there raises UnsupportedRegime.  simulate, cutoff-profile and
+check-cd accept both routes; ou-formulas only the matrix route.  distance
+and couple accept the matrix route only where its induced model is
+certified, delta = (m - n + 1)/2 > 1, and raise UnsupportedRegime
+otherwise.  couple runs the Euler scheme on every model it accepts.
+distance samples Law(X_t) exactly from the matrix flow wherever
+simulate.matrix_realization realizes the model (beta = 1 and 2 alpha an
+integer >= n, so every matrix-route config it accepts), and runs Euler
+elsewhere.
 
 Each experiment returns its artifacts, an ordered list of (file name,
 text), and run() alone writes them: atomically (temp file in the
 destination directory, then rename), with a sha256 of the bytes written.
-On failure any files already written by the run are removed and no
-manifest is produced.  Exit codes: 0 success, 2 config error, 3 numeric
-failure, 4 I/O error.
+out_dir is created only once the experiment has returned, so a config
+error leaves no directory behind.  On failure any files already written by
+the run are removed and no manifest is produced.  Exit codes: 0 success,
+2 config error, 3 numeric failure, 4 I/O error.
 """
 
 from dataclasses import dataclass, field
@@ -60,7 +66,7 @@ from .errors import (
     ValidationError,
 )
 from .model import ModelParams, observable_phi
-from .simulate import RngStream, matrix_dl_path, dl_paths_batch, route_params
+from .simulate import RngStream, aligned_start, matrix_dl_path, dl_paths_batch, route_params
 from .cutoff import CutoffProfile, ProfileRow, run_cutoff_profile
 from .transport import ou_closed_form_distances
 
@@ -330,17 +336,17 @@ def _route(config):
     return route_params(int(n), config.get("alpha"), config.get("beta"), config.get("m"))
 
 
-def _euler_model(config):
-    """The model that distance and couple integrate: the Euler route's, or
-    on the matrix route the induced model where it is certified."""
+def _certified_model(config):
+    """The model that distance and couple run: the Euler route's, or on the
+    matrix route the induced model where it is certified."""
     params, mp = _route(config)
     if mp is None:
         return params
     if params.delta <= 1:
         raise UnsupportedRegime(
-            f"{config['mode']} runs the Euler scheme; without alpha the route rule takes the "
-            f"matrix route (n = {mp.n}, m = {mp.m}), where it runs only on a certified induced "
-            f"model: delta = (m - n + 1)/2 = {params.delta} must exceed 1 (give alpha, or m > n + 1)"
+            f"{config['mode']} needs a certified model; without alpha the route rule takes the "
+            f"matrix route (n = {mp.n}, m = {mp.m}), whose induced model is certified only "
+            f"where delta = (m - n + 1)/2 = {params.delta} exceeds 1 (give alpha, or m > n + 1)"
         )
     return ModelParams(params.n, params.alpha, params.beta)
 
@@ -374,10 +380,8 @@ def _run_simulate(config):
     seed = int(config.get("seed") or 0)
     x0, notes, _ = _start(config, params, positive=mp is None)
     if mp is not None:
-        m0 = np.zeros((mp.n, mp.m))
-        np.fill_diagonal(m0, np.sqrt(mp.m * x0.as_array()))
         sources = [RngStream(seed, rep) for rep in range(replicas)]
-        out = matrix_dl_path(np.broadcast_to(m0, (replicas, mp.n, mp.m)), times, mp, sources,
+        out = matrix_dl_path(aligned_start(x0, mp, replicas), times, mp, sources,
                              canonical=True)
     else:
         out = dl_paths_batch(x0, times, params, RngStream(seed, 0), replicas=replicas)
@@ -390,7 +394,7 @@ def _run_simulate(config):
 def _run_distance(config):
     from .coupling import wg_decay_estimate
 
-    params = _euler_model(config)
+    params = _certified_model(config)
     times = _times(config, np.arange(0.5, 6.1, 0.5))
     replicas = int(config.get("replicas") or 200)
     x0, notes, _ = _start(config, params, positive=True)
@@ -420,7 +424,7 @@ def _run_couple(config):
     from .coupling import run_coupled_batch
     from .equilibrium import sample_equilibrium_batch
 
-    params = _euler_model(config)
+    params = _certified_model(config)
     times = _times(config, np.arange(0.5, 6.1, 0.5))
     replicas = int(config.get("replicas") or 100)
     x0, notes, gen = _start(config, params, positive=True)
@@ -480,8 +484,9 @@ def run(config):
     Returns the RunManifest (also written to out_dir/manifest.json), with
     the sha256 of each artifact's bytes.  Its output paths are relative to
     out_dir, so the manifest's bytes do not depend on where out_dir sits.
-    The experiment writes nothing; if a write fails, the artifacts already
-    written are removed before the error propagates.
+    The experiment writes nothing, and out_dir is created only after it has
+    returned; if a write fails, the artifacts already written are removed
+    before the error propagates.
     """
     mode = config.get("mode")
     if mode not in _EXPERIMENTS:
@@ -491,9 +496,9 @@ def run(config):
     if config.get("replicas") is not None and config["replicas"] < 1:
         raise ValidationError(f"replicas must be at least 1, got {config['replicas']}")
     out_dir = config.get("out_dir") or "."
-    os.makedirs(out_dir, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     artifacts, fallbacks = _EXPERIMENTS[mode](config)
+    os.makedirs(out_dir, exist_ok=True)
     outputs = []
     try:
         for name, text in artifacts:

@@ -24,6 +24,12 @@ Every entry point reads its starts as dl_paths_batch does, through
 simulate._start_rows: one state repeated replicas times, or (r, n) rows.
 A start law, such as the invariant gas in wg_decay_estimate, is passed as
 rows the caller has drawn.
+
+The Wasserstein decay needs only Law(X_t), not coupled paths.  Where
+simulate.matrix_realization realizes the model (beta = 1 and m = 2 alpha
+an integer >= n), wg_decay_estimate samples that law exactly from the
+matrix flow, with no step; every other model, and every coupled pair,
+runs the Euler scheme above.
 """
 
 from dataclasses import dataclass, field
@@ -34,14 +40,18 @@ import numpy as np
 from . import _kernels, transport
 from .errors import DomainError
 from .simulate import (
+    RngStream,
     _advance,
     _coerce_generator,
     _propose_batch,
     _start_rows,
     _step_plan,
     _validate_times,
+    aligned_start,
     default_dt,
     dl_paths_batch,
+    matrix_dl_path,
+    matrix_realization,
 )
 
 MERGE_TOL = 1e-8
@@ -240,6 +250,15 @@ def wg_decay_estimate(x0, times, params, replicas, rng, dt=None):
     and draws nothing from rng.  The envelope is exp(-t/2) times the
     starting distance w0, and the floor is the distance between two
     independent equilibrium clouds; each is one assignment without a stderr.
+
+    The clouds come from the exact matrix flow where matrix_realization
+    realizes params: matrix_dl_path(canonical=True) from the aligned start
+    stack of the start rows, replica k drawing from RngStream(e, k) alone,
+    with e one 64-bit integer drawn from rng.  Elsewhere they are Euler
+    paths of dl_paths_batch with step dt (default_dt when None); dt is not
+    read on the matrix route.  After the caller's draws of any start rows
+    (cloud0), rng is drawn in this order: eq0, the two floor clouds, the
+    paths (e, or every Euler step), then eq_k for each grid time in turn.
     """
     from .equilibrium import sample_equilibrium_batch
 
@@ -257,7 +276,14 @@ def wg_decay_estimate(x0, times, params, replicas, rng, dt=None):
         sample_equilibrium_batch(params, gen, replicas),
         se=False,
     )
-    paths = dl_paths_batch(cloud0, times, params, gen, dt=dt)
+    matrix = matrix_realization(params)
+    if matrix is None:
+        paths = dl_paths_batch(cloud0, times, params, gen, dt=dt)
+    else:
+        entropy = int(gen.integers(2**64, dtype=np.uint64))
+        sources = [RngStream(entropy, k) for k in range(replicas)]
+        paths = matrix_dl_path(aligned_start(cloud0, matrix), times, matrix, sources,
+                               canonical=True)
     values = np.empty(times.size)
     stderrs = np.empty(times.size)
     for k in range(times.size):

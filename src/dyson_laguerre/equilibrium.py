@@ -187,11 +187,11 @@ def build_x0(preset, params, rng, positive=False):
     exact gas sample, row 0 of a tridiagonal batch of one), linear-ramp
     (x_i = i), single-outlier (a ramp whose top coordinate is pushed to
     max(10*alpha, 2n)).  Returns (state, note); note records any
-    substitution.  positive=True, which the Euler integrator's callers pass
-    (simulate on the Euler route, distance and couple always), replaces the
-    zero preset by the ramp 1e-4 * (1, ..., n), since the scheme cannot
-    start at 0; the cutoff profile draws phi exactly and keeps the zero
-    preset at 0.
+    substitution.  positive=True, which simulate on the Euler route and
+    distance and couple always pass, replaces the zero preset by the ramp
+    1e-4 * (1, ..., n), since the Euler scheme cannot start at 0 and their
+    start check wants positive coordinates; the cutoff profile draws phi
+    exactly and keeps the zero preset at 0.
     """
     key = _X0_ALIASES.get(str(preset).lower())
     if key is None:

@@ -16,12 +16,16 @@ Three routes to the particle law are implemented.
   with beta = 1 and alpha = m/2.
 
 route_params is the one rule that picks the Euler or the matrix route from
-(n, alpha, beta, m) for every mode.  There is one path driver per route,
-dl_paths_batch, matrix_dl_path and (for pairs) coupling.run_coupled_batch,
-each returning (len(times), r, n) arrays.  A single item is a batch of
-one: one start state is r = 1 rows, and on the matrix route one n x m
-matrix is a stack of one, so rect_ou_transition and spectral_projection
-return (r, n, m) and (r, n) arrays for every input.
+(n, alpha, beta, m) for every mode, and matrix_realization the one test of
+whether a model (n, alpha, beta) is the spectrum of a matrix flow, whose
+law callers then sample exactly instead of integrating.  aligned_start
+builds the diagonal start matrices that every matrix-flow run starts from.
+There is one path driver per route, dl_paths_batch, matrix_dl_path and
+(for pairs) coupling.run_coupled_batch, each returning (len(times), r, n)
+arrays.  A single item is a batch of one: one start state is r = 1 rows,
+and on the matrix route one n x m matrix is a stack of one, so
+rect_ou_transition and spectral_projection return (r, n, m) and (r, n)
+arrays for every input.
 """
 
 from dataclasses import dataclass
@@ -30,7 +34,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, EigenFailure, NumericError, ValidationError
+from .errors import DomainError, EigenFailure, NumericError, UnsupportedRegime, ValidationError
 from .model import ModelParams, ParticleState
 
 DT_HALVING_LIMIT = 12
@@ -285,14 +289,53 @@ def route_params(n, alpha=None, beta=None, m=None):
     Given alpha, the Euler route: params = ModelParams(n, alpha, beta), beta
     defaulting to 1, and matrix None; m is not read.  Otherwise the matrix
     route: matrix = MatrixParams.bru(n, m), m defaulting to n, and params its
-    induced model, which is built allow_weak; beta is not read.  Each mode
+    induced model, which is built allow_weak.  That flow realizes beta = 1
+    only, so a beta other than 1 there raises UnsupportedRegime.  Each mode
     accepts the routes it implements and raises UnsupportedRegime for the
     other.
     """
     if alpha is not None:
         return ModelParams(n, float(alpha), float(1.0 if beta is None else beta)), None
+    if beta is not None and float(beta) != 1.0:
+        raise UnsupportedRegime(
+            f"without alpha the route rule takes the matrix route, whose spectrum has "
+            f"beta = 1; got beta = {beta} (give alpha for the Euler route)"
+        )
     mp = MatrixParams.bru(n, n if m is None else int(m))
     return mp.induced_model(), mp
+
+
+def matrix_realization(params):
+    """The matrix flow whose canonical spectrum is exactly the gas of params,
+    or None: MatrixParams.bru(n, m) when beta = 1 and m = 2 alpha is an
+    integer, the one test of realizability.  Then m >= n, since delta =
+    (m - n + 1)/2 > 0.  Its paths come from matrix_dl_path(..., canonical=
+    True), with no step and no bias.
+    """
+    m = 2.0 * params.alpha
+    if params.beta != 1.0 or not m.is_integer():
+        return None
+    return MatrixParams.bru(params.n, int(m))
+
+
+def aligned_start(x0, matrix, replicas=1):
+    """Start matrices whose canonical spectra are the start states: for each
+    state x the n x m matrix diag(sqrt(m x)), zero off the diagonal, so its
+    singular vectors are the coordinate axes.  The factor m undoes the space
+    scale 1/m of MatrixParams.bru.
+
+    x0 is one state, returned as one matrix broadcast to (replicas, n, m)
+    (a read-only view, which takes no memory), or an (r, n) array of states,
+    returned as an (r, n, m) stack.  Coordinates may be 0.
+    """
+    x = x0.as_array() if isinstance(x0, ParticleState) else np.asarray(x0, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != matrix.n:
+        raise DomainError(f"start states must be ({matrix.n},) or (r, {matrix.n})")
+    rows = np.atleast_2d(x)
+    out = np.zeros((rows.shape[0], matrix.n, matrix.m))
+    diag = np.arange(matrix.n)
+    out[:, diag, diag] = np.sqrt(matrix.m * rows)
+    return np.broadcast_to(out, (replicas, matrix.n, matrix.m)) if x.ndim == 1 else out
 
 
 def _matrix_stack(M, params, rng):

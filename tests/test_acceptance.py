@@ -39,6 +39,7 @@ from dyson_laguerre import (
     riemannian_distance,
     run,
     run_cutoff_profile,
+    sample_equilibrium_batch,
     tv_threshold_witness,
     wasserstein_intrinsic,
     wg_decay_estimate,
@@ -199,19 +200,35 @@ def test_criterion_06_exponential_decay():
         assert v <= bound, (t, v, bound)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=NumericError,
-    reason="the explicit Euler step exhausts step halving on this certified-regime "
-    "(delta = 2.5) config at seed 206, inside dl_paths_batch; the step that never "
-    "rejects (ROADMAP item 3) turns this test on",
-)
 def test_criterion_06_config_runs_at_seed_206():
+    # the model is the spectrum of the 4 x 8 matrix flow, so the decay
+    # samples Law(X_t) exactly and takes no step that could be rejected
     params = ModelParams(4, 4.0, 1.0)
     x0 = ParticleState([0.5, 1.0, 1.5, 2.0])
     times = np.arange(0.5, 6.01, 0.5)
     curve = wg_decay_estimate(x0, times, params, 500, RngStream(206, 0))
     assert np.all(np.isfinite(curve.values))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NumericError,
+    reason="the explicit Euler step exhausts step halving (dt = 1.221e-07) on criterion "
+    "06's certified-regime (delta = 2.5) config at seed 206; the step that never "
+    "rejects (ROADMAP item 3) turns this test on",
+)
+def test_criterion_06_euler_paths_run_at_seed_206():
+    # the Euler paths that criterion 06's decay integrated at seed 206 before
+    # it sampled this realizable model from the matrix flow: the same draws,
+    # the start cloud, eq0 and the two floor clouds, then the paths
+    params = ModelParams(4, 4.0, 1.0)
+    x0 = ParticleState([0.5, 1.0, 1.5, 2.0])
+    times = np.arange(0.5, 6.01, 0.5)
+    gen = RngStream(206, 0).generator()
+    for _ in range(3):
+        sample_equilibrium_batch(params, gen, 500)
+    paths = dl_paths_batch(x0, times, params, gen, replicas=500)
+    assert np.all(np.isfinite(paths))
 
 
 # ---------------------------------------------------------------- criterion 7

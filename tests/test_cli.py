@@ -228,6 +228,19 @@ def test_run_requires_mode():
         run({"n": 4})
 
 
+@pytest.mark.parametrize(
+    "config",
+    [{"mode": "ou-formulas", "n": 4, "alpha": 6.0}, {"mode": "distance", "n": 4},
+     {"mode": "simulate", "n": 4, "m": 8, "beta": 2.0}, {"mode": "check-cd", "n": [4, 8]}],
+    ids=["ou-formulas-alpha", "distance-uncertified", "matrix-beta", "check-cd-ladder"],
+)
+def test_config_error_leaves_no_out_dir(tmp_path, config):
+    # out_dir is created only once the experiment has returned its artifacts
+    with pytest.raises(DysonLaguerreError):
+        run(dict(config, out_dir=str(tmp_path / "f3" / "deep")))
+    assert os.listdir(tmp_path) == []
+
+
 def test_run_cleans_partial_outputs(tmp_path, monkeypatch):
     # stage a failure after the first of two artifacts is on disk: the
     # couple experiment writes a csv then a summary json
@@ -703,6 +716,7 @@ _ROUTE_CONFIGS = {
     "m": {"n": 4, "m": 8},
     "both": {"n": 4, "alpha": 6.0, "beta": 2.0, "m": 8},
     "neither": {"n": 4},
+    "m-beta": {"n": 4, "m": 8, "beta": 2.0},
 }
 
 # (driver reached, params, params.allow_weak, matrix params), or an error type
@@ -714,27 +728,33 @@ _ROUTE_TABLE = {
     "simulate": {"alpha": ("dl_paths_batch", *_EULER),
                  "m": ("matrix_dl_path", *_MATRIX_8),
                  "both": ("dl_paths_batch", *_EULER),
-                 "neither": ("matrix_dl_path", *_MATRIX_4)},
+                 "neither": ("matrix_dl_path", *_MATRIX_4),
+                 "m-beta": UnsupportedRegime},
     "distance": {"alpha": ("wg_decay_estimate", *_EULER),
                  "m": ("wg_decay_estimate", *_CERTIFIED_8),
                  "both": ("wg_decay_estimate", *_EULER),
-                 "neither": UnsupportedRegime},
+                 "neither": UnsupportedRegime,
+                 "m-beta": UnsupportedRegime},
     "couple": {"alpha": ("run_coupled_batch", *_EULER),
                "m": ("run_coupled_batch", *_CERTIFIED_8),
                "both": ("run_coupled_batch", *_EULER),
-               "neither": UnsupportedRegime},
+               "neither": UnsupportedRegime,
+               "m-beta": UnsupportedRegime},
     "check-cd": {"alpha": ("cd_certificate", *_EULER),
                  "m": ("cd_certificate", *_MATRIX_8[:2], None),
                  "both": ("cd_certificate", *_EULER),
-                 "neither": ("cd_certificate", *_MATRIX_4[:2], None)},
+                 "neither": ("cd_certificate", *_MATRIX_4[:2], None),
+                 "m-beta": UnsupportedRegime},
     "ou-formulas": {"alpha": UnsupportedRegime,
                     "m": ("ou_closed_form_distances", *_MATRIX_8),
                     "both": UnsupportedRegime,
-                    "neither": ("ou_closed_form_distances", *_MATRIX_4)},
+                    "neither": ("ou_closed_form_distances", *_MATRIX_4),
+                    "m-beta": UnsupportedRegime},
     "cutoff-profile": {"alpha": ("cutoff_predict", *_EULER),
                        "m": ("cutoff_predict", *_MATRIX_8),
                        "both": ("cutoff_predict", *_EULER),
-                       "neither": ("cutoff_predict", *_MATRIX_4)},
+                       "neither": ("cutoff_predict", *_MATRIX_4),
+                       "m-beta": UnsupportedRegime},
 }
 
 
@@ -827,4 +847,4 @@ def test_uncertified_induced_model_stops_before_the_integrator(
     assert f"delta = (m - n + 1)/2 = {delta}" in err
     assert "without alpha the route rule takes the matrix route" in err
     assert calls == []
-    assert os.listdir(out) == []
+    assert not out.exists()

@@ -8,11 +8,13 @@ from scipy import stats
 
 from dyson_laguerre import (
     DomainError,
+    MatrixParams,
     NumericError,
     ModelParams,
     ParticleState,
     RngStream,
     dl_paths_batch,
+    matrix_dl_path,
     wasserstein_intrinsic,
     wg_decay_estimate,
 )
@@ -252,28 +254,62 @@ def test_split_sample_se_matches_block_references(n, r):
         assert value == exact and math.isnan(se)
 
 
-def test_wg_decay_draws_only_its_clouds_and_paths():
-    # replay every draw wg_decay_estimate makes on a second generator: the
-    # stderr draws nothing, and w0, floor, values and stderrs are those of
-    # plain assignments on the replayed clouds
-    params = ModelParams(2, 3.0, 1.0)
-    x0 = ParticleState([0.2, 0.6])
-    times, r, dt = [0.3, 0.8], 103, 2e-3
-    gen, ref = np.random.default_rng(4), np.random.default_rng(4)
-    curve = wg_decay_estimate(x0, times, params, r, gen, dt=dt)
-    cloud0 = np.tile(x0.as_array(), (r, 1))
+def _replay_wg_decay(curve, gen, ref, params, cloud0, times, paths_of):
+    """Replay on ref the draws that wg_decay_estimate made on gen, with
+    paths_of(ref) drawing its paths, and check that curve is made of plain
+    assignments on them and that gen made no other draw."""
+    r = cloud0.shape[0]
     eq0 = sample_equilibrium_batch(params, ref, r)
     floor_a = sample_equilibrium_batch(params, ref, r)
     floor_b = sample_equilibrium_batch(params, ref, r)
-    paths = dl_paths_batch(cloud0, times, params, ref, dt=dt)
+    paths = paths_of(ref)
     assert curve.w0 == wasserstein_intrinsic(cloud0, eq0).value
     assert curve.floor == wasserstein_intrinsic(floor_a, floor_b).value
     for k in range(len(times)):
         eq_k = sample_equilibrium_batch(params, ref, r)
         assert curve.values[k] == wasserstein_intrinsic(paths[k], eq_k).value
         assert curve.stderrs[k] == _split_se_reference(paths[k], eq_k)
-    assert gen.bit_generator.state == ref.bit_generator.state
     assert curve.meta == {"replicas": r, "se_blocks": 4}
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+def test_wg_decay_draws_only_its_clouds_and_paths():
+    # replay every draw wg_decay_estimate makes on a second generator: the
+    # stderr draws nothing, and w0, floor, values and stderrs are those of
+    # plain assignments on the replayed clouds.  alpha = 3.25 is no matrix
+    # flow's spectrum, so the paths are Euler's
+    params = ModelParams(2, 3.25, 1.0)
+    assert simulate.matrix_realization(params) is None
+    x0 = ParticleState([0.2, 0.6])
+    times, r, dt = [0.3, 0.8], 103, 2e-3
+    gen, ref = np.random.default_rng(4), np.random.default_rng(4)
+    curve = wg_decay_estimate(x0, times, params, r, gen, dt=dt)
+    cloud0 = np.tile(x0.as_array(), (r, 1))
+    _replay_wg_decay(curve, gen, ref, params, cloud0, times,
+                     lambda src: dl_paths_batch(cloud0, times, params, src, dt=dt))
+
+
+def test_wg_decay_samples_a_realizable_model_from_the_matrix_flow(monkeypatch):
+    # alpha = 3 is the spectrum of the 2 x 6 matrix flow: the paths are its
+    # exact law from the aligned start rows, replica k on RngStream(e, k)
+    # with e drawn from rng after the floor clouds; dt is not read, and no
+    # Euler path is run
+    params = ModelParams(2, 3.0, 1.0)
+    mp = simulate.matrix_realization(params)
+    assert mp == MatrixParams.bru(2, 6)
+    monkeypatch.setattr(coupling, "dl_paths_batch", None)
+    rows = np.array([[0.2, 0.6], [0.3, 1.1], [0.05, 2.0]])[np.arange(103) % 3]
+    times, r = [0.3, 0.8], 103
+    gen, ref = np.random.default_rng(4), np.random.default_rng(4)
+    curve = wg_decay_estimate(rows, times, params, r, gen, dt=-1.0)
+
+    def matrix_paths(src):
+        entropy = int(src.integers(2**64, dtype=np.uint64))
+        sources = [RngStream(entropy, k) for k in range(r)]
+        return matrix_dl_path(simulate.aligned_start(rows, mp), times, mp, sources,
+                              canonical=True)
+
+    _replay_wg_decay(curve, gen, ref, params, rows, times, matrix_paths)
 
 
 # Frozen reference: the pair step as it stood, with one drift evaluation and

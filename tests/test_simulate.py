@@ -16,6 +16,7 @@ from dyson_laguerre import (
     dl_paths_batch,
     matrix_dl_path,
     rect_ou_transition,
+    UnsupportedRegime,
     spectral_projection,
 )
 from dyson_laguerre import _kernels, coupling, simulate
@@ -543,9 +544,73 @@ def test_route_params():
     # the matrix route, m defaulting to n, with the induced model
     assert simulate.route_params(3, 5.0) == (ModelParams(3, 5.0, 1.0), None)
     assert simulate.route_params(3, 6, 2, m=9) == (ModelParams(3, 6.0, 2.0), None)
-    params, mp = simulate.route_params(3, beta=2.0)
+    params, mp = simulate.route_params(3, beta=1.0)
     assert mp == MatrixParams.bru(3, 3) and params == mp.induced_model() and params.allow_weak
     assert simulate.route_params(3, m=7)[1] == MatrixParams.bru(3, 7)
+    # the matrix flow's spectrum has beta = 1; any other beta is refused
+    for beta in (0.0, 2.0, 1.5):
+        with pytest.raises(UnsupportedRegime):
+            simulate.route_params(3, beta=beta, m=7)
+
+
+@pytest.mark.parametrize(
+    "n, alpha, beta, m",
+    [(4, 4.0, 1.0, 8), (3, 1.5, 1.0, 3), (2, 3.5, 1.0, 7), (1, 0.5, 1.0, 1),
+     (4, 3.25, 1.0, None), (3, 1.25, 1.0, None), (4, 4.0, 2.0, None), (4, 4.0, 0.0, None)],
+)
+def test_matrix_realization(n, alpha, beta, m):
+    # beta = 1 and m = 2 alpha an integer, which delta > 0 makes at least n
+    params = ModelParams(n, alpha, beta, allow_weak=True)
+    want = None if m is None else MatrixParams.bru(n, m)
+    assert simulate.matrix_realization(params) == want
+    if want is not None:
+        assert want.induced_model() == params
+
+
+def test_aligned_start_spectra_are_the_start_states():
+    mp = MatrixParams.bru(3, 5)
+    x = np.array([0.0, 0.7, 2.5])
+    one = simulate.aligned_start(x, mp, replicas=4)
+    ref = np.zeros((3, 5))
+    np.fill_diagonal(ref, np.sqrt(5 * x))
+    assert one.shape == (4, 3, 5) and not one.flags.writeable
+    assert np.array_equal(one, np.broadcast_to(ref, (4, 3, 5)))
+    rows = np.array([[0.1, 0.2, 0.3], [1.0, 2.0, 4.0]])
+    stack = simulate.aligned_start(rows, mp)
+    assert stack.shape == (2, 3, 5)
+    for start, matrix in zip(rows, stack):
+        assert np.allclose(spectral_projection(matrix)[0] * mp.space_scale, start, rtol=1e-13)
+    for bad in (np.ones(4), np.ones((2, 4)), np.ones((1, 2, 3))):
+        with pytest.raises(DomainError):
+            simulate.aligned_start(bad, mp)
+
+
+def _p2_mean(x0, t, params):
+    """E p_2(X_t) from x0 by the degree-2 eigenfunction closed form, with
+    C = 2(1 + alpha) + beta(n - 1) and N = n alpha."""
+    big_n = params.n * params.alpha
+    c = 2.0 * (1.0 + params.alpha) + params.beta * (params.n - 1)
+    e1, e2 = math.exp(-t), math.exp(-2.0 * t)
+    return e2 * np.sum(x0**2) + c * (big_n * (1.0 - e2) / 2.0 + (np.sum(x0) - big_n) * (e1 - e2))
+
+
+def test_aligned_matrix_paths_have_the_exact_law():
+    # the matrix flow from aligned starts, as wg_decay_estimate runs it on a
+    # realizable model: E p_1 and E p_2 within 4 se of their closed forms,
+    # which read beta (a beta off by 10% in C gives |z| >= 6.8 here)
+    params, mp = ModelParams(4, 4.0, 1.0), MatrixParams.bru(4, 8)
+    assert simulate.matrix_realization(params) == mp
+    x0, times, r = np.arange(1.0, 5.0), [0.25, 0.75, 1.5], 40_000
+    sources = [RngStream(2027, k) for k in range(r)]
+    paths = matrix_dl_path(simulate.aligned_start(x0, mp, r), times, mp, sources,
+                           canonical=True)
+    big_n = params.n * params.alpha
+    for t, cloud in zip(times, paths):
+        p1, p2 = cloud.sum(axis=1), (cloud**2).sum(axis=1)
+        want1 = big_n + (x0.sum() - big_n) * math.exp(-t)
+        for sample, want in ((p1, want1), (p2, _p2_mean(x0, t, params))):
+            se = sample.std(ddof=1) / math.sqrt(r)
+            assert abs(sample.mean() - want) <= 4.0 * se, (t, sample.mean(), want, se)
 
 
 @pytest.mark.parametrize("times", [0.1, [[0.1, 0.2]], [], [0.2, 0.1], [0.1, math.nan], [-0.1]])
