@@ -23,15 +23,14 @@ One rule, simulate.route_params, picks the route for every mode (for
 each rung of a profile ladder): the Euler route with (n, alpha, beta) when
 alpha is given, otherwise the matrix route on n x m matrices (m = n when
 omitted), whose spectrum is the gas with alpha = m/2 and beta = 1; a beta
-other than 1 there raises UnsupportedRegime.  simulate, cutoff-profile and
-check-cd accept both routes; ou-formulas only the matrix route.  distance
-and couple accept the matrix route only where its induced model is
-certified, delta = (m - n + 1)/2 > 1, and raise UnsupportedRegime
-otherwise.  couple runs the Euler scheme on every model it accepts.
-distance samples Law(X_t) exactly from the matrix flow wherever
+other than 1 there raises UnsupportedRegime.  ou-formulas accepts only the
+matrix route, and every other mode both.  Wherever
 simulate.matrix_realization realizes the model (beta = 1 and 2 alpha an
-integer >= n, so every matrix-route config it accepts), and runs Euler
-elsewhere.
+integer >= n, so on every matrix-route config, delta <= 1 too), distance
+samples Law(X_t) exactly from the matrix flow and couple samples exact
+reflection-coupled matrix pairs; elsewhere distance runs Euler paths and
+couple Euler mirror pairs.  The Euler route takes only the certified models
+that ModelParams accepts.
 
 Each experiment returns its artifacts, an ordered list of (file name,
 text), and run() alone writes them: atomically (temp file in the
@@ -66,7 +65,14 @@ from .errors import (
     ValidationError,
 )
 from .model import ModelParams, observable_phi
-from .simulate import RngStream, aligned_start, matrix_dl_path, dl_paths_batch, route_params
+from .simulate import (
+    RngStream,
+    aligned_start,
+    dl_paths_batch,
+    matrix_dl_path,
+    matrix_realization,
+    route_params,
+)
 from .cutoff import CutoffProfile, ProfileRow, run_cutoff_profile
 from .transport import ou_closed_form_distances
 
@@ -336,21 +342,6 @@ def _route(config):
     return route_params(int(n), config.get("alpha"), config.get("beta"), config.get("m"))
 
 
-def _certified_model(config):
-    """The model that distance and couple run: the Euler route's, or on the
-    matrix route the induced model where it is certified."""
-    params, mp = _route(config)
-    if mp is None:
-        return params
-    if params.delta <= 1:
-        raise UnsupportedRegime(
-            f"{config['mode']} needs a certified model; without alpha the route rule takes the "
-            f"matrix route (n = {mp.n}, m = {mp.m}), whose induced model is certified only "
-            f"where delta = (m - n + 1)/2 = {params.delta} exceeds 1 (give alpha, or m > n + 1)"
-        )
-    return ModelParams(params.n, params.alpha, params.beta)
-
-
 def _start(config, params, positive):
     """The config's start state from its x0_preset; returns (x0, notes,
     generator), the generator left where the draw ended.
@@ -394,7 +385,7 @@ def _run_simulate(config):
 def _run_distance(config):
     from .coupling import wg_decay_estimate
 
-    params = _certified_model(config)
+    params, _ = _route(config)
     times = _times(config, np.arange(0.5, 6.1, 0.5))
     replicas = int(config.get("replicas") or 200)
     x0, notes, _ = _start(config, params, positive=True)
@@ -421,29 +412,34 @@ def _run_check_cd(config):
 
 
 def _run_couple(config):
-    from .coupling import run_coupled_batch
+    from .coupling import reflection_coalesced_law, run_coupled_batch
     from .equilibrium import sample_equilibrium_batch
 
-    params = _certified_model(config)
+    params, _ = _route(config)
+    kind = "mirror" if matrix_realization(params) is None else "reflection"
     times = _times(config, np.arange(0.5, 6.1, 0.5))
     replicas = int(config.get("replicas") or 100)
     x0, notes, gen = _start(config, params, positive=True)
     y0 = sample_equilibrium_batch(params, gen, 1)[0]
     sa, sb, coal = run_coupled_batch(x0, y0, times, params,
                                      RngStream(int(config.get("seed") or 0), 0),
-                                     replicas=replicas, kind="mirror")
+                                     replicas=replicas, kind=kind)
     heads = [f"{rep},{t!r},{leg}," for rep in range(replicas) for leg in ("x", "y")
              for t in times.tolist()]
     text = _path_table_text(("replica", "time", "leg", "coord_index", "value"), heads,
                             np.stack((sa, sb)).transpose(2, 0, 1, 3))
     finite = np.isfinite(coal)
+    horizon = float(times[-1])
     summary = {
         "replicas": replicas,
+        "coupling": kind,
         "coalesced_fraction": float(np.mean(finite)),
         "mean_coalesce_time": float(np.mean(coal[finite])) if np.any(finite) else None,
         "median_coalesce_time": float(np.median(coal[finite])) if np.any(finite) else None,
-        "horizon": float(times[-1]),
+        "horizon": horizon,
     }
+    if kind == "reflection":
+        summary["coalesced_fraction_law"] = reflection_coalesced_law(x0.as_array(), y0, horizon)
     return [
         ("coupled_paths.csv", text),
         ("coupling_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"),

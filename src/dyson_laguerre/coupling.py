@@ -1,4 +1,5 @@
-"""Mirror and synchronous couplings, and intrinsic Wasserstein decay curves.
+"""Mirror, reflection and synchronous couplings, and intrinsic Wasserstein
+decay curves.
 
 In square-root coordinates the diffusion coefficient is constant and the
 state space is an open Euclidean domain, so the mirror coupling needs no
@@ -20,16 +21,21 @@ solo paths too, halves the step for both, so the copies stay aligned in
 time.  Refinement events are taming-tail rare, which keeps each leg's
 marginal law indistinguishable in practice from a solo run.
 
+Where simulate.matrix_realization realizes the model (beta = 1 and m =
+2 alpha an integer >= n), kind="reflection" couples two matrix flows
+instead and samples them exactly, with no step (Lindvall & Rogers 1986):
+the second flow's noise is the first's reflected across their difference
+D, so D stays on the line of D_0 and |D| is a one-dimensional OU process
+killed at 0.  From x0 and y0, P(tau > t) = erf(d_g(x0, y0)/(4 sqrt(e^t - 1))).
+
 Every entry point reads its starts as dl_paths_batch does, through
 simulate._start_rows: one state repeated replicas times, or (r, n) rows.
 A start law, such as the invariant gas in wg_decay_estimate, is passed as
 rows the caller has drawn.
 
-The Wasserstein decay needs only Law(X_t), not coupled paths.  Where
-simulate.matrix_realization realizes the model (beta = 1 and m = 2 alpha
-an integer >= n), wg_decay_estimate samples that law exactly from the
-matrix flow, with no step; every other model, and every coupled pair,
-runs the Euler scheme above.
+The Wasserstein decay needs only Law(X_t), not coupled paths.  Where the
+matrix flow realizes the model, wg_decay_estimate samples that law exactly
+from it; every other model runs the Euler scheme above.
 """
 
 from dataclasses import dataclass, field
@@ -38,8 +44,9 @@ import math
 import numpy as np
 
 from . import _kernels, transport
-from .errors import DomainError
+from .errors import DomainError, UnsupportedRegime
 from .simulate import (
+    _MATRIX_BLOCK,
     RngStream,
     _advance,
     _coerce_generator,
@@ -52,6 +59,8 @@ from .simulate import (
     dl_paths_batch,
     matrix_dl_path,
     matrix_realization,
+    rect_ou_transition,
+    spectral_projection,
 )
 
 MERGE_TOL = 1e-8
@@ -121,27 +130,115 @@ def _advance_pairs(ya, yb, dt, params, gen, depth, kind, merged):
     return (prop_a, prop_b, new_merged), ok
 
 
+def _reflection_paths(A0, B0, times, matrix, sources):
+    """Reflection-coupled matrix flows from the aligned (r, n, m) start
+    stacks A0 and B0, observed on a grid in canonical time; returns
+    (states_a, states_b, coalesce_times) as run_coupled_batch does.
+
+    Along e = D_0/|D_0|, D_0 = A0 - B0, the gap s = <e, A - B> moves over a
+    step h as s' = e^{-gamma h} s + 2 sigma <e, Z>, with Z leg A's noise and
+    sigma its step sd, and B = A - s e while the pair lives.  On the local
+    Brownian clock phi(u) = 4 kappa^2 (e^{2 gamma u} - 1)/(2 gamma), with a =
+    s, b = e^{gamma h} s' and v = phi(h), the pair coalesces in the step if
+    s' <= 0, or with the bridge-crossing probability exp(-2ab/v).  Then
+    U ~ Wald(a v/|b|, a^2) gives the hitting time S = U v/(v + U) on that
+    clock, and B = A from then on.
+
+    Replica k draws from source k alone: on each step, A's transition
+    normals (rect_ou_transition), one uniform, then one Wald variate if the
+    pair coalesces in the step.  Replicas run in blocks of at most
+    _MATRIX_BLOCK matrix entries, as in matrix_dl_path.
+    """
+    g, k2 = matrix.gamma, matrix.kappa**2
+    wall = times / matrix.time_scale
+    r = A0.shape[0]
+    out_a = np.empty((times.size, r, matrix.n))
+    out_b = np.empty_like(out_a)
+    coal = np.empty(r)
+    per = max(1, _MATRIX_BLOCK // (matrix.n * matrix.m))
+    for lo in range(0, r, per):
+        A = A0[lo:lo + per]
+        D = A - B0[lo:lo + per]
+        s = np.sqrt(np.sum(D * D, axis=(1, 2)))
+        e = D / np.maximum(s, 1e-300)[:, None, None]
+        alive = s > 0.0
+        tau = np.where(alive, np.inf, 0.0)
+        gens = [_coerce_generator(src) for src in sources[lo:lo + per]]
+        t_prev = 0.0
+        for k, tw in enumerate(wall):
+            if tw > t_prev:
+                h = tw - t_prev
+                decay = math.exp(-g * h)
+                before = np.sum(e * A, axis=(1, 2))
+                A = rect_ou_transition(A, h, matrix, gens)
+                # A's noise along e is (<e, A'> - decay <e, A>)/sigma
+                s_new = decay * s + 2.0 * (np.sum(e * A, axis=(1, 2)) - decay * before)
+                u = np.array([gen.random() for gen in gens])
+                v = 2.0 * k2 * math.expm1(2.0 * g * h) / g
+                b = s_new / decay
+                # s' <= 0 gives exp(0) = 1 > u, so such a pair always coalesces
+                hit = alive & (u < np.exp(-2.0 * s * np.maximum(b, 0.0) / v))
+                for i in np.flatnonzero(hit):
+                    w = gens[i].wald(s[i] * v / abs(b[i]), s[i] ** 2)
+                    hit_clock = w * v / (v + w)
+                    # rounding must not put tau past the grid time the legs are equal at
+                    tau[i] = min(t_prev + math.log1p(g * hit_clock / (2.0 * k2)) / (2.0 * g), tw)
+                alive &= ~hit
+                s = np.where(alive, s_new, 0.0)
+            t_prev = tw
+            B = A[alive] - s[alive, None, None] * e[alive]
+            spectra = spectral_projection(np.concatenate((A, B)))
+            out_a[k, lo:lo + per] = out_b[k, lo:lo + per] = spectra[:len(A)]
+            out_b[k, lo:lo + per][alive] = spectra[len(A):]
+        coal[lo:lo + per] = tau * matrix.time_scale
+    out_a *= matrix.space_scale
+    out_b *= matrix.space_scale
+    return out_a, out_b, coal
+
+
 def run_coupled_batch(x0a, x0b, times, params, rng, replicas=1, kind="mirror", dt=None):
-    """Coupled pairs observed on a grid, the one path driver for both
-    couplings.  Each leg starts from one state repeated replicas times or
+    """Coupled pairs observed on a grid, the one path driver for every
+    coupling.  Each leg starts from one state repeated replicas times or
     from (r, n) per-row starts, with the same row count for both legs.
-    kind="mirror" is the coupling of the module docstring; "synchronous"
-    shares the noise, a diagnostic whose pairs never merge and which the
-    explicit step need not contract where the pair terms are stiff.
+    kind="mirror" is the Euler coupling of the module docstring;
+    "synchronous" shares the noise, a diagnostic whose pairs never merge and
+    which the explicit step need not contract where the pair terms are
+    stiff; "reflection" is the exact matrix-flow coupling of
+    _reflection_paths, which needs a model that matrix_realization realizes,
+    else raises UnsupportedRegime, and does not read dt.
 
     Returns (states_a, states_b, coalesce_times) with state arrays of shape
     (len(times), r, n).  A row's legs are equal at every grid time at or
-    after its coalescence time, which has step-size resolution: 0 where a
-    row's starts already agree, inf where the pair never merged.
+    after its coalescence time: 0 where a row's starts already agree, inf
+    where the pair never merged.  That time has step-size resolution on the
+    Euler pairs and is exact on the reflection pairs.
+
+    rng is drawn in this order: on the Euler pairs, every step's normals
+    then uniforms; on the reflection pairs, one 64-bit integer e, and
+    replica k then draws from RngStream(e, k) alone, starting from the
+    aligned start matrices of its two start rows.
     """
-    if kind not in ("mirror", "synchronous"):
-        raise DomainError(f"coupling kind must be mirror or synchronous, got {kind!r}")
+    if kind not in ("mirror", "synchronous", "reflection"):
+        raise DomainError(
+            f"coupling kind must be mirror, synchronous or reflection, got {kind!r}"
+        )
     a0 = _start_rows(x0a, params, replicas)
     b0 = _start_rows(x0b, params, replicas)
     if a0.shape != b0.shape:
         raise DomainError(f"start legs have {a0.shape[0]} and {b0.shape[0]} rows")
     times = _validate_times(times)
     gen = _coerce_generator(rng)
+    if kind == "reflection":
+        matrix = matrix_realization(params)
+        if matrix is None:
+            raise UnsupportedRegime(
+                "reflection pairs need a model that a matrix flow realizes (beta = 1 and "
+                f"2 alpha an integer), got alpha = {params.alpha}, beta = {params.beta}"
+            )
+        entropy = int(gen.integers(2**64, dtype=np.uint64))
+        sources = [RngStream(entropy, k) for k in range(a0.shape[0])]
+        return _reflection_paths(aligned_start(a0, matrix), aligned_start(b0, matrix), times,
+                                 matrix, sources)
     plan = _step_plan(times, default_dt(a0[0]) if dt is None else dt)
 
     def step(rows, h, depth):
@@ -165,6 +262,16 @@ def run_coupled_batch(x0a, x0b, times, params, rng, replicas=1, kind="mirror", d
         out_a[k] = 0.25 * ya**2
         out_b[k] = 0.25 * yb**2
     return out_a, out_b, coal
+
+
+def reflection_coalesced_law(x0, y0, t):
+    """P(tau <= t) for the reflection pairs from the states x0 and y0 on
+    every model a matrix flow realizes: 1 - erf(d_g(x0, y0)/(4 sqrt(e^t - 1))),
+    with d_g the intrinsic distance 2 |sqrt(x0) - sqrt(y0)|."""
+    d_g = 2.0 * float(np.linalg.norm(np.sqrt(x0) - np.sqrt(y0)))
+    if t <= 0:
+        return float(d_g == 0.0)
+    return 1.0 - math.erf(d_g / (4.0 * math.sqrt(math.expm1(t))))
 
 
 def coupled_distance_curve(x0, y0, times, params, rng, replicas=500, kind="mirror", dt=None):

@@ -19,32 +19,39 @@ import numpy as np
 
 from .errors import CollisionError, DomainError, NumericError, UnsupportedRegime
 from .model import ParticleState, collision_tol
-from .simulate import _coerce_generator
+from .simulate import _MATRIX_BLOCK, _coerce_generator
 
 MIN_GAP_FLOOR = 1e-10
 
 
 def _bidiagonal_draws(params, gen, size):
-    """Exact equilibrium draws via the bidiagonal chi construction."""
+    """Exact equilibrium draws via the bidiagonal chi construction.
+
+    The chi entries of every row are drawn first, then B B^T is built and
+    solved in blocks of at most _MATRIX_BLOCK entries of B, so the working
+    arrays stay within the block at any size and each row keeps its bits.
+    """
     n, alpha, beta = params.n, params.alpha, params.beta
     if beta == 0.0:
         draws = gen.standard_gamma(alpha, size=(size, n))
         draws.sort(axis=1)
         return draws
     diag_dof = 2.0 * alpha - beta * np.arange(n)
-    sub_dof = beta * (n - 1 - np.arange(n - 1)) if n > 1 else np.empty(0)
+    sub_dof = beta * (n - 1 - np.arange(n - 1))
     if np.any(diag_dof <= 0):
         raise UnsupportedRegime(
             f"bidiagonal sampler needs 2*alpha - beta*(n-1) > 0, got {diag_dof.min()}"
         )
     d = np.sqrt(gen.chisquare(diag_dof, size=(size, n)))
-    B = np.zeros((size, n, n))
+    s = np.sqrt(gen.chisquare(sub_dof, size=(size, n - 1)))
     idx = np.arange(n)
-    B[:, idx, idx] = d
-    if n > 1:
-        s = np.sqrt(gen.chisquare(sub_dof, size=(size, n - 1)))
-        B[:, idx[1:], idx[:-1]] = s
-    w = np.linalg.eigvalsh(B @ np.swapaxes(B, 1, 2))
+    w = np.empty((size, n))
+    per = max(1, _MATRIX_BLOCK // (n * n))
+    for lo in range(0, size, per):
+        B = np.zeros((d[lo:lo + per].shape[0], n, n))
+        B[:, idx, idx] = d[lo:lo + per]
+        B[:, idx[1:], idx[:-1]] = s[lo:lo + per]
+        w[lo:lo + per] = np.linalg.eigvalsh(B @ np.swapaxes(B, 1, 2))
     return 0.5 * np.maximum(w, 0.0)
 
 

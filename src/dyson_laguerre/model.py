@@ -42,8 +42,8 @@ class ModelParams:
     ``allow_weak=True`` for experiments that knowingly leave the certified
     regime.  ``MatrixParams.induced_model()`` builds its params this way,
     as the matrix flow realizes the gas exactly for every m >= n, and the
-    CLI's matrix route carries them; distance and couple, which integrate
-    the model, refuse one with delta <= 1.
+    CLI's matrix route carries them into modes that sample that flow and
+    integrate nothing.
     """
 
     n: int

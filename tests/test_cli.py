@@ -230,7 +230,7 @@ def test_run_requires_mode():
 
 @pytest.mark.parametrize(
     "config",
-    [{"mode": "ou-formulas", "n": 4, "alpha": 6.0}, {"mode": "distance", "n": 4},
+    [{"mode": "ou-formulas", "n": 4, "alpha": 6.0}, {"mode": "distance", "n": 4, "alpha": 2.0},
      {"mode": "simulate", "n": 4, "m": 8, "beta": 2.0}, {"mode": "check-cd", "n": [4, 8]}],
     ids=["ou-formulas-alpha", "distance-uncertified", "matrix-beta", "check-cd-ladder"],
 )
@@ -723,7 +723,6 @@ _ROUTE_CONFIGS = {
 _EULER = (ModelParams(4, 6.0, 2.0), False, None)
 _MATRIX_8 = (ModelParams(4, 4.0, 1.0, allow_weak=True), True, MatrixParams.bru(4, 8))
 _MATRIX_4 = (ModelParams(4, 2.0, 1.0, allow_weak=True), True, MatrixParams.bru(4, 4))
-_CERTIFIED_8 = (ModelParams(4, 4.0, 1.0), False, None)
 _ROUTE_TABLE = {
     "simulate": {"alpha": ("dl_paths_batch", *_EULER),
                  "m": ("matrix_dl_path", *_MATRIX_8),
@@ -731,14 +730,14 @@ _ROUTE_TABLE = {
                  "neither": ("matrix_dl_path", *_MATRIX_4),
                  "m-beta": UnsupportedRegime},
     "distance": {"alpha": ("wg_decay_estimate", *_EULER),
-                 "m": ("wg_decay_estimate", *_CERTIFIED_8),
+                 "m": ("wg_decay_estimate", *_MATRIX_8[:2], None),
                  "both": ("wg_decay_estimate", *_EULER),
-                 "neither": UnsupportedRegime,
+                 "neither": ("wg_decay_estimate", *_MATRIX_4[:2], None),
                  "m-beta": UnsupportedRegime},
     "couple": {"alpha": ("run_coupled_batch", *_EULER),
-               "m": ("run_coupled_batch", *_CERTIFIED_8),
+               "m": ("run_coupled_batch", *_MATRIX_8[:2], None),
                "both": ("run_coupled_batch", *_EULER),
-               "neither": UnsupportedRegime,
+               "neither": ("run_coupled_batch", *_MATRIX_4[:2], None),
                "m-beta": UnsupportedRegime},
     "check-cd": {"alpha": ("cd_certificate", *_EULER),
                  "m": ("cd_certificate", *_MATRIX_8[:2], None),
@@ -818,33 +817,22 @@ def test_route_rule_table(tmp_path, monkeypatch, mode, keys):
     assert _route_built(monkeypatch, config) == _ROUTE_TABLE[mode][keys]
 
 
-@pytest.mark.parametrize(
-    "mode, m, delta, driver",
-    [("couple", 4, 0.5, "run_coupled_batch"), ("distance", 5, 1.0, "wg_decay_estimate")],
-)
-def test_uncertified_induced_model_stops_before_the_integrator(
-        tmp_path, monkeypatch, capsys, mode, m, delta, driver):
-    # on the matrix route distance and couple integrate the induced model
-    # only where delta = (m - n + 1)/2 > 1; at n = m = 4 the explicit step
-    # used to exhaust its halving (exit code 3 at this seed)
+@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize("mode", ["couple", "distance"])
+def test_induced_model_with_small_delta_runs_exactly(tmp_path, monkeypatch, mode, m):
+    # on the matrix route distance and couple sample the induced model
+    # exactly, delta = (m - n + 1)/2 <= 1 too, and call no Euler layer
     from dyson_laguerre import coupling
 
-    calls = []
-    live = getattr(coupling, driver)
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an Euler layer ran on a matrix-route config")
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return live(*args, **kwargs)
-
-    monkeypatch.setattr(coupling, driver, counting)
+    for name in ("dl_paths_batch", "_advance_pairs"):
+        monkeypatch.setattr(coupling, name, unreachable)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"n = 4\nm = {m}\ntimes = 0.5, 1\nreplicas = {20 if m == 4 else 100}\n"
-                   "seed = 1\n")
+    cfg.write_text(f"n = 4\nm = {m}\ntimes = 0.5, 1\nreplicas = 100\nseed = 1\n")
     out = tmp_path / "out"
-    assert main([mode, "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ")
-    assert f"delta = (m - n + 1)/2 = {delta}" in err
-    assert "without alpha the route rule takes the matrix route" in err
-    assert calls == []
-    assert not out.exists()
+    assert main([mode, "--config", str(cfg), "--out", str(out)]) == 0
+    if mode == "couple":
+        summary = json.loads((out / "coupling_summary.json").read_text())
+        assert summary["coupling"] == "reflection"

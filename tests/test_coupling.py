@@ -13,6 +13,7 @@ from dyson_laguerre import (
     ModelParams,
     ParticleState,
     RngStream,
+    UnsupportedRegime,
     dl_paths_batch,
     matrix_dl_path,
     wasserstein_intrinsic,
@@ -22,10 +23,12 @@ from dyson_laguerre import _kernels, coupling, simulate
 from dyson_laguerre.coupling import (
     _w_with_bootstrap,
     coupled_distance_curve,
+    reflection_coalesced_law,
     run_coupled_batch,
 )
 from dyson_laguerre.equilibrium import sample_equilibrium_batch
-from dyson_laguerre.simulate import _propose_batch
+from dyson_laguerre.simulate import _propose_batch, aligned_start
+from test_simulate import _p2_mean
 
 
 def _leg_distance(sa, sb):
@@ -468,7 +471,7 @@ def test_pair_step_with_mixed_merged_rows_matches_reference():
                 assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["mirror", "synchronous"])
+@pytest.mark.parametrize("kind", ["mirror", "synchronous", "reflection"])
 def test_per_row_starts_match_state_form(kind):
     params = ModelParams(3, 4.0, 1.0)
     x0 = ParticleState([0.5, 1.5, 3.0])
@@ -481,7 +484,7 @@ def test_per_row_starts_match_state_form(kind):
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["mirror", "synchronous"])
+@pytest.mark.parametrize("kind", ["mirror", "synchronous", "reflection"])
 def test_per_row_starts_with_equal_rows(kind):
     params = ModelParams(3, 4.0, 1.0)
     rng = np.random.default_rng(14)
@@ -510,3 +513,105 @@ def test_per_row_starts_need_equal_row_counts():
             run_coupled_batch(a0, b0, [0.1], params, RngStream(15, 0), dt=1e-2)
     # one state repeated to the other leg's row count is fine
     run_coupled_batch(a0, [1.5, 2.5, 3.5], [0.1], params, RngStream(15, 0), replicas=5, dt=1e-2)
+
+
+# Reflection pairs on criterion 07's starts and the realizable model n = 4,
+# alpha = 4, beta = 1 (m = 8): 20,000 pairs on a grid whose steps are long
+# next to the coalescence times, so most pairs meet between grid times.
+_REFLECT_PARAMS = ModelParams(4, 4.0, 1.0)
+_REFLECT_X0 = np.array([0.5, 1.0, 1.5, 2.0])
+_REFLECT_Y0 = np.array([1.0, 2.0, 3.0, 4.0])
+_REFLECT_TIMES = [0.0, 0.25, 1.0, 3.0]
+_REFLECT_PAIRS = 20_000
+
+
+@pytest.fixture(scope="module")
+def reflection_pairs():
+    return run_coupled_batch(_REFLECT_X0, _REFLECT_Y0, _REFLECT_TIMES, _REFLECT_PARAMS,
+                             RngStream(31, 0), replicas=_REFLECT_PAIRS, kind="reflection")
+
+
+def test_reflection_coalescence_follows_the_erf_law(reflection_pairs):
+    # P(tau <= t) = 1 - erf(d_g / (4 sqrt(e^t - 1))) at grid times and
+    # between them, where tau comes from the bridge's Wald draw
+    _, _, coal = reflection_pairs
+    assert np.all(coal > 0.0)
+    for t in (0.25, 1.0, 3.0, 0.1, 0.5, 2.0, 2.9):
+        law = reflection_coalesced_law(_REFLECT_X0, _REFLECT_Y0, t)
+        se = math.sqrt(law * (1.0 - law) / _REFLECT_PAIRS)
+        assert abs(np.mean(coal <= t) - law) <= 4.0 * se, (t, np.mean(coal <= t), law)
+    assert reflection_coalesced_law(_REFLECT_X0, _REFLECT_Y0, 0.0) == 0.0
+    assert reflection_coalesced_law(_REFLECT_X0, _REFLECT_X0, 0.0) == 1.0
+
+
+def test_reflection_legs_are_equal_from_coalescence_on(reflection_pairs):
+    sa, sb, coal = reflection_pairs
+    for k, t in enumerate(_REFLECT_TIMES):
+        after = coal <= t
+        assert np.array_equal(sa[k, after], sb[k, after])
+        assert np.all(np.any(sa[k, ~after] != sb[k, ~after], axis=1))
+    # pairs meet inside every grid step
+    for lo, hi in zip(_REFLECT_TIMES, _REFLECT_TIMES[1:]):
+        assert np.any((lo < coal) & (coal < hi))
+
+
+def test_reflection_legs_each_have_the_exact_law(reflection_pairs):
+    # E p_1 and E p_2 of each leg within 4 se of the degree-1 and degree-2
+    # closed forms from that leg's start
+    params, r = _REFLECT_PARAMS, _REFLECT_PAIRS
+    big_n = params.n * params.alpha
+    for states, x0 in zip(reflection_pairs[:2], (_REFLECT_X0, _REFLECT_Y0)):
+        for t, cloud in zip(_REFLECT_TIMES[1:], states[1:]):
+            p1, p2 = cloud.sum(axis=1), (cloud**2).sum(axis=1)
+            want1 = big_n + (x0.sum() - big_n) * math.exp(-t)
+            for sample, want in ((p1, want1), (p2, _p2_mean(x0, t, params))):
+                se = sample.std(ddof=1) / math.sqrt(r)
+                assert abs(sample.mean() - want) <= 4.0 * se, (t, sample.mean(), want, se)
+
+
+def test_reflection_mean_distance_is_dominated(reflection_pairs):
+    sa, sb, _ = reflection_pairs
+    d = _leg_distance(sa, sb)
+    d0 = d[0, 0]
+    assert np.allclose(d[0], d0, rtol=1e-12)
+    for t, row in zip(_REFLECT_TIMES[1:], d[1:]):
+        se = row.std(ddof=1) / math.sqrt(row.size)
+        assert row.mean() <= math.exp(-t / 2.0) * d0 + 3.0 * se, (t, row.mean())
+
+
+@pytest.mark.parametrize("block", [1, 30, 61])
+def test_reflection_replicas_keep_their_bits(monkeypatch, block):
+    # n * m = 15 entries: blocks of 1, 30 and 61 entries hold 1, 2 and 4 of
+    # the 7 replicas; each replica gets the bits it gets alone and in one
+    # stack, and run_coupled_batch draws one integer e and runs replica k on
+    # RngStream(e, k)
+    params, mp = ModelParams(3, 2.5, 1.0), MatrixParams.bru(3, 5)
+    a0 = np.array([[0.5, 1.0, 2.0]] * 7)
+    b0 = a0 * np.linspace(1.0, 4.0, 7)[:, None]
+    times = np.array([0.0, 0.2, 0.9])
+    entropy = int(RngStream(17, 0).generator().integers(2**64, dtype=np.uint64))
+    sources = [RngStream(entropy, k) for k in range(7)]
+    A0, B0 = aligned_start(a0, mp), aligned_start(b0, mp)
+    whole = coupling._reflection_paths(A0, B0, times, mp, sources)
+    assert whole[2][0] == 0.0 and 0.0 < np.isfinite(whole[2][1:]).sum() < 6
+    got = run_coupled_batch(a0, b0, times, params, RngStream(17, 0), kind="reflection")
+    for a, b in zip(got, whole):
+        assert a.tobytes() == b.tobytes()
+    for k in range(7):
+        one = slice(k, k + 1)
+        alone = coupling._reflection_paths(A0[one], B0[one], times, mp, sources[one])
+        want = (whole[0][:, one], whole[1][:, one], whole[2][one])
+        for a, b in zip(alone, want):
+            assert a.tobytes() == b.tobytes()
+    monkeypatch.setattr(coupling, "_MATRIX_BLOCK", block)
+    blocked = coupling._reflection_paths(A0, B0, times, mp, sources)
+    for a, b in zip(blocked, whole):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("alpha, beta", [(3.25, 1.0), (4.0, 2.0), (4.0, 1.5)])
+def test_reflection_needs_a_realizable_model(alpha, beta):
+    params = ModelParams(3, alpha, beta)
+    with pytest.raises(UnsupportedRegime):
+        run_coupled_batch([0.5, 1.0, 2.0], [1.0, 2.0, 3.0], [0.5], params, RngStream(0, 0),
+                          kind="reflection")

@@ -18,6 +18,7 @@ from dyson_laguerre import (
     log_density_unnormalized,
     sample_equilibrium_batch,
 )
+from dyson_laguerre import equilibrium
 from dyson_laguerre.equilibrium import edl_gibbs_energy
 
 
@@ -27,6 +28,20 @@ def test_batch_shape_and_order():
     assert draws.shape == (50, 5)
     assert np.all(np.diff(draws, axis=1) > 0)
     assert np.all(draws > 0)
+
+
+@pytest.mark.parametrize("n, beta", [(1, 1.0), (5, 2.0), (6, 1.0)])
+def test_bidiagonal_blocks_keep_the_bits(monkeypatch, n, beta):
+    # B B^T is solved in blocks of rows after every chi entry is drawn:
+    # blocks of 1, 2 and all 7 rows give the same draws and leave the
+    # generator in the same place
+    params = ModelParams(n, 3.0 * n, beta)
+    got = []
+    for rows in (1, 2, 7):
+        monkeypatch.setattr(equilibrium, "_MATRIX_BLOCK", rows * n * n)
+        gen = RngStream(21, 0).generator()
+        got.append((sample_equilibrium_batch(params, gen, 7).tobytes(), gen.random()))
+    assert got[0] == got[1] == got[2]
 
 
 def test_phi_pushforward_is_gamma():

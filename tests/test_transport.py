@@ -383,6 +383,30 @@ def test_modes_without_exact_assignment_leave_scipy_optimize_unloaded(tmp_path):
     assert _fresh_interpreter(code, str(tmp_path), *texts).strip() == "False"
 
 
+def test_couple_loads_no_scipy(tmp_path):
+    # both couplings of the couple mode, the exact reflection pairs (alpha = 3,
+    # m = 4; and without alpha, n = m = 2) and the Euler mirror pairs
+    # (alpha = 3.25), load no scipy module at all
+    code = (
+        "import sys, json\n"
+        "from dyson_laguerre import cli\n"
+        "kinds = []\n"
+        "for k, text in enumerate(sys.argv[2:]):\n"
+        "    config = cli.parse_config(text)\n"
+        "    config['out_dir'] = f'{sys.argv[1]}/{k}'\n"
+        "    cli.run(config)\n"
+        "    with open(f'{sys.argv[1]}/{k}/coupling_summary.json') as fh:\n"
+        "        kinds.append(json.load(fh)['coupling'])\n"
+        "print(kinds, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    texts = [
+        f"mode = couple\nn = 2\n{model}x0_preset = ramp\ntimes = 0, 0.2\nreplicas = 3\n"
+        for model in ("alpha = 3.0\n", "m = 2\n", "alpha = 3.25\n")
+    ]
+    out = _fresh_interpreter(code, str(tmp_path), *texts).strip()
+    assert out == "['reflection', 'reflection', 'mirror'] []"
+
+
 def test_assignment_solver_is_a_module_attribute_once_bound(monkeypatch):
     # per-layer tracing wraps the module global that holds the solver, so
     # exact assignment must look it up there at call time
