@@ -1,6 +1,6 @@
 """Simulation and analysis toolkit for Dyson-Laguerre interacting particle systems."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .errors import (
     CollisionError,
@@ -20,9 +20,9 @@ from .errors import (
 from .model import (
     ModelParams,
     ObservableResult,
-    ParticleState,
     Polynomial,
     apply_generator,
+    check_states,
     dl_drift,
     edl_drift,
     observable_phi,

@@ -388,7 +388,7 @@ def _run_distance(config):
     params, _ = _route(config)
     times = _times(config, np.arange(0.5, 6.1, 0.5))
     replicas = int(config.get("replicas") or 200)
-    x0, notes, _ = _start(config, params, positive=True)
+    x0, notes, _ = _start(config, params, positive=matrix_realization(params) is None)
     curve = wg_decay_estimate(x0, times, params, replicas,
                               RngStream(int(config.get("seed") or 0), 0))
     header = ("t", "value", "stderr", "envelope", "floor")
@@ -419,7 +419,7 @@ def _run_couple(config):
     kind = "mirror" if matrix_realization(params) is None else "reflection"
     times = _times(config, np.arange(0.5, 6.1, 0.5))
     replicas = int(config.get("replicas") or 100)
-    x0, notes, gen = _start(config, params, positive=True)
+    x0, notes, gen = _start(config, params, positive=kind == "mirror")
     y0 = sample_equilibrium_batch(params, gen, 1)[0]
     sa, sb, coal = run_coupled_batch(x0, y0, times, params,
                                      RngStream(int(config.get("seed") or 0), 0),
@@ -439,7 +439,7 @@ def _run_couple(config):
         "horizon": horizon,
     }
     if kind == "reflection":
-        summary["coalesced_fraction_law"] = reflection_coalesced_law(x0.as_array(), y0, horizon)
+        summary["coalesced_fraction_law"] = reflection_coalesced_law(x0, y0, horizon)
     return [
         ("coupled_paths.csv", text),
         ("coupling_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"),

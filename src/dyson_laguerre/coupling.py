@@ -29,7 +29,9 @@ D, so D stays on the line of D_0 and |D| is a one-dimensional OU process
 killed at 0.  From x0 and y0, P(tau > t) = erf(d_g(x0, y0)/(4 sqrt(e^t - 1))).
 
 Every entry point reads its starts as dl_paths_batch does, through
-simulate._start_rows: one state repeated replicas times, or (r, n) rows.
+simulate._start_rows: one state repeated replicas times, or (r, n) rows,
+each a state that model.check_states accepts.  Only the Euler scheme needs
+strictly positive coordinates; the exact matrix-flow runs start at 0 too.
 A start law, such as the invariant gas in wg_decay_estimate, is passed as
 rows the caller has drawn.
 
@@ -51,6 +53,7 @@ from .simulate import (
     _advance,
     _coerce_generator,
     _propose_batch,
+    _require_positive,
     _start_rows,
     _step_plan,
     _validate_times,
@@ -239,6 +242,8 @@ def run_coupled_batch(x0a, x0b, times, params, rng, replicas=1, kind="mirror", d
         sources = [RngStream(entropy, k) for k in range(a0.shape[0])]
         return _reflection_paths(aligned_start(a0, matrix), aligned_start(b0, matrix), times,
                                  matrix, sources)
+    _require_positive(a0)
+    _require_positive(b0)
     plan = _step_plan(times, default_dt(a0[0]) if dt is None else dt)
 
     def step(rows, h, depth):

@@ -490,7 +490,7 @@ def run_cutoff_profile(config):
         if route == "matrix":
             z0_sq = float(mp.m * obs.phi_raw)
             upper = {
-                "TV": lambda t: min(_matrix_entry_tv_sum(x0.as_array(), mp, t), 1.0),
+                "TV": lambda t: min(_matrix_entry_tv_sum(x0, mp, t), 1.0),
                 "KL": lambda t: ou_closed_form_distances(mp, t, z0_sq)["KL"].value,
                 "L2": lambda t: ou_closed_form_distances(mp, t, z0_sq)["L2"].value,
             }

@@ -4,21 +4,16 @@ The invariant measure has density proportional to
 
     prod_i x_i^(delta-1) e^{-x_i} * prod_{i>j} (x_i - x_j)^beta
 
-on the ordered chamber, with delta = alpha - (n-1)*beta/2.  Two exact samplers:
-
-* tridiagonal: eigenvalues of B B^T / 2 for a bidiagonal B with chi-distributed
-  entries; exact for every admissible (alpha, beta), the default.
-* matrix: eigenvalues of G G^T / 2 for an n x p standard Gaussian G; exact
-  for beta = 1 when p = 2*alpha is an integer >= n.
-
-sample_equilibrium_batch is the one entry point to both; a single draw is
-row 0 of a batch of one.
+on the ordered chamber, with delta = alpha - (n-1)*beta/2.  One exact
+sampler: the eigenvalues of B B^T / 2 for a bidiagonal B with chi-distributed
+entries, exact for every admissible (alpha, beta).  sample_equilibrium_batch
+is its one entry point; a single draw is row 0 of a batch of one.
 """
 
 import numpy as np
 
 from .errors import CollisionError, DomainError, NumericError, UnsupportedRegime
-from .model import ParticleState, collision_tol
+from .model import check_states, collision_tol
 from .simulate import _MATRIX_BLOCK, _coerce_generator
 
 MIN_GAP_FLOOR = 1e-10
@@ -55,41 +50,22 @@ def _bidiagonal_draws(params, gen, size):
     return 0.5 * np.maximum(w, 0.0)
 
 
-def _wishart_draws(params, gen, size):
-    """Exact beta = 1 draws from a Gaussian rectangle, when 2*alpha is integral."""
-    if params.beta != 1.0:
-        raise UnsupportedRegime("matrix equilibrium sampler applies to beta = 1 only")
-    p = 2.0 * params.alpha
-    if abs(p - round(p)) > 1e-12 or round(p) < params.n:
-        raise UnsupportedRegime(
-            f"matrix equilibrium sampler needs 2*alpha an integer >= n, got {p}"
-        )
-    p = int(round(p))
-    G = gen.standard_normal((size, params.n, p))
-    w = np.linalg.eigvalsh(G @ np.swapaxes(G, 1, 2))
-    return 0.5 * np.maximum(w, 0.0)
+# A table of the one sampler, read at each call: bench/tracing.py wraps its
+# values to count sampler calls and redraws.
+_SAMPLERS = {"tridiagonal": _bidiagonal_draws}
 
 
-_SAMPLERS = {
-    "tridiagonal": _bidiagonal_draws,
-    "matrix": _wishart_draws,
-}
-
-
-def sample_equilibrium_batch(params, rng, size, method=None):
-    """Equilibrium draws as a (size, n) array of ordered rows.
+def sample_equilibrium_batch(params, rng, size):
+    """Exact equilibrium draws from the bidiagonal sampler, as a (size, n)
+    array of ordered rows.
 
     Draws whose minimal gap sits below a tiny floor are rejected and
     redrawn (an almost-sure non-event kept for downstream strictness).
     """
     if size < 1:
         raise DomainError("size must be at least 1")
-    if method is None:
-        method = "tridiagonal"
-    if method not in _SAMPLERS:
-        raise UnsupportedRegime(f"unknown equilibrium method {method!r}")
     gen = _coerce_generator(rng)
-    sampler = _SAMPLERS[method]
+    sampler = _SAMPLERS["tridiagonal"]
     draws = sampler(params, gen, size)
     if params.n > 1:
         for _ in range(100):
@@ -125,16 +101,18 @@ def gibbs_energy(state, params):
     The drift satisfies b_i = 1 - x_i dE/dx_i, so exp(-E) is (up to
     normalization) the invariant density.
     """
-    x = state.as_array() if isinstance(state, ParticleState) else ParticleState(state).as_array()
-    if x.size != params.n:
-        raise DomainError(f"state has {x.size} coordinates, params expect {params.n}")
+    x = check_states(state)
+    if x.shape != (params.n,):
+        raise DomainError(f"state has shape {x.shape}, params expect ({params.n},)")
     single, inter = _energy_terms(x, params)
     return single + inter
 
 
 def gibbs_gradient(state, params):
     """Exact gradient dE/dx_i = 1 - (delta-1)/x_i - beta sum_{j != i} 1/(x_i - x_j)."""
-    x = state.as_array() if isinstance(state, ParticleState) else ParticleState(state).as_array()
+    x = check_states(state)
+    if x.shape != (params.n,):
+        raise DomainError(f"state has shape {x.shape}, params expect ({params.n},)")
     if np.any(x <= 0):
         raise DomainError("energy gradient requires strictly positive coordinates")
     grad = 1.0 - (params.delta - 1.0) / x
@@ -191,14 +169,14 @@ def build_x0(preset, params, rng, positive=False):
     """Build a start configuration from a named preset.
 
     Presets: zero (all coordinates at the origin), equilibrium-draw (one
-    exact gas sample, row 0 of a tridiagonal batch of one), linear-ramp
+    exact gas sample, row 0 of sample_equilibrium_batch(params, rng, 1)), linear-ramp
     (x_i = i), single-outlier (a ramp whose top coordinate is pushed to
-    max(10*alpha, 2n)).  Returns (state, note); note records any
-    substitution.  positive=True, which simulate on the Euler route and
-    distance and couple always pass, replaces the zero preset by the ramp
-    1e-4 * (1, ..., n), since the Euler scheme cannot start at 0 and their
-    start check wants positive coordinates; the cutoff profile draws phi
-    exactly and keeps the zero preset at 0.
+    max(10*alpha, 2n)).  Returns (x0, note): x0 an (n,) float array, and
+    note a string recording any substitution, or None.  positive=True,
+    which simulate, distance and couple pass on the Euler route, replaces
+    the zero preset by the ramp 1e-4 * (1, ..., n), since the Euler scheme
+    cannot start at 0; the exact routes (the matrix flow, and the cutoff
+    profile's exact draws of phi) keep the zero preset at 0.
     """
     key = _X0_ALIASES.get(str(preset).lower())
     if key is None:
@@ -221,4 +199,4 @@ def build_x0(preset, params, rng, positive=False):
     else:
         x = np.arange(1.0, n + 1.0)
         x[-1] = max(10.0 * params.alpha, 2.0 * n)
-    return ParticleState(x), note
+    return x, note

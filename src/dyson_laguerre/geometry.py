@@ -36,29 +36,19 @@ import numpy as np
 
 from .errors import DomainError, NumericError, SizeMismatch
 from .model import (
-    ParticleState,
     Polynomial,
     apply_generator,
+    check_states,
     dl_drift,
     dl_drift_jacobian,
-    _state_array,
     _require_separated,
 )
 from .simulate import RngStream, _coerce_generator
 
 
-def _coords(x):
-    if isinstance(x, ParticleState):
-        return x.as_array()
-    a = np.asarray(x, dtype=float).reshape(-1)
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise DomainError("coordinates must be finite and nonnegative")
-    return a
-
-
 def riemannian_distance(x, y):
     """Intrinsic distance 2*||sqrt(x) - sqrt(y)||_2."""
-    a, b = _coords(x), _coords(y)
+    a, b = check_states(x), check_states(y)
     if a.size != b.size:
         raise SizeMismatch(f"states have sizes {a.size} and {b.size}")
     return 2.0 * float(np.linalg.norm(np.sqrt(a) - np.sqrt(b)))
@@ -71,26 +61,26 @@ def geodesic_point(x, y, t):
     """
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"geodesic parameter must lie in [0, 1], got {t}")
-    a, b = _coords(x), _coords(y)
+    a, b = check_states(x), check_states(y)
     if a.size != b.size:
         raise SizeMismatch(f"states have sizes {a.size} and {b.size}")
     u = (1.0 - t) * np.sqrt(a) + t * np.sqrt(b)
-    return ParticleState(u**2)
+    return u**2
 
 
 def carre_du_champ(f, state):
     """Gamma(f)(x) = sum_i x_i (d_i f)^2."""
-    x = _coords(state)
-    if f.nvars != x.size:
-        raise DomainError(f"f has {f.nvars} variables, state has {x.size}")
+    x = check_states(state)
+    if x.shape != (f.nvars,):
+        raise DomainError(f"f has {f.nvars} variables, state has shape {x.shape}")
     grad = f.gradient(x)
     return float(np.sum(x * grad**2))
 
 
 def carre_du_champ2(f, g, state):
     """Bilinear form Gamma(f, g)(x) = sum_i x_i d_i f d_i g."""
-    x = _coords(state)
-    if f.nvars != x.size or g.nvars != x.size:
+    x = check_states(state)
+    if x.shape != (f.nvars,) or g.nvars != f.nvars:
         raise DomainError("dimension mismatch in carre_du_champ2")
     gf = f.gradient(x)
     gg = g.gradient(x)
@@ -109,8 +99,8 @@ def gamma2_explicit(f, state, params, return_terms=False):
     With return_terms=True also returns the four term groups, whose
     magnitudes set the natural scale for tolerance checks.
     """
-    x = _state_array(state)
-    if f.nvars != params.n or x.size != params.n:
+    x = check_states(state)
+    if f.nvars != params.n or x.shape != (params.n,):
         raise DomainError("dimension mismatch in gamma2_explicit")
     _require_separated(x, params.beta, what="gamma2 state")
     n, beta, delta = params.n, params.beta, params.delta
@@ -148,8 +138,8 @@ def gamma2_definitional(f, state, params):
     third order together with the exact drift Jacobian.  No finite
     differences anywhere.
     """
-    x = _state_array(state)
-    if f.nvars != params.n or x.size != params.n:
+    x = check_states(state)
+    if f.nvars != params.n or x.shape != (params.n,):
         raise DomainError("dimension mismatch in gamma2_definitional")
     n = params.n
     gamma_poly = Polynomial.zero(n)
@@ -181,9 +171,7 @@ def edl_gamma2(f, y_state, params):
         + 2*beta sum_{i>j} [ (y_i f_i - y_j f_j)^2 + (y_i f_j - y_j f_i)^2 ]
                            / (y_i^2 - y_j^2)^2.
     """
-    y = np.asarray(
-        y_state.as_array() if isinstance(y_state, ParticleState) else y_state, dtype=float
-    ).reshape(-1)
+    y = np.asarray(y_state, dtype=float).reshape(-1)
     if f.nvars != params.n or y.size != params.n:
         raise DomainError("dimension mismatch in edl_gamma2")
     if np.any(y <= 0):
@@ -208,19 +196,14 @@ def edl_gamma2(f, y_state, params):
 def random_ordered_states(params, rng, count, min_gap=1e-6):
     """A (count, n) array of random strictly ordered positive states: sorted
     equilibrium-like Gamma draws with a minimum-gap floor swept in from the
-    left.  Row k is the state the k-th of count random_ordered_state calls
-    on the same generator would give."""
+    left.  Row k is what the k-th of count one-row calls on the same
+    generator would give."""
     gen = _coerce_generator(rng)
     x = np.sort(gen.standard_gamma(max(params.alpha, 1.0), size=(count, params.n)), axis=1)
     x[:, 0] = np.maximum(x[:, 0], min_gap)
     for i in range(1, params.n):
         x[:, i] = np.maximum(x[:, i], x[:, i - 1] + min_gap)
     return x
-
-
-def random_ordered_state(params, rng, min_gap=1e-6):
-    """One state of random_ordered_states, as a ParticleState."""
-    return ParticleState(random_ordered_states(params, rng, 1, min_gap)[0])
 
 
 def random_test_function(n, rng, degree=2, coeff_range=1.0):
@@ -379,9 +362,8 @@ def cd_certificate(params, rho, trials, rng):
     min_gap = float(lam[k, 0])
     norm = float(max(-lam[k, 0], lam[k, -1]))
     x = states[k]
-    state = ParticleState(x)
     f = _witness(vec[k, :, 0] / np.sqrt(x), x)
-    gap, gam, g2, scale = _gamma_gap(f, state, params, rho, norm)
+    gap, gam, g2, scale = _gamma_gap(f, x, params, rho, norm)
     if not abs(gap - min_gap) <= CROSS_CHECK_RTOL * scale:
         raise NumericError(
             f"curvature witness gives Gamma_2 - rho Gamma = {gap!r}, "
@@ -389,7 +371,7 @@ def cd_certificate(params, rho, trials, rng):
         )
     for _ in range(SPOT_CHECKS):
         h = random_test_function(params.n, gen, degree=2)
-        h_gap, h_gam, _, h_scale = _gamma_gap(h, state, params, rho, norm)
+        h_gap, h_gam, _, h_scale = _gamma_gap(h, x, params, rho, norm)
         if h_gap < min_gap * h_gam - CROSS_CHECK_RTOL * h_scale:
             raise NumericError(
                 f"a random quadratic gives Gamma_2 - rho Gamma = {h_gap!r} below "

@@ -1,7 +1,10 @@
-"""Core model objects: parameters, states, test functions, drift and generator.
+"""Core model objects: parameters, the state check, test functions, drift and
+generator.
 
 The particle system lives on the closed Weyl chamber
-``0 <= x_1 <= ... <= x_n``.  Coordinate i feels the drift
+``0 <= x_1 <= ... <= x_n``.  A state is a plain (n,) float array and a
+cloud of states an (r, n) one; check_states is the one check every entry
+point puts them through.  Coordinate i feels the drift
 
     b_i(x) = alpha - x_i + (beta/2) * sum_{j != i} (x_i + x_j) / (x_i - x_j)
 
@@ -91,62 +94,27 @@ class ModelParams:
         return self.n * self.alpha
 
 
-class ParticleState:
-    """An ordered configuration of n nonnegative coordinates.
+def check_states(x):
+    """x as a float array of one state (n,) or a stack of states (r, n).
 
-    The wrapped array is copied and frozen.  Construction enforces
-    nonnegativity and (weak) ascending order; strict ordering is checked at
-    the point of use by operations that require it.
+    A state is a point of the closed Weyl chamber: its coordinates are
+    finite, nonnegative and weakly ascending, so equal and zero coordinates
+    pass.  Raises DomainError for any other input, an empty one included.
+    Strict ordering and positivity are checked at the point of use by the
+    operations that need them.
     """
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        x = np.array(coords, dtype=float).reshape(-1)
-        if x.size == 0:
-            raise DomainError("state must contain at least one coordinate")
-        if not np.all(np.isfinite(x)):
-            raise DomainError("state coordinates must be finite")
-        if np.any(x < 0):
-            raise DomainError(f"state coordinates must be nonnegative, got {x}")
-        if np.any(np.diff(x) < 0):
-            raise DomainError("state coordinates must be in ascending order")
-        x.flags.writeable = False
-        object.__setattr__(self, "coords", x)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParticleState is immutable")
-
-    @property
-    def n(self):
-        return self.coords.size
-
-    def as_array(self):
-        return self.coords
-
-    def min_gap(self):
-        if self.n < 2:
-            return math.inf
-        return float(np.min(np.diff(self.coords)))
-
-    def __repr__(self):
-        return f"ParticleState({self.coords.tolist()})"
-
-    def __eq__(self, other):
-        if not isinstance(other, ParticleState):
-            return NotImplemented
-        return self.coords.shape == other.coords.shape and bool(
-            np.all(self.coords == other.coords)
-        )
-
-    def __hash__(self):
-        return hash(self.coords.tobytes())
-
-
-def _state_array(state):
-    if isinstance(state, ParticleState):
-        return state.coords
-    return ParticleState(state).coords
+    a = np.asarray(x, dtype=float)
+    if a.ndim not in (1, 2) or a.size == 0:
+        raise DomainError(f"states must be a nonempty (n,) or (r, n) array, got shape {a.shape}")
+    # one pass for valid input, which the cutoff bounds check many times per
+    # profile (NaN fails both comparisons); the checks below name the failure
+    if a.min() >= 0.0 and a.max() < math.inf and (a[..., 1:] >= a[..., :-1]).all():
+        return a
+    if not np.all(np.isfinite(a)):
+        raise DomainError("state coordinates must be finite")
+    if np.any(a < 0):
+        raise DomainError("state coordinates must be nonnegative")
+    raise DomainError("state coordinates must be in ascending order")
 
 
 def _require_separated(x, beta, what="state"):
@@ -364,9 +332,9 @@ class ObservableResult:
 
 
 def observable_phi(state, params):
-    x = _state_array(state)
-    if x.size != params.n:
-        raise DomainError(f"state has {x.size} coordinates, params expect {params.n}")
+    x = check_states(state)
+    if x.shape != (params.n,):
+        raise DomainError(f"state has shape {x.shape}, params expect ({params.n},)")
     raw = float(np.sum(x))
     mean = params.phi_mean
     return ObservableResult(phi_raw=raw, phi_centered=raw - mean, phi_l2norm_sq=mean)
@@ -374,9 +342,9 @@ def observable_phi(state, params):
 
 def dl_drift(state, params):
     """Drift vector of the canonical system at an ordered state."""
-    x = _state_array(state)
-    if x.size != params.n:
-        raise DomainError(f"state has {x.size} coordinates, params expect {params.n}")
+    x = check_states(state)
+    if x.shape != (params.n,):
+        raise DomainError(f"state has shape {x.shape}, params expect ({params.n},)")
     _require_separated(x, params.beta)
     out = _kernels.dl_drift_batch(x[None, :], params.alpha, params.beta)
     return out[0]
@@ -387,9 +355,7 @@ def edl_drift(y_state, params):
 
         (2*alpha - 1)/y_i - y_i/2 + (beta/y_i) * sum_{j != i} (y_i^2 + y_j^2)/(y_i^2 - y_j^2).
     """
-    y = np.asarray(
-        y_state.as_array() if isinstance(y_state, ParticleState) else y_state, dtype=float
-    ).reshape(-1)
+    y = np.asarray(y_state, dtype=float).reshape(-1)
     if y.size != params.n:
         raise DomainError(f"y state has {y.size} coordinates, params expect {params.n}")
     if not np.all(np.isfinite(y)):
@@ -410,9 +376,9 @@ def dl_drift_jacobian(state, params):
         d b_i / d x_i = -1 - beta * sum_{k != i} x_k / (x_i - x_k)^2
         d b_j / d x_i =  beta * x_j / (x_i - x_j)^2   for i != j.
     """
-    x = _state_array(state)
-    if x.size != params.n:
-        raise DomainError(f"state has {x.size} coordinates, params expect {params.n}")
+    x = check_states(state)
+    if x.shape != (params.n,):
+        raise DomainError(f"state has shape {x.shape}, params expect ({params.n},)")
     _require_separated(x, params.beta)
     n = x.size
     beta = params.beta
@@ -431,8 +397,8 @@ def dl_drift_jacobian(state, params):
 
 def apply_generator(f, state, params):
     """Evaluate (G f)(x) = sum_i x_i f_ii(x) + sum_i b_i(x) f_i(x)."""
-    x = _state_array(state)
-    if f.nvars != params.n or x.size != params.n:
+    x = check_states(state)
+    if f.nvars != params.n or x.shape != (params.n,):
         raise DomainError(
             f"dimension mismatch: f has {f.nvars} variables, state {x.size}, n={params.n}"
         )

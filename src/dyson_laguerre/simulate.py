@@ -25,7 +25,9 @@ There is one path driver per route, dl_paths_batch, matrix_dl_path and
 arrays.  A single item is a batch of one: one start state is r = 1 rows,
 and on the matrix route one n x m matrix is a stack of one, so
 rect_ou_transition and spectral_projection return (r, n, m) and (r, n)
-arrays for every input.
+arrays for every input.  Start states are plain (n,) or (r, n) arrays that
+model.check_states accepts, so a coordinate may be 0; only the Euler
+scheme needs every start coordinate positive.
 """
 
 from dataclasses import dataclass
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, EigenFailure, NumericError, UnsupportedRegime, ValidationError
-from .model import ModelParams, ParticleState
+from .model import ModelParams, check_states
 
 DT_HALVING_LIMIT = 12
 
@@ -171,15 +173,19 @@ def _step_plan(times, dt):
 
 def _start_rows(x0, params, replicas):
     """(r, n) start rows: one state repeated replicas times, or an (r, n)
-    array as it is.  Every coordinate must be finite and strictly positive."""
-    x = x0.as_array() if isinstance(x0, ParticleState) else np.asarray(x0, dtype=float)
+    array as it is, each row a state that check_states accepts."""
+    x = check_states(x0)
     if x.ndim == 1:
         x = np.tile(x[None, :], (max(int(replicas), 0), 1))
-    if x.ndim != 2 or x.shape[1] != params.n or x.shape[0] == 0:
+    if x.shape[1] != params.n or x.shape[0] == 0:
         raise DomainError(f"start states must be ({params.n},) or (replicas >= 1, {params.n})")
-    if not np.all(np.isfinite(x) & (x > 0)):
-        raise DomainError("start coordinates must be finite and strictly positive")
     return x
+
+
+def _require_positive(x0):
+    """The Euler scheme's start condition: y = 2 sqrt(x) must be positive."""
+    if not np.all(x0 > 0):
+        raise DomainError("the Euler scheme needs strictly positive start coordinates")
 
 
 def dl_paths_batch(x0, times, params, rng, replicas=1, dt=None):
@@ -190,6 +196,7 @@ def dl_paths_batch(x0, times, params, rng, replicas=1, dt=None):
     Returns an array of shape (len(times), r, n).
     """
     x0 = _start_rows(x0, params, replicas)
+    _require_positive(x0)
     times = _validate_times(times)
     gen = _coerce_generator(rng)
     plan = _step_plan(times, default_dt(x0[0]) if dt is None else dt)
@@ -328,8 +335,8 @@ def aligned_start(x0, matrix, replicas=1):
     (a read-only view, which takes no memory), or an (r, n) array of states,
     returned as an (r, n, m) stack.  Coordinates may be 0.
     """
-    x = x0.as_array() if isinstance(x0, ParticleState) else np.asarray(x0, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != matrix.n:
+    x = check_states(x0)
+    if x.shape[-1] != matrix.n:
         raise DomainError(f"start states must be ({matrix.n},) or (r, {matrix.n})")
     rows = np.atleast_2d(x)
     out = np.zeros((rows.shape[0], matrix.n, matrix.m))

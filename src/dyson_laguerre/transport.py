@@ -30,7 +30,6 @@ from .errors import (
     SizeMismatch,
     UnnormalizedReference,
 )
-from .model import ParticleState
 
 _this = sys.modules[__name__]
 
@@ -74,8 +73,6 @@ class EmpiricalMeasure:
     __slots__ = ("atoms",)
 
     def __init__(self, atoms):
-        if isinstance(atoms, (list, tuple)) and atoms and isinstance(atoms[0], ParticleState):
-            atoms = np.stack([s.as_array() for s in atoms])
         a = np.asarray(atoms, dtype=float)
         if a.ndim == 1:
             a = a[:, None]

@@ -24,7 +24,6 @@ from dyson_laguerre import (
     MatrixParams,
     ModelParams,
     NumericError,
-    ParticleState,
     RngStream,
     carre_du_champ,
     cir_exact_transition,
@@ -46,7 +45,7 @@ from dyson_laguerre import (
     zero_start_tv,
 )
 from dyson_laguerre.coupling import coupled_distance_curve
-from dyson_laguerre.geometry import random_ordered_state, random_test_function
+from dyson_laguerre.geometry import random_ordered_states, random_test_function
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -87,10 +86,10 @@ def test_criterion_02_curvature_certificate():
         assert params.delta > 1
         min_gap = math.inf
         for _ in range(1000):
-            state = random_ordered_state(params, rng)
+            state = random_ordered_states(params, rng, 1)[0]
             f = random_test_function(n, rng, degree=2)
             g2, terms = gamma2_explicit(f, state, params, return_terms=True)
-            gam = carre_du_champ(f, state.as_array())
+            gam = carre_du_champ(f, state)
             scale = max(1.0, sum(abs(v) for v in terms) + abs(0.5 * gam))
             gap = (g2 - 0.5 * gam) / scale
             min_gap = min(min_gap, gap)
@@ -131,7 +130,7 @@ def test_criterion_04_route_equivalence():
     n = m = 4
     mp = MatrixParams.bru(n, m)
     params = mp.induced_model()
-    x0 = ParticleState([1.0, 2.0, 3.0, 4.0])
+    x0 = np.array([1.0, 2.0, 3.0, 4.0])
     reps = 10_000
     t = 1.0
 
@@ -141,7 +140,7 @@ def test_criterion_04_route_equivalence():
     # every replica draws in turn from one shared generator
     gen = RngStream(404, 1).generator()
     m0 = np.zeros((n, m))
-    np.fill_diagonal(m0, np.sqrt(m * x0.as_array()))
+    np.fill_diagonal(m0, np.sqrt(m * x0))
     stack = np.broadcast_to(m0, (reps, n, m))
     mat_phi = matrix_dl_path(stack, [t], mp, [gen] * reps, canonical=True)[0].sum(axis=1)
 
@@ -165,11 +164,11 @@ def test_criterion_05_geometry():
     for _ in range(50):
         x = np.sort(rng.gamma(3.0, 1.0, n))
         y = np.sort(rng.gamma(3.0, 1.0, n))
-        assert np.allclose(geodesic_point(x, y, 0.0).as_array(), x, rtol=1e-14, atol=1e-14)
-        assert np.allclose(geodesic_point(x, y, 1.0).as_array(), y, rtol=1e-14, atol=1e-14)
+        assert np.allclose(geodesic_point(x, y, 0.0), x, rtol=1e-14, atol=1e-14)
+        assert np.allclose(geodesic_point(x, y, 1.0), y, rtol=1e-14, atol=1e-14)
         d = riemannian_distance(x, y)
         for s in (0.2, 0.5, 0.8):
-            mid = geodesic_point(x, y, s).as_array()
+            mid = geodesic_point(x, y, s)
             assert abs(riemannian_distance(x, mid) - s * d) <= 1e-8
 
     for _ in range(30):
@@ -192,7 +191,7 @@ def test_criterion_05_geometry():
 
 def test_criterion_06_exponential_decay():
     params = ModelParams(4, 4.0, 1.0)
-    x0 = ParticleState([0.5, 1.0, 1.5, 2.0])
+    x0 = np.array([0.5, 1.0, 1.5, 2.0])
     times = np.arange(0.5, 6.01, 0.5)
     curve = wg_decay_estimate(x0, times, params, 500, RngStream(606, 0))
     for t, v, se in zip(curve.times, curve.values, curve.stderrs):
@@ -204,7 +203,7 @@ def test_criterion_06_config_runs_at_seed_206():
     # the model is the spectrum of the 4 x 8 matrix flow, so the decay
     # samples Law(X_t) exactly and takes no step that could be rejected
     params = ModelParams(4, 4.0, 1.0)
-    x0 = ParticleState([0.5, 1.0, 1.5, 2.0])
+    x0 = np.array([0.5, 1.0, 1.5, 2.0])
     times = np.arange(0.5, 6.01, 0.5)
     curve = wg_decay_estimate(x0, times, params, 500, RngStream(206, 0))
     assert np.all(np.isfinite(curve.values))
@@ -222,7 +221,7 @@ def test_criterion_06_euler_paths_run_at_seed_206():
     # it sampled this realizable model from the matrix flow: the same draws,
     # the start cloud, eq0 and the two floor clouds, then the paths
     params = ModelParams(4, 4.0, 1.0)
-    x0 = ParticleState([0.5, 1.0, 1.5, 2.0])
+    x0 = np.array([0.5, 1.0, 1.5, 2.0])
     times = np.arange(0.5, 6.01, 0.5)
     gen = RngStream(206, 0).generator()
     for _ in range(3):
@@ -236,13 +235,13 @@ def test_criterion_06_euler_paths_run_at_seed_206():
 
 def test_criterion_07_mirror_domination():
     params = ModelParams(4, 4.0, 1.0)
-    x0 = ParticleState([0.5, 1.0, 1.5, 2.0])
-    y0 = ParticleState([1.0, 2.0, 3.0, 4.0])
+    x0 = np.array([0.5, 1.0, 1.5, 2.0])
+    y0 = np.array([1.0, 2.0, 3.0, 4.0])
     times = np.arange(0.5, 6.01, 0.5)
     mean, stderr, _ = coupled_distance_curve(
         x0, y0, times, params, RngStream(707, 0), replicas=500
     )
-    d0 = riemannian_distance(x0.as_array(), y0.as_array())
+    d0 = riemannian_distance(x0, y0)
     for t, m, se in zip(times, mean, stderr):
         assert m <= math.exp(-t / 2.0) * d0 + 3.0 * se, (t, m)
 
@@ -327,9 +326,9 @@ def test_criterion_09_duhamel_variance():
     n = m = 4
     mp = MatrixParams.bru(n, m)
     params = mp.induced_model()
-    x0 = ParticleState([1.0, 2.0, 3.0, 4.0])
+    x0 = np.array([1.0, 2.0, 3.0, 4.0])
     m0 = np.zeros((n, m))
-    np.fill_diagonal(m0, np.sqrt(m * x0.as_array()))
+    np.fill_diagonal(m0, np.sqrt(m * x0))
     rng = np.random.default_rng(909)
     reps = 20_000
     for t in (0.5, 1.0, 2.0):

@@ -11,14 +11,14 @@ def _random_states(rng, rows, n):
 
 
 def test_drift_batch_matches_single():
-    from dyson_laguerre import ModelParams, ParticleState, dl_drift
+    from dyson_laguerre import ModelParams, dl_drift
 
     params = ModelParams(4, 6.0, 2.0)
     rng = np.random.default_rng(9)
     x = _random_states(rng, 8, 4)
     batch = _kernels.dl_drift_batch(x, params.alpha, params.beta)
     for r in range(8):
-        assert np.allclose(batch[r], dl_drift(ParticleState(x[r]), params), atol=1e-14)
+        assert np.allclose(batch[r], dl_drift(x[r], params), atol=1e-14)
 
 
 # Frozen references: the numpy kernels as they stood with a masked divide per

@@ -836,3 +836,36 @@ def test_induced_model_with_small_delta_runs_exactly(tmp_path, monkeypatch, mode
     if mode == "couple":
         summary = json.loads((out / "coupling_summary.json").read_text())
         assert summary["coupling"] == "reflection"
+
+
+@pytest.mark.parametrize(
+    "keys, exact",
+    [({"alpha": 4.0}, True), ({"m": 8}, True), ({"alpha": 3.25}, False)],
+    ids=["realizable-euler-route", "matrix-route", "not-realizable"],
+)
+@pytest.mark.parametrize("mode, driver", [("distance", "wg_decay_estimate"),
+                                          ("couple", "run_coupled_batch")])
+def test_zero_preset_starts_at_zero_unless_the_scheme_runs(tmp_path, monkeypatch, mode, driver,
+                                                           keys, exact):
+    # the exact matrix-flow runs start where the config says; only the Euler
+    # scheme, which cannot start at 0, takes the 1e-4 ramp and notes it
+    from dyson_laguerre import coupling
+
+    starts = []
+    real = getattr(coupling, driver)
+
+    def spy(x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        return real(x0, *args, **kwargs)
+
+    monkeypatch.setattr(coupling, driver, spy)
+    config = dict(keys, mode=mode, n=4, x0_preset="zero", times=[0.1, 0.2], replicas=100,
+                  seed=1, out_dir=str(tmp_path))
+    manifest = run(config)
+    if exact:
+        assert starts[0].tobytes() == np.zeros(4).tobytes()
+        assert manifest.fallbacks == []
+    else:
+        assert starts[0].tobytes() == (1e-4 * np.arange(1.0, 5.0)).tobytes()
+        assert manifest.fallbacks == [
+            "zero preset replaced by 1e-4 ramp (scheme needs a positive start)"]

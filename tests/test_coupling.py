@@ -11,7 +11,6 @@ from dyson_laguerre import (
     MatrixParams,
     NumericError,
     ModelParams,
-    ParticleState,
     RngStream,
     UnsupportedRegime,
     dl_paths_batch,
@@ -125,8 +124,8 @@ def test_mirror_marginals_match_solo_law():
     # each leg of the coupled pair must keep the one-copy law; compare the
     # phi statistic against an uncoupled batch by KS
     params = ModelParams(3, 4.0, 1.0)
-    x0 = ParticleState([0.5, 1.5, 3.0])
-    y0 = ParticleState([1.0, 2.0, 4.0])
+    x0 = np.array([0.5, 1.5, 3.0])
+    y0 = np.array([1.0, 2.0, 4.0])
     t = [0.6]
     reps = 1500
     sa, sb, _ = run_coupled_batch(x0, y0, t, params, RngStream(3, 0), replicas=reps, dt=2e-3)
@@ -140,13 +139,13 @@ def test_mirror_domination_small_config():
     # mean intrinsic distance under the mirror coupling stays below the
     # exp(-t/2) envelope within sampling error
     params = ModelParams(3, 4.0, 1.0)
-    x0 = ParticleState([0.5, 1.5, 3.0])
-    y0 = ParticleState([1.0, 2.5, 4.5])
+    x0 = np.array([0.5, 1.5, 3.0])
+    y0 = np.array([1.0, 2.5, 4.5])
     times = [0.5, 1.0, 2.0, 3.5]
     mean, stderr, coal = coupled_distance_curve(
         x0, y0, times, params, RngStream(6, 0), replicas=400, dt=2e-3
     )
-    d0 = 2.0 * math.sqrt(np.sum((np.sqrt(x0.as_array()) - np.sqrt(y0.as_array())) ** 2))
+    d0 = 2.0 * math.sqrt(np.sum((np.sqrt(x0) - np.sqrt(y0)) ** 2))
     for t, m, se in zip(times, mean, stderr):
         assert m <= math.exp(-t / 2) * d0 + 3 * se + 1e-9, (t, m)
     # most pairs have met by the long horizon
@@ -155,8 +154,8 @@ def test_mirror_domination_small_config():
 
 def test_coalescence_monotone_in_horizon():
     params = ModelParams(2, 3.0, 1.0)
-    x0 = ParticleState([1.0, 2.0])
-    y0 = ParticleState([1.5, 2.5])
+    x0 = np.array([1.0, 2.0])
+    y0 = np.array([1.5, 2.5])
     times = [0.5, 1.0, 2.0, 4.0]
     _, _, coal = run_coupled_batch(
         x0, y0, times, params, RngStream(7, 0), replicas=300, dt=2e-3
@@ -170,8 +169,8 @@ def test_synchronous_gap_follows_ode():
     # beta = 0, alpha = 1/2: the square-root drift is exactly -y/2, the
     # shared noise cancels, and the gap contracts deterministically
     params = ModelParams(1, 0.5, 0.0)
-    x0 = ParticleState([4.0])   # y = 4
-    y0 = ParticleState([1.0])   # y = 2
+    x0 = np.array([4.0])   # y = 4
+    y0 = np.array([1.0])   # y = 2
     sa, sb, coal = run_coupled_batch(x0, y0, [0.5, 1.0], params, RngStream(8, 0),
                                      kind="synchronous", dt=1e-4)
     assert coal[0] == math.inf
@@ -183,7 +182,7 @@ def test_synchronous_gap_follows_ode():
 def test_synchronous_never_merges():
     params = ModelParams(2, 3.0, 1.0)
     _, _, coal = run_coupled_batch(
-        ParticleState([1.0, 2.0]), ParticleState([1.2, 2.2]),
+        np.array([1.0, 2.0]), np.array([1.2, 2.2]),
         [0.5], params, RngStream(9, 0), kind="synchronous", dt=2e-3
     )
     assert coal.shape == (1,)
@@ -193,7 +192,7 @@ def test_synchronous_never_merges():
 def test_wg_decay_needs_replicas():
     params = ModelParams(2, 3.0, 1.0)
     with pytest.raises(DomainError):
-        wg_decay_estimate(ParticleState([1.0, 2.0]), [1.0], params, 50, RngStream(10, 0))
+        wg_decay_estimate(np.array([1.0, 2.0]), [1.0], params, 50, RngStream(10, 0))
     # (r, n) start rows are the replicas, so their count must be replicas
     rows = np.tile([1.0, 2.0], (120, 1))
     for r in (100, 140):
@@ -218,7 +217,7 @@ def test_wg_decay_flat_at_equilibrium():
 def test_wg_decay_point_mass_decays():
     params = ModelParams(2, 3.0, 1.0)
     curve = wg_decay_estimate(
-        ParticleState([0.2, 0.6]), [0.5, 2.0, 4.0], params, 150, RngStream(12, 0), dt=2e-3
+        np.array([0.2, 0.6]), [0.5, 2.0, 4.0], params, 150, RngStream(12, 0), dt=2e-3
     )
     assert curve.values[0] > curve.values[-1]
     # long-horizon value sits near the resolution floor
@@ -283,11 +282,11 @@ def test_wg_decay_draws_only_its_clouds_and_paths():
     # flow's spectrum, so the paths are Euler's
     params = ModelParams(2, 3.25, 1.0)
     assert simulate.matrix_realization(params) is None
-    x0 = ParticleState([0.2, 0.6])
+    x0 = np.array([0.2, 0.6])
     times, r, dt = [0.3, 0.8], 103, 2e-3
     gen, ref = np.random.default_rng(4), np.random.default_rng(4)
     curve = wg_decay_estimate(x0, times, params, r, gen, dt=dt)
-    cloud0 = np.tile(x0.as_array(), (r, 1))
+    cloud0 = np.tile(x0, (r, 1))
     _replay_wg_decay(curve, gen, ref, params, cloud0, times,
                      lambda src: dl_paths_batch(cloud0, times, params, src, dt=dt))
 
@@ -383,8 +382,7 @@ def _reference_advance_pairs(ya, yb, dt, params, gen, depth, kind, merged):
 
 # Frozen reference: the coupled driver as it stood, with its own grid walk
 # and the recursive pair step above.
-def _reference_run_coupled_batch(x0a, x0b, times, params, rng, replicas, kind, dt):
-    a0, b0 = x0a.as_array(), x0b.as_array()
+def _reference_run_coupled_batch(a0, b0, times, params, rng, replicas, kind, dt):
     times = np.asarray(times, dtype=float)
     gen = simulate._coerce_generator(rng)
     r = int(replicas)
@@ -421,14 +419,14 @@ def _reference_run_coupled_batch(x0a, x0b, times, params, rng, replicas, kind, d
 @pytest.mark.parametrize("kind", ["mirror", "synchronous"])
 def test_pair_step_matches_frozen_reference(kind, monkeypatch):
     params = ModelParams(4, 4.0, 1.0)
-    x0 = ParticleState([0.5, 1.0, 1.5, 2.0])
+    x0 = np.array([0.5, 1.0, 1.5, 2.0])
     times = [0.0, 0.1, 0.3, 1.0]
     # y0 close to x0 merges pairs early; y0 = x0 starts an all-merged batch;
     # dt = 0.02 from this start forces step halving
     starts = (
-        ParticleState([0.6, 1.1, 1.6, 2.1]),
+        np.array([0.6, 1.1, 1.6, 2.1]),
         x0,
-        ParticleState([1.0, 2.5, 4.0, 6.0]),
+        np.array([1.0, 2.5, 4.0, 6.0]),
     )
     halvings = []
     live = coupling._advance_pairs
@@ -474,10 +472,10 @@ def test_pair_step_with_mixed_merged_rows_matches_reference():
 @pytest.mark.parametrize("kind", ["mirror", "synchronous", "reflection"])
 def test_per_row_starts_match_state_form(kind):
     params = ModelParams(3, 4.0, 1.0)
-    x0 = ParticleState([0.5, 1.5, 3.0])
-    y0 = ParticleState([1.0, 2.0, 4.0])
+    x0 = np.array([0.5, 1.5, 3.0])
+    y0 = np.array([1.0, 2.0, 4.0])
     times = [0.1, 0.4]
-    got = run_coupled_batch(np.tile(x0.as_array(), (25, 1)), np.tile(y0.as_array(), (25, 1)),
+    got = run_coupled_batch(np.tile(x0, (25, 1)), np.tile(y0, (25, 1)),
                             times, params, RngStream(13, 0), kind=kind, dt=5e-3)
     want = run_coupled_batch(x0, y0, times, params, RngStream(13, 0), 25, kind, dt=5e-3)
     for a, b in zip(got, want):

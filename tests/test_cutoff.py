@@ -12,7 +12,6 @@ from dyson_laguerre import (
     DomainError,
     MatrixParams,
     ModelParams,
-    ParticleState,
     RngStream,
     UnsupportedRegime,
     build_x0,
@@ -88,7 +87,7 @@ def test_mixing_time_aliases():
 def test_cutoff_predict_sde_route():
     # start with phi at its mean: witness drops, dimensional floor rules
     params = ModelParams(4, 3.5, 1.0)
-    pred = cutoff_predict("TV", ParticleState([2.0, 3.0, 4.0, 5.0]), params)
+    pred = cutoff_predict("TV", np.array([2.0, 3.0, 4.0, 5.0]), params)
     assert pred.c_lower == pytest.approx(0.5 * math.log(14.0))
     assert pred.c_upper == pytest.approx(math.log(14.0))
     assert pred.source["lower"] == "dimensional-floor"
@@ -100,7 +99,7 @@ def test_cutoff_predict_matrix_route_zero_start():
 
     mp = MatrixParams.bru(4, 4)
     params = mp.induced_model()
-    pred = cutoff_predict("TV", ParticleState(np.zeros(4)), params, matrix=mp)
+    pred = cutoff_predict("TV", np.zeros(4), params, matrix=mp)
     assert pred.c_lower == pytest.approx(0.5 * math.log(8.0))
     assert pred.c_upper == pytest.approx(math.log(4.0))
     assert pred.source["upper"] == "matrix-dimension"
@@ -109,14 +108,14 @@ def test_cutoff_predict_matrix_route_zero_start():
 def test_cutoff_predict_flags_inversion():
     # tiny N with a huge start: the witness lower edges past the upper
     params = ModelParams(1, 0.9, 0.0)
-    pred = cutoff_predict("TV", ParticleState([1e6]), params)
+    pred = cutoff_predict("TV", np.array([1e6]), params)
     assert pred.flagged
     assert pred.c_lower <= pred.c_upper
 
 
 def test_cutoff_predict_flags_uncertified_lower():
     params = ModelParams(1, 0.5, 0.0)
-    pred = cutoff_predict("TV", ParticleState([0.5]), params)
+    pred = cutoff_predict("TV", np.array([0.5]), params)
     assert pred.flagged
     assert "certify" in pred.flag_reason
 
@@ -129,14 +128,14 @@ def test_cutoff_predict_flags_uncertified_lower():
 @settings(max_examples=80, deadline=None)
 def test_cutoff_predict_bracket_never_inverted(n, x_scale, kind):
     params = ModelParams(n, 2.0 + (n - 1), 2.0) if n > 1 else ModelParams(1, 3.0, 0.0)
-    x0 = ParticleState(np.arange(1.0, n + 1.0) * x_scale)
+    x0 = np.arange(1.0, n + 1.0) * x_scale
     pred = cutoff_predict(kind, x0, params)
     assert pred.c_lower <= pred.c_upper + 1e-12
 
 
 def test_duhamel_variance_hand_value():
     params = ModelParams(2, 4.0, 2.0)  # N = 8
-    x0 = ParticleState([4.0, 6.0])  # phi_raw = 10
+    x0 = np.array([4.0, 6.0])  # phi_raw = 10
     c = 1.0 - math.exp(-1.0)
     want = 8.0 * c**2 + 2.0 * 10.0 * c * math.exp(-1.0)
     assert duhamel_variance(x0, 1.0, params) == pytest.approx(want, rel=1e-12)
@@ -147,16 +146,16 @@ def test_duhamel_variance_hand_value():
 
 def test_lb_l2_witness():
     params = ModelParams(2, 4.0, 2.0)  # N = 8
-    x0 = ParticleState([5.0, 7.0])  # phi_centered = 4
+    x0 = np.array([5.0, 7.0])  # phi_centered = 4
     assert lb_l2_witness(x0, 0.0, params) == pytest.approx(16.0 / 8.0)
     assert lb_l2_witness(x0, 1.0, params) == pytest.approx(2.0 * math.exp(-2.0))
-    assert lb_l2_witness(ParticleState([3.0, 5.0]), 1.0, params) == 0.0
+    assert lb_l2_witness(np.array([3.0, 5.0]), 1.0, params) == 0.0
 
 
 def test_tv_lower_bound_clamped():
     params = ModelParams(2, 4.0, 2.0)
-    far = ParticleState([100.0, 200.0])
-    near = ParticleState([3.0, 5.0])  # centered
+    far = np.array([100.0, 200.0])
+    near = np.array([3.0, 5.0])  # centered
     assert tv_lower_bound_formula(far, 0.0, params) > 0.9
     assert tv_lower_bound_formula(near, 1.0, params) == 0.0
     assert tv_lower_bound_formula(far, 50.0, params) == 0.0  # clamped at zero
@@ -180,7 +179,7 @@ def test_lift_matrix_bounds():
 
 def test_kl_chain_hand_value():
     params = ModelParams(2, 4.0, 2.0)  # N = 8
-    x0 = ParticleState([4.0, 6.0])  # phi_raw = 10
+    x0 = np.array([4.0, 6.0])  # phi_raw = 10
     ratio = math.exp(-0.5) / (1.0 - math.exp(-0.5))
     want = ratio * 18.0 * math.exp(-1.0)
     assert kl_upper_bound_chain(x0, 1.0, 0.5, params) == pytest.approx(want, rel=1e-12)
@@ -206,13 +205,13 @@ _NAN = math.nan
 def test_cutoff_bounds_reject_nan_times(bound):
     params = ModelParams(2, 4.0, 2.0)
     with pytest.raises(DomainError):
-        bound(ParticleState([4.0, 6.0]), params)
+        bound(np.array([4.0, 6.0]), params)
 
 
 def test_kl_chain_decays_subexponentially():
     # beyond t = 1 the optimized bound decays at least like e^{-t}
     params = ModelParams(4, 6.0, 2.0)
-    x0 = ParticleState([1.0, 2.0, 3.0, 4.0])
+    x0 = np.array([1.0, 2.0, 3.0, 4.0])
     ts = np.linspace(1.0, 6.0, 11)
     vals = np.array([kl_upper_bound_chain(x0, 0.0, t, params) for t in ts])
     ratios = vals[1:] / vals[:-1]

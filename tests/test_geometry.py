@@ -6,7 +6,6 @@ import pytest
 from dyson_laguerre import (
     DomainError,
     ModelParams,
-    ParticleState,
     Polynomial,
     SizeMismatch,
     carre_du_champ,
@@ -22,7 +21,6 @@ from dyson_laguerre.errors import NumericError
 from dyson_laguerre.geometry import (
     SPOT_CHECKS,
     curvature_matrices,
-    random_ordered_state,
     random_ordered_states,
     random_test_function,
 )
@@ -48,13 +46,13 @@ def test_distance_hand_values():
 def test_geodesic_endpoints_and_speed():
     x = np.array([0.5, 2.0, 5.0])
     y = np.array([1.0, 3.0, 4.0])
-    assert np.allclose(geodesic_point(x, y, 0.0).as_array(), x, atol=1e-15)
-    assert np.allclose(geodesic_point(x, y, 1.0).as_array(), y, atol=1e-15)
+    assert np.allclose(geodesic_point(x, y, 0.0), x, atol=1e-15)
+    assert np.allclose(geodesic_point(x, y, 1.0), y, atol=1e-15)
     # constant speed: distance from x to gamma(t) is t * d(x, y)
     d = riemannian_distance(x, y)
     for t in (0.25, 0.5, 0.75):
         mid = geodesic_point(x, y, t)
-        assert riemannian_distance(x, mid.as_array()) == pytest.approx(t * d, abs=1e-12)
+        assert riemannian_distance(x, mid) == pytest.approx(t * d, abs=1e-12)
     with pytest.raises(DomainError):
         geodesic_point(x, y, 1.5)
 
@@ -75,8 +73,8 @@ def test_gamma2_of_phi_closed_form():
     f = _phi(4)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        state = random_ordered_state(params, rng)
-        want = 0.5 * params.alpha * params.n + 0.5 * state.as_array().sum()
+        state = random_ordered_states(params, rng, 1)[0]
+        want = 0.5 * params.alpha * params.n + 0.5 * state.sum()
         assert gamma2_explicit(f, state, params) == pytest.approx(want, rel=1e-12)
         assert gamma2_definitional(f, state, params) == pytest.approx(want, rel=1e-9)
 
@@ -87,7 +85,7 @@ def test_gamma2_explicit_matches_definitional():
     for n, beta in [(2, 1.0), (3, 2.0), (4, 4.0)]:
         params = ModelParams(n, 2.0 + (n - 1) * beta / 2.0, beta)
         for _ in range(25):
-            state = random_ordered_state(params, rng, min_gap=1e-3)
+            state = random_ordered_states(params, rng, 1, min_gap=1e-3)[0]
             f = random_test_function(n, rng, degree=2)
             a = gamma2_explicit(f, state, params)
             b = gamma2_definitional(f, state, params)
@@ -101,7 +99,7 @@ def test_gamma2_single_particle_hand_case():
     f = Polynomial.coordinate(1, 0) * Polynomial.coordinate(1, 0)
     x = 1.7
     want = 0.5 * 2.0 * 4 * x**2 + 0.5 * 4 * x**3 + 4 * x**2 + 4 * x**2
-    got = gamma2_explicit(f, ParticleState([x]), params)
+    got = gamma2_explicit(f, np.array([x]), params)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -119,8 +117,8 @@ def test_edl_gamma2_dominates_half_gamma():
     rng = np.random.default_rng(7)
     params = ModelParams(3, 5.0, 2.0)
     for _ in range(50):
-        state = random_ordered_state(params, rng, min_gap=1e-3)
-        y = 2.0 * np.sqrt(state.as_array())
+        state = random_ordered_states(params, rng, 1, min_gap=1e-3)[0]
+        y = 2.0 * np.sqrt(state)
         f = random_test_function(3, rng, degree=2)
         g2 = edl_gamma2(f, y, params)
         gam = float(np.sum(f.gradient(y) ** 2))
@@ -202,7 +200,8 @@ def test_curvature_matrix_identity_matches_gamma2_explicit():
 
 
 def _random_ordered_state_loop(params, gen, min_gap):
-    """Reference: random_ordered_state as it stood, one state per call."""
+    """Reference: one state per call, as random_ordered_states(..., 1)[0]
+    gives it."""
     x = np.sort(gen.standard_gamma(max(params.alpha, 1.0), size=params.n))
     x[0] = max(x[0], min_gap)
     for i in range(1, params.n):
@@ -217,7 +216,7 @@ def test_random_ordered_states_match_one_state_at_a_time():
         want = [_random_ordered_state_loop(params, ref_gen, 0.3) for _ in range(50)]
         assert got.tobytes() == np.array(want).tobytes()
         assert gen.bit_generator.state == ref_gen.bit_generator.state
-        one = random_ordered_state(params, gen, min_gap=0.3).as_array()
+        one = random_ordered_states(params, gen, 1, min_gap=0.3)[0]
         assert one.tobytes() == _random_ordered_state_loop(params, ref_gen, 0.3).tobytes()
 
 
@@ -294,9 +293,9 @@ def test_random_ordered_state_respects_gap():
     params = ModelParams(6, 9.0, 2.0)
     rng = np.random.default_rng(13)
     for _ in range(20):
-        s = random_ordered_state(params, rng, min_gap=1e-4)
-        assert s.min_gap() >= 1e-4 * (1 - 1e-12)
-        assert np.all(s.as_array() > 0)
+        s = random_ordered_states(params, rng, 1, min_gap=1e-4)[0]
+        assert np.min(np.diff(s)) >= 1e-4 * (1 - 1e-12)
+        assert np.all(s > 0)
 
 
 class _ValidatingPolynomial:

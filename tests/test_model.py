@@ -8,32 +8,43 @@ from hypothesis import strategies as st
 from dyson_laguerre import (
     CollisionError,
     DomainError,
+    MatrixParams,
     ModelParams,
-    ParticleState,
     Polynomial,
+    RngStream,
     ValidationError,
     apply_generator,
+    check_states,
+    cutoff_predict,
     dl_drift,
+    dl_paths_batch,
     edl_drift,
+    gamma2_explicit,
+    geodesic_point,
+    gibbs_energy,
     observable_phi,
     phi_polynomial,
+    riemannian_distance,
+    run_coupled_batch,
+    wg_decay_estimate,
 )
 from dyson_laguerre.model import collision_tol, dl_drift_jacobian
+from dyson_laguerre.simulate import aligned_start
 
 
 # hand-computed drift at n=2, alpha=3, beta=2, x=(1,3):
 #   b1 = 3 - 1 + (1+3)/(1-3) = 0,  b2 = 3 - 3 + (1+3)/(3-1) = 2
 def test_drift_frozen_value():
     params = ModelParams(2, 3.0, 2.0)
-    b = dl_drift(ParticleState([1.0, 3.0]), params)
+    b = dl_drift(np.array([1.0, 3.0]), params)
     assert np.allclose(b, [0.0, 2.0], atol=1e-14)
 
 
 def test_drift_beta_zero_decouples():
     params = ModelParams(3, 2.5, 0.0)
-    x = ParticleState([0.5, 1.0, 4.0])
+    x = np.array([0.5, 1.0, 4.0])
     b = dl_drift(x, params)
-    assert np.allclose(b, 2.5 - x.as_array(), atol=1e-14)
+    assert np.allclose(b, 2.5 - x, atol=1e-14)
 
 
 def test_params_validation():
@@ -54,25 +65,63 @@ def test_delta_and_phi_mean():
 
 
 def test_state_validation():
-    with pytest.raises(DomainError):
-        ParticleState([2.0, 1.0])
-    with pytest.raises(DomainError):
-        ParticleState([-0.1, 1.0])
-    with pytest.raises(DomainError):
-        ParticleState([])
-    s = ParticleState([0.0, 0.0, 1.0])  # weak order is fine at rest
-    assert s.min_gap() == 0.0
+    for bad in ([2.0, 1.0], [-0.1, 1.0], [math.nan, 1.0], [math.inf], [], [[]],
+                [[0.5, 1.0], [1.0, 0.5]], 1.0, np.ones((2, 2, 2))):
+        with pytest.raises(DomainError):
+            check_states(bad)
+    s = check_states([0.0, 0.0, 1.0])  # weak order is fine at rest
+    assert s.dtype == float and s.shape == (3,)
+    assert np.min(np.diff(s)) == 0.0
+    rows = check_states([[0.0, 1.0], [2.0, 2.0]])  # each row is a state
+    assert rows.shape == (2, 2)
 
 
-def test_state_frozen():
-    s = ParticleState([1.0, 2.0])
-    with pytest.raises(ValueError):
-        s.coords[0] = 5.0
+# a model that the 3 x 8 matrix flow realizes, and one that no flow does
+_REALIZED = ModelParams(3, 4.0, 1.0)
+_EULER_ONLY = ModelParams(3, 4.25, 1.0)
+_OTHER = np.array([0.5, 1.0, 2.0])
+
+# entry point -> (call on a state x, whether x = (0, 1, 2) passes); a 0
+# coordinate is refused only where a formula or the Euler scheme needs x > 0
+_STATE_ENTRY_POINTS = {
+    "dl_drift": (lambda x: dl_drift(x, _REALIZED), True),
+    "observable_phi": (lambda x: observable_phi(x, _REALIZED), True),
+    "gibbs_energy": (lambda x: gibbs_energy(x, _REALIZED), False),
+    "riemannian_distance": (lambda x: riemannian_distance(x, _OTHER), True),
+    "geodesic_point": (lambda x: geodesic_point(x, _OTHER, 0.5), True),
+    "gamma2_explicit": (lambda x: gamma2_explicit(phi_polynomial(_REALIZED), x, _REALIZED),
+                        True),
+    "cutoff_predict": (lambda x: cutoff_predict("TV", x, _REALIZED), True),
+    "aligned_start": (lambda x: aligned_start(x, MatrixParams.bru(3, 8)), True),
+    "dl_paths_batch": (lambda x: dl_paths_batch(x, [0.1], _REALIZED, RngStream(0, 0)), False),
+    "run_coupled_batch-mirror": (
+        lambda x: run_coupled_batch(x, _OTHER, [0.1], _REALIZED, RngStream(0, 0)), False),
+    "run_coupled_batch-reflection": (
+        lambda x: run_coupled_batch(x, _OTHER, [0.1], _REALIZED, RngStream(0, 0),
+                                    kind="reflection"), True),
+    "wg_decay_estimate-euler": (
+        lambda x: wg_decay_estimate(x, [0.1], _EULER_ONLY, 100, RngStream(0, 0)), False),
+    "wg_decay_estimate-matrix": (
+        lambda x: wg_decay_estimate(x, [0.1], _REALIZED, 100, RngStream(0, 0)), True),
+}
+
+
+@pytest.mark.parametrize("state", [[2.0, 1.0, 0.5], [-0.1, 1.0, 2.0], [math.nan, 1.0, 2.0], [],
+                                   [0.0, 1.0, 2.0]],
+                         ids=["descending", "negative", "nan", "empty", "zero"])
+@pytest.mark.parametrize("entry", sorted(_STATE_ENTRY_POINTS))
+def test_every_entry_point_checks_its_states(entry, state):
+    call, zero_passes = _STATE_ENTRY_POINTS[entry]
+    if state == [0.0, 1.0, 2.0] and zero_passes:
+        call(np.array(state))
+    else:
+        with pytest.raises(DomainError):
+            call(np.array(state))
 
 
 def test_collision_rejected_by_drift():
     params = ModelParams(2, 3.0, 2.0)
-    x = ParticleState([1.0, 1.0 + 1e-14])
+    x = np.array([1.0, 1.0 + 1e-14])
     with pytest.raises(CollisionError):
         dl_drift(x, params)
 
@@ -88,15 +137,15 @@ def test_eigenfunction_relation():
     params = ModelParams(4, 5.0, 2.0)
     f = phi_polynomial(params)
     for _ in range(20):
-        x = ParticleState(np.sort(rng.gamma(3.0, 1.0, 4)))
+        x = np.sort(rng.gamma(3.0, 1.0, 4))
         got = apply_generator(f, x, params)
-        want = params.n * params.alpha - float(np.sum(x.as_array()))
+        want = params.n * params.alpha - float(np.sum(x))
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_observable_phi_centering():
     params = ModelParams(3, 4.0, 1.0)
-    obs = observable_phi(ParticleState([2.0, 4.0, 6.0]), params)
+    obs = observable_phi(np.array([2.0, 4.0, 6.0]), params)
     assert obs.phi_raw == pytest.approx(12.0)
     assert obs.phi_centered == pytest.approx(0.0)
     assert obs.phi_l2norm_sq == pytest.approx(12.0)
@@ -108,7 +157,7 @@ def test_edl_drift_change_of_variables():
     params = ModelParams(5, 7.0, 2.0)
     for _ in range(25):
         x = np.sort(rng.gamma(4.0, 1.0, 5)) + np.arange(5) * 0.1
-        bx = dl_drift(ParticleState(x), params)
+        bx = dl_drift(x, params)
         by = edl_drift(2.0 * np.sqrt(x), params)
         assert np.allclose(by, (bx - 0.5) / np.sqrt(x), rtol=1e-12, atol=1e-12)
 
@@ -123,13 +172,13 @@ def test_drift_jacobian_matches_finite_differences():
     # convention: jac[i, j] = d b_j / d x_i
     params = ModelParams(4, 6.0, 2.0)
     x = np.array([0.7, 1.9, 3.2, 5.5])
-    jac = dl_drift_jacobian(ParticleState(x), params)
+    jac = dl_drift_jacobian(x, params)
     h = 1e-6
     for i in range(4):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        num = (dl_drift(ParticleState(xp), params) - dl_drift(ParticleState(xm), params)) / (2 * h)
+        num = (dl_drift(xp, params) - dl_drift(xm, params)) / (2 * h)
         assert np.allclose(jac[i, :], num, rtol=1e-5, atol=1e-5)
 
 
@@ -169,18 +218,16 @@ def test_polynomial_linearity_of_generator(coords, a, b):
         return
     n = coords.size
     params = ModelParams(n, 2.0 + (n - 1), 2.0)
-    x = ParticleState(coords)
     f = Polynomial.coordinate(n, 0) * Polynomial.coordinate(n, n - 1)
     g = Polynomial.coordinate(n, 0)
-    lhs = apply_generator(f * a + g * b, x, params)
-    rhs = a * apply_generator(f, x, params) + b * apply_generator(g, x, params)
+    lhs = apply_generator(f * a + g * b, coords, params)
+    rhs = a * apply_generator(f, coords, params) + b * apply_generator(g, coords, params)
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_sorted_arrays_make_valid_states(values):
-    s = ParticleState(np.sort(np.asarray(values)))
-    arr = s.as_array()
+    arr = check_states(np.sort(np.asarray(values)))
     assert np.all(np.diff(arr) >= 0)
     assert np.all(arr >= 0)

@@ -9,8 +9,8 @@ from dyson_laguerre import (
     MatrixParams,
     ModelParams,
     NumericError,
-    ParticleState,
     RngStream,
+    check_states,
     cir_exact_transition,
     default_dt,
     dl_paths_batch,
@@ -100,7 +100,7 @@ def test_path_driver_recovers_by_halving():
     # the same start succeeds through the path driver, which halves dt on
     # rejection until the proposal is admissible
     params = ModelParams(1, 2.0, 0.0)
-    out = dl_paths_batch(ParticleState([1e8]), [4.0], params, RngStream(0, 0), replicas=2, dt=4.0)
+    out = dl_paths_batch(np.array([1e8]), [4.0], params, RngStream(0, 0), replicas=2, dt=4.0)
     assert np.all(np.isfinite(out))
     assert np.all(out > 0)
 
@@ -110,20 +110,20 @@ def test_step_small_dt_accepted():
     y = 2.0 * np.sqrt([[0.5, 1.0, 1.5]])
     prop, ok = simulate._propose_batch(y, 1e-4, params, np.random.default_rng(0))
     assert ok[0]
-    out = ParticleState(0.25 * prop[0] ** 2)
-    assert out.n == 3
-    assert out.min_gap() > 0
+    out = check_states(0.25 * prop[0] ** 2)
+    assert out.shape == (3,)
+    assert np.min(np.diff(out)) > 0
 
 
 def test_paths_shapes_and_reproducibility():
     params = ModelParams(4, 6.0, 2.0)
-    x0 = ParticleState([1.0, 2.0, 3.0, 4.0])
+    x0 = np.array([1.0, 2.0, 3.0, 4.0])
     times = [0.0, 0.1, 0.3]
     a = dl_paths_batch(x0, times, params, RngStream(1, 0), replicas=5, dt=1e-3)
     b = dl_paths_batch(x0, times, params, RngStream(1, 0), replicas=5, dt=1e-3)
     assert a.shape == (3, 5, 4)
     assert np.array_equal(a, b)
-    assert np.allclose(a[0], x0.as_array())  # t=0 returns the start
+    assert np.allclose(a[0], x0)  # t=0 returns the start
     # order preserved along every path
     assert np.all(np.diff(a, axis=2) >= 0)
 
@@ -146,7 +146,7 @@ def test_replicas_match_the_tiled_start(r):
         params = ModelParams(len(state), 6.0, 1.0)
         rows = dl_paths_batch(np.tile(state, (r, 1)), times, params, RngStream(4, 0))
         assert rows.shape == (2, r, len(state))
-        for start in (state, np.array(state), ParticleState(state)):
+        for start in (state, np.array(state)):
             got = dl_paths_batch(start, times, params, RngStream(4, 0), replicas=r)
             assert got.tobytes() == rows.tobytes()
 
@@ -176,7 +176,7 @@ def test_paths_match_exact_law_beta_zero():
     x0 = 1.2
     t = 0.7
     sim = dl_paths_batch(
-        ParticleState([x0]), [t], params, RngStream(3, 0), replicas=4000, dt=1e-3
+        np.array([x0]), [t], params, RngStream(3, 0), replicas=4000, dt=1e-3
     )[0, :, 0]
     exact = cir_exact_transition(np.full(4000, x0), t, 2.0, np.random.default_rng(4))
     assert stats.ks_2samp(sim, exact).pvalue > 0.01
@@ -362,14 +362,14 @@ def test_propose_batch_rejects_nonfinite_rows(n, beta, monkeypatch):
 def test_exhausted_step_halving_raises_numeric_error(monkeypatch):
     # a NaN drift rejects every proposal, so both halving recursions give up
     params = ModelParams(3, 4.0, 1.0)
-    x0 = ParticleState([1.0, 2.0, 3.0])
+    x0 = np.array([1.0, 2.0, 3.0])
     monkeypatch.setattr(_kernels, "edl_drift_batch", lambda y, a, b: np.full_like(y, np.nan))
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError):
             dl_paths_batch(x0, [0.0, 0.1], params, RngStream(1, 0), replicas=4)
         with pytest.raises(NumericError):
             coupling.run_coupled_batch(
-                x0, ParticleState([1.5, 2.5, 3.5]), [0.0, 0.1], params, RngStream(2, 0),
+                x0, np.array([1.5, 2.5, 3.5]), [0.0, 0.1], params, RngStream(2, 0),
                 replicas=4, kind="mirror",
             )
 
@@ -380,8 +380,8 @@ def test_paths_match_frozen_references(monkeypatch):
     from test_backend import _masked_edl_drift_batch
 
     params = ModelParams(4, 4.0, 1.0)
-    x0 = ParticleState([0.5, 1.0, 1.5, 2.0])
-    other = ParticleState([1.0, 2.5, 4.0, 6.0])
+    x0 = np.array([0.5, 1.0, 1.5, 2.0])
+    other = np.array([1.0, 2.5, 4.0, 6.0])
     times = [0.0, 0.1, 0.25]
 
     def run():
@@ -427,7 +427,7 @@ def _reference_spectral_projection(M):
     w = np.linalg.eigvalsh(M @ M.T)
     scale = max(1.0, float(np.max(np.abs(w))))
     assert np.all(np.isfinite(w)) and not np.any(w < -1e-8 * scale)
-    return ParticleState(np.maximum(np.sort(w), 0.0))
+    return np.maximum(np.sort(w), 0.0)
 
 
 def _reference_matrix_dl_path(M0, times, params, rng, canonical=False):
@@ -442,9 +442,9 @@ def _reference_matrix_dl_path(M0, times, params, rng, canonical=False):
         t_prev = tw
         s = _reference_spectral_projection(M)
         if canonical:
-            s = ParticleState(params.space_scale * s.as_array())
+            s = params.space_scale * s
         states.append(s)
-    return np.array([s.as_array() for s in states])
+    return np.array(states)
 
 
 @pytest.mark.parametrize("canonical", [False, True])
@@ -473,7 +473,7 @@ def test_matrix_stack_matches_per_replica_reference(n, m, r, canonical):
         want = _reference_rect_ou_transition(M0[k], 0.3, mp, ref_gens[k])
         assert stepped[k].tobytes() == want.tobytes()
         assert (spectral_projection(stepped)[k].tobytes()
-                == _reference_spectral_projection(want).as_array().tobytes())
+                == _reference_spectral_projection(want).tobytes())
 
 
 def test_matrix_stack_rejects_bad_input():
@@ -616,7 +616,7 @@ def test_aligned_matrix_paths_have_the_exact_law():
 @pytest.mark.parametrize("times", [0.1, [[0.1, 0.2]], [], [0.2, 0.1], [0.1, math.nan], [-0.1]])
 def test_route_time_grids_rejected(times):
     params = ModelParams(3, 4.0, 1.0)
-    x0 = ParticleState([0.5, 1.0, 2.0])
+    x0 = np.array([0.5, 1.0, 2.0])
     mp = MatrixParams.bru(2, 3)
     with pytest.raises(DomainError):
         dl_paths_batch(x0, times, params, RngStream(0, 0), replicas=2)
@@ -629,11 +629,11 @@ def test_route_time_grids_rejected(times):
 @pytest.mark.parametrize("dt", [0.0, math.nan, -0.5, math.inf])
 def test_path_drivers_reject_bad_dt(dt):
     params = ModelParams(3, 4.0, 1.0)
-    x0 = ParticleState([0.5, 1.0, 2.0])
+    x0 = np.array([0.5, 1.0, 2.0])
     with pytest.raises(DomainError):
         dl_paths_batch(x0, [0.1, 0.2], params, RngStream(0, 0), replicas=2, dt=dt)
     with pytest.raises(DomainError):
-        coupling.run_coupled_batch(x0, ParticleState([1.0, 1.5, 2.5]), [0.1, 0.2], params,
+        coupling.run_coupled_batch(x0, np.array([1.0, 1.5, 2.5]), [0.1, 0.2], params,
                                    RngStream(0, 0), replicas=2, dt=dt)
 
 
@@ -652,7 +652,7 @@ def test_path_drivers_reject_bad_starts(bad):
 @pytest.mark.parametrize("replicas", [0, -2])
 def test_path_drivers_need_a_start_row(replicas):
     params = ModelParams(3, 4.0, 1.0)
-    x0, y0 = ParticleState([1.0, 2.0, 3.0]), ParticleState([1.5, 2.5, 3.5])
+    x0, y0 = np.array([1.0, 2.0, 3.0]), np.array([1.5, 2.5, 3.5])
     with pytest.raises(DomainError):
         dl_paths_batch(x0, [0.1], params, RngStream(0, 0), replicas=replicas)
     with pytest.raises(DomainError):
