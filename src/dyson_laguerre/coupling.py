@@ -362,6 +362,10 @@ def wg_decay_estimate(x0, times, params, replicas, rng, dt=None):
     and draws nothing from rng.  The envelope is exp(-t/2) times the
     starting distance w0, and the floor is the distance between two
     independent equilibrium clouds; each is one assignment without a stderr.
+    From one start state every row of w0's cost matrix is the same, so every
+    bijection is optimal and w0 is the root mean square of one row, with no
+    solver call (transport._assignment_value); it can differ from a solved
+    assignment in the last bits only, and so can the envelope.
 
     The clouds come from the exact matrix flow where matrix_realization
     realizes params: matrix_dl_path(canonical=True) from the aligned start

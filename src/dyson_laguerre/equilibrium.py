@@ -141,6 +141,8 @@ def edl_gibbs_energy(y_state, params):
     y = np.asarray(y_state, dtype=float).reshape(-1)
     if y.size != params.n:
         raise DomainError(f"y state has {y.size} coordinates, params expect {params.n}")
+    if not np.all(np.isfinite(y)):
+        raise DomainError("y coordinates must be finite")
     if np.any(y <= 0):
         raise DomainError("square-root energy requires strictly positive coordinates")
     two_dm1 = 2.0 * params.delta - 1.0

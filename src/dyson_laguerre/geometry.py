@@ -174,6 +174,8 @@ def edl_gamma2(f, y_state, params):
     y = np.asarray(y_state, dtype=float).reshape(-1)
     if f.nvars != params.n or y.size != params.n:
         raise DomainError("dimension mismatch in edl_gamma2")
+    if not np.all(np.isfinite(y)):
+        raise DomainError("y coordinates must be finite")
     if np.any(y <= 0):
         raise DomainError("square-root coordinates must be strictly positive")
     grad = f.gradient(y)

@@ -1,7 +1,12 @@
 """Distances between laws: intrinsic Wasserstein, closed forms, witnesses.
 
 ``wasserstein_intrinsic`` couples two equal-size empirical clouds under the
-intrinsic metric by an exact optimal assignment.
+intrinsic metric by an exact optimal assignment.  Its cost matrix is built
+one coordinate at a time, in 2-D passes added in the order of numpy's
+pairwise sum, so every entry has the bits of the last-axis sum over the
+whole difference tensor; and a point mass on either side, where every
+bijection is optimal, takes the mean of one row or column instead of a
+solver call.
 ``ou_closed_form_distances`` evaluates the closed-form KL, chi-square-based
 L2 and Euclidean W2 distances between a rectangular Ornstein-Uhlenbeck flow
 started at a point and its Gaussian equilibrium.  ``tv_threshold_witness``
@@ -68,7 +73,12 @@ class DistanceEstimate:
 
 
 class EmpiricalMeasure:
-    """A uniformly weighted cloud of configurations (rows are atoms)."""
+    """A uniformly weighted cloud of configurations (rows are atoms).
+
+    Atoms are points of the closed Weyl chamber, as model.check_states
+    requires: finite, nonnegative and weakly ascending.  A 1-D input is a
+    cloud of one-coordinate atoms, and atoms may have no coordinates.
+    """
 
     __slots__ = ("atoms",)
 
@@ -80,6 +90,8 @@ class EmpiricalMeasure:
             raise EmptySample("empirical measure needs at least one atom")
         if np.any(a < 0) or not np.all(np.isfinite(a)):
             raise DomainError("atoms must be finite and nonnegative")
+        if np.any(a[:, 1:] < a[:, :-1]):
+            raise DomainError("state coordinates must be in ascending order")
         self.atoms = a
 
     @property
@@ -91,21 +103,107 @@ def _as_measure(obj):
     return obj if isinstance(obj, EmpiricalMeasure) else EmpiricalMeasure(obj)
 
 
-# Doubles of the (rows, rb, n) difference tensor _intrinsic_cost holds at once.
+# Doubles of the (rows, rb) arrays _intrinsic_cost holds at once for one
+# block of rows, its slice of the output included.
 _COST_BLOCK = 2**21
+
+# numpy's pairwise sum: below this many terms, eight strided accumulators;
+# above it, split in two halves and recurse.
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_half(n):
+    """Where numpy's pairwise sum splits n > _PAIRWISE_BLOCK terms: n / 2
+    rounded down to a multiple of 8."""
+    return n // 2 - (n // 2) % 8
+
+
+def _pairwise_arrays(n):
+    """(rows, rb) arrays that _coordinate_sum holds at once for n terms,
+    its output included."""
+    if n > _PAIRWISE_BLOCK:
+        half = _pairwise_half(n)
+        # the first half's sum stays alive while the second is summed
+        return max(_pairwise_arrays(half), 1 + _pairwise_arrays(n - half))
+    if n >= 8:
+        # eight accumulators, and a term's buffer past the first eight
+        return 8 if n == 8 else 9
+    # the sum, and a term's buffer past the first
+    return 1 if n <= 1 else 2
+
+
+def _block_rows(rb, n):
+    """Rows of a's cloud per block of _intrinsic_cost against rb columns in
+    n coordinates: the block's arrays hold at most _COST_BLOCK doubles."""
+    return max(1, _COST_BLOCK // max(1, rb * _pairwise_arrays(n)))
+
+
+def _squared_gap(ua_k, ub_k, out):
+    """out[i, j] = (ua_k[i] - ub_k[j])**2, one coordinate's term."""
+    np.subtract(ua_k[:, None], ub_k, out=out)
+    return np.multiply(out, out, out=out)
+
+
+def _coordinate_sum(ua, ub, lo, hi, out):
+    """Sum over coordinates k in [lo, hi) of _squared_gap(ua[k], ub[k]),
+    into out, added in the order numpy's pairwise sum adds a contiguous
+    last axis of hi - lo terms: left to right below 8 terms; up to
+    _PAIRWISE_BLOCK, eight accumulators over strides of 8, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remaining
+    terms left to right; above it, the sums of the halves split at
+    _pairwise_half.  So each entry has the bits of the
+    last-axis np.sum over the (rows, rb, n) tensor of squared gaps."""
+    n = hi - lo
+    if n == 0:
+        out.fill(0.0)
+    elif n < 8:
+        _squared_gap(ua[lo], ub[lo], out)
+        tmp = np.empty_like(out) if n > 1 else None
+        for k in range(lo + 1, hi):
+            out += _squared_gap(ua[k], ub[k], tmp)
+    elif n <= _PAIRWISE_BLOCK:
+        r = [out] + [np.empty_like(out) for _ in range(7)]
+        for j in range(8):
+            _squared_gap(ua[lo + j], ub[lo + j], r[j])
+        tail = hi - n % 8
+        tmp = np.empty_like(out) if n > 8 else None
+        for k in range(lo + 8, tail):
+            r[(k - lo) % 8] += _squared_gap(ua[k], ub[k], tmp)
+        r[0] += r[1]
+        r[2] += r[3]
+        r[0] += r[2]
+        r[4] += r[5]
+        r[6] += r[7]
+        r[4] += r[6]
+        r[0] += r[4]
+        for k in range(tail, hi):
+            out += _squared_gap(ua[k], ub[k], tmp)
+    else:
+        half = _pairwise_half(n)
+        _coordinate_sum(ua, ub, lo, lo + half, out)
+        out += _coordinate_sum(ua, ub, lo + half, hi, np.empty_like(out))
+    return out
 
 
 def _intrinsic_cost(a, b):
     """Matrix of intrinsic distances |2 sqrt(u) - 2 sqrt(v)| between the atoms
-    of a (rows) and b (columns), filled a block of rows at a time so memory
-    stays bounded; each entry is the same axis-2 sum as the whole tensor."""
-    ua = 2.0 * np.sqrt(a.atoms)
-    ub = 2.0 * np.sqrt(b.atoms)
-    cost = np.empty((ua.shape[0], ub.shape[0]))
-    step = max(1, _COST_BLOCK // max(1, ub.size))
-    for i in range(0, ua.shape[0], step):
-        diff = ua[i : i + step, None, :] - ub[None, :, :]
-        cost[i : i + step] = np.sqrt(np.sum(diff**2, axis=2))
+    of a (rows) and b (columns).
+
+    Each coordinate adds one 2-D pass over (rows, columns), in the order of
+    _coordinate_sum, so every entry has the bits of
+    sqrt(np.sum(diff**2, axis=2)) over the (rows, columns, n) difference
+    tensor, without building that tensor: numpy would spend most of its
+    time on an inner reduction n long.  Rows go a block of _block_rows at a
+    time, so the working set stays within _COST_BLOCK doubles at any size.
+    """
+    ua = np.ascontiguousarray((2.0 * np.sqrt(a.atoms)).T)
+    ub = np.ascontiguousarray((2.0 * np.sqrt(b.atoms)).T)
+    n, ra = ua.shape
+    cost = np.empty((ra, ub.shape[1]))
+    step = _block_rows(ub.shape[1], n)
+    for i in range(0, ra, step):
+        block = _coordinate_sum(ua[:, i : i + step], ub, 0, n, cost[i : i + step])
+        np.sqrt(block, out=block)
     return cost
 
 
@@ -129,7 +227,22 @@ def _assignment_cost(a, b):
 
 def _assignment_value(cost_pow, order):
     """Wasserstein distance of the given order from the matrix of costs raised
-    to that order, by an exact optimal assignment."""
+    to that order, by an exact optimal assignment.
+
+    When every row is equal (a point mass on the first side), every
+    bijection costs the same, so the value is mean(row 0) ** (1/order) and no
+    solver runs; the same holds over column 0 when every column is equal (a
+    point mass on the second side).  That mean adds the costs in index
+    order rather than in the solver's, so it can differ from the solver's
+    value in the last bits.  The first row and column are compared before
+    the whole matrix, so a matrix that is not tied costs two passes of one
+    row.
+    """
+    first = cost_pow[0]
+    if (cost_pow[:, 0] == first[0]).all() and (cost_pow == first).all():
+        return float(np.mean(first)) ** (1.0 / order)
+    if (first == first[0]).all() and (cost_pow == cost_pow[:, :1]).all():
+        return float(np.mean(cost_pow[:, 0])) ** (1.0 / order)
     rows, cols = _this.linear_sum_assignment(cost_pow)
     return float(np.mean(cost_pow[rows, cols])) ** (1.0 / order)
 

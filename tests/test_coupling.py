@@ -291,6 +291,26 @@ def test_wg_decay_draws_only_its_clouds_and_paths():
                      lambda src: dl_paths_batch(cloud0, times, params, src, dt=dt))
 
 
+def test_wg_decay_w0_from_one_state_is_the_mean_cost(monkeypatch):
+    # from one start state every row of w0's cost matrix is the same, so w0
+    # is the root mean square of one row, with no assignment solved for it
+    from dyson_laguerre import transport
+
+    params = ModelParams(2, 3.0, 1.0)
+    x0, r = np.array([0.2, 0.6]), 120
+    calls = []
+    solver = transport.linear_sum_assignment
+    monkeypatch.setattr(transport, "linear_sum_assignment",
+                        lambda cost: calls.append(cost.shape) or solver(cost))
+    curve = wg_decay_estimate(x0, [0.5], params, r, np.random.default_rng(8))
+    eq0 = sample_equilibrium_batch(params, np.random.default_rng(8), r)
+    row = transport._intrinsic_cost(transport.EmpiricalMeasure(x0[None, :]),
+                                    transport.EmpiricalMeasure(eq0))[0]
+    assert curve.w0 == float(np.mean(row**2)) ** 0.5
+    # the floor and the one grid time: one full assignment and SE_BLOCKS each
+    assert calls == [(r, r)] + [(r, r)] + [(r // 4, r // 4)] * 4
+
+
 def test_wg_decay_samples_a_realizable_model_from_the_matrix_flow(monkeypatch):
     # alpha = 3 is the spectrum of the 2 x 6 matrix flow: the paths are its
     # exact law from the aligned start rows, replica k on RngStream(e, k)

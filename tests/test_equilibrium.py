@@ -166,6 +166,13 @@ def test_sqrt_energy_rejects_bad_states():
     assert np.isfinite(edl_gibbs_energy([1.0, 2.0, 2.0], free))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sqrt_energy_refuses_non_finite_coordinates(bad):
+    # a NaN passes a y <= 0 test; the finiteness check comes first
+    with pytest.raises(DomainError, match="y coordinates must be finite"):
+        edl_gibbs_energy([bad, 2.0], ModelParams(2, 3.0, 1.0))
+
+
 def test_build_x0_presets():
     params = ModelParams(4, 6.0, 2.0)
     gen = np.random.default_rng(0)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dyson_laguerre import (
     gamma2_definitional,
     gamma2_explicit,
     geodesic_point,
+    phi_polynomial,
     riemannian_distance,
 )
 from dyson_laguerre.errors import NumericError
@@ -110,6 +112,14 @@ def test_edl_gamma2_single_particle_hand_case():
     y = 1.3
     want = 0.5 + (2 * 2.5 - 1.0) / y**2
     assert edl_gamma2(f, np.array([y]), params) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_edl_gamma2_refuses_non_finite_coordinates(bad):
+    # a NaN passes a y <= 0 test; the finiteness check comes first
+    params = ModelParams(2, 3.0, 1.0)
+    with pytest.raises(DomainError, match="y coordinates must be finite"):
+        edl_gamma2(phi_polynomial(params), [bad, 2.0], params)
 
 
 def test_edl_gamma2_dominates_half_gamma():

@@ -424,21 +424,84 @@ def test_assignment_solver_is_a_module_attribute_once_bound(monkeypatch):
         return solver(cost)
 
     monkeypatch.setattr(transport, "linear_sum_assignment", counting)
-    wasserstein_intrinsic(np.ones((3, 2)), np.full((3, 2), 2.0))
+    # no row and no column of the cost matrix is tied, so the solver runs
+    a = np.array([[0.5, 1.0], [1.0, 3.0], [2.0, 2.5]])
+    b = np.array([[0.2, 0.4], [1.5, 2.0], [0.7, 3.5]])
+    wasserstein_intrinsic(a, b)
     assert calls == [(3, 3)]
+
+
+def _whole_tensor_cost(a, b):
+    diff = 2.0 * np.sqrt(a.atoms)[:, None, :] - 2.0 * np.sqrt(b.atoms)[None, :, :]
+    return np.sqrt(np.sum(diff**2, axis=2))
+
+
+def _sorted_clouds(ra, rb, n):
+    rng = np.random.default_rng(ra + rb + n)
+    return (EmpiricalMeasure(np.sort(rng.gamma(3.0, 1.0, (ra, n)), axis=1)),
+            EmpiricalMeasure(np.sort(rng.gamma(3.0, 1.0, (rb, n)), axis=1)))
 
 
 @pytest.mark.parametrize("ra,rb,n,several", [
     (160, 160, 8, False), (520, 520, 8, True), (1100, 300, 8, True), (3, 2, 0, False),
+    # each branch of numpy's pairwise sum and its edges: left to right below
+    # 8 terms, eight accumulators up to 128, halves above
+    (7, 5, 1, False), (9, 12, 2, False), (30, 20, 4, False), (1100, 1000, 4, True),
+    (20, 31, 7, False), (40, 30, 8, False), (25, 18, 9, False), (600, 400, 9, True),
+    (33, 21, 15, False), (21, 33, 16, False), (600, 400, 17, True), (40, 25, 64, False),
+    (25, 40, 127, False), (30, 20, 128, False), (20, 30, 129, False), (17, 23, 200, False),
+    (23, 17, 300, False),
 ])
 def test_intrinsic_cost_in_row_blocks_matches_the_whole_tensor(ra, rb, n, several):
-    assert (ra * rb * n > transport._COST_BLOCK) == several
-    rng = np.random.default_rng(ra + rb + n)
-    a = EmpiricalMeasure(rng.gamma(3.0, 1.0, (ra, n)))
-    b = EmpiricalMeasure(rng.gamma(3.0, 1.0, (rb, n)))
-    diff = 2.0 * np.sqrt(a.atoms)[:, None, :] - 2.0 * np.sqrt(b.atoms)[None, :, :]
-    want = np.sqrt(np.sum(diff**2, axis=2))
-    assert np.array_equal(transport._intrinsic_cost(a, b), want)
+    # the coordinate-wise passes give the bits of the tensor's axis-2 sum
+    assert (ra > transport._block_rows(rb, n)) == several
+    a, b = _sorted_clouds(ra, rb, n)
+    got = transport._intrinsic_cost(a, b)
+    assert got.tobytes() == _whole_tensor_cost(a, b).tobytes()
+
+
+@pytest.mark.parametrize("ra,rb,n", [(37, 29, 129), (41, 23, 200), (29, 37, 300)])
+def test_intrinsic_cost_in_small_row_blocks_above_the_pairwise_block(monkeypatch, ra, rb, n):
+    # halves recurse inside each block; a block size that does not divide
+    # the rows leaves a short last block
+    monkeypatch.setattr(transport, "_COST_BLOCK", 4096)
+    step = transport._block_rows(rb, n)
+    assert 1 < step < ra and ra % step
+    a, b = _sorted_clouds(ra, rb, n)
+    got = transport._intrinsic_cost(a, b)
+    assert got.tobytes() == _whole_tensor_cost(a, b).tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_point_mass_needs_no_assignment(monkeypatch, order):
+    # every bijection is optimal from a point mass, on either side: the
+    # value is the solver's up to summation order, and no solver runs
+    import scipy.optimize
+
+    rng = np.random.default_rng(33)
+    cloud = np.sort(rng.gamma(3.0, 1.0, (160, 4)), axis=1)
+    point = np.tile([0.3, 0.9, 1.4, 5.0], (160, 1))
+    solver = scipy.optimize.linear_sum_assignment
+    calls = []
+    monkeypatch.setattr(transport, "linear_sum_assignment",
+                        lambda cost: calls.append(cost.shape) or solver(cost))
+    for a, b in ((point, cloud), (cloud, point)):
+        cost_pow = transport._intrinsic_cost(EmpiricalMeasure(a), EmpiricalMeasure(b)) ** order
+        rows, cols = solver(cost_pow)
+        want = float(np.mean(cost_pow[rows, cols])) ** (1.0 / order)
+        assert wasserstein_intrinsic(a, b, order=order).value == pytest.approx(want, rel=1e-12)
+    assert calls == []
+
+
+def test_clouds_off_the_chamber_are_refused():
+    # descending atoms are no states: the message is that of check_states
+    with pytest.raises(DomainError, match="state coordinates must be in ascending order"):
+        wasserstein_intrinsic([[2.0, 1.0]] * 3, [[1.0, 2.0]] * 3)
+    with pytest.raises(DomainError, match="ascending order"):
+        EmpiricalMeasure(np.array([[0.1, 0.4], [0.9, 0.5]]))
+    # ties pass, and a 1-D input is a cloud of one-coordinate atoms
+    assert EmpiricalMeasure([[1.0, 1.0]]).atoms.shape == (1, 2)
+    assert EmpiricalMeasure([3.0, 1.0]).atoms.shape == (2, 1)
 
 
 def test_assignment_matches_brute_force():
