@@ -1,6 +1,6 @@
 """Simulation and analysis toolkit for Dyson-Laguerre interacting particle systems."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .errors import (
     CollisionError,

@@ -347,8 +347,8 @@ def _start(config, params, positive):
     generator), the generator left where the draw ended.
 
     The draw runs on the seed's spawn key (900, 0), the first child of
-    stream 900.  Every replica stream RngStream(seed, k) has the one-part
-    key (k,), so no replica count reaches the start's stream."""
+    stream 900.  simulate, distance and couple draw their paths from
+    RngStream(seed, 0), whose one-part key (0,) the start's key cannot equal."""
     from .equilibrium import build_x0
 
     seq = np.random.SeedSequence(int(config.get("seed") or 0), spawn_key=(900, 0))
@@ -368,14 +368,12 @@ def _run_simulate(config):
     params, mp = _route(config)
     times = _times(config, [1.0])
     replicas = int(config.get("replicas") or 1)
-    seed = int(config.get("seed") or 0)
+    rng = RngStream(int(config.get("seed") or 0), 0)
     x0, notes, _ = _start(config, params, positive=mp is None)
     if mp is not None:
-        sources = [RngStream(seed, rep) for rep in range(replicas)]
-        out = matrix_dl_path(aligned_start(x0, mp, replicas), times, mp, sources,
-                             canonical=True)
+        out = matrix_dl_path(aligned_start(x0, mp, replicas), times, mp, rng, canonical=True)
     else:
-        out = dl_paths_batch(x0, times, params, RngStream(seed, 0), replicas=replicas)
+        out = dl_paths_batch(x0, times, params, rng, replicas=replicas)
     heads = [f"{rep},{t!r}," for rep in range(out.shape[1]) for t in times.tolist()]
     text = _path_table_text(("replica", "time", "coord_index", "value"), heads,
                             out.transpose(1, 0, 2))

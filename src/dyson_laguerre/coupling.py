@@ -33,7 +33,8 @@ simulate._start_rows: one state repeated replicas times, or (r, n) rows,
 each a state that model.check_states accepts.  Only the Euler scheme needs
 strictly positive coordinates; the exact matrix-flow runs start at 0 too.
 A start law, such as the invariant gas in wg_decay_estimate, is passed as
-rows the caller has drawn.
+rows the caller has drawn.  Every entry point draws from its one rng on
+every route, the exact matrix-flow runs included.
 
 The Wasserstein decay needs only Law(X_t), not coupled paths.  Where the
 matrix flow realizes the model, wg_decay_estimate samples that law exactly
@@ -49,7 +50,6 @@ from . import _kernels, transport
 from .errors import DomainError, UnsupportedRegime
 from .simulate import (
     _MATRIX_BLOCK,
-    RngStream,
     _advance,
     _coerce_generator,
     _propose_batch,
@@ -133,10 +133,10 @@ def _advance_pairs(ya, yb, dt, params, gen, depth, kind, merged):
     return (prop_a, prop_b, new_merged), ok
 
 
-def _reflection_paths(A0, B0, times, matrix, sources):
-    """Reflection-coupled matrix flows from the aligned (r, n, m) start
-    stacks A0 and B0, observed on a grid in canonical time; returns
-    (states_a, states_b, coalesce_times) as run_coupled_batch does.
+def _reflection_paths(a0, b0, times, matrix, gen):
+    """Reflection-coupled matrix flows from the aligned start matrices of
+    the (r, n) start rows a0 and b0, observed on a grid in canonical time;
+    returns (states_a, states_b, coalesce_times) as run_coupled_batch does.
 
     Along e = D_0/|D_0|, D_0 = A0 - B0, the gap s = <e, A - B> moves over a
     step h as s' = e^{-gamma h} s + 2 sigma <e, Z>, with Z leg A's noise and
@@ -147,45 +147,46 @@ def _reflection_paths(A0, B0, times, matrix, sources):
     U ~ Wald(a v/|b|, a^2) gives the hitting time S = U v/(v + U) on that
     clock, and B = A from then on.
 
-    Replica k draws from source k alone: on each step, A's transition
-    normals (rect_ou_transition), one uniform, then one Wald variate if the
-    pair coalesces in the step.  Replicas run in blocks of at most
-    _MATRIX_BLOCK matrix entries, as in matrix_dl_path.
+    Replicas run in blocks of at most _MATRIX_BLOCK matrix entries, as in
+    matrix_dl_path, and each block builds its own aligned start matrices,
+    so only the result grows with r.  On each step a block draws from the
+    one generator gen: A's transition normals (rect_ou_transition), one
+    uniform per row, then one Wald variate per row that coalesces in the
+    step, in row order.
     """
     g, k2 = matrix.gamma, matrix.kappa**2
     wall = times / matrix.time_scale
-    r = A0.shape[0]
+    r = a0.shape[0]
     out_a = np.empty((times.size, r, matrix.n))
     out_b = np.empty_like(out_a)
     coal = np.empty(r)
     per = max(1, _MATRIX_BLOCK // (matrix.n * matrix.m))
     for lo in range(0, r, per):
-        A = A0[lo:lo + per]
-        D = A - B0[lo:lo + per]
+        A = aligned_start(a0[lo:lo + per], matrix)
+        D = A - aligned_start(b0[lo:lo + per], matrix)
         s = np.sqrt(np.sum(D * D, axis=(1, 2)))
         e = D / np.maximum(s, 1e-300)[:, None, None]
         alive = s > 0.0
         tau = np.where(alive, np.inf, 0.0)
-        gens = [_coerce_generator(src) for src in sources[lo:lo + per]]
         t_prev = 0.0
         for k, tw in enumerate(wall):
             if tw > t_prev:
                 h = tw - t_prev
                 decay = math.exp(-g * h)
                 before = np.sum(e * A, axis=(1, 2))
-                A = rect_ou_transition(A, h, matrix, gens)
+                A = rect_ou_transition(A, h, matrix, gen)
                 # A's noise along e is (<e, A'> - decay <e, A>)/sigma
                 s_new = decay * s + 2.0 * (np.sum(e * A, axis=(1, 2)) - decay * before)
-                u = np.array([gen.random() for gen in gens])
+                u = gen.random(len(A))
                 v = 2.0 * k2 * math.expm1(2.0 * g * h) / g
                 b = s_new / decay
                 # s' <= 0 gives exp(0) = 1 > u, so such a pair always coalesces
                 hit = alive & (u < np.exp(-2.0 * s * np.maximum(b, 0.0) / v))
-                for i in np.flatnonzero(hit):
-                    w = gens[i].wald(s[i] * v / abs(b[i]), s[i] ** 2)
-                    hit_clock = w * v / (v + w)
-                    # rounding must not put tau past the grid time the legs are equal at
-                    tau[i] = min(t_prev + math.log1p(g * hit_clock / (2.0 * k2)) / (2.0 * g), tw)
+                w = gen.wald(s[hit] * v / np.abs(b[hit]), s[hit] ** 2)
+                hit_clock = w * v / (v + w)
+                # rounding must not put tau past the grid time the legs are equal at
+                t_hit = t_prev + np.log1p(g * hit_clock / (2.0 * k2)) / (2.0 * g)
+                tau[hit] = np.minimum(t_hit, tw)
                 alive &= ~hit
                 s = np.where(alive, s_new, 0.0)
             t_prev = tw
@@ -217,9 +218,8 @@ def run_coupled_batch(x0a, x0b, times, params, rng, replicas=1, kind="mirror", d
     Euler pairs and is exact on the reflection pairs.
 
     rng is drawn in this order: on the Euler pairs, every step's normals
-    then uniforms; on the reflection pairs, one 64-bit integer e, and
-    replica k then draws from RngStream(e, k) alone, starting from the
-    aligned start matrices of its two start rows.
+    then uniforms; on the reflection pairs, block after block of replicas,
+    every step's normals, uniforms and Wald variates (_reflection_paths).
     """
     if kind not in ("mirror", "synchronous", "reflection"):
         raise DomainError(
@@ -238,10 +238,7 @@ def run_coupled_batch(x0a, x0b, times, params, rng, replicas=1, kind="mirror", d
                 "reflection pairs need a model that a matrix flow realizes (beta = 1 and "
                 f"2 alpha an integer), got alpha = {params.alpha}, beta = {params.beta}"
             )
-        entropy = int(gen.integers(2**64, dtype=np.uint64))
-        sources = [RngStream(entropy, k) for k in range(a0.shape[0])]
-        return _reflection_paths(aligned_start(a0, matrix), aligned_start(b0, matrix), times,
-                                 matrix, sources)
+        return _reflection_paths(a0, b0, times, matrix, gen)
     _require_positive(a0)
     _require_positive(b0)
     plan = _step_plan(times, default_dt(a0[0]) if dt is None else dt)
@@ -369,12 +366,13 @@ def wg_decay_estimate(x0, times, params, replicas, rng, dt=None):
 
     The clouds come from the exact matrix flow where matrix_realization
     realizes params: matrix_dl_path(canonical=True) from the aligned start
-    stack of the start rows, replica k drawing from RngStream(e, k) alone,
-    with e one 64-bit integer drawn from rng.  Elsewhere they are Euler
-    paths of dl_paths_batch with step dt (default_dt when None); dt is not
-    read on the matrix route.  After the caller's draws of any start rows
-    (cloud0), rng is drawn in this order: eq0, the two floor clouds, the
-    paths (e, or every Euler step), then eq_k for each grid time in turn.
+    matrices of x0, one matrix broadcast to replicas (which takes no memory)
+    when x0 is one state.  Elsewhere they are Euler paths of dl_paths_batch
+    with step dt (default_dt when None); dt is not read on the matrix route.
+    Both routes draw from rng itself.  After the caller's draws of any start
+    rows (cloud0), rng is drawn in this order: eq0, the two floor clouds,
+    the paths (every matrix or Euler step), then eq_k for each grid time in
+    turn.
     """
     from .equilibrium import sample_equilibrium_batch
 
@@ -396,9 +394,7 @@ def wg_decay_estimate(x0, times, params, replicas, rng, dt=None):
     if matrix is None:
         paths = dl_paths_batch(cloud0, times, params, gen, dt=dt)
     else:
-        entropy = int(gen.integers(2**64, dtype=np.uint64))
-        sources = [RngStream(entropy, k) for k in range(replicas)]
-        paths = matrix_dl_path(aligned_start(cloud0, matrix), times, matrix, sources,
+        paths = matrix_dl_path(aligned_start(x0, matrix, replicas), times, matrix, gen,
                                canonical=True)
     values = np.empty(times.size)
     stderrs = np.empty(times.size)

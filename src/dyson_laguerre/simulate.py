@@ -345,13 +345,9 @@ def aligned_start(x0, matrix, replicas=1):
     return np.broadcast_to(out, (replicas, matrix.n, matrix.m)) if x.ndim == 1 else out
 
 
-def _matrix_stack(M, params, rng):
-    """(stack, sources): M as a validated (r, n, m) float array and its
-    random sources as a list of r.
-
-    M is an (r, n, m) stack or one n x m matrix, a stack of one.  rng is a
-    list or tuple of r sources, or, when r = 1, one bare source.
-    """
+def _matrix_stack(M, params):
+    """M as a validated (r, n, m) float array; one n x m matrix is a stack
+    of one."""
     a = np.asarray(M, dtype=float)
     if a.ndim == 2:
         a = a[None]
@@ -364,22 +360,20 @@ def _matrix_stack(M, params, rng):
         raise DomainError(
             f"matrix shape {a.shape[1:]} does not match params ({params.n}, {params.m})"
         )
-    r = a.shape[0]
-    sources = list(rng) if isinstance(rng, (list, tuple)) else [rng]
-    if len(sources) != r:
-        raise DomainError(f"a stack of {r} matrices needs {r} random sources, got {len(sources)}")
-    return a, sources
+    return a
 
 
 def rect_ou_transition(M0, t, params, rng):
     """Exact transition of the matrix flow over time t (matrix clock).
 
-    M0 is an (r, n, m) stack with a list or tuple of r sources, or one
-    n x m matrix, a stack of one, whose source may also come bare.  Returns
-    an (r, n, m) array.  Matrix k draws its noise from source k alone, so
-    each matrix of a stack gets the bits a stack of one would give.
+    M0 is an (r, n, m) stack, or one n x m matrix, a stack of one; rng is
+    one random source for the whole stack (a Generator, an RngStream or an
+    int).  Returns an (r, n, m) array.  The noise is one standard_normal
+    draw of the stack's shape, so matrix k's bits depend on the matrices
+    before it in the stack.
     """
-    M, sources = _matrix_stack(M0, params, rng)
+    M = _matrix_stack(M0, params)
+    gen = _coerce_generator(rng)
     if t < 0 or not math.isfinite(t):
         raise DomainError(f"t must be nonnegative, got {t}")
     if t == 0:
@@ -387,12 +381,9 @@ def rect_ou_transition(M0, t, params, rng):
     else:
         decay = math.exp(-params.gamma * t)
         var = params.kappa**2 * (-math.expm1(-2.0 * params.gamma * t)) / (2.0 * params.gamma)
-        noise = np.empty(M.shape)
-        for src, slab in zip(sources, noise):
-            _coerce_generator(src).standard_normal(out=slab)
-        noise *= math.sqrt(var)
-        out = decay * M
-        out += noise
+        out = gen.standard_normal(M.shape)
+        out *= math.sqrt(var)
+        out += decay * M
         if not np.all(np.isfinite(out)):
             raise DomainError("matrix entries must be finite")
     return out
@@ -420,22 +411,23 @@ def spectral_projection(M):
     scale = np.maximum(1.0, np.max(np.abs(w), axis=-1, keepdims=True))
     if np.any(w < -1e-8 * scale):
         raise EigenFailure(f"materially negative eigenvalue {np.min(w):.3e} from a Gram matrix")
-    return np.maximum(np.sort(w, axis=-1), 0.0)
+    # eigvalsh returns each matrix's eigenvalues in ascending order
+    return np.maximum(w, 0.0)
 
 
 def matrix_dl_path(M0, times, params, rng, canonical=False):
     """Exact matrix transitions chained along a grid, projected to spectra.
 
-    M0 and rng are as in rect_ou_transition: an (r, n, m) stack with a list
-    or tuple of r sources, one per replica, or one n x m matrix, a stack of
-    one, with a one-element list or a bare source.  Returns an array of
-    shape (len(times), r, n), as dl_paths_batch does.  Replica k draws from
-    source k alone, so it gets the bits a stack of one would give.
+    M0 and rng are as in rect_ou_transition: an (r, n, m) stack, or one
+    n x m matrix, a stack of one, and one random source.  Returns an array
+    of shape (len(times), r, n), as dl_paths_batch does.
 
     Replicas run in blocks of at most _MATRIX_BLOCK matrix entries (one
     replica when n*m exceeds it): each block walks the whole grid before
-    the next starts, so the working arrays stay within the block at any r,
-    and each replica keeps its bits.
+    the next starts, so the working arrays stay within the block at any r.
+    Each block draws its noise with one standard_normal call of the block's
+    shape per grid step, so a replica's bits depend on (n, m, r), not on its
+    index alone.
 
     With canonical=False states carry the raw eigenvalues of M M^T on the
     matrix clock (so sum of coordinates equals the squared Frobenius norm).
@@ -444,17 +436,17 @@ def matrix_dl_path(M0, times, params, rng, canonical=False):
     system with the induced parameters.
     """
     times = _validate_times(times)
-    M, sources = _matrix_stack(M0, params, rng)
+    M = _matrix_stack(M0, params)
+    gen = _coerce_generator(rng)
     wall = times / params.time_scale if canonical else times
     out = np.empty((times.size, M.shape[0], params.n))
     per = max(1, _MATRIX_BLOCK // (params.n * params.m))
     for lo in range(0, M.shape[0], per):
         block = M[lo:lo + per]
-        gens = [_coerce_generator(src) for src in sources[lo:lo + per]]
         t_prev = 0.0
         for k, tw in enumerate(wall):
             if tw > t_prev:
-                block = rect_ou_transition(block, tw - t_prev, params, gens)
+                block = rect_ou_transition(block, tw - t_prev, params, gen)
             t_prev = tw
             out[k, lo:lo + per] = spectral_projection(block)
     if canonical:

@@ -652,23 +652,23 @@ def test_matrix_simulate_replica_streams_avoid_the_start_stream(tmp_path, monkey
         seq = gen.bit_generator.seed_seq
         return seq.entropy, seq.spawn_key
 
-    starts, replicas = [], []
+    starts, paths = [], []
     live_build, live_path = equilibrium.build_x0, cli.matrix_dl_path
 
     def capture_start(preset, params, gen, **kwargs):
         starts.append(key(gen))
         return live_build(preset, params, gen, **kwargs)
 
-    def capture_path(m0, times, mp, sources, **kwargs):
-        replicas.extend(key(src.generator()) for src in sources)
-        return live_path(m0, times, mp, sources, **kwargs)
+    def capture_path(m0, times, mp, rng, **kwargs):
+        paths.append(key(rng.generator()))
+        return live_path(m0, times, mp, rng, **kwargs)
 
     monkeypatch.setattr(equilibrium, "build_x0", capture_start)
     monkeypatch.setattr(cli, "matrix_dl_path", capture_path)
     run({"mode": "simulate", "n": 2, "m": 2, "x0_preset": "equilibrium-draw", "times": [0.1],
          "replicas": 901, "seed": 7, "out_dir": str(tmp_path), "format": "csv"})
-    assert len(starts) == 1 and len(replicas) == 901
-    assert starts[0] not in replicas
+    # the matrix route's one source is keyed (0,), never the start's (900, 0)
+    assert starts == [(7, (900, 0))] and paths == [(7, (0,))]
 
 
 _ARRAY_TIMES_CONFIGS = {
@@ -784,7 +784,7 @@ def _route_built(monkeypatch, config):
         (cli, "dl_paths_batch",
          lambda x0, times, params, rng, **kw: record("dl_paths_batch", params)),
         (cli, "matrix_dl_path",
-         lambda m0, times, mp, sources, **kw: record("matrix_dl_path", None, mp)),
+         lambda m0, times, mp, rng, **kw: record("matrix_dl_path", None, mp)),
         (coupling, "wg_decay_estimate",
          lambda x0, times, params, *a: record("wg_decay_estimate", params)),
         (coupling, "run_coupled_batch",

@@ -1,11 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import dyson_laguerre
 from dyson_laguerre import (
     DomainError,
     MatrixParams,
@@ -26,7 +30,7 @@ from dyson_laguerre.coupling import (
     run_coupled_batch,
 )
 from dyson_laguerre.equilibrium import sample_equilibrium_batch
-from dyson_laguerre.simulate import _propose_batch, aligned_start
+from dyson_laguerre.simulate import _propose_batch
 from test_simulate import _p2_mean
 
 
@@ -313,9 +317,8 @@ def test_wg_decay_w0_from_one_state_is_the_mean_cost(monkeypatch):
 
 def test_wg_decay_samples_a_realizable_model_from_the_matrix_flow(monkeypatch):
     # alpha = 3 is the spectrum of the 2 x 6 matrix flow: the paths are its
-    # exact law from the aligned start rows, replica k on RngStream(e, k)
-    # with e drawn from rng after the floor clouds; dt is not read, and no
-    # Euler path is run
+    # exact law from the aligned start rows, drawn from rng itself after the
+    # floor clouds; dt is not read, and no Euler path is run
     params = ModelParams(2, 3.0, 1.0)
     mp = simulate.matrix_realization(params)
     assert mp == MatrixParams.bru(2, 6)
@@ -326,10 +329,7 @@ def test_wg_decay_samples_a_realizable_model_from_the_matrix_flow(monkeypatch):
     curve = wg_decay_estimate(rows, times, params, r, gen, dt=-1.0)
 
     def matrix_paths(src):
-        entropy = int(src.integers(2**64, dtype=np.uint64))
-        sources = [RngStream(entropy, k) for k in range(r)]
-        return matrix_dl_path(simulate.aligned_start(rows, mp), times, mp, sources,
-                              canonical=True)
+        return matrix_dl_path(simulate.aligned_start(rows, mp), times, mp, src, canonical=True)
 
     _replay_wg_decay(curve, gen, ref, params, rows, times, matrix_paths)
 
@@ -597,34 +597,68 @@ def test_reflection_mean_distance_is_dominated(reflection_pairs):
         assert row.mean() <= math.exp(-t / 2.0) * d0 + 3.0 * se, (t, row.mean())
 
 
-@pytest.mark.parametrize("block", [1, 30, 61])
-def test_reflection_replicas_keep_their_bits(monkeypatch, block):
-    # n * m = 15 entries: blocks of 1, 30 and 61 entries hold 1, 2 and 4 of
-    # the 7 replicas; each replica gets the bits it gets alone and in one
-    # stack, and run_coupled_batch draws one integer e and runs replica k on
-    # RngStream(e, k)
+# Frozen reference: the reflection pairs' block walk with one generator.  Each
+# block of `per` replicas walks the whole grid from its own aligned starts;
+# on each step it draws leg A's normals in one call of the block's shape,
+# one uniform per row, then one Wald variate per row that coalesces in the
+# step, in row order.
+def _reference_reflection_paths(a0, b0, times, mp, gen, per):
+    g, k2 = mp.gamma, mp.kappa**2
+    r, n = a0.shape
+    out_a, out_b = np.empty((2, len(times), r, n))
+    coal = np.empty(r)
+    for lo in range(0, r, per):
+        rows = slice(lo, lo + per)
+        A, B = np.zeros((2, len(a0[rows]), n, mp.m))
+        for i in range(n):
+            A[:, i, i] = np.sqrt(mp.m * a0[rows, i])
+            B[:, i, i] = np.sqrt(mp.m * b0[rows, i])
+        D = A - B
+        s = np.sqrt(np.sum(D * D, axis=(1, 2)))
+        e = D / np.maximum(s, 1e-300)[:, None, None]
+        alive = s > 0.0
+        tau = np.where(alive, np.inf, 0.0)
+        t_prev = 0.0
+        for k, tw in enumerate(np.asarray(times) / mp.time_scale):
+            if tw > t_prev:
+                h = tw - t_prev
+                decay = math.exp(-g * h)
+                var = k2 * (-math.expm1(-2.0 * g * h)) / (2.0 * g)
+                before = np.sum(e * A, axis=(1, 2))
+                A = decay * A + math.sqrt(var) * gen.standard_normal(A.shape)
+                s_new = decay * s + 2.0 * (np.sum(e * A, axis=(1, 2)) - decay * before)
+                u = gen.random(len(A))
+                v = 2.0 * k2 * math.expm1(2.0 * g * h) / g
+                b = s_new / decay
+                hit = alive & (u < np.exp(-2.0 * s * np.maximum(b, 0.0) / v))
+                w = gen.wald(s[hit] * v / np.abs(b[hit]), s[hit] ** 2)
+                clock = w * v / (v + w)
+                tau[hit] = np.minimum(t_prev + np.log1p(g * clock / (2.0 * k2)) / (2.0 * g), tw)
+                alive &= ~hit
+                s = np.where(alive, s_new, 0.0)
+            t_prev = tw
+            B = np.where(alive[:, None, None], A - s[:, None, None] * e, A)
+            for j in range(len(A)):
+                out_a[k, lo + j] = np.maximum(np.linalg.eigvalsh(A[j] @ A[j].T), 0.0)
+                out_b[k, lo + j] = np.maximum(np.linalg.eigvalsh(B[j] @ B[j].T), 0.0)
+        coal[rows] = tau * mp.time_scale
+    return out_a * mp.space_scale, out_b * mp.space_scale, coal
+
+
+@pytest.mark.parametrize("per", [1, 2, 7])
+def test_reflection_pairs_match_frozen_reference(monkeypatch, per):
+    # n * m = 15 entries: blocks of 1, 2 and 7 of the 7 replicas; row 0's
+    # starts agree, and some of the other pairs meet inside the grid
     params, mp = ModelParams(3, 2.5, 1.0), MatrixParams.bru(3, 5)
     a0 = np.array([[0.5, 1.0, 2.0]] * 7)
     b0 = a0 * np.linspace(1.0, 4.0, 7)[:, None]
     times = np.array([0.0, 0.2, 0.9])
-    entropy = int(RngStream(17, 0).generator().integers(2**64, dtype=np.uint64))
-    sources = [RngStream(entropy, k) for k in range(7)]
-    A0, B0 = aligned_start(a0, mp), aligned_start(b0, mp)
-    whole = coupling._reflection_paths(A0, B0, times, mp, sources)
-    assert whole[2][0] == 0.0 and 0.0 < np.isfinite(whole[2][1:]).sum() < 6
+    monkeypatch.setattr(coupling, "_MATRIX_BLOCK", per * 15)
     got = run_coupled_batch(a0, b0, times, params, RngStream(17, 0), kind="reflection")
-    for a, b in zip(got, whole):
+    want = _reference_reflection_paths(a0, b0, times, mp, RngStream(17, 0).generator(), per)
+    for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
-    for k in range(7):
-        one = slice(k, k + 1)
-        alone = coupling._reflection_paths(A0[one], B0[one], times, mp, sources[one])
-        want = (whole[0][:, one], whole[1][:, one], whole[2][one])
-        for a, b in zip(alone, want):
-            assert a.tobytes() == b.tobytes()
-    monkeypatch.setattr(coupling, "_MATRIX_BLOCK", block)
-    blocked = coupling._reflection_paths(A0, B0, times, mp, sources)
-    for a, b in zip(blocked, whole):
-        assert a.tobytes() == b.tobytes()
+    assert got[2][0] == 0.0 and 0 < np.isfinite(got[2][1:]).sum() < 6
 
 
 @pytest.mark.parametrize("alpha, beta", [(3.25, 1.0), (4.0, 2.0), (4.0, 1.5)])
@@ -633,3 +667,38 @@ def test_reflection_needs_a_realizable_model(alpha, beta):
     with pytest.raises(UnsupportedRegime):
         run_coupled_batch([0.5, 1.0, 2.0], [1.0, 2.0, 3.0], [0.5], params, RngStream(0, 0),
                           kind="reflection")
+
+
+# One run of a matrix-flow driver at n = 4, alpha = 2048 (m = 4096, 131 KB
+# per start matrix) from one start state; prints the peak RSS in KiB.
+_PEAK_RSS_RUN = """
+import resource, sys
+import numpy as np
+from dyson_laguerre import ModelParams, RngStream
+from dyson_laguerre.coupling import run_coupled_batch, wg_decay_estimate
+params, r = ModelParams(4, 2048.0, 1.0), int(sys.argv[2])
+x0 = np.array([1.0, 2.0, 3.0, 4.0]) * 1024.0
+if sys.argv[1] == "reflection":
+    run_coupled_batch(x0, 2.0 * x0, [0.5], params, RngStream(0), r, kind="reflection")
+else:
+    wg_decay_estimate(x0, [0.5], params, r, RngStream(0))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+# ru_maxrss starts at the resident size of the process a run was started
+# from, so each run is started from a fresh, small interpreter
+_LAUNCH = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+
+
+@pytest.mark.parametrize("driver", ["reflection", "wg_decay"])
+def test_matrix_drivers_hold_no_start_stack(driver):
+    # the start matrices of 300 more replicas take 39 MB per leg; what grows
+    # with r must be the result, each run in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dyson_laguerre.__file__)))
+    peaks = []
+    for r in (100, 400):
+        run = [sys.executable, "-c", _PEAK_RSS_RUN, driver, str(r)]
+        done = subprocess.run([sys.executable, "-c", _LAUNCH, *run], capture_output=True,
+                              text=True, check=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        peaks.append(int(done.stdout))
+    assert peaks[1] - peaks[0] < 8 * 1024, peaks

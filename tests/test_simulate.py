@@ -226,8 +226,7 @@ def test_matrix_path_stationary_pushforward():
     reps = 3000
     rng = np.random.default_rng(13)
     M0 = math.sqrt(m / 2.0) * rng.standard_normal((reps, n, m))
-    sources = [RngStream(17, r) for r in range(reps)]
-    phis = matrix_dl_path(M0, [0.6], mp, sources, canonical=True)[0].sum(axis=1)
+    phis = matrix_dl_path(M0, [0.6], mp, RngStream(17, 0), canonical=True)[0].sum(axis=1)
     a = mp.induced_model().phi_mean
     assert stats.kstest(phis, "gamma", args=(a,)).pvalue > 0.01
 
@@ -244,13 +243,12 @@ def test_matrix_path_start_is_projected_exactly():
 
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (4, 10)])
 def test_one_matrix_is_a_stack_of_one(n, m):
-    # an n x m matrix with a bare source, with a one-element list or tuple,
-    # and the (1, n, m) stack are one call, bit for bit
+    # an n x m matrix and the (1, n, m) stack are one call, bit for bit
     mp = MatrixParams.bru(n, m)
     M0 = np.random.default_rng(n * m).standard_normal((n, m))
     times = [0.0, 0.3, 1.1]
     src = RngStream(n + m, 0)
-    calls = [(M0, src), (M0, [src]), (M0, (src,)), (M0[None], [src]), (M0[None], src)]
+    calls = [(M0, src), (M0[None], src)]
     paths = [matrix_dl_path(M, times, mp, rng).tobytes() for M, rng in calls]
     steps = [rect_ou_transition(M, 0.4, mp, rng).tobytes() for M, rng in calls]
     assert len(set(paths)) == 1 and len(set(steps)) == 1
@@ -414,9 +412,10 @@ def test_paths_match_frozen_references(monkeypatch):
         assert np.array_equal(got, want)
 
 
-# Frozen reference: the matrix route as it stood, one n x m matrix and one
-# eigensolve per replica and grid time.  The stacked route must give every
-# replica exactly these bits.
+# Frozen reference: the matrix route's block walk with one generator.  Each
+# block of `per` replicas walks the whole grid before the next starts, and
+# draws its noise with one standard_normal call of the block's shape per grid
+# step; every matrix is projected by its own eigensolve.
 def _reference_rect_ou_transition(M, t, params, gen):
     decay = math.exp(-params.gamma * t)
     var = params.kappa**2 * (-math.expm1(-2.0 * params.gamma * t)) / (2.0 * params.gamma)
@@ -430,107 +429,86 @@ def _reference_spectral_projection(M):
     return np.maximum(np.sort(w), 0.0)
 
 
-def _reference_matrix_dl_path(M0, times, params, rng, canonical=False):
-    gen = rng.generator()
-    M = np.array(M0, dtype=float)
+def _reference_matrix_dl_path(M0, times, params, gen, per, canonical=False):
     wall = np.asarray(times, float) / params.time_scale if canonical else np.asarray(times, float)
-    states = []
-    t_prev = 0.0
-    for tw in wall:
-        if tw > t_prev:
-            M = _reference_rect_ou_transition(M, tw - t_prev, params, gen)
-        t_prev = tw
-        s = _reference_spectral_projection(M)
-        if canonical:
-            s = params.space_scale * s
-        states.append(s)
-    return np.array(states)
+    states = np.empty((len(wall), len(M0), params.n))
+    for lo in range(0, len(M0), per):
+        M = np.array(M0[lo:lo + per], dtype=float)
+        t_prev = 0.0
+        for k, tw in enumerate(wall):
+            if tw > t_prev:
+                M = _reference_rect_ou_transition(M, tw - t_prev, params, gen)
+            t_prev = tw
+            for j, one in enumerate(M):
+                s = _reference_spectral_projection(one)
+                states[k, lo + j] = params.space_scale * s if canonical else s
+    return states
 
 
 @pytest.mark.parametrize("canonical", [False, True])
 @pytest.mark.parametrize("r", [1, 7, 50])
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (4, 10), (16, 16), (5, 40)])
-def test_matrix_stack_matches_per_replica_reference(n, m, r, canonical):
+def test_matrix_stack_matches_per_replica_reference(n, m, r, canonical, monkeypatch):
+    # blocks of 3 replicas: 1, 3 and 17 blocks for r = 1, 7 and 50
+    monkeypatch.setattr(simulate, "_MATRIX_BLOCK", 3 * n * m)
     mp = MatrixParams.bru(n, m)
     rng = np.random.default_rng(1000 * n + m)
     M0 = rng.standard_normal((r, n, m)) * rng.choice([0.0, 1.0, 30.0], (r, 1, 1))
     times = [0.0, 0.05, 0.4, 1.5]
-    sources = [RngStream(n + m, k) for k in range(r)]
-    out = matrix_dl_path(M0, times, mp, sources, canonical=canonical)
+    out = matrix_dl_path(M0, times, mp, RngStream(n + m, 0), canonical=canonical)
     assert out.shape == (len(times), r, n)
+    want = _reference_matrix_dl_path(M0, times, mp, RngStream(n + m, 0).generator(), 3,
+                                     canonical)
+    assert out.tobytes() == want.tobytes()
+    # one transition of the whole stack draws as the replicas would in turn
+    stepped = rect_ou_transition(M0, 0.3, mp, RngStream(n + m, 1))
+    ref = RngStream(n + m, 1).generator()
     for k in range(r):
-        want = _reference_matrix_dl_path(M0[k], times, mp, sources[k], canonical)
-        assert out[:, k].tobytes() == want.tobytes()
-        # a single matrix is the r = 1 case of the same route
-        one = matrix_dl_path(M0[k], times, mp, sources[k], canonical=canonical)
-        assert one.shape == (len(times), 1, n)
-        assert one[:, 0].tobytes() == want.tobytes()
-    # the stacked pieces on their own
-    gens = [s.generator() for s in sources]
-    stepped = rect_ou_transition(M0, 0.3, mp, gens)
-    ref_gens = [s.generator() for s in sources]
-    for k in range(r):
-        want = _reference_rect_ou_transition(M0[k], 0.3, mp, ref_gens[k])
+        want = _reference_rect_ou_transition(M0[k], 0.3, mp, ref)
         assert stepped[k].tobytes() == want.tobytes()
         assert (spectral_projection(stepped)[k].tobytes()
                 == _reference_spectral_projection(want).tobytes())
 
 
+def test_matrix_drivers_take_one_source():
+    # an int, an RngStream and a fresh Generator of that stream are one
+    # source; a list or a tuple of sources is not one
+    mp = MatrixParams.bru(2, 3)
+    M0 = np.random.default_rng(2).standard_normal((4, 2, 3))
+    for drive in (lambda rng: rect_ou_transition(M0, 0.5, mp, rng),
+                  lambda rng: matrix_dl_path(M0, [0.2, 0.5], mp, rng)):
+        bits = {drive(rng).tobytes() for rng in (9, RngStream(9, 0), RngStream(9).generator())}
+        assert len(bits) == 1
+        for rng in ([RngStream(9, k) for k in range(4)], (RngStream(9, 0),), []):
+            with pytest.raises(TypeError):
+                drive(rng)
+
+
 def test_matrix_stack_rejects_bad_input():
     mp = MatrixParams.bru(2, 3)
     M0 = np.ones((4, 2, 3))
-    sources = [RngStream(0, k) for k in range(4)]
+    src = RngStream(0, 0)
     bad_values = M0.copy()
     bad_values[2, 1, 0] = np.nan
-    for M, rng in (
-        (M0, sources[:3]),            # one source short
-        (M0, sources + sources[:1]),  # one source too many
-        (M0, RngStream(0, 0)),        # a single source for a stack
-        (M0[0], sources[:2]),         # two sources for one matrix
-        (M0[0], []),                  # no source for one matrix
-        (np.ones((4, 3, 3)), [RngStream(0, k) for k in range(4)]),
-        (np.ones((4, 2, 3, 1)), sources),
-        (bad_values, sources),
-        (np.where(M0 > 0, np.inf, 0.0), sources),
-        (np.where(M0 > 0, -np.inf, 0.0), sources),
+    for M in (
+        np.ones((4, 3, 3)),
+        np.ones((4, 2, 3, 1)),
+        bad_values,
+        np.where(M0 > 0, np.inf, 0.0),
+        np.where(M0 > 0, -np.inf, 0.0),
     ):
         with pytest.raises(DomainError):
-            rect_ou_transition(M, 0.5, mp, rng)
+            rect_ou_transition(M, 0.5, mp, src)
         with pytest.raises(DomainError):
-            matrix_dl_path(M, [0.5], mp, rng)
+            matrix_dl_path(M, [0.5], mp, src)
     for t in (-0.1, math.nan, math.inf):
         with pytest.raises(DomainError):
-            rect_ou_transition(M0, t, mp, sources)
+            rect_ou_transition(M0, t, mp, src)
     with pytest.raises(DomainError):
         spectral_projection(np.ones((2, 2, 3, 1)))
     # t = 0 draws nothing and returns a copy
-    same = rect_ou_transition(M0, 0.0, mp, sources)
+    same = rect_ou_transition(M0, 0.0, mp, src)
     assert np.array_equal(same, M0) and same is not M0
-
-
-@pytest.mark.parametrize("block", [1, 30, 61])
-def test_matrix_blocks_keep_the_bits(monkeypatch, block):
-    # n * m = 15 entries: blocks of 1, 30 and 61 entries hold 1, 2 and 4 of
-    # the 7 replicas, and every block run is the one-block run, bit for bit
-    n, m, r = 3, 5, 7
-    mp = MatrixParams.bru(n, m)
-    M0 = np.random.default_rng(5).standard_normal((r, n, m))
-    times = [0.0, 0.2, 0.9]
-    sources = [RngStream(3, k) for k in range(r)]
-    whole = matrix_dl_path(M0, times, mp, sources, canonical=True)
-    sizes = []
-    live = simulate.spectral_projection
-
-    def counting(M):
-        sizes.append(len(M))
-        return live(M)
-
-    monkeypatch.setattr(simulate, "_MATRIX_BLOCK", block)
-    monkeypatch.setattr(simulate, "spectral_projection", counting)
-    blocked = matrix_dl_path(M0, times, mp, sources, canonical=True)
-    assert blocked.tobytes() == whole.tobytes()
-    per = max(1, block // (n * m))
-    assert max(sizes) == per and sum(sizes) == r * len(times)
 
 
 def test_matrix_block_holds_the_benchmark_stack():
@@ -601,8 +579,7 @@ def test_aligned_matrix_paths_have_the_exact_law():
     params, mp = ModelParams(4, 4.0, 1.0), MatrixParams.bru(4, 8)
     assert simulate.matrix_realization(params) == mp
     x0, times, r = np.arange(1.0, 5.0), [0.25, 0.75, 1.5], 40_000
-    sources = [RngStream(2027, k) for k in range(r)]
-    paths = matrix_dl_path(simulate.aligned_start(x0, mp, r), times, mp, sources,
+    paths = matrix_dl_path(simulate.aligned_start(x0, mp, r), times, mp, RngStream(2027, 0),
                            canonical=True)
     big_n = params.n * params.alpha
     for t, cloud in zip(times, paths):
@@ -623,7 +600,7 @@ def test_route_time_grids_rejected(times):
     with pytest.raises(DomainError):
         matrix_dl_path(np.ones((2, 3)), times, mp, RngStream(0, 0))
     with pytest.raises(DomainError):
-        matrix_dl_path(np.ones((2, 2, 3)), times, mp, [RngStream(0, 0), RngStream(0, 1)])
+        matrix_dl_path(np.ones((2, 2, 3)), times, mp, RngStream(0, 0))
 
 
 @pytest.mark.parametrize("dt", [0.0, math.nan, -0.5, math.inf])
