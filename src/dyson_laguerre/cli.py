@@ -67,7 +67,6 @@ from .errors import (
 from .model import ModelParams, observable_phi
 from .simulate import (
     RngStream,
-    aligned_start,
     dl_paths_batch,
     matrix_dl_path,
     matrix_realization,
@@ -371,7 +370,7 @@ def _run_simulate(config):
     rng = RngStream(int(config.get("seed") or 0), 0)
     x0, notes, _ = _start(config, params, positive=mp is None)
     if mp is not None:
-        out = matrix_dl_path(aligned_start(x0, mp, replicas), times, mp, rng, canonical=True)
+        out = matrix_dl_path(x0, times, mp, rng, replicas=replicas)
     else:
         out = dl_paths_batch(x0, times, params, rng, replicas=replicas)
     heads = [f"{rep},{t!r}," for rep in range(out.shape[1]) for t in times.tolist()]

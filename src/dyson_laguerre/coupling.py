@@ -48,6 +48,7 @@ import numpy as np
 
 from . import _kernels, transport
 from .errors import DomainError, UnsupportedRegime
+from .geometry import riemannian_distance
 from .simulate import (
     _MATRIX_BLOCK,
     _advance,
@@ -269,8 +270,9 @@ def run_coupled_batch(x0a, x0b, times, params, rng, replicas=1, kind="mirror", d
 def reflection_coalesced_law(x0, y0, t):
     """P(tau <= t) for the reflection pairs from the states x0 and y0 on
     every model a matrix flow realizes: 1 - erf(d_g(x0, y0)/(4 sqrt(e^t - 1))),
-    with d_g the intrinsic distance 2 |sqrt(x0) - sqrt(y0)|."""
-    d_g = 2.0 * float(np.linalg.norm(np.sqrt(x0) - np.sqrt(y0)))
+    with d_g the intrinsic distance geometry.riemannian_distance, which
+    checks both states."""
+    d_g = riemannian_distance(x0, y0)
     if t <= 0:
         return float(d_g == 0.0)
     return 1.0 - math.erf(d_g / (4.0 * math.sqrt(math.expm1(t))))
@@ -364,15 +366,13 @@ def wg_decay_estimate(x0, times, params, replicas, rng, dt=None):
     solver call (transport._assignment_value); it can differ from a solved
     assignment in the last bits only, and so can the envelope.
 
-    The clouds come from the exact matrix flow where matrix_realization
-    realizes params: matrix_dl_path(canonical=True) from the aligned start
-    matrices of x0, one matrix broadcast to replicas (which takes no memory)
-    when x0 is one state.  Elsewhere they are Euler paths of dl_paths_batch
-    with step dt (default_dt when None); dt is not read on the matrix route.
-    Both routes draw from rng itself.  After the caller's draws of any start
-    rows (cloud0), rng is drawn in this order: eq0, the two floor clouds,
-    the paths (every matrix or Euler step), then eq_k for each grid time in
-    turn.
+    The clouds run from the start rows cloud0: by the exact matrix flow of
+    matrix_dl_path where matrix_realization realizes params, elsewhere by
+    the Euler paths of dl_paths_batch with step dt (default_dt when None;
+    not read on the matrix route).  Both routes draw from rng itself.
+    After the caller's draws of any start rows, rng is drawn in this order:
+    eq0, the two floor clouds, the paths (every matrix or Euler step), then
+    eq_k for each grid time in turn.
     """
     from .equilibrium import sample_equilibrium_batch
 
@@ -394,8 +394,7 @@ def wg_decay_estimate(x0, times, params, replicas, rng, dt=None):
     if matrix is None:
         paths = dl_paths_batch(cloud0, times, params, gen, dt=dt)
     else:
-        paths = matrix_dl_path(aligned_start(x0, matrix, replicas), times, matrix, gen,
-                               canonical=True)
+        paths = matrix_dl_path(cloud0, times, matrix, gen)
     values = np.empty(times.size)
     stderrs = np.empty(times.size)
     for k in range(times.size):

@@ -18,16 +18,15 @@ Three routes to the particle law are implemented.
 route_params is the one rule that picks the Euler or the matrix route from
 (n, alpha, beta, m) for every mode, and matrix_realization the one test of
 whether a model (n, alpha, beta) is the spectrum of a matrix flow, whose
-law callers then sample exactly instead of integrating.  aligned_start
-builds the diagonal start matrices that every matrix-flow run starts from.
+law callers then sample exactly instead of integrating.
 There is one path driver per route, dl_paths_batch, matrix_dl_path and
-(for pairs) coupling.run_coupled_batch, each returning (len(times), r, n)
-arrays.  A single item is a batch of one: one start state is r = 1 rows,
-and on the matrix route one n x m matrix is a stack of one, so
-rect_ou_transition and spectral_projection return (r, n, m) and (r, n)
-arrays for every input.  Start states are plain (n,) or (r, n) arrays that
-model.check_states accepts, so a coordinate may be 0; only the Euler
-scheme needs every start coordinate positive.
+(for pairs) coupling.run_coupled_batch.  Each takes start states, one (n,)
+state repeated replicas times or (r, n) rows that model.check_states
+accepts, and returns a (len(times), r, n) array.  A coordinate may be 0;
+only the Euler scheme needs every start coordinate positive.  A matrix-flow
+run starts each row from its aligned start matrix (aligned_start), built
+block by block of replicas.  rect_ou_transition and spectral_projection
+take (r, n, m) stacks, one n x m matrix being a stack of one.
 """
 
 from dataclasses import dataclass
@@ -316,8 +315,8 @@ def matrix_realization(params):
     """The matrix flow whose canonical spectrum is exactly the gas of params,
     or None: MatrixParams.bru(n, m) when beta = 1 and m = 2 alpha is an
     integer, the one test of realizability.  Then m >= n, since delta =
-    (m - n + 1)/2 > 0.  Its paths come from matrix_dl_path(..., canonical=
-    True), with no step and no bias.
+    (m - n + 1)/2 > 0.  Its paths come from matrix_dl_path, with no step and
+    no bias.
     """
     m = 2.0 * params.alpha
     if params.beta != 1.0 or not m.is_integer():
@@ -325,42 +324,20 @@ def matrix_realization(params):
     return MatrixParams.bru(params.n, int(m))
 
 
-def aligned_start(x0, matrix, replicas=1):
-    """Start matrices whose canonical spectra are the start states: for each
-    state x the n x m matrix diag(sqrt(m x)), zero off the diagonal, so its
-    singular vectors are the coordinate axes.  The factor m undoes the space
-    scale 1/m of MatrixParams.bru.
-
-    x0 is one state, returned as one matrix broadcast to (replicas, n, m)
-    (a read-only view, which takes no memory), or an (r, n) array of states,
-    returned as an (r, n, m) stack.  Coordinates may be 0.
+def aligned_start(rows, matrix):
+    """Start matrices whose canonical spectra are the start rows: for each
+    row x of the (r, n) array rows the n x m matrix diag(sqrt(m x)), zero
+    off the diagonal, so its singular vectors are the coordinate axes.  The
+    factor m undoes the space scale 1/m of MatrixParams.bru.  Returns an
+    (r, n, m) stack; coordinates may be 0.
     """
-    x = check_states(x0)
-    if x.shape[-1] != matrix.n:
-        raise DomainError(f"start states must be ({matrix.n},) or (r, {matrix.n})")
-    rows = np.atleast_2d(x)
-    out = np.zeros((rows.shape[0], matrix.n, matrix.m))
+    x = check_states(rows)
+    if x.ndim != 2 or x.shape[1] != matrix.n:
+        raise DomainError(f"start rows must be (r, {matrix.n})")
+    out = np.zeros(x.shape + (matrix.m,))
     diag = np.arange(matrix.n)
-    out[:, diag, diag] = np.sqrt(matrix.m * rows)
-    return np.broadcast_to(out, (replicas, matrix.n, matrix.m)) if x.ndim == 1 else out
-
-
-def _matrix_stack(M, params):
-    """M as a validated (r, n, m) float array; one n x m matrix is a stack
-    of one."""
-    a = np.asarray(M, dtype=float)
-    if a.ndim == 2:
-        a = a[None]
-    elif a.ndim != 3:
-        raise DomainError("matrix state must be two-dimensional, or a stack of matrices")
-    # min and max propagate NaN and need no mask as large as the stack
-    if a.size and not (math.isfinite(a.min()) and math.isfinite(a.max())):
-        raise DomainError("matrix entries must be finite")
-    if a.shape[1:] != (params.n, params.m):
-        raise DomainError(
-            f"matrix shape {a.shape[1:]} does not match params ({params.n}, {params.m})"
-        )
-    return a
+    out[:, diag, diag] = np.sqrt(matrix.m * x)
+    return out
 
 
 def rect_ou_transition(M0, t, params, rng):
@@ -372,7 +349,18 @@ def rect_ou_transition(M0, t, params, rng):
     draw of the stack's shape, so matrix k's bits depend on the matrices
     before it in the stack.
     """
-    M = _matrix_stack(M0, params)
+    M = np.asarray(M0, dtype=float)
+    if M.ndim == 2:
+        M = M[None]
+    elif M.ndim != 3:
+        raise DomainError("matrix state must be two-dimensional, or a stack of matrices")
+    # min and max propagate NaN and need no mask as large as the stack
+    if M.size and not (math.isfinite(M.min()) and math.isfinite(M.max())):
+        raise DomainError("matrix entries must be finite")
+    if M.shape[1:] != (params.n, params.m):
+        raise DomainError(
+            f"matrix shape {M.shape[1:]} does not match params ({params.n}, {params.m})"
+        )
     gen = _coerce_generator(rng)
     if t < 0 or not math.isfinite(t):
         raise DomainError(f"t must be nonnegative, got {t}")
@@ -415,40 +403,36 @@ def spectral_projection(M):
     return np.maximum(w, 0.0)
 
 
-def matrix_dl_path(M0, times, params, rng, canonical=False):
-    """Exact matrix transitions chained along a grid, projected to spectra.
+def matrix_dl_path(x0, times, matrix, rng, replicas=1):
+    """Exact matrix-flow paths from start states, projected to canonical
+    spectra on the canonical clock.
 
-    M0 and rng are as in rect_ou_transition: an (r, n, m) stack, or one
-    n x m matrix, a stack of one, and one random source.  Returns an array
-    of shape (len(times), r, n), as dl_paths_batch does.
+    x0 is read as dl_paths_batch reads it (a coordinate may be 0), and each
+    row starts from its aligned start matrix; rng is one random source, as
+    in rect_ou_transition.  Returns the eigenvalues of M M^T scaled by
+    space_scale on a grid in canonical time units, an array of shape
+    (len(times), r, n).
 
     Replicas run in blocks of at most _MATRIX_BLOCK matrix entries (one
-    replica when n*m exceeds it): each block walks the whole grid before
-    the next starts, so the working arrays stay within the block at any r.
-    Each block draws its noise with one standard_normal call of the block's
-    shape per grid step, so a replica's bits depend on (n, m, r), not on its
-    index alone.
-
-    With canonical=False states carry the raw eigenvalues of M M^T on the
-    matrix clock (so sum of coordinates equals the squared Frobenius norm).
-    With canonical=True the grid is read in canonical time units and states
-    are scaled by space_scale, making them comparable to the canonical
-    system with the induced parameters.
+    replica when n*m exceeds it): each block builds its aligned starts and
+    walks the whole grid before the next starts, so only the result grows
+    with r.  Each block draws its noise with one standard_normal call of
+    the block's shape per grid step, so a replica's bits depend on (n, m,
+    r), not on its index alone.
     """
+    x0 = _start_rows(x0, matrix, replicas)
     times = _validate_times(times)
-    M = _matrix_stack(M0, params)
     gen = _coerce_generator(rng)
-    wall = times / params.time_scale if canonical else times
-    out = np.empty((times.size, M.shape[0], params.n))
-    per = max(1, _MATRIX_BLOCK // (params.n * params.m))
-    for lo in range(0, M.shape[0], per):
-        block = M[lo:lo + per]
+    wall = times / matrix.time_scale
+    out = np.empty((times.size,) + x0.shape)
+    per = max(1, _MATRIX_BLOCK // (matrix.n * matrix.m))
+    for lo in range(0, x0.shape[0], per):
+        block = aligned_start(x0[lo:lo + per], matrix)
         t_prev = 0.0
         for k, tw in enumerate(wall):
             if tw > t_prev:
-                block = rect_ou_transition(block, tw - t_prev, params, gen)
+                block = rect_ou_transition(block, tw - t_prev, matrix, gen)
             t_prev = tw
             out[k, lo:lo + per] = spectral_projection(block)
-    if canonical:
-        out *= params.space_scale
+    out *= matrix.space_scale
     return out

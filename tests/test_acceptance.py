@@ -137,12 +137,9 @@ def test_criterion_04_route_equivalence():
     sde_phi = dl_paths_batch(x0, [t], params, RngStream(404, 0), replicas=reps,
                              dt=1e-3)[0].sum(axis=1)
 
-    # the matrix route draws from one generator
+    # the matrix route draws from one generator, from x0's aligned start
     gen = RngStream(404, 1).generator()
-    m0 = np.zeros((n, m))
-    np.fill_diagonal(m0, np.sqrt(m * x0))
-    stack = np.broadcast_to(m0, (reps, n, m))
-    mat_phi = matrix_dl_path(stack, [t], mp, gen, canonical=True)[0].sum(axis=1)
+    mat_phi = matrix_dl_path(x0, [t], mp, gen, replicas=reps)[0].sum(axis=1)
 
     assert stats.ks_2samp(sde_phi, mat_phi).pvalue > 0.01
 

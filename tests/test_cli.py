@@ -659,9 +659,9 @@ def test_matrix_simulate_replica_streams_avoid_the_start_stream(tmp_path, monkey
         starts.append(key(gen))
         return live_build(preset, params, gen, **kwargs)
 
-    def capture_path(m0, times, mp, rng, **kwargs):
+    def capture_path(x0, times, mp, rng, **kwargs):
         paths.append(key(rng.generator()))
-        return live_path(m0, times, mp, rng, **kwargs)
+        return live_path(x0, times, mp, rng, **kwargs)
 
     monkeypatch.setattr(equilibrium, "build_x0", capture_start)
     monkeypatch.setattr(cli, "matrix_dl_path", capture_path)
@@ -784,7 +784,7 @@ def _route_built(monkeypatch, config):
         (cli, "dl_paths_batch",
          lambda x0, times, params, rng, **kw: record("dl_paths_batch", params)),
         (cli, "matrix_dl_path",
-         lambda m0, times, mp, rng, **kw: record("matrix_dl_path", None, mp)),
+         lambda x0, times, mp, rng, **kw: record("matrix_dl_path", None, mp)),
         (coupling, "wg_decay_estimate",
          lambda x0, times, params, *a: record("wg_decay_estimate", params)),
         (coupling, "run_coupled_batch",

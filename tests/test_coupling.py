@@ -329,7 +329,7 @@ def test_wg_decay_samples_a_realizable_model_from_the_matrix_flow(monkeypatch):
     curve = wg_decay_estimate(rows, times, params, r, gen, dt=-1.0)
 
     def matrix_paths(src):
-        return matrix_dl_path(simulate.aligned_start(rows, mp), times, mp, src, canonical=True)
+        return matrix_dl_path(rows, times, mp, src)
 
     _replay_wg_decay(curve, gen, ref, params, rows, times, matrix_paths)
 
@@ -670,7 +670,8 @@ def test_reflection_needs_a_realizable_model(alpha, beta):
 
 
 # One run of a matrix-flow driver at n = 4, alpha = 2048 (m = 4096, 131 KB
-# per start matrix) from one start state; prints the peak RSS in KiB.
+# per start matrix) from one start state, or for wg_decay_rows from r
+# distinct start rows; prints the peak RSS in KiB.
 _PEAK_RSS_RUN = """
 import resource, sys
 import numpy as np
@@ -680,8 +681,11 @@ params, r = ModelParams(4, 2048.0, 1.0), int(sys.argv[2])
 x0 = np.array([1.0, 2.0, 3.0, 4.0]) * 1024.0
 if sys.argv[1] == "reflection":
     run_coupled_batch(x0, 2.0 * x0, [0.5], params, RngStream(0), r, kind="reflection")
-else:
+elif sys.argv[1] == "wg_decay":
     wg_decay_estimate(x0, [0.5], params, r, RngStream(0))
+else:
+    rows = np.tile(x0, (r, 1)) * np.linspace(1.0, 2.0, r)[:, None]
+    wg_decay_estimate(rows, [0.5], params, r, RngStream(0))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 # ru_maxrss starts at the resident size of the process a run was started
@@ -689,7 +693,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 _LAUNCH = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
 
 
-@pytest.mark.parametrize("driver", ["reflection", "wg_decay"])
+@pytest.mark.parametrize("driver", ["reflection", "wg_decay", "wg_decay_rows"])
 def test_matrix_drivers_hold_no_start_stack(driver):
     # the start matrices of 300 more replicas take 39 MB per leg; what grows
     # with r must be the result, each run in a fresh interpreter

@@ -22,12 +22,14 @@ from dyson_laguerre import (
     gamma2_explicit,
     geodesic_point,
     gibbs_energy,
+    matrix_dl_path,
     observable_phi,
     phi_polynomial,
     riemannian_distance,
     run_coupled_batch,
     wg_decay_estimate,
 )
+from dyson_laguerre.coupling import reflection_coalesced_law
 from dyson_laguerre.model import collision_tol, dl_drift_jacobian
 from dyson_laguerre.simulate import aligned_start
 
@@ -92,10 +94,13 @@ _STATE_ENTRY_POINTS = {
     "gamma2_explicit": (lambda x: gamma2_explicit(phi_polynomial(_REALIZED), x, _REALIZED),
                         True),
     "cutoff_predict": (lambda x: cutoff_predict("TV", x, _REALIZED), True),
-    "aligned_start": (lambda x: aligned_start(x, MatrixParams.bru(3, 8)), True),
+    "aligned_start": (lambda x: aligned_start(x[None], MatrixParams.bru(3, 8)), True),
+    "matrix_dl_path": (lambda x: matrix_dl_path(x, [0.1], MatrixParams.bru(3, 8),
+                                                RngStream(0, 0)), True),
     "dl_paths_batch": (lambda x: dl_paths_batch(x, [0.1], _REALIZED, RngStream(0, 0)), False),
     "run_coupled_batch-mirror": (
         lambda x: run_coupled_batch(x, _OTHER, [0.1], _REALIZED, RngStream(0, 0)), False),
+    "reflection_coalesced_law": (lambda x: reflection_coalesced_law(x, _OTHER, 1.0), True),
     "run_coupled_batch-reflection": (
         lambda x: run_coupled_batch(x, _OTHER, [0.1], _REALIZED, RngStream(0, 0),
                                     kind="reflection"), True),

@@ -219,38 +219,40 @@ def test_spectral_projection_known_matrix():
 
 
 def test_matrix_path_stationary_pushforward():
-    # started from the stationary matrix law, the canonical projection at any
-    # time has the equilibrium phi pushforward Gamma(alpha n, 1)
+    # started from the canonical spectra of stationary matrices, the aligned
+    # starts have the stationary law too (the flow's law is orthogonally
+    # invariant), so the canonical projection at any time has the
+    # equilibrium phi pushforward Gamma(alpha n, 1)
     n, m = 3, 6
     mp = MatrixParams.bru(n, m)
     reps = 3000
     rng = np.random.default_rng(13)
     M0 = math.sqrt(m / 2.0) * rng.standard_normal((reps, n, m))
-    phis = matrix_dl_path(M0, [0.6], mp, RngStream(17, 0), canonical=True)[0].sum(axis=1)
+    x0 = mp.space_scale * spectral_projection(M0)
+    phis = matrix_dl_path(x0, [0.6], mp, RngStream(17, 0))[0].sum(axis=1)
     a = mp.induced_model().phi_mean
     assert stats.kstest(phis, "gamma", args=(a,)).pvalue > 0.01
 
 
 def test_matrix_path_start_is_projected_exactly():
     mp = MatrixParams.bru(2, 3)
-    M0 = np.zeros((2, 3))
-    M0[0, 0], M0[1, 1] = 1.0, 2.0
-    out = matrix_dl_path(M0, [0.0], mp, RngStream(5, 0), canonical=True)
-    assert out.shape == (1, 1, 2)  # one matrix is a stack of one
-    want = mp.space_scale * spectral_projection(M0)[0]
-    assert np.allclose(out[0, 0], want, atol=1e-12)
+    x0 = np.array([1.0, 4.0]) / 3.0
+    out = matrix_dl_path(x0, [0.0], mp, RngStream(5, 0))
+    assert out.shape == (1, 1, 2)  # one state is a batch of one
+    assert np.allclose(out[0, 0], x0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (4, 10)])
 def test_one_matrix_is_a_stack_of_one(n, m):
-    # an n x m matrix and the (1, n, m) stack are one call, bit for bit
+    # an n x m matrix and the (1, n, m) stack are one call, bit for bit, and
+    # so are one (n,) start state and the (1, n) row
     mp = MatrixParams.bru(n, m)
     M0 = np.random.default_rng(n * m).standard_normal((n, m))
+    x0 = np.sort(np.random.default_rng(n * m).gamma(2.0, 1.0, n))
     times = [0.0, 0.3, 1.1]
     src = RngStream(n + m, 0)
-    calls = [(M0, src), (M0[None], src)]
-    paths = [matrix_dl_path(M, times, mp, rng).tobytes() for M, rng in calls]
-    steps = [rect_ou_transition(M, 0.4, mp, rng).tobytes() for M, rng in calls]
+    paths = [matrix_dl_path(x, times, mp, src).tobytes() for x in (x0, x0[None])]
+    steps = [rect_ou_transition(M, 0.4, mp, src).tobytes() for M in (M0, M0[None])]
     assert len(set(paths)) == 1 and len(set(steps)) == 1
     assert rect_ou_transition(M0, 0.4, mp, src).shape == (1, n, m)
     assert spectral_projection(M0).tobytes() == spectral_projection(M0[None]).tobytes()
@@ -429,37 +431,47 @@ def _reference_spectral_projection(M):
     return np.maximum(np.sort(w), 0.0)
 
 
-def _reference_matrix_dl_path(M0, times, params, gen, per, canonical=False):
-    wall = np.asarray(times, float) / params.time_scale if canonical else np.asarray(times, float)
-    states = np.empty((len(wall), len(M0), params.n))
-    for lo in range(0, len(M0), per):
-        M = np.array(M0[lo:lo + per], dtype=float)
+def _reference_aligned_start(x0, params):
+    M = np.zeros((params.n, params.m))
+    M[np.arange(params.n), np.arange(params.n)] = np.sqrt(params.m * x0)
+    return M
+
+
+def _reference_matrix_dl_path(x0, times, params, gen, per):
+    wall = np.asarray(times, float) / params.time_scale
+    states = np.empty((len(wall), len(x0), params.n))
+    for lo in range(0, len(x0), per):
+        M = np.array([_reference_aligned_start(x, params) for x in x0[lo:lo + per]])
         t_prev = 0.0
         for k, tw in enumerate(wall):
             if tw > t_prev:
                 M = _reference_rect_ou_transition(M, tw - t_prev, params, gen)
             t_prev = tw
             for j, one in enumerate(M):
-                s = _reference_spectral_projection(one)
-                states[k, lo + j] = params.space_scale * s if canonical else s
+                states[k, lo + j] = params.space_scale * _reference_spectral_projection(one)
     return states
 
 
-@pytest.mark.parametrize("canonical", [False, True])
+@pytest.mark.parametrize("one_state", [False, True])
 @pytest.mark.parametrize("r", [1, 7, 50])
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (4, 10), (16, 16), (5, 40)])
-def test_matrix_stack_matches_per_replica_reference(n, m, r, canonical, monkeypatch):
-    # blocks of 3 replicas: 1, 3 and 17 blocks for r = 1, 7 and 50
+def test_matrix_stack_matches_per_replica_reference(n, m, r, one_state, monkeypatch):
+    # blocks of 3 replicas: 1, 3 and 17 blocks for r = 1, 7 and 50; the start
+    # is r random rows, zero rows and rows scaled by 30 among them, or the
+    # first of them repeated r times
     monkeypatch.setattr(simulate, "_MATRIX_BLOCK", 3 * n * m)
     mp = MatrixParams.bru(n, m)
     rng = np.random.default_rng(1000 * n + m)
-    M0 = rng.standard_normal((r, n, m)) * rng.choice([0.0, 1.0, 30.0], (r, 1, 1))
+    x0 = np.sort(rng.gamma(2.0, 1.0, (r, n)), axis=1) * rng.choice([0.0, 1.0, 30.0], (r, 1))
+    if one_state:
+        x0 = np.tile(x0[0], (r, 1))
     times = [0.0, 0.05, 0.4, 1.5]
-    out = matrix_dl_path(M0, times, mp, RngStream(n + m, 0), canonical=canonical)
+    out = matrix_dl_path(x0[0] if one_state else x0, times, mp, RngStream(n + m, 0),
+                         replicas=r)
     assert out.shape == (len(times), r, n)
-    want = _reference_matrix_dl_path(M0, times, mp, RngStream(n + m, 0).generator(), 3,
-                                     canonical)
+    want = _reference_matrix_dl_path(x0, times, mp, RngStream(n + m, 0).generator(), 3)
     assert out.tobytes() == want.tobytes()
+    M0 = rng.standard_normal((r, n, m)) * rng.choice([0.0, 1.0, 30.0], (r, 1, 1))
     # one transition of the whole stack draws as the replicas would in turn
     stepped = rect_ou_transition(M0, 0.3, mp, RngStream(n + m, 1))
     ref = RngStream(n + m, 1).generator()
@@ -475,8 +487,9 @@ def test_matrix_drivers_take_one_source():
     # source; a list or a tuple of sources is not one
     mp = MatrixParams.bru(2, 3)
     M0 = np.random.default_rng(2).standard_normal((4, 2, 3))
+    x0 = np.array([[0.0, 1.0], [0.5, 0.5], [0.2, 3.0], [1.0, 2.0]])
     for drive in (lambda rng: rect_ou_transition(M0, 0.5, mp, rng),
-                  lambda rng: matrix_dl_path(M0, [0.2, 0.5], mp, rng)):
+                  lambda rng: matrix_dl_path(x0, [0.2, 0.5], mp, rng)):
         bits = {drive(rng).tobytes() for rng in (9, RngStream(9, 0), RngStream(9).generator())}
         assert len(bits) == 1
         for rng in ([RngStream(9, k) for k in range(4)], (RngStream(9, 0),), []):
@@ -499,8 +512,13 @@ def test_matrix_stack_rejects_bad_input():
     ):
         with pytest.raises(DomainError):
             rect_ou_transition(M, 0.5, mp, src)
+    # matrix_dl_path takes start states, not matrices: a matrix stack, a
+    # state of the wrong size, a bad coordinate and zero replicas are refused
+    for x0, replicas in ((M0, 1), (np.ones((4, 3)), 1), (np.ones(3), 1), ([1.0, np.nan], 1),
+                         ([1.0, np.inf], 1), ([-1.0, 1.0], 1), ([2.0, 1.0], 1),
+                         ([1.0, 2.0], 0)):
         with pytest.raises(DomainError):
-            matrix_dl_path(M, [0.5], mp, src)
+            matrix_dl_path(x0, [0.5], mp, src, replicas=replicas)
     for t in (-0.1, math.nan, math.inf):
         with pytest.raises(DomainError):
             rect_ou_transition(M0, t, mp, src)
@@ -548,17 +566,17 @@ def test_matrix_realization(n, alpha, beta, m):
 def test_aligned_start_spectra_are_the_start_states():
     mp = MatrixParams.bru(3, 5)
     x = np.array([0.0, 0.7, 2.5])
-    one = simulate.aligned_start(x, mp, replicas=4)
+    one = simulate.aligned_start(x[None], mp)
     ref = np.zeros((3, 5))
     np.fill_diagonal(ref, np.sqrt(5 * x))
-    assert one.shape == (4, 3, 5) and not one.flags.writeable
-    assert np.array_equal(one, np.broadcast_to(ref, (4, 3, 5)))
+    assert one.shape == (1, 3, 5) and np.array_equal(one[0], ref)
     rows = np.array([[0.1, 0.2, 0.3], [1.0, 2.0, 4.0]])
     stack = simulate.aligned_start(rows, mp)
     assert stack.shape == (2, 3, 5)
     for start, matrix in zip(rows, stack):
         assert np.allclose(spectral_projection(matrix)[0] * mp.space_scale, start, rtol=1e-13)
-    for bad in (np.ones(4), np.ones((2, 4)), np.ones((1, 2, 3))):
+    # (r, n) rows only: one (n,) state is refused too
+    for bad in (x, np.ones(4), np.ones((2, 4)), np.ones((1, 2, 3))):
         with pytest.raises(DomainError):
             simulate.aligned_start(bad, mp)
 
@@ -579,8 +597,7 @@ def test_aligned_matrix_paths_have_the_exact_law():
     params, mp = ModelParams(4, 4.0, 1.0), MatrixParams.bru(4, 8)
     assert simulate.matrix_realization(params) == mp
     x0, times, r = np.arange(1.0, 5.0), [0.25, 0.75, 1.5], 40_000
-    paths = matrix_dl_path(simulate.aligned_start(x0, mp, r), times, mp, RngStream(2027, 0),
-                           canonical=True)
+    paths = matrix_dl_path(x0, times, mp, RngStream(2027, 0), replicas=r)
     big_n = params.n * params.alpha
     for t, cloud in zip(times, paths):
         p1, p2 = cloud.sum(axis=1), (cloud**2).sum(axis=1)
@@ -597,10 +614,11 @@ def test_route_time_grids_rejected(times):
     mp = MatrixParams.bru(2, 3)
     with pytest.raises(DomainError):
         dl_paths_batch(x0, times, params, RngStream(0, 0), replicas=2)
-    with pytest.raises(DomainError):
-        matrix_dl_path(np.ones((2, 3)), times, mp, RngStream(0, 0))
-    with pytest.raises(DomainError):
-        matrix_dl_path(np.ones((2, 2, 3)), times, mp, RngStream(0, 0))
+    # valid starts, one state and (r, n) rows, so the grid is what is refused
+    with pytest.raises(DomainError, match="time|grid"):
+        matrix_dl_path(np.array([0.5, 1.0]), times, mp, RngStream(0, 0))
+    with pytest.raises(DomainError, match="time|grid"):
+        matrix_dl_path(np.ones((2, 2)), times, mp, RngStream(0, 0))
 
 
 @pytest.mark.parametrize("dt", [0.0, math.nan, -0.5, math.inf])
