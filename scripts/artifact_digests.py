@@ -3,7 +3,7 @@
     python3 scripts/artifact_digests.py --out DIGESTS.json
     python3 scripts/artifact_digests.py --compare A.json B.json
 
-The grid is every mode x model x start preset x seed below, 576 configs,
+The grid is every mode x model x start preset x seed below, 624 configs,
 each with the small run sizes of COMMON.  Each config runs through
 `dyson_laguerre.cli.run` in a temporary directory, with the package
 imported from the `src/` of the checkout this script sits in; copy the
@@ -27,7 +27,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODES = ("simulate", "distance", "cutoff-profile", "check-cd", "couple", "ou-formulas")
 # the Euler route on models a matrix flow realizes (beta = 1, 2 alpha an
 # integer) and on models none does, the matrix route at delta > 1 and
-# delta <= 1, and one model that ModelParams refuses
+# delta <= 1, one model that ModelParams refuses, and one model of 8
+# coordinates, where a sum over coordinates in another order can round
+# otherwise
 MODELS = (
     {"n": 4, "alpha": 4.0},
     {"n": 2, "alpha": 3.0},
@@ -41,6 +43,7 @@ MODELS = (
     {"n": 4},
     {"n": 2},
     {"n": 4, "alpha": 2.0},
+    {"n": 8, "alpha": 8.0},
 )
 PRESETS = ("zero", "equilibrium-draw", "linear-ramp", "single-outlier")
 SEEDS = (0, 5)

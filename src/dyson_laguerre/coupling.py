@@ -325,7 +325,7 @@ class WgDecayCurve:
 SE_BLOCKS = 4
 
 
-def _w_with_bootstrap(cloud_a, cloud_b, se=True):
+def _w_with_bootstrap(cloud_a, cloud_b):
     """Exact W2 between two equal-size clouds, with a split-sample stderr.
 
     The value is one exact assignment on the full cost matrix.  The stderr
@@ -334,12 +334,9 @@ def _w_with_bootstrap(cloud_a, cloud_b, se=True):
     each pair on its diagonal sub-block of the same cost matrix and returns
     std(V_k, ddof=1) / sqrt(SE_BLOCKS).  A sub-block holds, entry for entry,
     the costs a fresh build on the block clouds would give, and nothing is
-    drawn at random.  With se=False only the value is solved, and the stderr
-    is NaN.  The name is that of the bootstrap this replaced, kept because
-    bench/tracing.py binds it as a traced layer.
+    drawn at random.  The name is that of the bootstrap this replaced, kept
+    because bench/tracing.py binds it as a traced layer.
     """
-    if not se:
-        return transport.wasserstein_intrinsic(cloud_a, cloud_b).value, float("nan")
     cost_pow = transport._assignment_cost(cloud_a, cloud_b) ** 2
     value = transport._assignment_value(cost_pow, 2)
     vals = [
@@ -384,12 +381,11 @@ def wg_decay_estimate(x0, times, params, replicas, rng, dt=None):
     if cloud0.shape[0] != replicas:
         raise DomainError(f"{cloud0.shape[0]} start rows for {replicas} replicas")
     eq0 = sample_equilibrium_batch(params, gen, replicas)
-    w0, _ = _w_with_bootstrap(cloud0, eq0, se=False)
-    floor, _ = _w_with_bootstrap(
+    w0 = transport.wasserstein_intrinsic(cloud0, eq0).value
+    floor = transport.wasserstein_intrinsic(
         sample_equilibrium_batch(params, gen, replicas),
         sample_equilibrium_batch(params, gen, replicas),
-        se=False,
-    )
+    ).value
     matrix = matrix_realization(params)
     if matrix is None:
         paths = dl_paths_batch(cloud0, times, params, gen, dt=dt)

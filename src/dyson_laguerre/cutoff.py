@@ -111,7 +111,11 @@ def cutoff_predict(dist_kind, x0, params, matrix=None):
     flagged rather than raising.
     """
     kind = _norm_kind(dist_kind)
-    obs = observable_phi(x0, params)
+    return _cutoff_bracket(kind, observable_phi(x0, params), params, matrix)
+
+
+def _cutoff_bracket(kind, obs, params, matrix):
+    """cutoff_predict for a normalized kind, from phi at the start."""
     n_big = obs.phi_l2norm_sq
     lower_candidates = []
     if obs.phi_centered != 0.0:
@@ -163,12 +167,19 @@ def cutoff_predict(dist_kind, x0, params, matrix=None):
     )
 
 
+def _check_time(t):
+    if not t >= 0:
+        raise DomainError(f"t must be nonnegative, got {t}")
+
+
 def lb_l2_witness(x0, t, params):
     """Squared spectral witness (phi_centered(x0)^2 / N) e^{-2t}, a certified
     lower bound for the squared L2 distance from equilibrium at time t."""
-    if not t >= 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
-    obs = observable_phi(x0, params)
+    _check_time(t)
+    return _lb_l2_witness(observable_phi(x0, params), t)
+
+
+def _lb_l2_witness(obs, t):
     if obs.phi_centered == 0.0:
         return 0.0
     return (obs.phi_centered**2 / obs.phi_l2norm_sq) * math.exp(-2.0 * t)
@@ -182,13 +193,15 @@ def duhamel_variance(x0, t, params):
     exact for every beta since phi projects to a closed one-dimensional
     diffusion.  A negative value (impossible for admissible inputs, kept as
     a diagnostic) is flagged with a warning, never raised."""
-    if not t >= 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
-    obs = observable_phi(x0, params)
+    _check_time(t)
+    return _duhamel_variance(observable_phi(x0, params), t)
+
+
+def _duhamel_variance(obs, t):
     c = -math.expm1(-t)
     val = obs.phi_l2norm_sq * c**2 + 2.0 * obs.phi_raw * c * math.exp(-t)
     if val < 0:
-        warnings.warn(f"duhamel_variance returned {val} < 0", RuntimeWarning, stacklevel=2)
+        warnings.warn(f"duhamel_variance returned {val} < 0", RuntimeWarning, stacklevel=3)
     return val
 
 
@@ -198,12 +211,14 @@ def tv_lower_bound_formula(x0, t, params):
         TV >= 1 - 4 e^{2t} (N + Var_t(phi)) / phi_centered(x0)^2,
 
     clamped to [0, 1]; zero when the start is exactly centered."""
-    if not t >= 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
-    obs = observable_phi(x0, params)
+    _check_time(t)
+    return _tv_lower_bound(observable_phi(x0, params), t)
+
+
+def _tv_lower_bound(obs, t):
     if obs.phi_centered == 0.0:
         return 0.0
-    var_t = duhamel_variance(x0, t, params)
+    var_t = _duhamel_variance(obs, t)
     val = 1.0 - 4.0 * math.exp(2.0 * t) * (obs.phi_l2norm_sq + var_t) / obs.phi_centered**2
     return min(max(val, 0.0), 1.0)
 
@@ -244,9 +259,11 @@ def kl_upper_bound_chain(x0, t, eta, params):
     transport-entropy regularization step of length eta > 0."""
     if not eta > 0:
         raise DomainError(f"eta must be positive, got {eta}")
-    if not t >= 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
-    obs = observable_phi(x0, params)
+    _check_time(t)
+    return _kl_chain(observable_phi(x0, params), t, eta)
+
+
+def _kl_chain(obs, t, eta):
     ratio = math.exp(-eta) / (-math.expm1(-eta))
     return ratio * (obs.phi_raw + obs.phi_l2norm_sq) * math.exp(-t)
 
@@ -468,9 +485,9 @@ def run_cutoff_profile(config):
         obs = observable_phi(x0, params)
         n_big = obs.phi_l2norm_sq
 
-        preds = {k: cutoff_predict(k, x0, params, matrix=mp) for k in kinds}
+        preds = {k: _cutoff_bracket(k, obs, params, mp) for k in kinds}
         predictions[n] = preds
-        tv_pred = preds["TV"] if "TV" in preds else cutoff_predict("TV", x0, params, matrix=mp)
+        tv_pred = preds["TV"] if "TV" in preds else _cutoff_bracket("TV", obs, params, mp)
         cn = tv_pred.c_upper
         if cn <= 0:
             cn = max(0.5 * math.log(n_big), 1.0)
@@ -496,7 +513,7 @@ def run_cutoff_profile(config):
             }
         else:
             def kl_chain(t):
-                return kl_upper_bound_chain(x0, 0.0, t, params)
+                return _kl_chain(obs, 0.0, t)
 
             upper = {
                 "TV": lambda t: min(math.sqrt(max(kl_chain(t), 0.0) / 2.0), 1.0),
@@ -509,7 +526,7 @@ def run_cutoff_profile(config):
                 if kind == "TV":
                     est = tv_threshold_witness(phi_samples, ref)
                     value, stderr = est.value, est.stderr
-                    b_lo = tv_lower_bound_formula(x0, t_abs, params)
+                    b_lo = _tv_lower_bound(obs, t_abs)
                 elif kind == "KL":
                     est = kl_projected_estimate(phi_samples, logpdf, 1.0)
                     value, stderr = est.value, est.stderr
@@ -517,7 +534,7 @@ def run_cutoff_profile(config):
                 elif kind == "L2":
                     value = float(np.abs(np.mean(phi_samples) - n_big) / math.sqrt(n_big))
                     stderr = float(np.std(phi_samples) / math.sqrt(replicas * n_big))
-                    b_lo = math.sqrt(lb_l2_witness(x0, t_abs, params))
+                    b_lo = math.sqrt(_lb_l2_witness(obs, t_abs))
                 else:
                     raise UnsupportedRegime(
                         "profile distances support TV, KL, L2; use the coupling module "

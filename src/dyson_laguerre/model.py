@@ -106,8 +106,8 @@ def check_states(x):
     a = np.asarray(x, dtype=float)
     if a.ndim not in (1, 2) or a.size == 0:
         raise DomainError(f"states must be a nonempty (n,) or (r, n) array, got shape {a.shape}")
-    # one pass for valid input, which the cutoff bounds check many times per
-    # profile (NaN fails both comparisons); the checks below name the failure
+    # one pass for valid input, the common case (NaN fails both
+    # comparisons); the checks below name the failure
     if a.min() >= 0.0 and a.max() < math.inf and (a[..., 1:] >= a[..., :-1]).all():
         return a
     if not np.all(np.isfinite(a)):

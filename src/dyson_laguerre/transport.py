@@ -2,11 +2,10 @@
 
 ``wasserstein_intrinsic`` couples two equal-size empirical clouds under the
 intrinsic metric by an exact optimal assignment.  Its cost matrix is built
-one coordinate at a time, in 2-D passes added in the order of numpy's
-pairwise sum, so every entry has the bits of the last-axis sum over the
-whole difference tensor; and a point mass on either side, where every
-bijection is optimal, takes the mean of one row or column instead of a
-solver call.
+one coordinate at a time, in 2-D passes added left to right, so no
+difference tensor over all coordinates is ever held; and a point mass on
+either side, where every bijection is optimal, takes the mean of one row or
+column instead of a solver call.
 ``ou_closed_form_distances`` evaluates the closed-form KL, chi-square-based
 L2 and Euclidean W2 distances between a rectangular Ornstein-Uhlenbeck flow
 started at a point and its Gaussian equilibrium.  ``tv_threshold_witness``
@@ -104,38 +103,14 @@ def _as_measure(obj):
 
 
 # Doubles of the (rows, rb) arrays _intrinsic_cost holds at once for one
-# block of rows, its slice of the output included.
+# block of rows: its slice of the output and one scratch array.
 _COST_BLOCK = 2**21
 
-# numpy's pairwise sum: below this many terms, eight strided accumulators;
-# above it, split in two halves and recurse.
-_PAIRWISE_BLOCK = 128
 
-
-def _pairwise_half(n):
-    """Where numpy's pairwise sum splits n > _PAIRWISE_BLOCK terms: n / 2
-    rounded down to a multiple of 8."""
-    return n // 2 - (n // 2) % 8
-
-
-def _pairwise_arrays(n):
-    """(rows, rb) arrays that _coordinate_sum holds at once for n terms,
-    its output included."""
-    if n > _PAIRWISE_BLOCK:
-        half = _pairwise_half(n)
-        # the first half's sum stays alive while the second is summed
-        return max(_pairwise_arrays(half), 1 + _pairwise_arrays(n - half))
-    if n >= 8:
-        # eight accumulators, and a term's buffer past the first eight
-        return 8 if n == 8 else 9
-    # the sum, and a term's buffer past the first
-    return 1 if n <= 1 else 2
-
-
-def _block_rows(rb, n):
-    """Rows of a's cloud per block of _intrinsic_cost against rb columns in
-    n coordinates: the block's arrays hold at most _COST_BLOCK doubles."""
-    return max(1, _COST_BLOCK // max(1, rb * _pairwise_arrays(n)))
+def _block_rows(rb):
+    """Rows of a's cloud per block of _intrinsic_cost against rb columns: the
+    block's two (rows, rb) arrays hold at most _COST_BLOCK doubles."""
+    return max(1, _COST_BLOCK // (2 * rb))
 
 
 def _squared_gap(ua_k, ub_k, out):
@@ -144,65 +119,35 @@ def _squared_gap(ua_k, ub_k, out):
     return np.multiply(out, out, out=out)
 
 
-def _coordinate_sum(ua, ub, lo, hi, out):
-    """Sum over coordinates k in [lo, hi) of _squared_gap(ua[k], ub[k]),
-    into out, added in the order numpy's pairwise sum adds a contiguous
-    last axis of hi - lo terms: left to right below 8 terms; up to
-    _PAIRWISE_BLOCK, eight accumulators over strides of 8, combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remaining
-    terms left to right; above it, the sums of the halves split at
-    _pairwise_half.  So each entry has the bits of the
-    last-axis np.sum over the (rows, rb, n) tensor of squared gaps."""
-    n = hi - lo
-    if n == 0:
-        out.fill(0.0)
-    elif n < 8:
-        _squared_gap(ua[lo], ub[lo], out)
-        tmp = np.empty_like(out) if n > 1 else None
-        for k in range(lo + 1, hi):
-            out += _squared_gap(ua[k], ub[k], tmp)
-    elif n <= _PAIRWISE_BLOCK:
-        r = [out] + [np.empty_like(out) for _ in range(7)]
-        for j in range(8):
-            _squared_gap(ua[lo + j], ub[lo + j], r[j])
-        tail = hi - n % 8
-        tmp = np.empty_like(out) if n > 8 else None
-        for k in range(lo + 8, tail):
-            r[(k - lo) % 8] += _squared_gap(ua[k], ub[k], tmp)
-        r[0] += r[1]
-        r[2] += r[3]
-        r[0] += r[2]
-        r[4] += r[5]
-        r[6] += r[7]
-        r[4] += r[6]
-        r[0] += r[4]
-        for k in range(tail, hi):
-            out += _squared_gap(ua[k], ub[k], tmp)
-    else:
-        half = _pairwise_half(n)
-        _coordinate_sum(ua, ub, lo, lo + half, out)
-        out += _coordinate_sum(ua, ub, lo + half, hi, np.empty_like(out))
-    return out
-
-
 def _intrinsic_cost(a, b):
     """Matrix of intrinsic distances |2 sqrt(u) - 2 sqrt(v)| between the atoms
     of a (rows) and b (columns).
 
-    Each coordinate adds one 2-D pass over (rows, columns), in the order of
-    _coordinate_sum, so every entry has the bits of
-    sqrt(np.sum(diff**2, axis=2)) over the (rows, columns, n) difference
-    tensor, without building that tensor: numpy would spend most of its
-    time on an inner reduction n long.  Rows go a block of _block_rows at a
-    time, so the working set stays within _COST_BLOCK doubles at any size.
+    Each coordinate is one 2-D pass over (rows, columns): the first writes
+    its squared gap into the output, each further one adds its own from one
+    scratch array, left to right, and a last pass takes the square root in
+    place.  So the (rows, columns, n) difference tensor is never built, and
+    an entry agrees with sqrt(np.sum(diff**2, axis=2)) over it to rounding,
+    and to the bit below 8 coordinates, where numpy's pairwise sum adds left
+    to right too.  Rows go a block of _block_rows at a time, so the working
+    set stays within _COST_BLOCK doubles at any size.  Atoms of no
+    coordinates give a zero matrix.
     """
     ua = np.ascontiguousarray((2.0 * np.sqrt(a.atoms)).T)
     ub = np.ascontiguousarray((2.0 * np.sqrt(b.atoms)).T)
     n, ra = ua.shape
-    cost = np.empty((ra, ub.shape[1]))
-    step = _block_rows(ub.shape[1], n)
+    rb = ub.shape[1]
+    if n == 0:
+        return np.zeros((ra, rb))
+    cost = np.empty((ra, rb))
+    step = _block_rows(rb)
+    scratch = np.empty((min(step, ra), rb))
     for i in range(0, ra, step):
-        block = _coordinate_sum(ua[:, i : i + step], ub, 0, n, cost[i : i + step])
+        block = cost[i : i + step]
+        gap = scratch[: len(block)]
+        _squared_gap(ua[0, i : i + step], ub[0], block)
+        for k in range(1, n):
+            block += _squared_gap(ua[k, i : i + step], ub[k], gap)
         np.sqrt(block, out=block)
     return cost
 

@@ -15,7 +15,7 @@ def _load_script():
 
 def test_digests_repeat_and_a_changed_seed_shows(tmp_path, capsys):
     script = _load_script()
-    assert len(script.grid()) == 576
+    assert len(script.grid()) == 624
     configs = [
         {"mode": "couple", "n": 2, "alpha": 3.0, "x0_preset": "zero", "seed": 0,
          "times": [0.5], "replicas": 3},

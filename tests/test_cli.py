@@ -749,10 +749,10 @@ _ROUTE_TABLE = {
                     "both": UnsupportedRegime,
                     "neither": ("ou_closed_form_distances", *_MATRIX_4),
                     "m-beta": UnsupportedRegime},
-    "cutoff-profile": {"alpha": ("cutoff_predict", *_EULER),
-                       "m": ("cutoff_predict", *_MATRIX_8),
-                       "both": ("cutoff_predict", *_EULER),
-                       "neither": ("cutoff_predict", *_MATRIX_4),
+    "cutoff-profile": {"alpha": ("_cutoff_bracket", *_EULER),
+                       "m": ("_cutoff_bracket", *_MATRIX_8),
+                       "both": ("_cutoff_bracket", *_EULER),
+                       "neither": ("_cutoff_bracket", *_MATRIX_4),
                        "m-beta": UnsupportedRegime},
 }
 
@@ -792,8 +792,8 @@ def _route_built(monkeypatch, config):
         (geometry, "cd_certificate", lambda params, *a: record("cd_certificate", params)),
         (cli, "ou_closed_form_distances",
          lambda mp, t, z0_sq: record("ou_closed_form_distances", None, mp)),
-        (cutoff, "cutoff_predict",
-         lambda kind, x0, params, matrix=None: record("cutoff_predict", params, matrix)),
+        (cutoff, "_cutoff_bracket",
+         lambda kind, obs, params, matrix: record("_cutoff_bracket", params, matrix)),
     ]
     for module, name, stub in stubs:
         monkeypatch.setattr(module, name, stub)

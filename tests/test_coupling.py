@@ -256,8 +256,6 @@ def test_split_sample_se_matches_block_references(n, r):
         got = _w_with_bootstrap(cloud_a, cloud_b)
         want = (exact, _split_se_reference(cloud_a, cloud_b))
         assert np.array(got).tobytes() == np.array(want).tobytes()
-        value, se = _w_with_bootstrap(cloud_a, cloud_b, se=False)
-        assert value == exact and math.isnan(se)
 
 
 def _replay_wg_decay(curve, gen, ref, params, cloud0, times, paths_of):
@@ -302,10 +300,12 @@ def test_wg_decay_w0_from_one_state_is_the_mean_cost(monkeypatch):
 
     params = ModelParams(2, 3.0, 1.0)
     x0, r = np.array([0.2, 0.6]), 120
-    calls = []
+    calls, split = [], []
     solver = transport.linear_sum_assignment
     monkeypatch.setattr(transport, "linear_sum_assignment",
                         lambda cost: calls.append(cost.shape) or solver(cost))
+    monkeypatch.setattr(coupling, "_w_with_bootstrap",
+                        lambda a, b: split.append(len(a)) or _w_with_bootstrap(a, b))
     curve = wg_decay_estimate(x0, [0.5], params, r, np.random.default_rng(8))
     eq0 = sample_equilibrium_batch(params, np.random.default_rng(8), r)
     row = transport._intrinsic_cost(transport.EmpiricalMeasure(x0[None, :]),
@@ -313,6 +313,9 @@ def test_wg_decay_w0_from_one_state_is_the_mean_cost(monkeypatch):
     assert curve.w0 == float(np.mean(row**2)) ** 0.5
     # the floor and the one grid time: one full assignment and SE_BLOCKS each
     assert calls == [(r, r)] + [(r, r)] + [(r // 4, r // 4)] * 4
+    # only the grid time takes a split-sample stderr; w0 and the floor are
+    # plain assignments
+    assert split == [r]
 
 
 def test_wg_decay_samples_a_realizable_model_from_the_matrix_flow(monkeypatch):

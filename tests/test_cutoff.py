@@ -439,6 +439,35 @@ def test_euler_profile_draws_phi_from_its_exact_transition(monkeypatch, preset):
         assert np.array_equal(got.view(np.int64), exact.view(np.int64))
 
 
+@pytest.mark.parametrize("model", [{"alpha": 6.0, "beta": 2.0}, {"m": 8}])
+def test_profile_reads_phi_once_per_rung(monkeypatch, model):
+    # each rung evaluates phi at its start once; its brackets and lower
+    # bounds are those of the public (x0, t, params) functions, and on the
+    # Euler route so are its KL chain upper bounds
+    from dyson_laguerre import cutoff
+    from dyson_laguerre.simulate import route_params
+
+    live, seen = cutoff.observable_phi, []
+    monkeypatch.setattr(cutoff, "observable_phi",
+                        lambda x0, params: seen.append((x0, params)) or live(x0, params))
+    ladder = [3, 5]
+    prof = run_cutoff_profile(dict(model, n=ladder, x0_preset="ramp", times=[0.0, 0.5, 1.0],
+                                   replicas=200, distances=["TV", "KL", "L2"], seed=3))
+    rungs = list(seen)
+    assert [params.n for _, params in rungs] == ladder
+    for (x0, params), n in zip(rungs, ladder):
+        _, mp = route_params(n, model.get("alpha"), model.get("beta"), model.get("m"))
+        for r in prof.rows_for(n=n):
+            pred = cutoff_predict(r.kind, x0, params, matrix=mp)
+            assert (r.c_pred_lower, r.c_pred_upper) == (pred.c_lower, pred.c_upper)
+            if r.kind == "TV":
+                assert r.bound_lower == tv_lower_bound_formula(x0, r.t, params)
+            elif r.kind == "L2":
+                assert r.bound_lower == math.sqrt(lb_l2_witness(x0, r.t, params))
+            elif mp is None and r.t > 0:
+                assert r.bound_upper == kl_upper_bound_chain(x0, 0.0, r.t, params)
+
+
 @pytest.mark.parametrize("n,alpha,beta", [(6, 8.0, 1.0), (4, 6.0, 2.0)])
 def test_euler_profile_from_zero_lies_in_its_bounds(n, alpha, beta):
     prof = run_cutoff_profile({"n": n, "alpha": alpha, "beta": beta, "x0_preset": "zero",

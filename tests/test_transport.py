@@ -436,40 +436,84 @@ def _whole_tensor_cost(a, b):
     return np.sqrt(np.sum(diff**2, axis=2))
 
 
+def _left_to_right_cost(a, b):
+    ua, ub = 2.0 * np.sqrt(a.atoms), 2.0 * np.sqrt(b.atoms)
+    total = np.zeros((ua.shape[0], ub.shape[0]))
+    for k in range(ua.shape[1]):
+        total = total + (ua[:, k, None] - ub[None, :, k]) ** 2
+    return np.sqrt(total)
+
+
 def _sorted_clouds(ra, rb, n):
     rng = np.random.default_rng(ra + rb + n)
     return (EmpiricalMeasure(np.sort(rng.gamma(3.0, 1.0, (ra, n)), axis=1)),
             EmpiricalMeasure(np.sort(rng.gamma(3.0, 1.0, (rb, n)), axis=1)))
 
 
+def _check_cost(a, b, got):
+    """got adds the coordinates left to right, to the bit; it has the bits
+    of the whole tensor's axis-2 sum below 8 coordinates, where numpy's
+    pairwise sum adds left to right too, and agrees with it to rounding
+    above."""
+    want = _whole_tensor_cost(a, b)
+    assert got.tobytes() == _left_to_right_cost(a, b).tobytes()
+    if a.atoms.shape[1] < 8:
+        assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("ra,rb,n,several", [
-    (160, 160, 8, False), (520, 520, 8, True), (1100, 300, 8, True), (3, 2, 0, False),
-    # each branch of numpy's pairwise sum and its edges: left to right below
-    # 8 terms, eight accumulators up to 128, halves above
+    (160, 160, 8, False), (520, 520, 8, False), (1100, 300, 8, False), (3, 2, 0, False),
+    # numpy's pairwise sum adds left to right below 8 terms, with eight
+    # accumulators up to 128, and in halves above
     (7, 5, 1, False), (9, 12, 2, False), (30, 20, 4, False), (1100, 1000, 4, True),
-    (20, 31, 7, False), (40, 30, 8, False), (25, 18, 9, False), (600, 400, 9, True),
-    (33, 21, 15, False), (21, 33, 16, False), (600, 400, 17, True), (40, 25, 64, False),
-    (25, 40, 127, False), (30, 20, 128, False), (20, 30, 129, False), (17, 23, 200, False),
-    (23, 17, 300, False),
+    (20, 31, 7, False), (40, 30, 8, False), (25, 18, 9, False), (600, 400, 9, False),
+    (1100, 1000, 9, True), (33, 21, 15, False), (21, 33, 16, False), (600, 400, 17, False),
+    (40, 25, 64, False), (25, 40, 127, False), (30, 20, 128, False), (20, 30, 129, False),
+    (17, 23, 200, False), (23, 17, 300, False),
 ])
 def test_intrinsic_cost_in_row_blocks_matches_the_whole_tensor(ra, rb, n, several):
-    # the coordinate-wise passes give the bits of the tensor's axis-2 sum
-    assert (ra > transport._block_rows(rb, n)) == several
+    assert (ra > transport._block_rows(rb)) == several
     a, b = _sorted_clouds(ra, rb, n)
-    got = transport._intrinsic_cost(a, b)
-    assert got.tobytes() == _whole_tensor_cost(a, b).tobytes()
+    _check_cost(a, b, transport._intrinsic_cost(a, b))
+
+
+def test_intrinsic_cost_adds_coordinates_left_to_right_at_every_n():
+    for n in range(301):
+        a, b = _sorted_clouds(11, 7, n)
+        _check_cost(a, b, transport._intrinsic_cost(a, b))
 
 
 @pytest.mark.parametrize("ra,rb,n", [(37, 29, 129), (41, 23, 200), (29, 37, 300)])
 def test_intrinsic_cost_in_small_row_blocks_above_the_pairwise_block(monkeypatch, ra, rb, n):
-    # halves recurse inside each block; a block size that does not divide
-    # the rows leaves a short last block
-    monkeypatch.setattr(transport, "_COST_BLOCK", 4096)
-    step = transport._block_rows(rb, n)
+    # n above numpy's pairwise block of 128 terms, where the tensor sum
+    # splits in halves; a block size that does not divide the rows leaves
+    # a short last block
+    monkeypatch.setattr(transport, "_COST_BLOCK", 512)
+    step = transport._block_rows(rb)
     assert 1 < step < ra and ra % step
     a, b = _sorted_clouds(ra, rb, n)
-    got = transport._intrinsic_cost(a, b)
-    assert got.tobytes() == _whole_tensor_cost(a, b).tobytes()
+    _check_cost(a, b, transport._intrinsic_cost(a, b))
+
+
+def test_intrinsic_cost_holds_one_scratch_block(monkeypatch):
+    # beyond the output, a build holds one (rows, rb) scratch array, and
+    # small temporaries: numpy's ufunc buffers and the (n, r) square roots
+    import tracemalloc
+
+    ra, rb, n, rows = 700, 500, 9, 300
+    monkeypatch.setattr(transport, "_COST_BLOCK", 2 * rows * rb)
+    assert transport._block_rows(rb) == rows
+    a, b = _sorted_clouds(ra, rb, n)
+    transport._intrinsic_cost(a, b)
+    tracemalloc.start()
+    try:
+        cost = transport._intrinsic_cost(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 8 * rows * rb
+    assert block <= peak - cost.nbytes <= 1.5 * block
 
 
 @pytest.mark.parametrize("order", [1, 2])
