@@ -12,7 +12,8 @@ script into another checkout to sweep that one.  The record of a config is
 wrote except `manifest.json`, whose timestamps differ between runs, or
 {"error": class name} when the run raised a package error.  `--compare`
 prints the configs whose records differ between two such files, and the
-count of configs that are equal, differ, or are in one file only.
+count of configs that are equal, differ, or are in one file only; it exits
+0 when every config is equal and in both files, else 1.
 """
 
 import argparse
@@ -107,7 +108,7 @@ def main(argv=None):
         for key in differ:
             print(f"{key}\n  {docs[0][key]}\n  {docs[1][key]}")
         print(json.dumps(counts, sort_keys=True))
-        return 0
+        return 0 if counts["equal"] == len(docs[0]) == len(docs[1]) else 1
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import dyson_laguerre
 

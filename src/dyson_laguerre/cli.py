@@ -214,42 +214,16 @@ def _atomic_write(path, data):
         raise
 
 
-# a field holding one of these may need csv quoting
-_CSV_SPECIAL = frozenset(',"\r\n')
-# types whose repr is the text csv.writer writes for them (floats go in as repr)
-_CSV_REPR_TYPES = frozenset((int, float))
-
-
-def _csv_field(v):
-    """One field as csv.writer (QUOTE_MINIMAL) writes it, a float as its repr."""
-    if isinstance(v, str):
-        s = v
-    elif isinstance(v, float):
-        s = repr(v)
-    else:
-        s = "" if v is None else str(v)
-    if _CSV_SPECIAL.isdisjoint(s):
-        return s
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((s,))
-    return buf.getvalue()[:-1]
-
-
-def _csv_column(values):
-    """The csv fields of one column."""
-    if _CSV_REPR_TYPES.issuperset(map(type, values)):
-        return map(repr, values)
-    return map(_csv_field, values)
-
-
 def _csv_text(header, rows):
-    """CSV text with "\\n" line ends: byte for byte what csv.writer writes for
-    the header and rows, each float written as its repr.  Every row has one
-    field per header column, and there are at least two columns."""
+    """CSV text with "\\n" line ends, as csv.writer writes the header and
+    rows.  Every row has one field per header column."""
     if set(map(len, rows)) - {len(header)}:
         raise SerializationError(f"every row needs {len(header)} fields")
-    columns = [_csv_column(col) for col in zip(*rows)]
-    return "\n".join([",".join(map(_csv_field, header)), *map(",".join, zip(*columns)), ""])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _path_table_text(header, heads, paths):

@@ -49,12 +49,12 @@ import numpy as np
 from . import _kernels, transport
 from .errors import DomainError, UnsupportedRegime
 from .geometry import riemannian_distance
+from .model import _require_positive
 from .simulate import (
     _MATRIX_BLOCK,
     _advance,
     _coerce_generator,
     _propose_batch,
-    _require_positive,
     _start_rows,
     _step_plan,
     _validate_times,
@@ -240,8 +240,8 @@ def run_coupled_batch(x0a, x0b, times, params, rng, replicas=1, kind="mirror", d
                 f"2 alpha an integer), got alpha = {params.alpha}, beta = {params.beta}"
             )
         return _reflection_paths(a0, b0, times, matrix, gen)
-    _require_positive(a0)
-    _require_positive(b0)
+    _require_positive(a0, "an Euler start")
+    _require_positive(b0, "an Euler start")
     plan = _step_plan(times, default_dt(a0[0]) if dt is None else dt)
 
     def step(rows, h, depth):

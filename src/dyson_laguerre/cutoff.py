@@ -453,7 +453,8 @@ def run_cutoff_profile(config):
     profile costs about the draws themselves at any n.  The routes differ
     in how the start and the model are built and in their upper bounds:
     the matrix flow's closed forms on the matrix route, the regularized KL
-    chain on the Euler route.  Supported kinds here: TV, KL, L2.  Each
+    chain on the Euler route.  Supported kinds here: TV, KL, L2; W raises
+    UnsupportedRegime before anything is drawn.  Each
     bound is evaluated only for the kinds requested.  A grid time 0 is
     allowed: the law there is the point mass at the start, whose upper
     bounds are TV 1 and KL = L2 = inf.
@@ -470,6 +471,11 @@ def run_cutoff_profile(config):
         multipliers = np.arange(0.4, 1.65, 0.1)
     replicas = int(config.get("replicas", 4000))
     kinds = [_norm_kind(k) for k in config.get("distances", ())] or ["TV", "KL"]
+    if "W" in kinds:
+        raise UnsupportedRegime(
+            "profile distances support TV, KL, L2; use the coupling module "
+            "for intrinsic Wasserstein decay"
+        )
     seed = int(config.get("seed", 0))
     preset = config.get("x0_preset", "zero")
 
@@ -531,15 +537,10 @@ def run_cutoff_profile(config):
                     est = kl_projected_estimate(phi_samples, logpdf, 1.0)
                     value, stderr = est.value, est.stderr
                     b_lo = 0.0
-                elif kind == "L2":
+                else:
                     value = float(np.abs(np.mean(phi_samples) - n_big) / math.sqrt(n_big))
                     stderr = float(np.std(phi_samples) / math.sqrt(replicas * n_big))
                     b_lo = math.sqrt(_lb_l2_witness(obs, t_abs))
-                else:
-                    raise UnsupportedRegime(
-                        "profile distances support TV, KL, L2; use the coupling module "
-                        "for intrinsic Wasserstein decay"
-                    )
                 b_up = upper[kind](t_abs) if t_abs > 0 else _POINT_MASS_UPPER[kind]
                 rows.append(
                     ProfileRow(

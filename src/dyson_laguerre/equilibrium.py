@@ -12,8 +12,8 @@ is its one entry point; a single draw is row 0 of a batch of one.
 
 import numpy as np
 
-from .errors import CollisionError, DomainError, NumericError, UnsupportedRegime
-from .model import check_states, collision_tol
+from .errors import DomainError, NumericError, UnsupportedRegime
+from .model import _one_state, _require_positive, _require_separated, _sqrt_state
 from .simulate import _MATRIX_BLOCK, _coerce_generator
 
 MIN_GAP_FLOOR = 1e-10
@@ -80,19 +80,13 @@ def sample_equilibrium_batch(params, rng, size):
     return draws
 
 
-def _energy_terms(x, params):
-    delta, beta = params.delta, params.beta
-    if np.any(x <= 0):
-        raise DomainError("energy requires strictly positive coordinates")
-    single = float(np.sum(x - (delta - 1.0) * np.log(x)))
-    if beta == 0.0 or x.size == 1:
-        return single, 0.0
-    diffs = x[:, None] - x[None, :]
-    lower = np.tril_indices(x.size, k=-1)
-    gaps = diffs[lower]
-    if np.any(gaps <= collision_tol(x)):
-        raise CollisionError("energy requires strictly separated coordinates")
-    return single, -beta * float(np.sum(np.log(gaps)))
+def _energy_state(state, params):
+    """state as one state where the energy and its gradient are finite:
+    strictly positive coordinates, separated where beta > 0."""
+    x = _one_state(state, params.n)
+    _require_positive(x, "the energy")
+    _require_separated(x, params.beta)
+    return x
 
 
 def gibbs_energy(state, params):
@@ -101,26 +95,21 @@ def gibbs_energy(state, params):
     The drift satisfies b_i = 1 - x_i dE/dx_i, so exp(-E) is (up to
     normalization) the invariant density.
     """
-    x = check_states(state)
-    if x.shape != (params.n,):
-        raise DomainError(f"state has shape {x.shape}, params expect ({params.n},)")
-    single, inter = _energy_terms(x, params)
-    return single + inter
+    x = _energy_state(state, params)
+    single = float(np.sum(x - (params.delta - 1.0) * np.log(x)))
+    if params.beta == 0.0 or x.size == 1:
+        return single
+    gaps = (x[:, None] - x[None, :])[np.tril_indices(x.size, k=-1)]
+    return single - params.beta * float(np.sum(np.log(gaps)))
 
 
 def gibbs_gradient(state, params):
     """Exact gradient dE/dx_i = 1 - (delta-1)/x_i - beta sum_{j != i} 1/(x_i - x_j)."""
-    x = check_states(state)
-    if x.shape != (params.n,):
-        raise DomainError(f"state has shape {x.shape}, params expect ({params.n},)")
-    if np.any(x <= 0):
-        raise DomainError("energy gradient requires strictly positive coordinates")
+    x = _energy_state(state, params)
     grad = 1.0 - (params.delta - 1.0) / x
     if params.beta > 0 and x.size > 1:
         diffs = x[:, None] - x[None, :]
         np.fill_diagonal(diffs, np.inf)
-        if np.any(np.abs(diffs[np.isfinite(diffs)]) <= collision_tol(x)):
-            raise CollisionError("energy gradient requires separated coordinates")
         grad -= params.beta * np.sum(1.0 / diffs, axis=1)
     return grad
 
@@ -138,21 +127,13 @@ def edl_gibbs_energy(y_state, params):
     whose negative gradient is the square-root drift.  Differs from the
     x-space energy at y = 2 sqrt(x) by half a log-Jacobian plus a constant.
     """
-    y = np.asarray(y_state, dtype=float).reshape(-1)
-    if y.size != params.n:
-        raise DomainError(f"y state has {y.size} coordinates, params expect {params.n}")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("y coordinates must be finite")
-    if np.any(y <= 0):
-        raise DomainError("square-root energy requires strictly positive coordinates")
+    y = _sqrt_state(y_state, params)
     two_dm1 = 2.0 * params.delta - 1.0
     single = float(np.sum(0.25 * y**2 - two_dm1 * np.log(y)))
     if params.beta == 0.0 or y.size == 1:
         return single
     s = np.sort(y**2)
     gaps = (s[:, None] - s[None, :])[np.tril_indices(y.size, k=-1)]
-    if np.any(gaps <= 0):
-        raise CollisionError("square-root energy requires separated coordinates")
     return single - params.beta * float(np.sum(np.log(gaps)))
 
 

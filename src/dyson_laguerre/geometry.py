@@ -41,7 +41,10 @@ from .model import (
     check_states,
     dl_drift,
     dl_drift_jacobian,
+    _one_state,
+    _require_arity,
     _require_separated,
+    _sqrt_state,
 )
 from .simulate import RngStream, _coerce_generator
 
@@ -70,18 +73,15 @@ def geodesic_point(x, y, t):
 
 def carre_du_champ(f, state):
     """Gamma(f)(x) = sum_i x_i (d_i f)^2."""
-    x = check_states(state)
-    if x.shape != (f.nvars,):
-        raise DomainError(f"f has {f.nvars} variables, state has shape {x.shape}")
+    x = _one_state(state, f.nvars)
     grad = f.gradient(x)
     return float(np.sum(x * grad**2))
 
 
 def carre_du_champ2(f, g, state):
     """Bilinear form Gamma(f, g)(x) = sum_i x_i d_i f d_i g."""
-    x = check_states(state)
-    if x.shape != (f.nvars,) or g.nvars != f.nvars:
-        raise DomainError("dimension mismatch in carre_du_champ2")
+    x = _one_state(state, f.nvars)
+    _require_arity(g, f.nvars)
     gf = f.gradient(x)
     gg = g.gradient(x)
     return float(np.sum(x * gf * gg))
@@ -99,9 +99,8 @@ def gamma2_explicit(f, state, params, return_terms=False):
     With return_terms=True also returns the four term groups, whose
     magnitudes set the natural scale for tolerance checks.
     """
-    x = check_states(state)
-    if f.nvars != params.n or x.shape != (params.n,):
-        raise DomainError("dimension mismatch in gamma2_explicit")
+    x = _one_state(state, params.n)
+    _require_arity(f, params.n)
     _require_separated(x, params.beta, what="gamma2 state")
     n, beta, delta = params.n, params.beta, params.delta
     grad = f.gradient(x)
@@ -138,9 +137,8 @@ def gamma2_definitional(f, state, params):
     third order together with the exact drift Jacobian.  No finite
     differences anywhere.
     """
-    x = check_states(state)
-    if f.nvars != params.n or x.shape != (params.n,):
-        raise DomainError("dimension mismatch in gamma2_definitional")
+    x = _one_state(state, params.n)
+    _require_arity(f, params.n)
     n = params.n
     gamma_poly = Polynomial.zero(n)
     partials = [f.diff(i) for i in range(n)]
@@ -171,13 +169,8 @@ def edl_gamma2(f, y_state, params):
         + 2*beta sum_{i>j} [ (y_i f_i - y_j f_j)^2 + (y_i f_j - y_j f_i)^2 ]
                            / (y_i^2 - y_j^2)^2.
     """
-    y = np.asarray(y_state, dtype=float).reshape(-1)
-    if f.nvars != params.n or y.size != params.n:
-        raise DomainError("dimension mismatch in edl_gamma2")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("y coordinates must be finite")
-    if np.any(y <= 0):
-        raise DomainError("square-root coordinates must be strictly positive")
+    y = _sqrt_state(y_state, params)
+    _require_arity(f, params.n)
     grad = f.gradient(y)
     hess = f.hessian(y)
     total = float(np.sum(hess**2))
@@ -187,8 +180,6 @@ def edl_gamma2(f, y_state, params):
         for i in range(params.n):
             for j in range(i):
                 denom = (y[i] ** 2 - y[j] ** 2) ** 2
-                if denom == 0.0:
-                    raise DomainError("square-root coordinates must be separated")
                 num = (y[i] * grad[i] - y[j] * grad[j]) ** 2
                 num += (y[i] * grad[j] - y[j] * grad[i]) ** 2
                 total += 2.0 * params.beta * num / denom

@@ -4,7 +4,11 @@ generator.
 The particle system lives on the closed Weyl chamber
 ``0 <= x_1 <= ... <= x_n``.  A state is a plain (n,) float array and a
 cloud of states an (r, n) one; check_states is the one check every entry
-point puts them through.  Coordinate i feels the drift
+point puts them through, transport.EmpiricalMeasure's clouds included.
+Every further input rule is one private function here that each entry
+point needing it calls: _one_state (one state of n coordinates),
+_require_arity, _require_positive, _require_separated, and _sqrt_state,
+the one check of a square-root state.  Coordinate i feels the drift
 
     b_i(x) = alpha - x_i + (beta/2) * sum_{j != i} (x_i + x_j) / (x_i - x_j)
 
@@ -117,14 +121,50 @@ def check_states(x):
     raise DomainError("state coordinates must be in ascending order")
 
 
+def _one_state(x, n):
+    """x as one state of n coordinates: check_states, then the (n,) shape."""
+    a = check_states(x)
+    if a.shape != (n,):
+        raise DomainError(f"state has shape {a.shape}, expected ({n},)")
+    return a
+
+
+def _require_arity(f, n):
+    """Raise DomainError unless the polynomial f has n variables."""
+    if f.nvars != n:
+        raise DomainError(f"f has {f.nvars} variables, expected {n}")
+
+
+def _require_positive(x, what):
+    """Raise DomainError unless every coordinate of x is strictly positive;
+    a formula with a log or a 1/x_i, and the Euler scheme's y = 2 sqrt(x),
+    need it."""
+    if not np.all(x > 0):
+        raise DomainError(f"{what} needs strictly positive coordinates")
+
+
 def _require_separated(x, beta, what="state"):
-    """Raise CollisionError if an interacting drift would blow up at x."""
+    """Raise CollisionError if an interacting drift would blow up at the
+    ascending coordinates x: some gap is within collision_tol."""
     if beta > 0 and x.size > 1:
-        tol = collision_tol(x)
-        if np.min(np.diff(x)) <= tol:
-            raise CollisionError(
-                f"{what} has colliding coordinates (min gap {np.min(np.diff(x)):.3e})"
-            )
+        gap = np.min(np.diff(x))
+        if gap <= collision_tol(x):
+            raise CollisionError(f"{what} has colliding coordinates (min gap {gap:.3e})")
+
+
+def _sqrt_state(y, params):
+    """y as one square-root state y = 2 sqrt(x) of params.n coordinates, in
+    any order: finite, strictly positive, and (beta > 0) with squares that
+    _require_separated keeps apart.  Raises DomainError, or CollisionError
+    for squares too close."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if y.size != params.n:
+        raise DomainError(f"y state has {y.size} coordinates, params expect {params.n}")
+    if not np.all(np.isfinite(y)):
+        raise DomainError("y coordinates must be finite")
+    _require_positive(y, "a square-root state")
+    _require_separated(np.sort(y**2), params.beta, what="squared y state")
+    return y
 
 
 class Polynomial:
@@ -332,9 +372,7 @@ class ObservableResult:
 
 
 def observable_phi(state, params):
-    x = check_states(state)
-    if x.shape != (params.n,):
-        raise DomainError(f"state has shape {x.shape}, params expect ({params.n},)")
+    x = _one_state(state, params.n)
     raw = float(np.sum(x))
     mean = params.phi_mean
     return ObservableResult(phi_raw=raw, phi_centered=raw - mean, phi_l2norm_sq=mean)
@@ -342,9 +380,7 @@ def observable_phi(state, params):
 
 def dl_drift(state, params):
     """Drift vector of the canonical system at an ordered state."""
-    x = check_states(state)
-    if x.shape != (params.n,):
-        raise DomainError(f"state has shape {x.shape}, params expect ({params.n},)")
+    x = _one_state(state, params.n)
     _require_separated(x, params.beta)
     out = _kernels.dl_drift_batch(x[None, :], params.alpha, params.beta)
     return out[0]
@@ -355,17 +391,7 @@ def edl_drift(y_state, params):
 
         (2*alpha - 1)/y_i - y_i/2 + (beta/y_i) * sum_{j != i} (y_i^2 + y_j^2)/(y_i^2 - y_j^2).
     """
-    y = np.asarray(y_state, dtype=float).reshape(-1)
-    if y.size != params.n:
-        raise DomainError(f"y state has {y.size} coordinates, params expect {params.n}")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("y coordinates must be finite")
-    if np.any(y <= 0):
-        raise DomainError("square-root coordinates must be strictly positive")
-    if params.beta > 0 and y.size > 1:
-        ys = np.sort(y)
-        if np.min(np.diff(ys**2)) <= collision_tol(ys**2):
-            raise CollisionError("y state has colliding coordinates")
+    y = _sqrt_state(y_state, params)
     out = _kernels.edl_drift_batch(y[None, :], params.alpha, params.beta)
     return out[0]
 
@@ -376,9 +402,7 @@ def dl_drift_jacobian(state, params):
         d b_i / d x_i = -1 - beta * sum_{k != i} x_k / (x_i - x_k)^2
         d b_j / d x_i =  beta * x_j / (x_i - x_j)^2   for i != j.
     """
-    x = check_states(state)
-    if x.shape != (params.n,):
-        raise DomainError(f"state has shape {x.shape}, params expect ({params.n},)")
+    x = _one_state(state, params.n)
     _require_separated(x, params.beta)
     n = x.size
     beta = params.beta
@@ -397,11 +421,8 @@ def dl_drift_jacobian(state, params):
 
 def apply_generator(f, state, params):
     """Evaluate (G f)(x) = sum_i x_i f_ii(x) + sum_i b_i(x) f_i(x)."""
-    x = check_states(state)
-    if f.nvars != params.n or x.shape != (params.n,):
-        raise DomainError(
-            f"dimension mismatch: f has {f.nvars} variables, state {x.size}, n={params.n}"
-        )
+    x = _one_state(state, params.n)
+    _require_arity(f, params.n)
     b = dl_drift(state, params)
     total = 0.0
     for i in range(params.n):

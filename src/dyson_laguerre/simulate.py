@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, EigenFailure, NumericError, UnsupportedRegime, ValidationError
-from .model import ModelParams, check_states
+from .model import ModelParams, _require_positive, check_states
 
 DT_HALVING_LIMIT = 12
 
@@ -181,12 +181,6 @@ def _start_rows(x0, params, replicas):
     return x
 
 
-def _require_positive(x0):
-    """The Euler scheme's start condition: y = 2 sqrt(x) must be positive."""
-    if not np.all(x0 > 0):
-        raise DomainError("the Euler scheme needs strictly positive start coordinates")
-
-
 def dl_paths_batch(x0, times, params, rng, replicas=1, dt=None):
     """Euler paths for a batch of replicas, observed on a shared time grid.
 
@@ -195,7 +189,7 @@ def dl_paths_batch(x0, times, params, rng, replicas=1, dt=None):
     Returns an array of shape (len(times), r, n).
     """
     x0 = _start_rows(x0, params, replicas)
-    _require_positive(x0)
+    _require_positive(x0, "an Euler start")
     times = _validate_times(times)
     gen = _coerce_generator(rng)
     plan = _step_plan(times, default_dt(x0[0]) if dt is None else dt)
@@ -226,8 +220,8 @@ def cir_exact_transition(x0, t, alpha, rng):
     if t < 0 or not math.isfinite(t):
         raise DomainError(f"t must be nonnegative, got {t}")
     x = np.asarray(x0, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("x0 must be nonnegative")
+    if not (np.all(x >= 0) and np.all(x < math.inf)):
+        raise DomainError("x0 must be finite and nonnegative")
     if t == 0:
         return x.copy() if x.ndim else float(x)
     gen = _coerce_generator(rng)

@@ -34,6 +34,7 @@ from .errors import (
     SizeMismatch,
     UnnormalizedReference,
 )
+from .model import check_states
 
 _this = sys.modules[__name__]
 
@@ -74,8 +75,8 @@ class DistanceEstimate:
 class EmpiricalMeasure:
     """A uniformly weighted cloud of configurations (rows are atoms).
 
-    Atoms are points of the closed Weyl chamber, as model.check_states
-    requires: finite, nonnegative and weakly ascending.  A 1-D input is a
+    Atoms are points of the closed Weyl chamber, and model.check_states
+    checks them: finite, nonnegative and weakly ascending.  A 1-D input is a
     cloud of one-coordinate atoms, and atoms may have no coordinates.
     """
 
@@ -87,10 +88,8 @@ class EmpiricalMeasure:
             a = a[:, None]
         if a.ndim != 2 or a.shape[0] == 0:
             raise EmptySample("empirical measure needs at least one atom")
-        if np.any(a < 0) or not np.all(np.isfinite(a)):
-            raise DomainError("atoms must be finite and nonnegative")
-        if np.any(a[:, 1:] < a[:, :-1]):
-            raise DomainError("state coordinates must be in ascending order")
+        if a.shape[1]:
+            check_states(a)
         self.atoms = a
 
     @property

@@ -36,7 +36,16 @@ def test_digests_repeat_and_a_changed_seed_shows(tmp_path, capsys):
     for path, doc in zip(paths, (first, other)):
         with open(path, "w") as fh:
             json.dump({"configs": doc}, fh)
-    assert script.main(["--compare"] + paths) == 0
+    assert script.main(["--compare"] + paths) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == script.label(configs[0])
     assert json.loads(out[-1]) == {"equal": 1, "differ": 1, "only_first": 0, "only_second": 0}
+
+    # all equal exits 0; a config in one file only exits 1
+    assert script.main(["--compare", paths[0], paths[0]]) == 0
+    with open(paths[1], "w") as fh:
+        json.dump({"configs": {script.label(configs[1]): ou}}, fh)
+    assert script.main(["--compare"] + paths) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert json.loads(out[0]) == {"equal": 2, "differ": 0, "only_first": 0, "only_second": 0}
+    assert json.loads(out[1]) == {"equal": 1, "differ": 0, "only_first": 1, "only_second": 0}

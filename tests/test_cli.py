@@ -494,12 +494,12 @@ def test_run_simulate_matrix_route_projects_once_per_grid_time(tmp_path, monkeyp
 
 
 def _csv_text_per_row(header, rows):
-    """Reference: cli._csv_text as it stood, one csv.writer row at a time."""
+    """Reference: plain csv.writer, one row at a time."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     for row in rows:
-        w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        w.writerow(row)
     return buf.getvalue()
 
 
@@ -539,6 +539,8 @@ def test_csv_text_matches_csv_writer_bytes():
         got = _csv_text(header, rows)
         assert got.encode() == want.encode()
         assert _csv_text(header, []) == _csv_text_per_row(header, [])
+    # a numpy float is written as its value, not as its numpy 2 repr
+    assert _csv_text(("t", "value"), [(np.float64(0.5), np.float64(-0.0))]) == "t,value\n0.5,-0.0\n"
 
 
 def test_csv_text_rejects_rows_that_do_not_fit_the_header():

@@ -329,13 +329,22 @@ def test_profile_empty_ladder_is_the_default_ladder():
         assert run_cutoff_profile(dict(config, n=empty)).rows == want
 
 
-def test_profile_rejects_wasserstein():
+def test_profile_rejects_wasserstein(monkeypatch):
+    from dyson_laguerre import cutoff, equilibrium
+
+    # W is refused before any start, prediction or draw
+    def fail(*args, **kwargs):
+        raise AssertionError("the profile drew or predicted before refusing W")
+
+    for module, name in ((cutoff, "cir_exact_transition"), (cutoff, "_cutoff_bracket"),
+                         (cutoff, "RngStream"), (equilibrium, "build_x0")):
+        monkeypatch.setattr(module, name, fail)
     config = {
         "mode": "cutoff-profile",
         "n": 8,
         "times": [1.0],
         "replicas": 200,
-        "distances": ["W"],
+        "distances": ["TV", "W"],
         "seed": 0,
     }
     with pytest.raises(UnsupportedRegime):

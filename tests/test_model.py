@@ -12,16 +12,22 @@ from dyson_laguerre import (
     ModelParams,
     Polynomial,
     RngStream,
+    SizeMismatch,
     ValidationError,
     apply_generator,
+    carre_du_champ,
+    carre_du_champ2,
     check_states,
     cutoff_predict,
     dl_drift,
     dl_paths_batch,
     edl_drift,
+    edl_gamma2,
+    gamma2_definitional,
     gamma2_explicit,
     geodesic_point,
     gibbs_energy,
+    gibbs_gradient,
     matrix_dl_path,
     observable_phi,
     phi_polynomial,
@@ -30,6 +36,7 @@ from dyson_laguerre import (
     wg_decay_estimate,
 )
 from dyson_laguerre.coupling import reflection_coalesced_law
+from dyson_laguerre.equilibrium import edl_gibbs_energy
 from dyson_laguerre.model import collision_tol, dl_drift_jacobian
 from dyson_laguerre.simulate import aligned_start
 
@@ -87,12 +94,21 @@ _OTHER = np.array([0.5, 1.0, 2.0])
 # coordinate is refused only where a formula or the Euler scheme needs x > 0
 _STATE_ENTRY_POINTS = {
     "dl_drift": (lambda x: dl_drift(x, _REALIZED), True),
+    "dl_drift_jacobian": (lambda x: dl_drift_jacobian(x, _REALIZED), True),
+    "apply_generator": (lambda x: apply_generator(phi_polynomial(_REALIZED), x, _REALIZED),
+                        True),
     "observable_phi": (lambda x: observable_phi(x, _REALIZED), True),
     "gibbs_energy": (lambda x: gibbs_energy(x, _REALIZED), False),
+    "gibbs_gradient": (lambda x: gibbs_gradient(x, _REALIZED), False),
+    "carre_du_champ": (lambda x: carre_du_champ(phi_polynomial(_REALIZED), x), True),
+    "carre_du_champ2": (lambda x: carre_du_champ2(phi_polynomial(_REALIZED),
+                                                  phi_polynomial(_REALIZED), x), True),
     "riemannian_distance": (lambda x: riemannian_distance(x, _OTHER), True),
     "geodesic_point": (lambda x: geodesic_point(x, _OTHER, 0.5), True),
     "gamma2_explicit": (lambda x: gamma2_explicit(phi_polynomial(_REALIZED), x, _REALIZED),
                         True),
+    "gamma2_definitional": (
+        lambda x: gamma2_definitional(phi_polynomial(_REALIZED), x, _REALIZED), True),
     "cutoff_predict": (lambda x: cutoff_predict("TV", x, _REALIZED), True),
     "aligned_start": (lambda x: aligned_start(x[None], MatrixParams.bru(3, 8)), True),
     "matrix_dl_path": (lambda x: matrix_dl_path(x, [0.1], MatrixParams.bru(3, 8),
@@ -112,16 +128,78 @@ _STATE_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("state", [[2.0, 1.0, 0.5], [-0.1, 1.0, 2.0], [math.nan, 1.0, 2.0], [],
-                                   [0.0, 1.0, 2.0]],
-                         ids=["descending", "negative", "nan", "empty", "zero"])
+                                   [0.5, 1.0], [0.0, 1.0, 2.0]],
+                         ids=["descending", "negative", "nan", "empty", "wrong-shape", "zero"])
 @pytest.mark.parametrize("entry", sorted(_STATE_ENTRY_POINTS))
 def test_every_entry_point_checks_its_states(entry, state):
     call, zero_passes = _STATE_ENTRY_POINTS[entry]
     if state == [0.0, 1.0, 2.0] and zero_passes:
         call(np.array(state))
-    else:
-        with pytest.raises(DomainError):
-            call(np.array(state))
+        return
+    # the intrinsic distance takes two states of any one size
+    two_state = entry in ("riemannian_distance", "geodesic_point", "reflection_coalesced_law")
+    error = SizeMismatch if state == [0.5, 1.0] and two_state else DomainError
+    with pytest.raises(error):
+        call(np.array(state))
+
+
+# every square-root entry point, at n = 2, alpha = 3, beta = 1
+_SQRT = ModelParams(2, 3.0, 1.0)
+_SQRT_ENTRY_POINTS = (
+    lambda y: edl_drift(y, _SQRT),
+    lambda y: edl_gibbs_energy(y, _SQRT),
+    lambda y: edl_gamma2(phi_polynomial(_SQRT), y, _SQRT),
+)
+
+
+@pytest.mark.parametrize("y, error", [
+    ([2.0], DomainError),
+    ([1.0, 2.0, 3.0], DomainError),
+    ([math.nan, 2.0], DomainError),
+    ([2.0, math.inf], DomainError),
+    ([0.0, 2.0], DomainError),
+    ([-1.0, 2.0], DomainError),
+    ([2.0, 2.0], CollisionError),
+    ([2.0, 2.0 * (1.0 + 1e-14)], CollisionError),
+    ([2.0 * (1.0 + 1e-14), 2.0], CollisionError),
+], ids=["short", "long", "nan", "inf", "zero", "negative", "tie", "near-tie", "near-tie-desc"])
+def test_square_root_entry_points_refuse_alike(y, error):
+    # one rule: the same class and message from each entry point, and a
+    # near tie whose squares are within collision_tol is a collision
+    messages = set()
+    for call in _SQRT_ENTRY_POINTS:
+        with pytest.raises(DomainError) as info:
+            call(np.array(y))
+        assert info.type is error
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
+def test_square_root_entry_points_take_what_the_rule_passes():
+    # squares just beyond collision_tol pass, in either order, as do ties
+    # without interaction
+    gap = 4.0 * (1.0 + 1e-10)
+    for y in ([2.0, math.sqrt(gap)], [math.sqrt(gap), 2.0]):
+        assert collision_tol(np.array(y) ** 2) < gap - 4.0
+        for call in _SQRT_ENTRY_POINTS:
+            assert np.all(np.isfinite(call(np.array(y))))
+    free = ModelParams(2, 3.0, 0.0)
+    assert np.isfinite(edl_gibbs_energy([2.0, 2.0], free))
+    assert np.all(np.isfinite(edl_drift([2.0, 2.0], free)))
+    assert np.isfinite(edl_gamma2(phi_polynomial(free), [2.0, 2.0], free))
+
+
+def test_polynomial_arity_is_checked():
+    params = ModelParams(3, 4.0, 1.0)
+    f = phi_polynomial(ModelParams(2, 3.0, 1.0))
+    x = np.array([0.5, 1.0, 2.0])
+    for call in (lambda: apply_generator(f, x, params),
+                 lambda: gamma2_explicit(f, x, params),
+                 lambda: gamma2_definitional(f, x, params),
+                 lambda: carre_du_champ2(phi_polynomial(params), f, x),
+                 lambda: edl_gamma2(f, 2.0 * np.sqrt(x), params)):
+        with pytest.raises(DomainError, match="f has 2 variables, expected 3"):
+            call()
 
 
 def test_collision_rejected_by_drift():

@@ -86,6 +86,16 @@ def test_cir_exact_transition_edges():
         cir_exact_transition(1.0, 1.0, 0.0, rng)
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cir_exact_transition_refuses_a_non_finite_start(bad, t):
+    # numpy's poisson would raise its own ValueError on these
+    rng = np.random.default_rng(8)
+    for x0 in (bad, np.array([1.0, bad])):
+        with pytest.raises(DomainError, match="finite"):
+            cir_exact_transition(x0, t, 3.0, rng)
+
+
 def test_step_rejects_when_drift_overshoots():
     # a huge coordinate with a large dt overshoots the -6 sqrt(2 dt)
     # threshold deterministically (drift ~ -y/2, so y(1 - dt/2) is far
