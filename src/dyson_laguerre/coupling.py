@@ -331,18 +331,13 @@ def _w_with_bootstrap(cloud_a, cloud_b):
     The value is one exact assignment on the full cost matrix.  The stderr
     splits the rows into SE_BLOCKS contiguous blocks (np.array_split, so no
     row is dropped), pairs block k of cloud_a with block k of cloud_b, solves
-    each pair on its diagonal sub-block of the same cost matrix and returns
-    std(V_k, ddof=1) / sqrt(SE_BLOCKS).  A sub-block holds, entry for entry,
-    the costs a fresh build on the block clouds would give, and nothing is
-    drawn at random.  The name is that of the bootstrap this replaced, kept
-    because bench/tracing.py binds it as a traced layer.
+    each pair on its diagonal sub-block of the same cost matrix
+    (transport._w2_with_blocks) and returns std(V_k, ddof=1) /
+    sqrt(SE_BLOCKS).  Nothing is drawn at random.  The name is that of the
+    bootstrap this replaced, kept because bench/tracing.py binds it as a
+    traced layer.
     """
-    cost_pow = transport._assignment_cost(cloud_a, cloud_b) ** 2
-    value = transport._assignment_value(cost_pow, 2)
-    vals = [
-        transport._assignment_value(cost_pow[np.ix_(rows, rows)], 2)
-        for rows in np.array_split(np.arange(cost_pow.shape[0]), SE_BLOCKS)
-    ]
+    value, vals = transport._w2_with_blocks(cloud_a, cloud_b, SE_BLOCKS)
     return value, float(np.std(vals, ddof=1) / math.sqrt(SE_BLOCKS))
 
 

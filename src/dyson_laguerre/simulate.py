@@ -207,13 +207,18 @@ def dl_paths_batch(x0, times, params, rng, replicas=1, dt=None):
     return out
 
 
+# numpy's Generator.poisson refuses a mean above this, with a ValueError
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
+
 def cir_exact_transition(x0, t, alpha, rng):
     """Exact transition of the one-particle system started from x0.
 
     The time-t law given x0 is (1 - e^-t) * Gamma(alpha + K, 1) with
     K ~ Poisson(x0 e^-t / (1 - e^-t)); sampling goes through that mixture,
     which is exact and needs no special functions.  Accepts scalar or array
-    x0 (one draw per entry).
+    x0 (one draw per entry).  A Poisson mean above numpy's limit (about
+    9.2e18) raises DomainError before any draw.
     """
     if alpha <= 0 or not math.isfinite(alpha):
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -228,6 +233,11 @@ def cir_exact_transition(x0, t, alpha, rng):
     ec = math.exp(-t)
     c = -math.expm1(-t)
     lam = x * (ec / c)
+    if not np.all(lam <= _POISSON_LAM_MAX):
+        raise DomainError(
+            f"x0 e^-t / (1 - e^-t) must be at most {_POISSON_LAM_MAX:.4g}, "
+            f"got {np.max(lam):.4g}"
+        )
     k = gen.poisson(lam)
     draw = c * gen.standard_gamma(alpha + k)
     return draw if x.ndim else float(draw)

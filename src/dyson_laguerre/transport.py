@@ -5,7 +5,13 @@ intrinsic metric by an exact optimal assignment.  Its cost matrix is built
 one coordinate at a time, in 2-D passes added left to right, so no
 difference tensor over all coordinates is ever held; and a point mass on
 either side, where every bijection is optimal, takes the mean of one row or
-column instead of a solver call.
+column instead of a solver call.  Every solve is warm-started: the solver
+runs on the cost less a row potential from the Gaussian optimal map between
+the clouds (_row_potential), less column and then row minima.  Subtracting
+a number from a whole row or column moves every bijection's total by the
+same constant, so the optimal assignments stay the optimal ones, and the
+value is read off the unreduced costs; the solver's search starts near its
+end instead of from zero potentials.
 ``ou_closed_form_distances`` evaluates the closed-form KL, chi-square-based
 L2 and Euclidean W2 distances between a rectangular Ornstein-Uhlenbeck flow
 started at a point and its Gaussian equilibrium.  ``tv_threshold_witness``
@@ -154,10 +160,17 @@ def _intrinsic_cost(a, b):
 ASSIGNMENT_LIMIT = 4000
 
 
-def _assignment_cost(a, b):
-    """Intrinsic cost matrix of two clouds, after the checks exact assignment
-    needs: equal sizes and a size within ASSIGNMENT_LIMIT."""
+def _assignment_problem(a, b, order):
+    """The matrix of intrinsic costs raised to the given order and the row
+    potential that warm-starts its solve (_row_potential at order 2, zero
+    at order 1), after the checks exact assignment needs: one dimension,
+    order 1 or 2, equal sizes and a size within ASSIGNMENT_LIMIT.  The cost
+    is squared in place, so one matrix of r x r doubles is held."""
     a, b = _as_measure(a), _as_measure(b)
+    if a.atoms.shape[1] != b.atoms.shape[1]:
+        raise SizeMismatch("clouds live in different dimensions")
+    if order not in (1, 2):
+        raise DomainError(f"order must be 1 or 2, got {order}")
     if a.size != b.size:
         raise SizeMismatch(
             f"exact assignment needs equal cloud sizes, got {a.size} and {b.size}"
@@ -166,12 +179,51 @@ def _assignment_cost(a, b):
         raise DomainError(
             f"cloud size {a.size} above assignment limit {ASSIGNMENT_LIMIT}"
         )
-    return _intrinsic_cost(a, b)
+    cost = _intrinsic_cost(a, b)
+    if order == 1:
+        return cost, np.zeros(a.size)
+    return np.square(cost, out=cost), _row_potential(a, b)
 
 
-def _assignment_value(cost_pow, order):
+def _row_potential(a, b):
+    """Row potential phi_i of the squared intrinsic cost from the Gaussian
+    optimal map between the clouds' coordinate-wise means and spreads.
+
+    In u = 2 sqrt(x), with d_i = u_i - m_u and s_k = sd_v,k / sd_u,k (1
+    where sd_u,k = 0), the map u -> m_v + s (u - m_u) is the gradient of a
+    convex potential, and phi_i = 2 d_i . (m_u - m_v) + sum_k (1 - s_k) d_ik^2
+    is the matching dual potential of |u - v|^2 up to a constant (Knott &
+    Smith 1984).  Between Gaussian laws with independent coordinates it is
+    exact; between clouds it is a guess, and a poor guess costs only solver
+    time, since any row potential leaves the optimal assignments where they
+    are.  It is built on the centred d_i, so its entries are of the size of
+    the costs.
+    """
+    ua, ub = 2.0 * np.sqrt(a.atoms), 2.0 * np.sqrt(b.atoms)
+    mu = ua.mean(axis=0)
+    d = ua - mu
+    sd_u, sd_v = ua.std(axis=0), ub.std(axis=0)
+    s = np.divide(sd_v, sd_u, out=np.ones_like(sd_u), where=sd_u > 0)
+    return np.sum(d * (2.0 * (mu - ub.mean(axis=0)) + (1.0 - s) * d), axis=1)
+
+
+def _assignment_value(cost_pow, order, phi):
     """Wasserstein distance of the given order from the matrix of costs raised
-    to that order, by an exact optimal assignment.
+    to that order, by an exact optimal assignment warm-started from the row
+    potential phi.
+
+    The solver runs on cost_pow - phi_i, less its column minima, then less
+    its row minima.  Each step subtracts one number from a whole row or a
+    whole column, so every bijection's total moves by the same constant and
+    the optimal ones stay optimal; with near-optimal potentials the reduced
+    matrix is close to the optimal dual slack, and the solver's
+    shortest-augmenting-path search starts close to its end (Jonker &
+    Volgenant 1987).  The value is read off cost_pow itself at the returned
+    assignment, in row order, so where the solver returns the assignment it
+    returns unreduced, the value has the same bits.  Where several
+    assignments are optimal (duplicated atoms), it may return another, whose
+    value agrees to rounding.  The reduced copy is the one r x r array the
+    solve adds.
 
     When every row is equal (a point mass on the first side), every
     bijection costs the same, so the value is mean(row 0) ** (1/order) and no
@@ -187,20 +239,41 @@ def _assignment_value(cost_pow, order):
         return float(np.mean(first)) ** (1.0 / order)
     if (first == first[0]).all() and (cost_pow == cost_pow[:, :1]).all():
         return float(np.mean(cost_pow[:, 0])) ** (1.0 / order)
-    rows, cols = _this.linear_sum_assignment(cost_pow)
+    reduced = np.subtract(cost_pow, phi[:, None])
+    reduced -= reduced.min(axis=0)
+    reduced -= reduced.min(axis=1)[:, None]
+    rows, cols = _this.linear_sum_assignment(reduced)
     return float(np.mean(cost_pow[rows, cols])) ** (1.0 / order)
 
 
 def wasserstein_intrinsic(a, b, order=2):
     """Wasserstein distance of the given order under the intrinsic metric,
     between two equal-size clouds, by an exact optimal assignment."""
-    a, b = _as_measure(a), _as_measure(b)
-    if a.atoms.shape[1] != b.atoms.shape[1]:
-        raise SizeMismatch("clouds live in different dimensions")
-    if order not in (1, 2):
-        raise DomainError(f"order must be 1 or 2, got {order}")
-    value = _assignment_value(_assignment_cost(a, b) ** order, order)
+    cost_pow, phi = _assignment_problem(a, b, order)
+    value = _assignment_value(cost_pow, order, phi)
     return DistanceEstimate(kind=f"Wg{order}", value=value, stderr=0.0, method="assignment")
+
+
+def _w2_with_blocks(a, b, blocks):
+    """W2 between two equal-size clouds, and W2 between each pair of their
+    diagonal row blocks: np.array_split's contiguous blocks, so no row is
+    dropped, and block k of a pairs with block k of b.
+
+    Every value comes from the one cost matrix: a block's is the exact
+    assignment on its diagonal sub-block, which holds, entry for entry, the
+    costs a build on the block clouds would give, warm-started from the
+    full clouds' row potential restricted to the block's rows.  Returns
+    (value, [block values]).
+    """
+    cost_sq, phi = _assignment_problem(a, b, 2)
+    value = _assignment_value(cost_sq, 2, phi)
+    # np.array_split's blocks: the first r % blocks hold one more row
+    size, wide = divmod(len(phi), blocks)
+    edges = [k * size + min(k, wide) for k in range(blocks + 1)]
+    return value, [
+        _assignment_value(cost_sq[lo:hi, lo:hi], 2, phi[lo:hi])
+        for lo, hi in zip(edges, edges[1:])
+    ]
 
 
 def ou_closed_form_distances(p, t, z0_norm_sq):

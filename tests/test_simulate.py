@@ -96,6 +96,21 @@ def test_cir_exact_transition_refuses_a_non_finite_start(bad, t):
             cir_exact_transition(x0, t, 3.0, rng)
 
 
+def test_cir_exact_transition_refuses_a_poisson_mean_past_numpys_limit():
+    # the Poisson mean x0 e^-t / (1 - e^-t) is 0.58 x0 at t = 1; past
+    # numpy's limit its poisson raises "lam value too large"
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    for x0 in (1e20, 1e300, np.array([1.0, 1e20, 2.0])):
+        with pytest.raises(DomainError, match="at most"):
+            cir_exact_transition(x0, 1.0, 3.0, rng)
+    assert rng.bit_generator.state == state
+    ratio = math.exp(-1.0) / -math.expm1(-1.0)
+    under = 0.999 * simulate._POISSON_LAM_MAX / ratio
+    for x0 in (under, np.array([1.0, under])):
+        assert np.all(np.isfinite(cir_exact_transition(x0, 1.0, 3.0, rng)))
+
+
 def test_step_rejects_when_drift_overshoots():
     # a huge coordinate with a large dt overshoots the -6 sqrt(2 dt)
     # threshold deterministically (drift ~ -y/2, so y(1 - dt/2) is far

@@ -516,6 +516,110 @@ def test_intrinsic_cost_holds_one_scratch_block(monkeypatch):
     assert block <= peak - cost.nbytes <= 1.5 * block
 
 
+def _plain_value(cost_pow, order):
+    """Scipy's solver on the unreduced matrix, the value read in row order."""
+    import scipy.optimize
+
+    rows, cols = scipy.optimize.linear_sum_assignment(cost_pow)
+    return float(np.mean(cost_pow[rows, cols])) ** (1.0 / order)
+
+
+def _plain_wasserstein(a, b, order):
+    cost = transport._intrinsic_cost(EmpiricalMeasure(a), EmpiricalMeasure(b))
+    return _plain_value(cost**order, order)
+
+
+def _moved_clouds(r, n, kind):
+    """Two clouds of r atoms in n coordinates whose means and spreads
+    differ: the second is a draw of the first's law, shifted or scaled."""
+    rng = np.random.default_rng(100 * r + n)
+    a = np.sort(rng.gamma(3.0, 1.0, (r, n)), axis=1)
+    b = np.sort(rng.gamma(3.0, 1.0, (r, n)), axis=1)
+    return a, (b + 4.0 if kind == "shifted" else 5.0 * b)
+
+
+@pytest.mark.parametrize("kind", ["shifted", "scaled"])
+@pytest.mark.parametrize("r", [2, 3, 40, 160, 600])
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_warm_start_keeps_the_plain_solvers_value(n, r, kind):
+    # reducing the matrix by the potentials moves every bijection's total by
+    # one constant, so the solver returns the assignment it returns
+    # unreduced, and the value read off the unreduced matrix has its bits.
+    # Order 1 on one coordinate is the exception: there W1 has many optimal
+    # assignments (any two that cross no gap the same way), a tie
+    a, b = _moved_clouds(r, n, kind)
+    for order in (1, 2):
+        got = wasserstein_intrinsic(a, b, order=order).value
+        want = _plain_wasserstein(a, b, order)
+        if n == 1 and order == 1:
+            assert got == pytest.approx(want, rel=1e-12)
+        else:
+            assert got == want
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_warm_start_with_duplicated_atoms_agrees_to_rounding(order):
+    # duplicated atoms tie assignments: the solver may swap their columns,
+    # which sums the same costs in another order
+    rng = np.random.default_rng(41)
+    for n, r in ((1, 60), (4, 160), (8, 300)):
+        a = np.sort(rng.gamma(3.0, 1.0, (r // 3, n)), axis=1)[np.arange(r) % (r // 3)]
+        b = 2.0 * np.sort(rng.gamma(3.0, 1.0, (r, n)), axis=1)
+        for x, y in ((a, b), (b, a), (a, a[::-1] + 0.5)):
+            got = wasserstein_intrinsic(x, y, order=order).value
+            assert got == pytest.approx(_plain_wasserstein(x, y, order), rel=1e-12)
+
+
+def test_warm_start_with_a_constant_coordinate_and_few_atoms():
+    # a coordinate that does not vary over a cloud has spread 0: its scale
+    # is 1 on the first side and 0 on the second, and the potential stays
+    # finite; so it does for clouds of fewer atoms than coordinates
+    rng = np.random.default_rng(42)
+    for r, n in ((2, 4), (3, 8), (5, 16), (40, 4), (160, 8)):
+        a = np.sort(rng.gamma(3.0, 1.0, (r, n)), axis=1) + 1.0
+        b = 3.0 * np.sort(rng.gamma(3.0, 1.0, (r, n)), axis=1) + 1.0
+        a[:, 0] = 0.5
+        for x, y in ((a, b), (b, a)):
+            phi = transport._row_potential(EmpiricalMeasure(x), EmpiricalMeasure(y))
+            assert phi.shape == (r,) and np.all(np.isfinite(phi))
+            for order in (1, 2):
+                assert (wasserstein_intrinsic(x, y, order=order).value
+                        == _plain_wasserstein(x, y, order))
+    one = EmpiricalMeasure(np.array([[0.5, 1.0, 4.0]]))
+    assert transport._row_potential(one, one).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("r", [100, 160, 163, 600])
+def test_block_values_keep_the_plain_solvers_values(r):
+    # each diagonal block is warm-started from the full clouds' potential
+    # restricted to its rows, and keeps the bits of a plain solve on it
+    a, b = _moved_clouds(r, 4, "scaled")
+    value, blocks = transport._w2_with_blocks(a, b, 4)
+    cost_sq = transport._intrinsic_cost(EmpiricalMeasure(a), EmpiricalMeasure(b)) ** 2
+    assert value == _plain_value(cost_sq, 2)
+    parts = np.array_split(np.arange(r), 4)
+    assert blocks == [_plain_value(cost_sq[np.ix_(p, p)], 2) for p in parts]
+
+
+def test_an_assignment_holds_two_cost_sized_arrays():
+    # the squared cost matrix, squared in place, and the solver's reduced
+    # copy of it; a third r x r array of doubles would pass the bound.  The
+    # lower bound shows that tracemalloc sees numpy's buffers
+    import tracemalloc
+
+    r = 1500
+    a, b = _moved_clouds(r, 4, "scaled")
+    wasserstein_intrinsic(a[:10], b[:10])
+    tracemalloc.start()
+    try:
+        wasserstein_intrinsic(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix = 8 * r * r
+    assert matrix <= peak < 2.5 * matrix
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_point_mass_needs_no_assignment(monkeypatch, order):
     # every bijection is optimal from a point mass, on either side: the
