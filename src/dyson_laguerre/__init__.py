@@ -1,6 +1,6 @@
 """Simulation and analysis toolkit for Dyson-Laguerre interacting particle systems."""
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .errors import (
     CollisionError,
@@ -13,7 +13,6 @@ from .errors import (
     SerializationError,
     SizeMismatch,
     StepRejected,
-    UnnormalizedReference,
     UnsupportedRegime,
     ValidationError,
 )
@@ -59,9 +58,7 @@ from .geometry import (
 from .transport import (
     DistanceEstimate,
     EmpiricalMeasure,
-    kl_projected_estimate,
     ou_closed_form_distances,
-    tv_threshold_witness,
     wasserstein_intrinsic,
 )
 from .cutoff import (
@@ -73,6 +70,7 @@ from .cutoff import (
     lb_l2_witness,
     lift_matrix_bounds,
     mixing_time_ou,
+    phi_law_distances,
     run_cutoff_profile,
     tv_lower_bound_formula,
     zero_start_chi2,

@@ -12,7 +12,7 @@ needs them:
     beta        repulsion strength (default 1); the matrix route takes only 1
     x0_preset   zero | equilibrium-draw | linear-ramp | single-outlier
     times       comma list of grid times (profile: multipliers of c_n)
-    replicas    Monte Carlo replicas, at least 1 (also: trials for check-cd)
+    replicas    replicas, at least 1 (check-cd: trials; cutoff-profile: unread)
     distances   comma list of kinds among TV, KL, L2, W
     seed        nonnegative 64-bit integer (default 0)
     out_dir     output directory (default .)

@@ -1,12 +1,12 @@
-"""Cutoff predictions, witness bounds, zero-start closed forms, and profile
+"""Cutoff predictions, witness bounds, the exact law of phi, and profile
 experiments.
 
 The linear statistic phi(x) = sum_i x_i is an exact eigenfunction carrier:
 G phi = N - phi with N = n*alpha, Gamma(phi) = phi, so phi(X_t) is itself a
 one-dimensional canonical square-root diffusion with shape N, for every
 beta.  Its equilibrium pushforward is Gamma(N, 1) exactly.  All witness
-formulas below live on that projection, and the profile runner draws phi
-from its exact transition law on both routes, so it runs no integrator.
+formulas below live on that projection, and the profile runner reports
+the exact TV and KL of its law, so it runs no integrator and draws no phi.
 
 Mixing-time branch formulas for Ornstein-Uhlenbeck flows are transcribed
 exactly as stated by their source; they are asymptotic cutoff locations,
@@ -16,6 +16,7 @@ substituting them for either.
 """
 
 from dataclasses import dataclass, field
+import functools
 import math
 import warnings
 
@@ -23,13 +24,8 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedRegime
 from .model import observable_phi
-from .simulate import RngStream, cir_exact_transition, route_params
-from .transport import (
-    gaussian_tv,
-    kl_projected_estimate,
-    ou_closed_form_distances,
-    tv_threshold_witness,
-)
+from .simulate import RngStream, route_params
+from .transport import _scale_kl, gaussian_tv, ou_closed_form_distances
 
 _KIND_ALIASES = {
     "TV": "TV",
@@ -296,7 +292,8 @@ def zero_start_tv(n_big, t):
     if u == 0.0:
         return 0.0
     c = -math.expm1(-t)
-    xs = n_big * c * -math.log1p(-u) / u
+    # log c, not log1p(-u): u = e^{-t} rounds to 1 below t = 1.1e-16
+    xs = n_big * c * -math.log(c) / u
     return abs(float(gammainc(n_big, xs / c) - gammainc(n_big, xs)))
 
 
@@ -310,15 +307,7 @@ def zero_start_kl(n_big, t):
     _check_zero_start(n_big, t)
     if t == 0:
         return math.inf
-    u = math.exp(-t)
-    if u > 0.5:
-        return n_big * (-u - math.log1p(-u))
-    total, power, k = 0.0, u * u, 2
-    while power / k > 1e-17 * total:
-        total += power / k
-        power *= u
-        k += 1
-    return n_big * total
+    return n_big * _scale_kl(t)
 
 
 def zero_start_chi2(n_big, t):
@@ -332,18 +321,137 @@ def zero_start_chi2(n_big, t):
     return math.expm1(exponent) if exponent < 700 else math.inf
 
 
-def _phi_reference_logpdf(n_big):
-    """Normalized log-density of Gamma(N, 1), the equilibrium law of phi."""
-    from scipy.special import gammaln
+# The law of phi_t from phi_0 is c * Gamma(N + K), K ~ Poisson(lam), c = 1 - e^{-t},
+# lam = phi_0 e^{-t} / c.  Against Gamma(N, 1) its log density
+#     r(z) = -N log c - lam - b z + log 0F1(; N; lam z / c),   b = e^{-t} / c,
+# is concave (log 0F1's slope is the decreasing Bessel ratio I_N(x) / (x I_{N-1}(x)),
+# x = 2 sqrt(lam z / c)), so p > q on one interval.  The KL rule's span leaves out
+# 1e-17 of the law; below N = 1/2 it is too wide for 128 nodes in log z, and above
+# 1e8 in N or lam scipy's chndtr slows (NaN from about 1e11).  Six Debye terms give
+# log I_nu within 3e-12 from order 30 on.
+_LAW_SHAPE_MIN = 0.5
+_LAW_MAX = 1e8
+_DEBYE_ORDER = 30.0
+_DEBYE_TERMS = 6
 
-    lz = gammaln(n_big)
 
-    def logpdf(z):
-        z = np.asarray(z, dtype=float)
-        out = np.where(z > 0, (n_big - 1.0) * np.log(np.maximum(z, 1e-300)) - z - lz, -np.inf)
-        return out
+@functools.cache
+def _legendre_rule():
+    return np.polynomial.legendre.leggauss(128)
 
-    return logpdf
+
+@functools.cache
+def _debye_polynomials():
+    """Row k: the coefficients in powers of p of Debye's u_k, k <= _DEBYE_TERMS,
+    from u_0 = 1 and u_{k+1} = p^2 (1 - p^2) u_k' / 2
+    + (1/8) int_0^p (1 - 5 s^2) u_k(s) ds (DLMF 10.41.9)."""
+    Polynomial = np.polynomial.Polynomial
+    u = [Polynomial([1.0])]
+    for _ in range(_DEBYE_TERMS):
+        u.append(Polynomial([0.0, 0.0, 0.5, 0.0, -0.5]) * u[-1].deriv()
+                 + (Polynomial([1.0, 0.0, -5.0]) * u[-1]).integ() / 8.0)
+    return np.array([np.pad(v.coef, (0, 3 * _DEBYE_TERMS + 1 - len(v.coef))) for v in u])
+
+
+def _log_0f1(shape, a):
+    """log 0F1(; shape; a) for an array of a >= 0, where
+    0F1(; N; a) = Gamma(N) a^{-nu/2} I_nu(2 sqrt(a)), nu = N - 1.
+
+    From order 30 on, Debye's expansion of I_nu(nu z) (DLMF 10.41.3) and
+    Stirling's series sigma(nu) for log Gamma(nu + 1) leave
+    nu (w - 1 - log((1 + w)/2)) - log(w)/2 + log S(1/w) + sigma(nu),
+    w = sqrt(1 + z^2), where nothing large cancels.  Below order 30, 17
+    terms of sum_k a^k / (k! (N)_k) for a <= 1, else scipy's ive.
+    """
+    from scipy.special import gammaln, ive
+
+    nu = shape - 1.0
+    if nu >= _DEBYE_ORDER:
+        z = 2.0 * np.sqrt(a) / nu
+        w = np.sqrt(1.0 + z * z)
+        d = z * z / (1.0 + w)
+        coef = nu ** -np.arange(_DEBYE_TERMS + 1.0) @ _debye_polynomials()
+        series = np.vander(1.0 / w, len(coef), increasing=True) @ coef
+        sigma = (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * nu**2))
+                                / nu**2) / nu**2) / nu
+        return nu * (d - np.log1p(0.5 * d)) - 0.5 * np.log(w) + np.log(series) + sigma
+    out = np.empty_like(a)
+    small = a <= 1.0
+    a_small, tail = a[small], 0.0
+    for k in range(17, 0, -1):
+        tail = a_small / (k * (shape + k - 1.0)) * (1.0 + tail)
+    out[small] = np.log1p(tail)
+    big = a[~small]
+    x = 2.0 * np.sqrt(big)
+    out[~small] = gammaln(shape) - 0.5 * nu * np.log(big) + np.log(ive(nu, x)) + x
+    return out
+
+
+def phi_law_distances(x0, t, params):
+    """Exact {"TV": .., "KL": ..} of the law of phi = sum_i x_i at time t
+    from x0 against Gamma(N, 1), its equilibrium law.
+
+    From phi(x0) = 0 they are zero_start_tv and zero_start_kl; at t = 0 the
+    law is a point mass (TV 1, KL inf).  Elsewhere it is (c/2) times a
+    noncentral chi-square with 2N degrees of freedom and noncentrality
+    2 lam, c = 1 - e^{-t}, lam = phi(x0) e^{-t} / c: the TV sums the gaps of
+    the two CDFs (chndtr, gammainc) at the densities' crossings, and the KL
+    is a Gauss-Legendre rule.  N below 1/2, or N or lam above 1e8, raises
+    DomainError before any work.
+    """
+    _check_time(t)
+    tv, kl = _phi_law(observable_phi(x0, params), t)
+    return {"TV": tv, "KL": kl}
+
+
+def _phi_law(obs, t):
+    """phi_law_distances from phi at the start: (TV, KL)."""
+    from scipy.special import chndtr, gammainc, gammaln
+
+    n_big = obs.phi_l2norm_sq
+    if t == 0:
+        return 1.0, math.inf
+    e, c = math.exp(-t), -math.expm1(-t)
+    lam = obs.phi_raw * e / c
+    if lam == 0.0:  # from phi = 0, or e^{-t} underflows: the law is c * Gamma(N)
+        return zero_start_tv(n_big, t), zero_start_kl(n_big, t)
+    if not (_LAW_SHAPE_MIN <= n_big <= _LAW_MAX and lam <= _LAW_MAX):
+        raise DomainError(
+            f"the exact law of phi needs N in [{_LAW_SHAPE_MIN}, {_LAW_MAX:g}] and "
+            f"phi(x0) e^-t / (1 - e^-t) <= {_LAW_MAX:g}; got N = {n_big:g}, {lam:g}"
+        )
+    b, r0 = e / c, -n_big * math.log(c) - lam
+    # below y c, y <= 1/2, the law has mass at most e^{-lam/2} y^N / Gamma(N + 1)
+    mean, sd = c * (n_big + lam), c * math.sqrt(n_big + 2.0 * lam)
+    log_y = (math.log(1e-17) + gammaln(n_big + 1.0) + 0.5 * lam) / n_big
+    lo = max(mean - 12.0 * sd, c * math.exp(min(log_y, -math.log(2.0))))
+    s_lo, s_hi = math.log(lo), math.log(mean + 12.0 * sd + 40.0 * c)
+    nodes, weights = _legendre_rule()
+    half = 0.5 * (s_hi - s_lo)
+    s = s_lo + half * (nodes + 1.0)
+    z = np.exp(s)
+    r = r0 - b * z + _log_0f1(n_big, (lam / c) * z)
+    p_dz = np.exp((n_big - 1.0) * s - z - gammaln(n_big) + r + s) * (half * weights)
+    kl = max(float(p_dz @ r), 0.0)
+
+    # a crossing between nodes i and i + 1: linear in s, then two Newton
+    # steps within the bracket.  One beyond the outer nodes is taken there,
+    # which moves the CDF gap by at most the law's mass beyond them.
+    pos = r > 0.0
+    i = np.flatnonzero(pos[1:] != pos[:-1])
+    left, right = s[i], s[i + 1]
+    root = left - r[i] * (right - left) / (r[i + 1] - r[i])
+    for _ in range(2):
+        zr = np.exp(root)
+        a = (lam / c) * zr
+        log_f = _log_0f1(n_big, a)
+        slope = zr * (lam / (c * n_big) * np.exp(_log_0f1(n_big + 1.0, a) - log_f) - b)
+        root = np.clip(root - (r0 - b * zr + log_f) / slope, left, right)
+    cross = np.concatenate((z[:1][pos[:1]], np.exp(root), z[-1:][pos[-1:]]))
+    # the CDF gap is 0 at both ends of the line, so TV is half its total variation
+    gap = np.concatenate(([0.0], chndtr(2.0 * cross / c, 2.0 * n_big, 2.0 * lam)
+                          - gammainc(n_big, cross), [0.0]))
+    return min(0.5 * float(np.sum(np.abs(np.diff(gap)))), 1.0), kl
 
 
 @dataclass
@@ -391,8 +499,13 @@ class CutoffProfile:
         return sorted(out, key=lambda r: (r.n, r.kind, r.t))
 
     def tv_window(self, n, hi=0.9, lo=0.1):
-        """Crossing times of the TV witness through hi and lo levels by
-        linear interpolation, with the width and its ratio to c_n."""
+        """Crossing times of the TV profile through hi and lo levels, with
+        the width and its ratio to c_n.  t is interpolated linearly in
+        g(v) = log ndtri((1 + v) / 2), in which the TV's limit shape
+        2 Phi(e^{-w} / 2) - 1 at t = log(N) / 2 + w is linear, or in v where
+        a bracket's value is exactly 0 or 1."""
+        from scipy.special import ndtri
+
         rows = self.rows_for(n=n, kind="TV")
         if len(rows) < 2:
             raise DomainError(f"not enough TV rows for n={n}")
@@ -403,8 +516,10 @@ class CutoffProfile:
             for i in range(len(ts) - 1):
                 a, b = vs[i], vs[i + 1]
                 if (a - level) * (b - level) <= 0 and a != b:
+                    if 0.0 < min(a, b) and max(a, b) < 1.0:
+                        a, b, level = np.log(ndtri((1.0 + np.array([a, b, level])) / 2.0))
                     return ts[i] + (level - a) * (ts[i + 1] - ts[i]) / (b - a)
-            raise DomainError(f"TV witness never crosses level {level} on the grid (n={n})")
+            raise DomainError(f"TV profile never crosses level {level} on the grid (n={n})")
 
         t_hi = crossing(hi)
         t_lo = crossing(lo)
@@ -437,27 +552,26 @@ def run_cutoff_profile(config):
     config is a mapping with keys drawn from the flat run schema: n (int or
     list, default 16, 64, 128), m, alpha, beta, x0_preset (default zero),
     times (multipliers of the nominal critical time c_n, default 0.4 to 1.6
-    by 0.1), replicas (default 4000), distances (default TV, KL), seed
-    (default 0).  A key whose value is None, and an empty n, times or
-    distances (list or array), count as omitted.  Each rung takes its route
-    from the one route rule, simulate.route_params, and the profile accepts
-    both routes: given alpha, the Euler route with (n, alpha, beta), beta
+    by 0.1), distances (default TV, KL), seed (default 0).  replicas is not
+    read.  A key whose value is None, and an empty n, times or distances
+    (list or array), count as omitted.  Each rung takes its route from the
+    one route rule, simulate.route_params, and the profile accepts both
+    routes: given alpha, the Euler route with (n, alpha, beta), beta
     defaulting to 1; otherwise the matrix route on n x m matrices, m
     defaulting to the rung's n.
 
-    Every kind reads only phi = sum_i x_i, and phi(X_t) is a CIR process
-    with shape N = n * alpha for every beta.  So on both routes each rung
-    draws its start preset (the zero preset stays at 0), then the Gamma(N)
-    reference sample, then phi at each grid time from its exact transition
-    law, all from the rung's one generator; nothing is integrated, and a
-    profile costs about the draws themselves at any n.  The routes differ
-    in how the start and the model are built and in their upper bounds:
-    the matrix flow's closed forms on the matrix route, the regularized KL
-    chain on the Euler route.  Supported kinds here: TV, KL, L2; W raises
-    UnsupportedRegime before anything is drawn.  Each
-    bound is evaluated only for the kinds requested.  A grid time 0 is
-    allowed: the law there is the point mass at the start, whose upper
-    bounds are TV 1 and KL = L2 = inf.
+    Every kind reads only phi = sum_i x_i, a CIR process with shape
+    N = n * alpha for every beta, so every value is exact and every stderr
+    0: TV and KL are phi_law_distances, and L2 is its lower bound
+    e^{-t} |phi(x0) - N| / sqrt(N), the shift of phi's mean in equilibrium
+    standard deviations.  Only an equilibrium-draw start is drawn, from the
+    rung's own generator.  The routes differ in how the start and the model
+    are built and in their upper bounds: the matrix flow's closed forms on
+    the matrix route, the regularized KL chain on the Euler route.  Kinds
+    TV, KL, L2; W raises UnsupportedRegime before any start or prediction,
+    and a negative or non-finite time DomainError.  Each bound is evaluated
+    only for the kinds requested.  At a grid time 0 the law is the point
+    mass at the start, whose upper bounds are TV 1 and KL = L2 = inf.
     """
     from .equilibrium import build_x0  # local import to avoid a cycle
 
@@ -469,21 +583,21 @@ def run_cutoff_profile(config):
     multipliers = np.asarray(config.get("times", ()), dtype=float)
     if multipliers.size == 0:
         multipliers = np.arange(0.4, 1.65, 0.1)
-    replicas = int(config.get("replicas", 4000))
     kinds = [_norm_kind(k) for k in config.get("distances", ())] or ["TV", "KL"]
     if "W" in kinds:
         raise UnsupportedRegime(
             "profile distances support TV, KL, L2; use the coupling module "
             "for intrinsic Wasserstein decay"
         )
+    if not np.all((multipliers >= 0) & (multipliers < math.inf)):
+        raise DomainError(f"profile times must be finite and nonnegative, got {multipliers}")
     seed = int(config.get("seed", 0))
     preset = config.get("x0_preset", "zero")
 
     rows = []
     predictions = {}
     critical_times = {}
-    meta = {"route": route, "x0_preset": preset, "replicas": replicas, "seed": seed,
-            "fallbacks": []}
+    meta = {"route": route, "x0_preset": preset, "seed": seed, "fallbacks": []}
 
     for n_idx, (n, (params, mp)) in enumerate(zip(ladder, rungs)):
         gen = RngStream(seed, stream_id=1000 + n_idx).generator()
@@ -501,12 +615,6 @@ def run_cutoff_profile(config):
         critical_times[n] = cn
 
         abs_times = multipliers * cn
-        ref = gen.standard_gamma(n_big, size=replicas)
-        logpdf = _phi_reference_logpdf(n_big)
-        # one exact draw per grid time, lazily, after the reference draw:
-        # this order fixes the profile's bits
-        start = np.full(replicas, obs.phi_raw)
-        phi_draws = (cir_exact_transition(start, t, n_big, gen) for t in abs_times)
 
         # The route fixes the upper bound of each kind; a bound runs only
         # when its kind is requested.
@@ -527,20 +635,16 @@ def run_cutoff_profile(config):
                 "L2": lambda t: math.inf,
             }
 
-        for t_abs, phi_samples in zip(abs_times, phi_draws):
+        for t_abs in abs_times:
+            if "TV" in kinds or "KL" in kinds:
+                tv, kl = _phi_law(obs, t_abs)
             for kind in kinds:
                 if kind == "TV":
-                    est = tv_threshold_witness(phi_samples, ref)
-                    value, stderr = est.value, est.stderr
-                    b_lo = _tv_lower_bound(obs, t_abs)
+                    value, b_lo = tv, _tv_lower_bound(obs, t_abs)
                 elif kind == "KL":
-                    est = kl_projected_estimate(phi_samples, logpdf, 1.0)
-                    value, stderr = est.value, est.stderr
-                    b_lo = 0.0
+                    value, b_lo = kl, 0.0
                 else:
-                    value = float(np.abs(np.mean(phi_samples) - n_big) / math.sqrt(n_big))
-                    stderr = float(np.std(phi_samples) / math.sqrt(replicas * n_big))
-                    b_lo = math.sqrt(_lb_l2_witness(obs, t_abs))
+                    value = b_lo = math.sqrt(_lb_l2_witness(obs, t_abs))
                 b_up = upper[kind](t_abs) if t_abs > 0 else _POINT_MASS_UPPER[kind]
                 rows.append(
                     ProfileRow(
@@ -548,7 +652,7 @@ def run_cutoff_profile(config):
                         t=float(t_abs),
                         kind=kind,
                         value=float(value),
-                        stderr=float(stderr) if math.isfinite(stderr) else 0.0,
+                        stderr=0.0,
                         bound_lower=float(b_lo),
                         bound_upper=float(b_up),
                         c_pred_lower=preds[kind].c_lower,

@@ -42,10 +42,6 @@ class EmptySample(DysonLaguerreError):
     """An estimator received an empty sample set."""
 
 
-class UnnormalizedReference(DysonLaguerreError):
-    """A reference density was supplied with an invalid normalizing constant."""
-
-
 class ParseError(DysonLaguerreError):
     """Configuration text could not be parsed.
 

@@ -14,14 +14,13 @@ value is read off the unreduced costs; the solver's search starts near its
 end instead of from zero potentials.
 ``ou_closed_form_distances`` evaluates the closed-form KL, chi-square-based
 L2 and Euclidean W2 distances between a rectangular Ornstein-Uhlenbeck flow
-started at a point and its Gaussian equilibrium.  ``tv_threshold_witness``
-and ``kl_projected_estimate`` are one-dimensional sample-based estimators
-used on projected statistics.
+started at a point and its Gaussian equilibrium, and ``gaussian_tv`` the
+exact total variation between two one-dimensional Gaussians.
 
-Importing this module loads no scipy: ``linear_sum_assignment``,
-``digamma`` and ``ndtr`` are bound as module attributes the
-first time they are looked up (PEP 562), so only the modes that use them pay
-for importing ``scipy.optimize`` or ``scipy.special``.  A bare name inside a
+Importing this module loads no scipy: ``linear_sum_assignment`` and ``ndtr``
+are bound as module attributes the first time they are looked up (PEP 562),
+so only the modes that use them pay for importing ``scipy.optimize`` or
+``scipy.special``.  A bare name inside a
 function never reaches the module ``__getattr__``, so code here reads them as
 attributes of ``_this``, the module itself.  After the first lookup that is a
 plain module global, the same one a patch of the module attribute replaces.
@@ -34,19 +33,13 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmptySample,
-    SizeMismatch,
-    UnnormalizedReference,
-)
+from .errors import DomainError, EmptySample, SizeMismatch
 from .model import check_states
 
 _this = sys.modules[__name__]
 
 _SCIPY_FUNCTIONS = {
     "linear_sum_assignment": "scipy.optimize",
-    "digamma": "scipy.special",
     "ndtr": "scipy.special",
 }
 
@@ -65,9 +58,9 @@ def __getattr__(name):
 class DistanceEstimate:
     """A single distance value with provenance.
 
-    kind: one of TV | KL | L2 | Wg1 | Wg2.
-    method: closed-form | assignment | threshold-witness | knn.
-    stderr is 0.0 for deterministic evaluations.
+    kind: one of KL | L2 | Wg1 | Wg2.
+    method: closed-form | assignment.
+    stderr is 0.0: both methods are deterministic.
     """
 
     kind: str
@@ -276,6 +269,20 @@ def _w2_with_blocks(a, b, blocks):
     ]
 
 
+def _scale_kl(s):
+    """c - 1 - log c at c = 1 - e^{-s}, s > 0, the KL of scale c against scale 1
+    per unit of Gamma shape; once e^{-s} <= 1/2, where it cancels, a series."""
+    u = math.exp(-s)
+    if u > 0.5:
+        return -u - math.log(-math.expm1(-s))
+    total, power, k = 0.0, u * u, 2
+    while power / k > 1e-17 * total:
+        total += power / k
+        power *= u
+        k += 1
+    return total
+
+
 def ou_closed_form_distances(p, t, z0_norm_sq):
     """Closed-form distances from equilibrium at time t of the matrix flow
     dZ = k dB - g Z dt with parameters p (a MatrixParams), started at a
@@ -291,6 +298,8 @@ def ou_closed_form_distances(p, t, z0_norm_sq):
     The printed variant (k for k^2 in the L2 exponent, the last W2 factor
     unsquared) is a transcription slip: the exponent must be dimensionless,
     and W2^2 between Gaussians squares the gap of their standard deviations.
+    The KL's -nm (e^{-2gt} + log(1 - e^{-2gt})) is nm * _scale_kl(2gt),
+    the helper zero_start_kl uses, so from z0 = 0 the two agree to the bit.
     """
     if t <= 0 or not math.isfinite(t):
         raise DomainError(f"t must be positive, got {t}")
@@ -300,7 +309,7 @@ def ou_closed_form_distances(p, t, z0_norm_sq):
     nm = p.n * p.m
     e2 = math.exp(-2.0 * g * t)
     one_m_e2 = -math.expm1(-2.0 * g * t)
-    kl = 0.5 * ((2.0 * g / k2) * z0_norm_sq * e2 - nm * e2 - nm * math.log(one_m_e2))
+    kl = 0.5 * ((2.0 * g / k2) * z0_norm_sq * e2 + nm * _scale_kl(2.0 * g * t))
     l2_exp = (2.0 * g / k2) * z0_norm_sq * e2 / (1.0 + e2) - 0.5 * nm * math.log1p(-e2 * e2)
     l2_sq = math.expm1(l2_exp) if l2_exp < 700 else math.inf
     sqrt_term = 1.0 - math.sqrt(one_m_e2)
@@ -384,113 +393,3 @@ def gaussian_tv(mu1, v1, v2):
         total = total + np.abs(v - u)
     tv = np.where(zero, 0.0, 0.5 * (total + np.abs(pts[-1])))
     return float(tv) if tv.ndim == 0 else tv
-
-
-def tv_threshold_witness(samples_p, samples_q):
-    """Total-variation lower-bound witness from threshold events.
-
-    The witness is the largest gap between the two empirical CDFs over all
-    thresholds.  stderr carries a DKW 95 percent confidence half-width
-    (a conservative penalty, not a standard error of an unbiased
-    estimator).  A non-finite sample raises DomainError.
-    """
-    sp = np.asarray(samples_p, dtype=float).reshape(-1)
-    sq = np.asarray(samples_q, dtype=float).reshape(-1)
-    if sp.size == 0 or sq.size == 0:
-        raise EmptySample("both sample sets must be nonempty")
-    if not (np.all(np.isfinite(sp)) and np.all(np.isfinite(sq))):
-        raise DomainError("samples must be finite")
-    sp = np.sort(sp)
-    sq = np.sort(sq)
-    pooled = np.concatenate([sp, sq])
-    fp = np.searchsorted(sp, pooled, side="right") / sp.size
-    fq = np.searchsorted(sq, pooled, side="right") / sq.size
-    value = float(np.max(np.abs(fp - fq)))
-    dkw = math.sqrt(math.log(2.0 / 0.05) / (2.0 * sp.size)) + math.sqrt(
-        math.log(2.0 / 0.05) / (2.0 * sq.size)
-    )
-    return DistanceEstimate("TV", value, dkw, "threshold-witness")
-
-
-def _knn_distances(srt, k):
-    """Distance from each entry of srt, sorted along its last axis, to its
-    k-th nearest other entry of the same row, for 1 <= k < row size.
-
-    The k nearest entries of srt[i] together with srt[i] fill a window
-    [i - l, i + k - l] of the sorted order, so the distance is the minimum
-    over l = 0..k of max(srt[i] - srt[i - l], srt[i + k - l] - srt[i]);
-    windows that leave the sample do not count.  Every candidate is one of
-    the differences a walk outward from i would take, so the result is the
-    same to the bit, ties included.
-    """
-    n = srt.shape[-1]
-    out = np.full(srt.shape, np.inf)
-    lo, hi = srt[..., : n - k], srt[..., k:]
-    for l in range(k + 1):
-        mid = srt[..., l : n - k + l]
-        d = np.maximum(mid - lo, hi - mid)
-        np.minimum(out[..., l : n - k + l], d, out=out[..., l : n - k + l])
-    return out
-
-
-def kl_projected_estimate(samples, reference_log_density, reference_normalizer, k=3):
-    """KL divergence of a one-dimensional sample law from a reference.
-
-    Entropy is estimated with the Kozachenko-Leonenko k-nearest-neighbor
-    estimator; the cross term averages the supplied unnormalized
-    log-density and adds log(reference_normalizer).  stderr comes from a
-    ten-way batch split of the full estimate, and is NaN when the estimate
-    is infinite, e.g. for a sample that sits on a zero of the reference.
-    The batches of one size are estimated together, as the rows of one
-    array, with the bits each gets alone.  A non-finite sample raises
-    DomainError.
-    """
-    s = np.asarray(samples, dtype=float).reshape(-1)
-    if s.size == 0:
-        raise EmptySample("samples must be nonempty")
-    if s.size <= k + 1:
-        raise EmptySample(f"need more than {k + 1} samples for the kNN entropy estimate")
-    if not np.all(np.isfinite(s)):
-        raise DomainError("samples must be finite")
-    if (
-        reference_normalizer is None
-        or not math.isfinite(reference_normalizer)
-        or reference_normalizer <= 0
-    ):
-        raise UnnormalizedReference(
-            f"reference_normalizer must be a positive finite real, got {reference_normalizer}"
-        )
-    log_z = math.log(reference_normalizer)
-    digamma = _this.digamma
-
-    def _estimates(blocks):
-        """The estimate of each row of a 2-D array of samples."""
-        rows, n = blocks.shape
-        srt = np.sort(blocks, axis=1)
-        kk = min(k, n - 1)
-        left = np.maximum(_knn_distances(srt, kk), 1e-300)
-        entropy = np.mean(np.log(2.0 * left), axis=1) + digamma(n) - digamma(kk)
-        flat = srt.reshape(-1)
-        logq = np.asarray(reference_log_density(flat), dtype=float)
-        if logq.shape != flat.shape:
-            raise DomainError(
-                f"reference_log_density returned shape {logq.shape} for {flat.shape} samples; "
-                "it must evaluate an array elementwise"
-            )
-        cross = -np.mean(logq.reshape(rows, n), axis=1) + log_z
-        return -entropy + cross
-
-    value = float(_estimates(s[None, :])[0])
-    n_batches = 10
-    if s.size >= 20 * n_batches and math.isfinite(value):
-        shuffled = s[np.random.default_rng(0).permutation(s.size)]
-        # np.array_split's blocks: the first s.size % n_batches hold one more
-        size, wide = divmod(s.size, n_batches)
-        cut = wide * (size + 1)
-        groups = (shuffled[:cut].reshape(wide, size + 1),
-                  shuffled[cut:].reshape(n_batches - wide, size))
-        vals = np.concatenate([_estimates(g) for g in groups if g.size])
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(n_batches))
-    else:
-        stderr = float("nan")
-    return DistanceEstimate("KL", value, stderr, "knn")

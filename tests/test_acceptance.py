@@ -39,7 +39,6 @@ from dyson_laguerre import (
     run,
     run_cutoff_profile,
     sample_equilibrium_batch,
-    tv_threshold_witness,
     wasserstein_intrinsic,
     wg_decay_estimate,
     zero_start_tv,

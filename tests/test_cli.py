@@ -381,7 +381,7 @@ def _profile_rows(out):
         # Euler route without beta: beta = 1
         ("n = 3\nalpha = 4.0\ntimes = 0.8, 1.2\nreplicas = 200\ndistances = TV\n",
          "beta = 1.0\n"),
-        # matrix route without replicas: 4000 replicas
+        # matrix route without replicas, which the profile does not read
         ("n = 8\ntimes = 0.6, 1.0\ndistances = TV, L2\n", "replicas = 4000\n"),
         # matrix route without n: the ladder 16, 64, 128 with m = n
         ("times = 0.7\nreplicas = 200\ndistances = TV\n", "n = 16, 64, 128\n"),

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
-from scipy.special import gammainc
+from scipy import integrate, optimize, stats
+from scipy.special import gammainc, ndtri
 
 from dyson_laguerre import (
     DomainError,
     MatrixParams,
     ModelParams,
-    RngStream,
     UnsupportedRegime,
-    build_x0,
     cir_exact_transition,
     cutoff_predict,
     duhamel_variance,
@@ -22,16 +20,15 @@ from dyson_laguerre import (
     lb_l2_witness,
     lift_matrix_bounds,
     mixing_time_ou,
-    observable_phi,
     ou_closed_form_distances,
+    phi_law_distances,
     run_cutoff_profile,
     tv_lower_bound_formula,
-    tv_threshold_witness,
     zero_start_chi2,
     zero_start_kl,
     zero_start_tv,
 )
-from dyson_laguerre.cutoff import CutoffProfile, ProfileRow
+from dyson_laguerre.cutoff import CutoffProfile, ProfileRow, _log_0f1
 
 
 def test_mixing_time_hand_values():
@@ -228,8 +225,14 @@ def test_tv_window_on_synthetic_rows():
     ]
     prof = CutoffProfile(rows=rows, predictions={}, critical_times={8: 2.0}, route="matrix")
     win = prof.tv_window(8)
-    assert win["t_hi"] == pytest.approx(0.5)  # crosses 0.9 between 0 and 1
-    assert win["t_lo"] == pytest.approx(2.0 + 0.3 / 0.35)
+    # crosses 0.9 between 0 and 1, linearly, as the TV at t = 0 is exactly 1
+    assert win["t_hi"] == pytest.approx(0.5)
+
+    # crosses 0.1 between 2 and 3, linearly in log ndtri((1 + v) / 2)
+    def g(v):
+        return math.log(ndtri((1.0 + v) / 2.0))
+
+    assert win["t_lo"] == pytest.approx(2.0 + (g(0.1) - g(0.4)) / (g(0.05) - g(0.4)))
     assert win["width"] == pytest.approx(win["t_lo"] - win["t_hi"])
     assert win["ratio"] == pytest.approx(win["width"] / 2.0)
     with pytest.raises(DomainError):
@@ -336,8 +339,8 @@ def test_profile_rejects_wasserstein(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the profile drew or predicted before refusing W")
 
-    for module, name in ((cutoff, "cir_exact_transition"), (cutoff, "_cutoff_bracket"),
-                         (cutoff, "RngStream"), (equilibrium, "build_x0")):
+    for module, name in ((cutoff, "_cutoff_bracket"), (cutoff, "RngStream"),
+                         (equilibrium, "build_x0")):
         monkeypatch.setattr(module, name, fail)
     config = {
         "mode": "cutoff-profile",
@@ -400,6 +403,10 @@ def test_zero_start_closed_forms_at_the_ends():
         1.0, math.inf, math.inf)
     assert (zero_start_tv(8.0, 800.0), zero_start_kl(8.0, 800.0), zero_start_chi2(8.0, 800.0)) == (
         0.0, 0.0, 0.0)
+    # below t = 1.1e-16, e^{-t} rounds to 1: the law is still nearly the point mass
+    for t in (1e-17, 1e-300):
+        assert zero_start_tv(8.0, t) == 1.0
+        assert zero_start_kl(8.0, t) == pytest.approx(8.0 * (-1.0 - math.log(t)), rel=1e-15)
     # sum_{k >= 2} u^k / k at u = e^{-t} = 0.01, where N (c - 1 - log c) cancels
     assert zero_start_kl(3.0, math.log(100.0)) == pytest.approx(
         3.0 * sum(0.01**k / k for k in range(2, 12)), rel=1e-14)
@@ -411,41 +418,33 @@ def test_zero_start_closed_forms_at_the_ends():
                 fn(*args)
 
 
-@pytest.mark.parametrize("preset", ["zero", "ramp", "equilibrium-draw"])
-def test_euler_profile_draws_phi_from_its_exact_transition(monkeypatch, preset):
+@pytest.mark.parametrize("preset", ["zero", "ramp"])
+@pytest.mark.parametrize("model", [{"alpha": 6.0, "beta": 2.0}, {"m": 8}], ids=["euler", "matrix"])
+def test_profile_rows_do_not_depend_on_replicas_or_seed(model, preset):
+    # nothing is drawn but an equilibrium-draw start, so replicas and seed
+    # leave these presets' rows as they are; every row is exact
+    config = dict(model, n=[3, 5], x0_preset=preset, times=[0.0, 0.5, 1.0],
+                  distances=["TV", "KL", "L2"])
+    prof = run_cutoff_profile(dict(config, replicas=1, seed=0))
+    rows = prof.rows
+    assert "replicas" not in prof.meta
+    for replicas, seed in ((4000, 0), (1, 1), (4000, 1)):
+        assert run_cutoff_profile(dict(config, replicas=replicas, seed=seed)).rows == rows
+    assert len(rows) == 18
+    for r in rows:
+        assert r.stderr == 0.0
+        assert r.bound_lower <= r.value <= r.bound_upper, r
+        if r.kind == "L2":
+            assert r.value == r.bound_lower
+
+
+def test_profile_refuses_negative_and_non_finite_times(monkeypatch):
     from dyson_laguerre import cutoff
 
-    live, drawn = cutoff.cir_exact_transition, []
-
-    def capture(*args):
-        drawn.append(live(*args))
-        return drawn[-1]
-
-    monkeypatch.setattr(cutoff, "cir_exact_transition", capture)
-    ladder, alpha, beta, replicas, seed = [3, 5], 6.0, 2.0, 400, 11
-    prof = run_cutoff_profile({"n": ladder, "alpha": alpha, "beta": beta, "x0_preset": preset,
-                               "times": [0.5, 1.0], "replicas": replicas,
-                               "distances": ["TV", "L2"], "seed": seed})
-    assert prof.route == "sde"
-    # a generator in the profile's state: the start preset, the reference
-    # draw, then one exact transition per grid time
-    want = []
-    for n_idx, n in enumerate(ladder):
-        params = ModelParams(n, alpha, beta)
-        gen = RngStream(seed, 1000 + n_idx).generator()
-        x0, _ = build_x0(preset, params, gen)
-        n_big = n * alpha
-        ref = gen.standard_gamma(n_big, size=replicas)
-        start = np.full(replicas, observable_phi(x0, params).phi_raw)
-        tv_rows, l2_rows = prof.rows_for(n=n, kind="TV"), prof.rows_for(n=n, kind="L2")
-        for tv_row, l2_row in zip(tv_rows, l2_rows):
-            phi = cir_exact_transition(start, tv_row.t, n_big, gen)
-            want.append(phi)
-            assert tv_row.value == tv_threshold_witness(phi, ref).value
-            assert l2_row.value == abs(np.mean(phi) - n_big) / math.sqrt(n_big)
-    assert len(drawn) == len(want) == 4
-    for got, exact in zip(drawn, want):
-        assert np.array_equal(got.view(np.int64), exact.view(np.int64))
+    monkeypatch.setattr(cutoff, "RngStream", None)  # refused before any rung starts
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            run_cutoff_profile({"n": 4, "times": [1.0, bad], "distances": ["L2"]})
 
 
 @pytest.mark.parametrize("model", [{"alpha": 6.0, "beta": 2.0}, {"m": 8}])
@@ -487,3 +486,123 @@ def test_euler_profile_from_zero_lies_in_its_bounds(n, alpha, beta):
         assert r.bound_lower - 3.0 * r.stderr <= r.value <= r.bound_upper + 3.0 * r.stderr, r
         if r.kind == "TV":
             assert abs(r.value - zero_start_tv(n * alpha, r.t)) <= r.stderr + 0.01, r
+
+
+# The exact law of phi_t: (c/2) times a noncentral chi-square with 2N degrees
+# of freedom and noncentrality 2 lam, c = 1 - e^{-t}, lam = phi_0 e^{-t} / c.
+def _phi_law_scipy(n_big, phi0, t):
+    c = -math.expm1(-t)
+    return stats.ncx2(2.0 * n_big, 2.0 * phi0 * math.exp(-t) / c, scale=c / 2.0)
+
+
+def _law_by_quadrature(n_big, phi0, t):
+    """TV and KL of the law of phi_t against Gamma(N, 1) by scipy's ncx2
+    density and adaptive quadrature, split at the densities' crossings.
+    ncx2.logpdf is -inf at thousands of degrees of freedom, so logs are
+    taken of the density."""
+    p, q = _phi_law_scipy(n_big, phi0, t), stats.gamma(n_big)
+    lo = min(p.ppf(1e-15), q.ppf(1e-15))
+    hi = max(p.isf(1e-15), q.isf(1e-15))
+    grid = np.linspace(lo, hi, 4001)
+    diff = p.pdf(grid) - q.pdf(grid)
+    cross = [optimize.brentq(lambda z: p.pdf(z) - q.pdf(z), a, b)
+             for a, b, da, db in zip(grid, grid[1:], diff, diff[1:]) if da * db < 0]
+    edges = [lo, *cross, hi]
+
+    def quad(f):
+        return sum(integrate.quad(f, a, b, limit=400, epsabs=1e-15, epsrel=1e-13)[0]
+                   for a, b in zip(edges, edges[1:]))
+
+    def kl_density(z):
+        pz = p.pdf(z)
+        return pz * (math.log(pz) - q.logpdf(z)) if pz > 0 else 0.0
+
+    return 0.5 * quad(lambda z: abs(p.pdf(z) - q.pdf(z))), quad(kl_density)
+
+
+def _start(n, phi0):
+    return np.full(n, phi0 / n)
+
+
+@pytest.mark.parametrize(
+    "params, phi0, t",
+    [
+        (ModelParams(4, 12.0, 1.0), 10.0, 0.2),       # N = 48: Debye's expansion
+        (ModelParams(3, 5.0, 2.0), 6.0, 0.7),         # N = 15: scipy's ive
+        (ModelParams(1, 2.5, 0.0), 10.0, 1.5),        # N = 2.5
+        (MatrixParams.bru(1, 1).induced_model(), 3.0, 0.5),       # N = 1/2
+        (MatrixParams.bru(128, 128).induced_model(), 9000.0, 3.0),   # N = 8192
+        (MatrixParams.bru(128, 128).induced_model(), 16384.0, 5.0),
+    ],
+    ids=["N48", "N15", "N2.5", "N0.5", "N8192-near", "N8192-far"],
+)
+def test_phi_law_matches_quadrature(params, phi0, t):
+    got = phi_law_distances(_start(params.n, phi0), t, params)
+    tv, kl = _law_by_quadrature(params.phi_mean, phi0, t)
+    assert got["TV"] == pytest.approx(tv, rel=0, abs=1e-8)
+    assert got["KL"] == pytest.approx(kl, rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("n_big", [0.1, 0.5, 2.5, 48.0, 8192.0, 1e7])
+def test_phi_law_from_zero_is_the_zero_start_closed_forms(n_big):
+    params = ModelParams(1, n_big, 0.0)
+    for t in (0.05, 0.4, 1.0, 3.0, 9.0, 30.0):
+        got = phi_law_distances(np.zeros(1), t, params)
+        assert got["TV"] == pytest.approx(zero_start_tv(n_big, t), rel=0, abs=1e-12)
+        assert got["KL"] == pytest.approx(zero_start_kl(n_big, t), rel=1e-12, abs=1e-12)
+    # the law at t = 0 is the point mass at phi(x0)
+    for x0 in (np.zeros(1), np.ones(1)):
+        assert phi_law_distances(x0, 0.0, params) == {"TV": 1.0, "KL": math.inf}
+
+
+@pytest.mark.parametrize("phi0", [1.0, 6.0, 40.0])
+def test_phi_law_kl_is_the_mean_log_ratio_of_exact_draws(phi0):
+    # KL = E_p[log p - log q] over exact draws of phi_t, N = 6
+    params, draws = ModelParams(2, 3.0, 1.0), 200_000
+    rng = np.random.default_rng(int(phi0))
+    q = stats.gamma(6.0)
+    for t in (0.2, 0.8, 2.0):
+        z = cir_exact_transition(np.full(draws, phi0), t, 6.0, rng)
+        log_ratio = _phi_law_scipy(6.0, phi0, t).logpdf(z) - q.logpdf(z)
+        se = log_ratio.std() / math.sqrt(draws)
+        kl = phi_law_distances(_start(2, phi0), t, params)["KL"]
+        assert abs(log_ratio.mean() - kl) <= 4.0 * se, (t, log_ratio.mean(), kl, se)
+
+
+def test_phi_law_refuses_what_it_cannot_evaluate(monkeypatch):
+    from dyson_laguerre import cutoff
+
+    def fail(*args):
+        raise AssertionError("the law was evaluated before its inputs were checked")
+
+    monkeypatch.setattr(cutoff, "_log_0f1", fail)
+    small = ModelParams(1, 0.4, 0.0)             # N = 0.4 < 1/2
+    large = ModelParams(2, 6e7, 0.0)             # N = 1.2e8 > 1e8
+    with pytest.raises(DomainError, match="N = 0.4"):
+        phi_law_distances(np.ones(1), 1.0, small)
+    with pytest.raises(DomainError, match="N = 1.2e"):
+        phi_law_distances(np.ones(2), 1.0, large)
+    # phi(x0) e^-t / (1 - e^-t) = 2e8 > 1e8
+    with pytest.raises(DomainError):
+        phi_law_distances(np.ones(1), 5e-9, ModelParams(1, 3.0, 0.0))
+    with pytest.raises(DomainError):
+        phi_law_distances(np.ones(1), -1.0, ModelParams(1, 3.0, 0.0))
+    # from 0 the closed forms take every shape
+    assert phi_law_distances(np.zeros(1), 1.0, small)["KL"] == zero_start_kl(0.4, 1.0)
+
+
+@pytest.mark.parametrize("shape", [0.5, 1.0, 2.5, 15.0, 30.5, 31.0, 48.0, 2048.0])
+def test_log_0f1_matches_mpmath(shape):
+    # every branch: the series below a = 1 and ive below order 30, Debye's
+    # expansion from order 30, from a = 0 to 2 sqrt(a) four times the order.
+    # An absolute error in log 0F1 is a relative error of the density.
+    import mpmath
+
+    a = np.array([0.0, 1e-12, 0.3, 1.0, 1.0001, 7.0, shape, shape**2 / 4, shape**2,
+                  4.0 * shape**2 + 100.0])
+    got = _log_0f1(shape, a)
+    with mpmath.workdps(30):
+        want = [float(mpmath.log(mpmath.hyp0f1(shape, mpmath.mpf(float(v)), maxterms=10**6)))
+                for v in a]
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert _log_0f1(shape, np.array([1e-300]))[0] == pytest.approx(1e-300 / shape, rel=1e-12)

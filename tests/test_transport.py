@@ -11,20 +11,17 @@ from scipy import integrate, special, stats
 import dyson_laguerre
 from dyson_laguerre import (
     DomainError,
-    EmptySample,
     EmpiricalMeasure,
     MatrixParams,
     SizeMismatch,
-    UnnormalizedReference,
     ValidationError,
-    kl_projected_estimate,
     mixing_time_ou,
     ou_closed_form_distances,
-    tv_threshold_witness,
     wasserstein_intrinsic,
+    zero_start_kl,
 )
 from dyson_laguerre import transport
-from dyson_laguerre.transport import _knn_distances, gaussian_tv
+from dyson_laguerre.transport import gaussian_tv
 
 
 def _stationary_var(p):
@@ -59,6 +56,25 @@ def test_ou_closed_forms_vs_quadrature():
 
         w2_exact = math.sqrt(mu**2 + (math.sqrt(vt) - math.sqrt(vinf)) ** 2)
         assert got["W2"].value == pytest.approx(w2_exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 128])
+@pytest.mark.parametrize("z0_norm_sq", [0.0, 3.0])
+def test_ou_kl_matches_mpmath_to_rounding(n, z0_norm_sq):
+    # -nm e2 - nm log(1 - e2) cancels as e2 = e^{-2gt} shrinks; the series
+    # keeps the KL at its rounding, and from z0 = 0 it is zero_start_kl's bits
+    import mpmath
+
+    p = MatrixParams.bru(n, n)
+    for t in np.linspace(0.5, 14.0, 28):
+        got = ou_closed_form_distances(p, t, z0_norm_sq)["KL"].value
+        with mpmath.workdps(40):
+            e2 = mpmath.exp(-2 * mpmath.mpf(p.gamma) * mpmath.mpf(float(t)))
+            want = float(0.5 * ((2 * p.gamma / p.kappa**2) * z0_norm_sq * e2
+                                + n * n * (-e2 - mpmath.log1p(-e2))))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0), t
+        if z0_norm_sq == 0.0:
+            assert got == zero_start_kl(n * n / 2.0, 2.0 * p.gamma * t)
 
 
 def test_ou_closed_forms_monotone_to_zero():
@@ -372,15 +388,18 @@ def test_modes_without_exact_assignment_leave_scipy_optimize_unloaded(tmp_path):
         "    config = cli.parse_config(text)\n"
         "    config['out_dir'] = f'{sys.argv[1]}/{k}'\n"
         "    cli.run(config)\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "print([m in sys.modules for m in ('scipy.optimize', 'scipy.stats', 'scipy.integrate')])\n"
     )
     texts = [
         "mode = simulate\nn = 3\nm = 5\ntimes = 0.1, 0.5\nreplicas = 6\nseed = 4\n",
+        # the exact law of phi from a ramp start needs scipy.special only
+        "mode = cutoff-profile\nn = 3, 4\nalpha = 6.0\nbeta = 2.0\nx0_preset = ramp\n"
+        "times = 0.5, 1.0\ndistances = TV, KL, L2\n",
         "mode = check-cd\nn = 3\nalpha = 3.0\nbeta = 1.0\nreplicas = 20\nseed = 4\n",
         "mode = couple\nn = 2\nalpha = 3.0\nbeta = 1.0\nx0_preset = ramp\n"
         "times = 0, 0.2\nreplicas = 3\nseed = 0\n",
     ]
-    assert _fresh_interpreter(code, str(tmp_path), *texts).strip() == "False"
+    assert _fresh_interpreter(code, str(tmp_path), *texts).strip() == "[False, False, False]"
 
 
 def test_couple_loads_no_scipy(tmp_path):
@@ -688,201 +707,3 @@ def test_wasserstein_guards():
         wasserstein_intrinsic(a, np.ones((3, 2)), order=3)
 
 
-def test_tv_witness_same_law_small():
-    rng = np.random.default_rng(23)
-    a = rng.standard_normal(4000)
-    b = rng.standard_normal(4000)
-    est = tv_threshold_witness(a, b)
-    assert est.value < est.stderr  # no real separation
-
-
-def test_tv_witness_disjoint_supports():
-    est = tv_threshold_witness(np.zeros(100), np.ones(100))
-    assert est.value == pytest.approx(1.0)
-
-
-def test_tv_witness_known_gaussian_shift():
-    # empirical CDF gap converges to the exact TV of a mean shift
-    rng = np.random.default_rng(24)
-    mu = 1.2
-    a = rng.standard_normal(20_000) + mu
-    b = rng.standard_normal(20_000)
-    est = tv_threshold_witness(a, b)
-    exact = gaussian_tv(mu, 1.0, 1.0)
-    assert abs(est.value - exact) < est.stderr
-    with pytest.raises(EmptySample):
-        tv_threshold_witness(np.array([]), b)
-
-
-def test_kl_knn_on_matching_reference():
-    rng = np.random.default_rng(25)
-    a = 3.0
-    samples = rng.standard_gamma(a, 5000)
-    est = kl_projected_estimate(
-        samples,
-        lambda x: (a - 1.0) * np.log(x) - x,
-        math.gamma(a),
-    )
-    # true KL is zero; allow knn bias plus three stderr
-    assert abs(est.value) < 0.05 + 3 * est.stderr
-
-
-def test_kl_knn_detects_mismatch():
-    # samples Gamma(a), reference Gamma(b): closed-form divergence
-    rng = np.random.default_rng(26)
-    a, b = 3.0, 4.5
-    samples = rng.standard_gamma(a, 5000)
-    est = kl_projected_estimate(
-        samples,
-        lambda x: (b - 1.0) * np.log(x) - x,
-        math.gamma(b),
-    )
-    exact = (
-        math.lgamma(b)
-        - math.lgamma(a)
-        + (a - b) * special.digamma(a)
-    )
-    assert abs(est.value - exact) < 0.05 + 3 * est.stderr
-
-
-def _knn_walk(srt, k):
-    """Reference: walk outward from each sorted sample, k steps, always
-    taking the nearer side (left on ties)."""
-    n = srt.size
-    out = np.empty(n)
-    for i in range(n):
-        lo, hi = i, i
-        d = 0.0
-        for _ in range(k):
-            dl = srt[i] - srt[lo - 1] if lo > 0 else math.inf
-            dr = srt[hi + 1] - srt[i] if hi < n - 1 else math.inf
-            if dl <= dr:
-                lo -= 1
-                d = dl
-            else:
-                hi += 1
-                d = dr
-        out[i] = d
-    return out
-
-
-def test_knn_distances_match_walk():
-    rng = np.random.default_rng(31)
-    for _ in range(300):
-        n = int(rng.integers(2, 60))
-        k = int(rng.integers(1, n))
-        # rounded draws give ties, including runs longer than k
-        ties = np.sort(np.round(rng.normal(size=n) * rng.choice([1.0, 3.0, 100.0])))
-        spread = np.sort(rng.gamma(2.0, size=n) * 1e3)
-        for srt in (ties, spread):
-            assert np.array_equal(_knn_distances(srt, k), _knn_walk(srt, k))
-    # edge sizes: n = k + 2 (smallest sample the estimator takes) and k >= n - 1
-    for k in (1, 3, 5):
-        srt = np.sort(rng.normal(size=k + 2))
-        assert np.array_equal(_knn_distances(srt, k), _knn_walk(srt, k))
-    for n in (2, 3, 6):
-        srt = np.sort(rng.normal(size=n))
-        assert np.array_equal(_knn_distances(srt, n - 1), _knn_walk(srt, n - 1))
-        srt = np.zeros(n)
-        assert np.array_equal(_knn_distances(srt, n - 1), _knn_walk(srt, n - 1))
-
-
-def test_kl_reference_normalizer_guard():
-    with pytest.raises(UnnormalizedReference):
-        kl_projected_estimate(np.ones(100), lambda x: -x, math.inf)
-    with pytest.raises(UnnormalizedReference):
-        kl_projected_estimate(np.ones(100), lambda x: -x, 0.0)
-    with pytest.raises(EmptySample):
-        kl_projected_estimate(np.array([1.0, 2.0]), lambda x: -x, 1.0)
-
-
-def test_kl_reference_density_must_be_elementwise():
-    # a density written for one value at a time collapses the sample array
-    # to one number; the estimate refuses it instead of looping over samples
-    with pytest.raises(DomainError):
-        kl_projected_estimate(np.arange(1.0, 101.0), lambda x: float(-np.sum(x)), 1.0)
-
-
-# Frozen reference: kl_projected_estimate as it stood, one block at a time.
-def _kl_projected_estimate_per_block(samples, reference_log_density, reference_normalizer,
-                                     k=3):
-    s = np.asarray(samples, dtype=float).reshape(-1)
-    log_z = math.log(reference_normalizer)
-
-    def _estimate(block):
-        n = block.size
-        srt = np.sort(block)
-        kk = min(k, n - 1)
-        left = np.maximum(_knn_distances(srt, kk), 1e-300)
-        entropy = float(np.mean(np.log(2.0 * left))) + special.digamma(n) - special.digamma(kk)
-        logq = np.asarray(reference_log_density(srt), dtype=float)
-        cross = -float(np.mean(logq)) + log_z
-        return -entropy + cross
-
-    value = _estimate(s)
-    n_batches = 10
-    if s.size >= 20 * n_batches and math.isfinite(value):
-        perm = np.random.default_rng(0).permutation(s.size)
-        parts = np.array_split(s[perm], n_batches)
-        vals = [_estimate(p) for p in parts]
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(n_batches))
-    else:
-        stderr = float("nan")
-    return value, stderr
-
-
-def _gamma_logpdf(shape):
-    return lambda x: np.where(x > 0, (shape - 1.0) * np.log(np.maximum(x, 1e-300)) - x, -np.inf)
-
-
-@pytest.mark.parametrize("size", [199, 200, 1000, 1003, 4000])
-def test_kl_batches_match_frozen_per_block_estimate(size):
-    rng = np.random.default_rng(size)
-    for shape in (16.0, 64.0, 128.0):
-        samples = rng.standard_gamma(shape * rng.uniform(0.8, 1.2), size)
-        for logq in (_gamma_logpdf(shape), lambda x: -0.5 * (x - shape) ** 2):
-            est = kl_projected_estimate(samples, logq, math.gamma(shape))
-            want = _kl_projected_estimate_per_block(samples, logq, math.gamma(shape))
-            assert type(est.value) is float
-            assert _same_bits(est.value, want[0]) and _same_bits(est.stderr, want[1])
-            assert math.isnan(est.stderr) == (size < 200)
-
-
-def test_kl_infinite_estimate_matches_frozen_per_block_estimate():
-    # a sample that sits on a zero of the reference: the estimate is inf,
-    # and no batch stderr is computed
-    samples = np.concatenate([np.random.default_rng(5).standard_gamma(3.0, 999), [-1.0]])
-    est = kl_projected_estimate(samples, _gamma_logpdf(3.0), 2.0)
-    value, stderr = _kl_projected_estimate_per_block(samples, _gamma_logpdf(3.0), 2.0)
-    assert est.value == value == math.inf
-    assert math.isnan(est.stderr) and math.isnan(stderr)
-
-
-def test_kl_calls_the_density_once_per_block_size():
-    seen = []
-
-    def logq(x):
-        seen.append(x.shape)
-        return -x
-
-    kl_projected_estimate(np.random.default_rng(6).normal(size=1003), logq, 1.0)
-    # the full sample, then the three blocks of 101 and the seven of 100
-    assert seen == [(1003,), (303,), (700,)]
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_kl_rejects_non_finite_samples(bad):
-    samples = np.random.default_rng(7).standard_gamma(3.0, 500)
-    samples[17] = bad
-    with pytest.raises(DomainError):
-        kl_projected_estimate(samples, _gamma_logpdf(3.0), 2.0)
-
-
-def test_tv_witness_rejects_non_finite_samples():
-    rng = np.random.default_rng(8)
-    a, b = rng.normal(size=300), rng.normal(size=300)
-    a[5] = math.nan
-    with pytest.raises(DomainError):
-        tv_threshold_witness(a, b)
-    with pytest.raises(DomainError):
-        tv_threshold_witness(b, np.append(b, math.inf))
