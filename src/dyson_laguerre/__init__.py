@@ -1,6 +1,6 @@
 """Simulation and analysis toolkit for Dyson-Laguerre interacting particle systems."""
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .errors import (
     CollisionError,

@@ -7,6 +7,8 @@ one-dimensional canonical square-root diffusion with shape N, for every
 beta.  Its equilibrium pushforward is Gamma(N, 1) exactly.  All witness
 formulas below live on that projection, and the profile runner reports
 the exact TV and KL of its law, so it runs no integrator and draws no phi.
+That law is evaluated on arrays: one pass covers every rung and grid time
+of a profile, and each entry keeps the bits it has alone.
 
 Mixing-time branch formulas for Ornstein-Uhlenbeck flows are transcribed
 exactly as stated by their source; they are asymptotic cutoff locations,
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedRegime
 from .model import observable_phi
 from .simulate import RngStream, route_params
-from .transport import _scale_kl, gaussian_tv, ou_closed_form_distances
+from .transport import _log1m_exp, _scale_kl, gaussian_tv, ou_closed_form_distances
 
 _KIND_ALIASES = {
     "TV": "TV",
@@ -164,7 +166,7 @@ def _cutoff_bracket(kind, obs, params, matrix):
 
 
 def _check_time(t):
-    if not t >= 0:
+    if not np.all(np.greater_equal(t, 0)):
         raise DomainError(f"t must be nonnegative, got {t}")
 
 
@@ -214,8 +216,12 @@ def tv_lower_bound_formula(x0, t, params):
 def _tv_lower_bound(obs, t):
     if obs.phi_centered == 0.0:
         return 0.0
-    var_t = _duhamel_variance(obs, t)
-    val = 1.0 - 4.0 * math.exp(2.0 * t) * (obs.phi_l2norm_sq + var_t) / obs.phi_centered**2
+    spread = obs.phi_l2norm_sq + _duhamel_variance(obs, t)
+    # the bound is 0 once the ratio 4 e^{2t} spread / phi_c^2 passes 1, which
+    # logs tell without e^{2t}, as that overflows from t = 355
+    if 2.0 * t + math.log(4.0 * spread) >= 2.0 * math.log(abs(obs.phi_centered)):
+        return 0.0
+    val = 1.0 - 4.0 * math.exp(2.0 * t) * spread / obs.phi_centered**2
     return min(max(val, 0.0), 1.0)
 
 
@@ -317,7 +323,7 @@ def zero_start_chi2(n_big, t):
     _check_zero_start(n_big, t)
     if t == 0:
         return math.inf
-    exponent = -n_big * math.log1p(-math.exp(-2.0 * t))
+    exponent = -n_big * _log1m_exp(2.0 * t)
     return math.expm1(exponent) if exponent < 700 else math.inf
 
 
@@ -353,105 +359,165 @@ def _debye_polynomials():
     return np.array([np.pad(v.coef, (0, 3 * _DEBYE_TERMS + 1 - len(v.coef))) for v in u])
 
 
-def _log_0f1(shape, a):
-    """log 0F1(; shape; a) for an array of a >= 0, where
+def _log_0f1(shape, a, width):
+    """log 0F1(; N_i; a) for rows of arguments a >= 0 laid end to end in a
+    flat array: row i holds width[i] of them and has shape N_i.  Here
     0F1(; N; a) = Gamma(N) a^{-nu/2} I_nu(2 sqrt(a)), nu = N - 1.
 
     From order 30 on, Debye's expansion of I_nu(nu z) (DLMF 10.41.3) and
     Stirling's series sigma(nu) for log Gamma(nu + 1) leave
     nu (w - 1 - log((1 + w)/2)) - log(w)/2 + log S(1/w) + sigma(nu),
     w = sqrt(1 + z^2), where nothing large cancels.  Below order 30, 17
-    terms of sum_k a^k / (k! (N)_k) for a <= 1, else scipy's ive.
+    terms of sum_k a^k / (k! (N)_k) for a <= 1, else scipy's ive.  S is a
+    matrix product per row, so each row has the bits it has alone.
     """
     from scipy.special import gammaln, ive
 
-    nu = shape - 1.0
-    if nu >= _DEBYE_ORDER:
-        z = 2.0 * np.sqrt(a) / nu
+    n_big = np.repeat(shape, width)
+    nu = n_big - 1.0
+    out = np.empty_like(a)
+    debye = nu >= _DEBYE_ORDER
+    if debye.any():
+        d_nu = nu[debye]
+        z = 2.0 * np.sqrt(a[debye]) / d_nu
         w = np.sqrt(1.0 + z * z)
         d = z * z / (1.0 + w)
-        coef = nu ** -np.arange(_DEBYE_TERMS + 1.0) @ _debye_polynomials()
-        series = np.vander(1.0 / w, len(coef), increasing=True) @ coef
-        sigma = (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * nu**2))
-                                / nu**2) / nu**2) / nu
-        return nu * (d - np.log1p(0.5 * d)) - 0.5 * np.log(w) + np.log(series) + sigma
-    out = np.empty_like(a)
-    small = a <= 1.0
-    a_small, tail = a[small], 0.0
-    for k in range(17, 0, -1):
-        tail = a_small / (k * (shape + k - 1.0)) * (1.0 + tail)
-    out[small] = np.log1p(tail)
-    big = a[~small]
-    x = 2.0 * np.sqrt(big)
-    out[~small] = gammaln(shape) - 0.5 * nu * np.log(big) + np.log(ive(nu, x)) + x
+        polys = _debye_polynomials()
+        # np.vander's powers of 1/w, built a power per pass rather than a point per pass
+        powers = np.empty((polys.shape[1], len(w)))
+        powers[0], powers[1:] = 1.0, 1.0 / w
+        for j in range(2, len(powers)):
+            powers[j] *= powers[j - 1]
+        powers = powers.T.copy()
+        rows = [(v, m) for v, m in zip((shape - 1.0).tolist(), width) if v >= _DEBYE_ORDER]
+        terms, series, stop = {}, [], 0  # terms: nu -> (S's coefficients, sigma(nu))
+        for v, m in rows:
+            if v not in terms:
+                terms[v] = (v ** -np.arange(_DEBYE_TERMS + 1.0) @ polys,
+                            (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * v**2))
+                                           / v**2) / v**2) / v)
+            series.append(powers[stop:stop + m] @ terms[v][0])
+            stop += m
+        sigma = np.repeat([terms[v][1] for v, _ in rows], [m for _, m in rows])
+        out[debye] = (d_nu * (d - np.log1p(0.5 * d)) - 0.5 * np.log(w)
+                      + np.log(np.concatenate(series)) + sigma)
+    if not debye.all():
+        small = ~debye & (a <= 1.0)
+        a_small, n_small, tail = a[small], n_big[small], 0.0
+        for k in range(17, 0, -1):
+            tail = a_small / (k * (n_small + k - 1.0)) * (1.0 + tail)
+        out[small] = np.log1p(tail)
+        big = ~debye & ~small
+        a_big, n_ive = a[big], n_big[big]
+        x = 2.0 * np.sqrt(a_big)
+        out[big] = (gammaln(n_ive) - 0.5 * (n_ive - 1.0) * np.log(a_big)
+                    + np.log(ive(n_ive - 1.0, x)) + x)
     return out
 
 
 def phi_law_distances(x0, t, params):
     """Exact {"TV": .., "KL": ..} of the law of phi = sum_i x_i at time t
-    from x0 against Gamma(N, 1), its equilibrium law.
+    from x0 against Gamma(N, 1), its equilibrium law.  t may be an array of
+    times: the values are then arrays of its shape, each entry with the
+    bits it has alone, and one pass evaluates them all.
 
     From phi(x0) = 0 they are zero_start_tv and zero_start_kl; at t = 0 the
     law is a point mass (TV 1, KL inf).  Elsewhere it is (c/2) times a
     noncentral chi-square with 2N degrees of freedom and noncentrality
     2 lam, c = 1 - e^{-t}, lam = phi(x0) e^{-t} / c: the TV sums the gaps of
     the two CDFs (chndtr, gammainc) at the densities' crossings, and the KL
-    is a Gauss-Legendre rule.  N below 1/2, or N or lam above 1e8, raises
-    DomainError before any work.
+    is a Gauss-Legendre rule.  N below 1/2, or N or lam above 1e8 at any
+    time, raises DomainError before any work.
     """
     _check_time(t)
-    tv, kl = _phi_law(observable_phi(x0, params), t)
+    obs = observable_phi(x0, params)
+    tv, kl = _phi_law(obs.phi_l2norm_sq, obs.phi_raw, t)
+    if np.ndim(t) == 0:
+        return {"TV": float(tv), "KL": float(kl)}
     return {"TV": tv, "KL": kl}
 
 
-def _phi_law(obs, t):
-    """phi_law_distances from phi at the start: (TV, KL)."""
+def _phi_law(n_big, phi0, t):
+    """phi_law_distances from shapes N, starts phi(x0) and times t, arrays
+    that broadcast together: arrays (TV, KL) of their shape.
+
+    Each entry's scalars are set up in Python floats, its KL rule is a row
+    of one (entries, 128) node grid, and the Newton steps and CDFs run on
+    the flat list of every row's crossings.  Sums stay per row, so each
+    entry has the bits it has alone.
+    """
     from scipy.special import chndtr, gammainc, gammaln
 
-    n_big = obs.phi_l2norm_sq
-    if t == 0:
-        return 1.0, math.inf
-    e, c = math.exp(-t), -math.expm1(-t)
-    lam = obs.phi_raw * e / c
-    if lam == 0.0:  # from phi = 0, or e^{-t} underflows: the law is c * Gamma(N)
-        return zero_start_tv(n_big, t), zero_start_kl(n_big, t)
-    if not (_LAW_SHAPE_MIN <= n_big <= _LAW_MAX and lam <= _LAW_MAX):
-        raise DomainError(
-            f"the exact law of phi needs N in [{_LAW_SHAPE_MIN}, {_LAW_MAX:g}] and "
-            f"phi(x0) e^-t / (1 - e^-t) <= {_LAW_MAX:g}; got N = {n_big:g}, {lam:g}"
-        )
-    b, r0 = e / c, -n_big * math.log(c) - lam
-    # below y c, y <= 1/2, the law has mass at most e^{-lam/2} y^N / Gamma(N + 1)
-    mean, sd = c * (n_big + lam), c * math.sqrt(n_big + 2.0 * lam)
-    log_y = (math.log(1e-17) + gammaln(n_big + 1.0) + 0.5 * lam) / n_big
-    lo = max(mean - 12.0 * sd, c * math.exp(min(log_y, -math.log(2.0))))
-    s_lo, s_hi = math.log(lo), math.log(mean + 12.0 * sd + 40.0 * c)
+    entries = np.broadcast(n_big, phi0, t)
+    tv, kl = np.empty(entries.shape), np.empty(entries.shape)
+    flat_tv, flat_kl = tv.reshape(-1), kl.reshape(-1)
+    law = []  # one row per entry off the closed forms
+    for k, values in enumerate(entries):
+        n_k, phi_k, t_k = map(float, values)
+        if t_k == 0:
+            flat_tv[k], flat_kl[k] = 1.0, math.inf
+            continue
+        e_k, c_k = math.exp(-t_k), -math.expm1(-t_k)
+        lam_k = phi_k * e_k / c_k
+        if lam_k == 0.0:  # from phi = 0, or e^{-t} underflows: the law is c * Gamma(N)
+            flat_tv[k], flat_kl[k] = zero_start_tv(n_k, t_k), zero_start_kl(n_k, t_k)
+            continue
+        if not (_LAW_SHAPE_MIN <= n_k <= _LAW_MAX and lam_k <= _LAW_MAX):
+            raise DomainError(
+                f"the exact law of phi needs N in [{_LAW_SHAPE_MIN}, {_LAW_MAX:g}] and "
+                f"phi(x0) e^-t / (1 - e^-t) <= {_LAW_MAX:g}; got N = {n_k:g}, {lam_k:g}"
+            )
+        # below y c, y <= 1/2, the law has mass at most e^{-lam/2} y^N / Gamma(N + 1)
+        mean, sd = c_k * (n_k + lam_k), c_k * math.sqrt(n_k + 2.0 * lam_k)
+        log_y = (math.log(1e-17) + gammaln(n_k + 1.0) + 0.5 * lam_k) / n_k
+        lo = max(mean - 12.0 * sd, c_k * math.exp(min(log_y, -math.log(2.0))))
+        s_lo, s_hi = math.log(lo), math.log(mean + 12.0 * sd + 40.0 * c_k)
+        law.append((k, n_k, lam_k, c_k, e_k / c_k, -n_k * math.log(c_k) - lam_k,
+                    s_lo, 0.5 * (s_hi - s_lo)))
+    if not law:
+        return tv, kl
+    entry, nb, lam, c, b, r0, s_lo, half = (np.array(v) for v in zip(*law))
+    lam_c = lam / c
     nodes, weights = _legendre_rule()
-    half = 0.5 * (s_hi - s_lo)
-    s = s_lo + half * (nodes + 1.0)
+    s = s_lo[:, None] + half[:, None] * (nodes + 1.0)
     z = np.exp(s)
-    r = r0 - b * z + _log_0f1(n_big, (lam / c) * z)
-    p_dz = np.exp((n_big - 1.0) * s - z - gammaln(n_big) + r + s) * (half * weights)
-    kl = max(float(p_dz @ r), 0.0)
+    r = r0[:, None] - b[:, None] * z + _log_0f1(nb, (lam_c[:, None] * z).ravel(),
+                                                 [len(nodes)] * len(nb)).reshape(z.shape)
+    p_dz = (np.exp((nb[:, None] - 1.0) * s - z - gammaln(nb)[:, None] + r + s)
+            * (half[:, None] * weights))
+    flat_kl[entry] = [max(float(p @ q), 0.0) for p, q in zip(p_dz, r)]
 
     # a crossing between nodes i and i + 1: linear in s, then two Newton
     # steps within the bracket.  One beyond the outer nodes is taken there,
     # which moves the CDF gap by at most the law's mass beyond them.
     pos = r > 0.0
-    i = np.flatnonzero(pos[1:] != pos[:-1])
-    left, right = s[i], s[i + 1]
-    root = left - r[i] * (right - left) / (r[i + 1] - r[i])
+    row, i = np.nonzero(pos[:, 1:] != pos[:, :-1])
+    left, right = s[row, i], s[row, i + 1]
+    root = left - r[row, i] * (right - left) / (r[row, i + 1] - r[row, i])
+    # 0F1 at shapes N and N + 1 in one call: each row's crossings twice
+    shapes, width = np.concatenate((nb, nb + 1.0)), np.bincount(row, minlength=len(nb)).tolist()
+    x_lam_c, x_lam_cn, x_b, x_r0 = lam_c[row], lam[row] / (c[row] * nb[row]), b[row], r0[row]
     for _ in range(2):
         zr = np.exp(root)
-        a = (lam / c) * zr
-        log_f = _log_0f1(n_big, a)
-        slope = zr * (lam / (c * n_big) * np.exp(_log_0f1(n_big + 1.0, a) - log_f) - b)
-        root = np.clip(root - (r0 - b * zr + log_f) / slope, left, right)
-    cross = np.concatenate((z[:1][pos[:1]], np.exp(root), z[-1:][pos[-1:]]))
+        a = x_lam_c * zr
+        both = _log_0f1(shapes, np.concatenate((a, a)), width * 2)
+        log_f, log_f1 = both[:len(a)], both[len(a):]
+        slope = zr * (x_lam_cn * np.exp(log_f1 - log_f) - x_b)
+        root = np.clip(root - (x_r0 - x_b * zr + log_f) / slope, left, right)
+    # each row's points in order: its first node if p > q there, its
+    # crossings, its last node if p > q there
+    first, last = np.flatnonzero(pos[:, 0]), np.flatnonzero(pos[:, -1])
+    order = np.argsort(np.concatenate((first - 0.5, row, last + 0.5)), kind="stable")
+    at = np.concatenate((first, row, last))[order]
+    cross = np.concatenate((z[first, 0], np.exp(root), z[last, -1]))[order]
+    gap = chndtr(2.0 * cross / c[at], 2.0 * nb[at], 2.0 * lam[at]) - gammainc(nb[at], cross)
     # the CDF gap is 0 at both ends of the line, so TV is half its total variation
-    gap = np.concatenate(([0.0], chndtr(2.0 * cross / c, 2.0 * n_big, 2.0 * lam)
-                          - gammainc(n_big, cross), [0.0]))
-    return min(0.5 * float(np.sum(np.abs(np.diff(gap)))), 1.0), kl
+    total, prev = [0.0] * len(nb), [0.0] * len(nb)
+    for k, g in zip(at.tolist(), gap.tolist()):
+        total[k] += abs(g - prev[k])
+        prev[k] = g
+    flat_tv[entry] = [min(0.5 * (tot + abs(g)), 1.0) for tot, g in zip(total, prev)]
+    return tv, kl
 
 
 @dataclass
@@ -564,8 +630,11 @@ def run_cutoff_profile(config):
     N = n * alpha for every beta, so every value is exact and every stderr
     0: TV and KL are phi_law_distances, and L2 is its lower bound
     e^{-t} |phi(x0) - N| / sqrt(N), the shift of phi's mean in equilibrium
-    standard deviations.  Only an equilibrium-draw start is drawn, from the
-    rung's own generator.  The routes differ in how the start and the model
+    standard deviations.  Every rung's start, phi there and c_n come first;
+    the law of phi is then evaluated at every (rung, grid time) in one
+    array pass, and a row has the bits it has in a profile of its rung and
+    time alone.  Only an equilibrium-draw start is drawn, from the rung's
+    own generator.  The routes differ in how the start and the model
     are built and in their upper bounds: the matrix flow's closed forms on
     the matrix route, the regularized KL chain on the Euler route.  Kinds
     TV, KL, L2; W raises UnsupportedRegime before any start or prediction,
@@ -594,11 +663,13 @@ def run_cutoff_profile(config):
     seed = int(config.get("seed", 0))
     preset = config.get("x0_preset", "zero")
 
-    rows = []
     predictions = {}
     critical_times = {}
     meta = {"route": route, "x0_preset": preset, "seed": seed, "fallbacks": []}
 
+    # every rung's start, phi at it and c_n first, then the law of phi at
+    # every (rung, grid time) in one pass
+    starts, scales = [], []
     for n_idx, (n, (params, mp)) in enumerate(zip(ladder, rungs)):
         gen = RngStream(seed, stream_id=1000 + n_idx).generator()
         x0, _ = build_x0(preset, params, gen)
@@ -613,9 +684,16 @@ def run_cutoff_profile(config):
             cn = max(0.5 * math.log(n_big), 1.0)
             meta["fallbacks"].append(f"n={n}: nominal critical time floored to {cn:.3f}")
         critical_times[n] = cn
+        starts.append((x0, obs, preds))
+        scales.append(cn)
 
-        abs_times = multipliers * cn
+    abs_times = np.array(scales)[:, None] * multipliers
+    if "TV" in kinds or "KL" in kinds:
+        tv, kl = _phi_law(np.array([[obs.phi_l2norm_sq] for _, obs, _ in starts]),
+                          np.array([[obs.phi_raw] for _, obs, _ in starts]), abs_times)
 
+    rows = []
+    for k, (n, (params, mp), (x0, obs, preds)) in enumerate(zip(ladder, rungs, starts)):
         # The route fixes the upper bound of each kind; a bound runs only
         # when its kind is requested.
         if route == "matrix":
@@ -635,14 +713,12 @@ def run_cutoff_profile(config):
                 "L2": lambda t: math.inf,
             }
 
-        for t_abs in abs_times:
-            if "TV" in kinds or "KL" in kinds:
-                tv, kl = _phi_law(obs, t_abs)
+        for j, t_abs in enumerate(abs_times[k]):
             for kind in kinds:
                 if kind == "TV":
-                    value, b_lo = tv, _tv_lower_bound(obs, t_abs)
+                    value, b_lo = tv[k, j], _tv_lower_bound(obs, t_abs)
                 elif kind == "KL":
-                    value, b_lo = kl, 0.0
+                    value, b_lo = kl[k, j], 0.0
                 else:
                     value = b_lo = math.sqrt(_lb_l2_witness(obs, t_abs))
                 b_up = upper[kind](t_abs) if t_abs > 0 else _POINT_MASS_UPPER[kind]

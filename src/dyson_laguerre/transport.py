@@ -269,6 +269,15 @@ def _w2_with_blocks(a, b, blocks):
     ]
 
 
+def _log1m_exp(s):
+    """log(1 - e^{-s}), s > 0: from expm1 while e^{-s} > 1/2, where 1 - e^{-s}
+    cancels (and rounds to 0 below s = 1.1e-16), else from log1p, which
+    keeps the relative accuracy of a log near 0."""
+    if s < math.log(2.0):
+        return math.log(-math.expm1(-s))
+    return math.log1p(-math.exp(-s))
+
+
 def _scale_kl(s):
     """c - 1 - log c at c = 1 - e^{-s}, s > 0, the KL of scale c against scale 1
     per unit of Gamma shape; once e^{-s} <= 1/2, where it cancels, a series."""
@@ -300,6 +309,9 @@ def ou_closed_form_distances(p, t, z0_norm_sq):
     and W2^2 between Gaussians squares the gap of their standard deviations.
     The KL's -nm (e^{-2gt} + log(1 - e^{-2gt})) is nm * _scale_kl(2gt),
     the helper zero_start_kl uses, so from z0 = 0 the two agree to the bit.
+    log(1 - e^{-4gt}) is _log1m_exp(4gt), the helper zero_start_chi2 uses:
+    finite where e^{-4gt} rounds to 1, and from z0 = 0 the L2 is the square
+    root of zero_start_chi2(nm/2, 2gt) to the bit.
     """
     if t <= 0 or not math.isfinite(t):
         raise DomainError(f"t must be positive, got {t}")
@@ -310,7 +322,7 @@ def ou_closed_form_distances(p, t, z0_norm_sq):
     e2 = math.exp(-2.0 * g * t)
     one_m_e2 = -math.expm1(-2.0 * g * t)
     kl = 0.5 * ((2.0 * g / k2) * z0_norm_sq * e2 + nm * _scale_kl(2.0 * g * t))
-    l2_exp = (2.0 * g / k2) * z0_norm_sq * e2 / (1.0 + e2) - 0.5 * nm * math.log1p(-e2 * e2)
+    l2_exp = (2.0 * g / k2) * z0_norm_sq * e2 / (1.0 + e2) - 0.5 * nm * _log1m_exp(4.0 * g * t)
     l2_sq = math.expm1(l2_exp) if l2_exp < 700 else math.inf
     sqrt_term = 1.0 - math.sqrt(one_m_e2)
     w2_sq = z0_norm_sq * e2 + nm * (k2 / (2.0 * g)) * sqrt_term**2

@@ -414,6 +414,33 @@ def test_cutoff_profile_euler_l2_at_time_zero(tmp_path):
     assert all(float(r["bound_upper"]) == math.inf for r in rows)
 
 
+@pytest.mark.parametrize(
+    "config, artifact",
+    [
+        # e^{-4gt} rounds to 1: the matrix flow's closed forms take log(1 - e^{-4gt}) from expm1
+        ({"mode": "ou-formulas", "n": 4, "times": [1e-300, 0.5]}, "ou_distances.csv"),
+        ({"mode": "cutoff-profile", "n": 4, "times": [1e-17], "distances": ["KL", "L2"]},
+         "profile.csv"),
+        # e^{2t} overflows: the TV lower bound is 0 long before
+        ({"mode": "cutoff-profile", "n": 4, "alpha": 12.0, "x0_preset": "ramp", "times": [700],
+          "distances": ["TV"]}, "profile.csv"),
+    ],
+    ids=["ou-formulas-1e-300", "profile-matrix-1e-17", "profile-euler-700"],
+)
+def test_extreme_grid_times_end_in_values(tmp_path, config, artifact):
+    run(dict(config, out_dir=str(tmp_path)))
+    with open(tmp_path / artifact) as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for r in rows:
+        for key in ("value", "bound_lower", "bound_upper"):
+            if key in r:
+                assert not math.isnan(float(r[key])), r
+    if artifact == "profile.csv":
+        assert all(float(r["bound_lower"]) <= float(r["value"]) <= float(r["bound_upper"])
+                   for r in rows)
+
+
 def test_main_subcommand_overrides_mode(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(

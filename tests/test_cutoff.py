@@ -407,6 +407,8 @@ def test_zero_start_closed_forms_at_the_ends():
     for t in (1e-17, 1e-300):
         assert zero_start_tv(8.0, t) == 1.0
         assert zero_start_kl(8.0, t) == pytest.approx(8.0 * (-1.0 - math.log(t)), rel=1e-15)
+    assert zero_start_chi2(8.0, 1e-17) == pytest.approx(2e-17**-8, rel=1e-12)
+    assert zero_start_chi2(8.0, 1e-300) == math.inf
     # sum_{k >= 2} u^k / k at u = e^{-t} = 0.01, where N (c - 1 - log c) cancels
     assert zero_start_kl(3.0, math.log(100.0)) == pytest.approx(
         3.0 * sum(0.01**k / k for k in range(2, 12)), rel=1e-14)
@@ -589,6 +591,81 @@ def test_phi_law_refuses_what_it_cannot_evaluate(monkeypatch):
         phi_law_distances(np.ones(1), -1.0, ModelParams(1, 3.0, 0.0))
     # from 0 the closed forms take every shape
     assert phi_law_distances(np.zeros(1), 1.0, small)["KL"] == zero_start_kl(0.4, 1.0)
+    # one bad entry refuses the whole batch, before any law is evaluated
+    with pytest.raises(DomainError):
+        phi_law_distances(np.ones(1), np.array([1.0, 5e-9, 2.0]), ModelParams(1, 3.0, 0.0))
+    with pytest.raises(DomainError):
+        phi_law_distances(np.ones(1), np.array([1.0, -1.0]), ModelParams(1, 3.0, 0.0))
+    with pytest.raises(DomainError, match="N = 0.4"):
+        cutoff._phi_law(np.array([48.0, 0.4]), np.ones(2), 1.0)
+
+
+@pytest.mark.parametrize("params, phi0", [
+    (ModelParams(4, 12.0, 1.0), 10.0),      # N = 48: Debye's expansion
+    (ModelParams(3, 5.0, 2.0), 6.0),        # N = 15: the series and ive
+    (MatrixParams.bru(1, 1).induced_model(), 3.0),   # N = 1/2
+], ids=["N48", "N15", "N0.5"])
+def test_phi_law_of_an_array_of_times_is_each_time_alone(params, phi0):
+    # an array of times gives arrays of its shape, each entry with the bits
+    # of a call at that time alone; t = 0 and t where e^-t underflows included
+    x0 = _start(params.n, phi0)
+    times = np.array([[0.0, 1e-3, 0.05, 0.3], [1.0, 4.0, 40.0, 800.0]])
+    got = phi_law_distances(x0, times, params)
+    assert got["TV"].shape == got["KL"].shape == times.shape
+    for idx, t in np.ndenumerate(times):
+        alone = phi_law_distances(x0, float(t), params)
+        assert (got["TV"][idx], got["KL"][idx]) == (alone["TV"], alone["KL"]), t
+    assert phi_law_distances(x0, times[1], params)["KL"].tolist() == got["KL"][1].tolist()
+
+
+def test_phi_law_batch_mixes_every_branch():
+    # one batch: shapes below order 30 (the series below a = 1, ive above),
+    # Debye's expansion, a zero start, t = 0, and laws whose densities still
+    # differ in sign at the outer nodes (N = 200, phi0 = 10, t = 1 has p > q
+    # at the first node; N = 0.5, phi0 = 100, t = 1e-3 at both)
+    from dyson_laguerre import cutoff
+
+    entries = [(15.0, 6.0, 0.7), (2.5, 10.0, 1.5), (48.0, 10.0, 0.2), (200.0, 10.0, 1.0),
+               (0.5, 100.0, 1e-3), (48.0, 0.0, 0.5), (15.0, 6.0, 0.0), (8192.0, 9000.0, 3.0)]
+    tv, kl = cutoff._phi_law(*(np.array(v) for v in zip(*entries)))
+    for k, entry in enumerate(entries):
+        alone = cutoff._phi_law(*entry)
+        assert (tv[k], kl[k]) == (alone[0][()], alone[1][()]), entry
+    assert (tv[5], kl[5]) == (zero_start_tv(48.0, 0.5), zero_start_kl(48.0, 0.5))
+    assert (tv[6], kl[6]) == (1.0, math.inf)
+    want_tv, want_kl = _law_by_quadrature(200.0, 10.0, 1.0)
+    assert tv[3] == pytest.approx(want_tv, rel=0, abs=1e-8)
+    assert kl[3] == pytest.approx(want_kl, rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("model", [{"alpha": 12.0, "beta": 1.0}, {"m": 8}],
+                         ids=["euler", "matrix"])
+def test_profile_rows_do_not_depend_on_the_other_rungs_or_times(model):
+    # the law of phi runs once over every (rung, time) of a profile; a row
+    # has the bits it has in a profile of its rung and time alone
+    config = dict(model, x0_preset="ramp", distances=["TV", "KL", "L2"])
+    rows = run_cutoff_profile(dict(config, n=[4, 8], times=[0.3, 0.8, 1.4])).rows
+    for n in (4, 8):
+        for t in (0.3, 0.8, 1.4):
+            alone = run_cutoff_profile(dict(config, n=n, times=[t])).rows
+            assert alone == [r for r in rows if r.n == n and r.t == alone[0].t]
+
+
+def test_profile_evaluates_the_law_in_one_pass(monkeypatch):
+    # log 0F1 runs a fixed number of times per profile, however many rungs
+    # and grid times it has: once for the KL rule, once per Newton step
+    from dyson_laguerre import cutoff
+
+    live, calls = cutoff._log_0f1, []
+    monkeypatch.setattr(cutoff, "_log_0f1", lambda *args: calls.append(1) or live(*args))
+    counts = []
+    for ladder, times in (([4], [0.5, 1.0, 1.5]), ([4], np.linspace(0.1, 3.0, 30)),
+                          ([3, 4, 6], [0.5, 1.0, 1.5]), ([3, 4, 6], np.linspace(0.1, 3.0, 30))):
+        calls.clear()
+        run_cutoff_profile({"n": ladder, "alpha": 12.0, "beta": 1.0, "x0_preset": "ramp",
+                            "times": times, "distances": ["TV", "KL"]})
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts == [counts[0]] * 4, counts
 
 
 @pytest.mark.parametrize("shape", [0.5, 1.0, 2.5, 15.0, 30.5, 31.0, 48.0, 2048.0])
@@ -600,9 +677,10 @@ def test_log_0f1_matches_mpmath(shape):
 
     a = np.array([0.0, 1e-12, 0.3, 1.0, 1.0001, 7.0, shape, shape**2 / 4, shape**2,
                   4.0 * shape**2 + 100.0])
-    got = _log_0f1(shape, a)
+    got = _log_0f1(np.array([shape]), a, [len(a)])
     with mpmath.workdps(30):
         want = [float(mpmath.log(mpmath.hyp0f1(shape, mpmath.mpf(float(v)), maxterms=10**6)))
                 for v in a]
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-    assert _log_0f1(shape, np.array([1e-300]))[0] == pytest.approx(1e-300 / shape, rel=1e-12)
+    tiny = _log_0f1(np.array([shape]), np.array([1e-300]), [1])[0]
+    assert tiny == pytest.approx(1e-300 / shape, rel=1e-12)

@@ -18,6 +18,7 @@ from dyson_laguerre import (
     mixing_time_ou,
     ou_closed_form_distances,
     wasserstein_intrinsic,
+    zero_start_chi2,
     zero_start_kl,
 )
 from dyson_laguerre import transport
@@ -75,6 +76,18 @@ def test_ou_kl_matches_mpmath_to_rounding(n, z0_norm_sq):
         assert got == pytest.approx(want, rel=1e-14, abs=0.0), t
         if z0_norm_sq == 0.0:
             assert got == zero_start_kl(n * n / 2.0, 2.0 * p.gamma * t)
+
+
+@pytest.mark.parametrize("t", [1e-17, 1e-300])
+def test_ou_closed_forms_where_e_to_the_minus_4gt_rounds_to_1(t):
+    # 1 - e^{-4gt} rounds to 0 here; from z0 = 0 the KL and L2 are those of
+    # c * Gamma(nm/2) against Gamma(nm/2) at time 2gt, to the bit
+    p = MatrixParams.bru(4, 4)
+    got = ou_closed_form_distances(p, t, 0.0)
+    assert got["KL"].value == zero_start_kl(8.0, 2.0 * p.gamma * t)
+    assert got["L2"].value == math.sqrt(zero_start_chi2(8.0, 2.0 * p.gamma * t))
+    assert 0.0 < got["W2"].value < math.inf
+    assert ou_closed_form_distances(p, t, 3.0)["L2"].value >= got["L2"].value
 
 
 def test_ou_closed_forms_monotone_to_zero():
